@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    NUCLEARITY_PATTERNS,
     Action,
     Edu,
     LabelInventory,
@@ -21,25 +20,18 @@ from .core import (
     Reduce,
     RstTree,
     Shift,
-    tree_text,
 )
 from .engine import (
+    Decision,
     EmptyDocument,
     IllegalAction,
     ParsePolicy,
     ParseResult,
-    TraceEntry,
+    label_decision,
+    run_decisions,
 )
 from .oracle import Oracle, OracleQuery, resolve_label
-from .prompts import (
-    ACTION,
-    ACTION_LABELS,
-    NUCLEARITY,
-    RELATION,
-    render_action_prompt,
-    render_nuclearity_prompt,
-    render_relation_prompt,
-)
+from .prompts import ACTION, ACTION_LABELS, render_action_prompt
 
 SHIFT = "shift"
 REDUCE = "reduce"
@@ -88,13 +80,6 @@ def apply_action(state: ParserState, action: Action) -> ParserState:
     raise IllegalAction(f"unknown action {action!r}")
 
 
-def _texts(state: ParserState) -> tuple[str | None, str | None, str | None]:
-    stack2 = tree_text(state.stack[-2]) if len(state.stack) >= 2 else None
-    stack1 = tree_text(state.stack[-1]) if state.stack else None
-    queue1 = state.queue[0].text if state.queue else None
-    return stack2, stack1, queue1
-
-
 def parse_bottom_up(
     edus: Sequence[Edu],
     oracle: Oracle,
@@ -107,92 +92,76 @@ def parse_bottom_up(
     (shift, or the single legal action; the inventory's default nuclearity
     and relation) and flagged in the trace. Identical oracle answers yield
     an identical tree and trace.
+
+    Action prompts show only span texts, so each action needs just the one
+    before it; a reduce's nuclearity and relation are asked alongside the
+    actions that follow (see ``run_decisions``).
     """
     if not edus:
         raise EmptyDocument("cannot parse a document with no EDUs")
-    state = ParserState.initial(edus)
-    trace: list[TraceEntry] = []
-    step = 0
+    n = len(edus)
+    # the stack holds the text of each subtree; the tree is built at the end
+    # from the actions: None for a shift, a reduce's (nuclearity, relation)
+    # once they are in
+    texts: list[str] = []
+    actions: list[list[str] | None] = []
+    queue = 0  # index of the queue front
 
-    while not state.is_terminal:
-        legal = state.legal_actions()
-        stack2, stack1, queue1 = _texts(state)
-
-        if len(legal) == 1 and policy.skip_forced:
-            name = legal[0]
-            trace.append(
-                TraceEntry(
-                    step=step, kind=ACTION, state=state.summary(),
-                    prompt=None, raw=None, resolved=name, forced=True,
-                )
-            )
-        else:
+    def action() -> Decision:
+        legal = []
+        if queue < n:
+            legal.append(SHIFT)
+        if len(texts) >= 2:
+            legal.append(REDUCE)
+        stack2 = texts[-2] if len(texts) >= 2 else None
+        stack1 = texts[-1] if texts else None
+        state = f"stack={len(texts)} queue={n - queue}"
+        query = None
+        if not (len(legal) == 1 and policy.skip_forced):
             prompt = render_action_prompt(
-                stack2, stack1, queue1, policy.truncate_chars
+                stack2, stack1, edus[queue].text if queue < n else None,
+                policy.truncate_chars,
             )
-            raw = oracle.complete(OracleQuery(ACTION, prompt, ACTION_LABELS))
-            resolved = resolve_label(raw, ACTION_LABELS)
-            corrected, note = False, ""
-            if resolved is None:
-                resolved = SHIFT if SHIFT in legal else legal[0]
-                corrected, note = True, "unparseable"
-            elif resolved not in legal:
-                resolved = legal[0]
-                corrected, note = True, "illegal"
-            trace.append(
-                TraceEntry(
-                    step=step, kind=ACTION, state=state.summary(),
-                    prompt=prompt, raw=raw, resolved=resolved,
-                    corrected=corrected, note=note,
-                )
-            )
-            name = resolved
-        step += 1
+            query = OracleQuery(ACTION, prompt, ACTION_LABELS)
 
-        if name == SHIFT:
-            state = apply_action(state, Shift())
-            continue
+        def take(raw: str | None):
+            nonlocal queue
+            resolved, corrected, note = legal[0], False, ""
+            if raw is not None:
+                resolved = resolve_label(raw, ACTION_LABELS)
+                if resolved is None:
+                    resolved = SHIFT if SHIFT in legal else legal[0]
+                    corrected, note = True, "unparseable"
+                elif resolved not in legal:
+                    resolved = legal[0]
+                    corrected, note = True, "illegal"
+            unlocked = []
+            if resolved == SHIFT:
+                texts.append(edus[queue].text)
+                queue += 1
+                actions.append(None)
+            else:
+                assert stack2 is not None and stack1 is not None
+                del texts[-2:]
+                texts.append(f"{stack2} {stack1}")
+                labels: list[str] = []
+                actions.append(labels)
+                unlocked.append(label_decision(
+                    state, stack2, stack1, inventory, policy, labels
+                ))
+            if queue < n or len(texts) > 1:
+                unlocked.append(action())
+            return resolved, corrected, note, unlocked
 
-        # reduce: nuclearity first, then the relation conditioned on it
-        assert stack2 is not None and stack1 is not None
-        nuc_prompt = render_nuclearity_prompt(
-            stack2, stack1, policy.truncate_chars
-        )
-        raw = oracle.complete(
-            OracleQuery(NUCLEARITY, nuc_prompt, NUCLEARITY_PATTERNS)
-        )
-        nuclearity = resolve_label(raw, NUCLEARITY_PATTERNS)
-        corrected = nuclearity is None
-        if nuclearity is None:
-            nuclearity = inventory.default_nuclearity
-        trace.append(
-            TraceEntry(
-                step=step, kind=NUCLEARITY, state=state.summary(),
-                prompt=nuc_prompt, raw=raw, resolved=nuclearity,
-                corrected=corrected, note="unparseable" if corrected else "",
-            )
-        )
-        step += 1
+        return Decision(ACTION, state, query, take)
 
-        rel_prompt = render_relation_prompt(
-            stack2, stack1, nuclearity, inventory, policy.truncate_chars
-        )
-        raw = oracle.complete(
-            OracleQuery(RELATION, rel_prompt, inventory.relations)
-        )
-        relation = resolve_label(raw, inventory.relations)
-        corrected = relation is None
-        if relation is None:
-            relation = inventory.default_relation
-        trace.append(
-            TraceEntry(
-                step=step, kind=RELATION, state=state.summary(),
-                prompt=rel_prompt, raw=raw, resolved=relation,
-                corrected=corrected, note="unparseable" if corrected else "",
-            )
-        )
-        step += 1
-
-        state = apply_action(state, Reduce(nuclearity, relation))
-
-    return ParseResult(tree=state.stack[0], trace=tuple(trace))
+    trace = run_decisions(oracle, action())
+    stack: list[RstTree] = []
+    leaves = iter(edus)
+    for labels in actions:
+        if labels is None:
+            stack.append(Leaf(next(leaves)))
+        else:
+            right = stack.pop()
+            stack[-1] = Node(stack[-1], right, *labels)
+    return ParseResult(tree=stack[0], trace=trace)

@@ -199,6 +199,9 @@ def _make_shared_oracle(args: argparse.Namespace):
     if args.oracle == "scripted":
         if not args.script:
             raise ConfigError("--oracle scripted needs --script FILE")
+        if args.workers > 1:
+            # its answers go to whichever document asks next
+            raise ConfigError("--oracle scripted needs --workers 1")
         answers = Path(args.script).read_text().splitlines()
         return ScriptedOracle(answers, cycle=args.cycle_script)
     if args.oracle == "http":
@@ -212,9 +215,8 @@ def _make_shared_oracle(args: argparse.Namespace):
             retries=args.retries,
             backoff=args.backoff,
         )
-        if args.cache_dir:
-            return CachedOracle(oracle, args.cache_dir)
-        return oracle
+        # without a store the wrapper still fetches concurrently
+        return CachedOracle(oracle, args.cache_dir)
     raise ConfigError(f"unknown oracle type {args.oracle!r}")
 
 
@@ -237,11 +239,17 @@ def cmd_parse(args: argparse.Namespace) -> int:
         write_text_atomic(out_dir / f"{doc.doc_id}.trace.jsonl", trace_to_jsonl(result.trace))
         return doc.doc_id, result
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_one, documents))
-    else:
-        results = [run_one(doc) for doc in documents]
+    try:
+        if args.workers > 1:
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                results = list(pool.map(run_one, documents))
+        else:
+            results = [run_one(doc) for doc in documents]
+    finally:
+        # no connection or fetch thread outlives the command
+        close = getattr(shared, "close", None)
+        if close is not None:
+            close()
 
     doc_rows = []
     total_queries = total_corrected = 0
@@ -270,7 +278,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
             "queries": total_queries,
             "corrected": total_corrected,
         },
-        "cache": shared.stats() if isinstance(shared, CachedOracle) else None,
+        "cache": shared.stats() if args.cache_dir else None,
         "elapsed_seconds": round(time.time() - started, 3),
     }
     write_text_atomic(

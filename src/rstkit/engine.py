@@ -1,13 +1,21 @@
-"""Shared plumbing for the two parsing engines: policy, trace, result."""
+"""Shared plumbing for the two parsing engines: policy, trace, result, and
+the loop that puts their decisions to an oracle."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .core import RstTree
+from .core import NUCLEARITY_PATTERNS, LabelInventory, RstTree
+from .oracle import Oracle, OracleQuery, resolve_label
+from .prompts import (
+    NUCLEARITY,
+    RELATION,
+    render_nuclearity_prompt,
+    render_relation_prompt,
+)
 
 
 class EmptyDocument(ValueError):
@@ -99,3 +107,128 @@ def trace_to_jsonl(trace: Iterable[TraceEntry]) -> str:
             )
         )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+class Decision(NamedTuple):
+    """A decision whose inputs are all in, waiting to be taken.
+
+    ``query`` is None for a forced decision, taken without the oracle.
+    ``take`` receives the raw answer (None when forced) and returns the
+    resolved label, whether it was corrected and why, and the decisions the
+    answer makes ready, in serial order. A serial parse takes each of those,
+    and everything they in turn make ready, before the decisions after them.
+    """
+
+    kind: str
+    state: str
+    query: OracleQuery | None
+    take: Callable[[str | None], tuple[str, bool, str, list["Decision"]]]
+
+
+def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
+    """Take every decision of a parse; return the trace in serial order.
+
+    The serial order is depth-first over what made each decision ready. An
+    oracle that offers ``prefetch(queries)`` is handed all ready queries of
+    a round at once, so it can answer them concurrently, and is then asked
+    for each in serial order. Any other oracle is asked one query at a
+    time, always the ready one that comes first in serial order, which is
+    exactly the order of a serial parse. Forced decisions are taken as soon
+    as they are ready and cost no round. Either way ``oracle.complete`` is
+    called once per query, from this thread, and the same answers give the
+    same trace.
+    """
+    prefetch = getattr(oracle, "prefetch", None)
+    # ready decisions, the next in serial order last
+    ready = [first]
+    taken: list[tuple] = []
+    # with prefetch, decisions are taken round by round; the trace is put
+    # back in serial order from what each one made ready
+    unlocked_by: dict[int, tuple[int, list[Decision]]] = {}
+
+    def settle(decision: Decision, raw: str | None) -> list[Decision]:
+        resolved, corrected, note, unlocked = decision.take(raw)
+        query = decision.query
+        prompt = None if query is None else query.prompt
+        taken.append((
+            decision.kind, decision.state, prompt, raw, resolved, corrected,
+            query is None, note,
+        ))
+        if prefetch is not None:
+            unlocked_by[id(decision)] = (len(taken) - 1, unlocked)
+        return unlocked
+
+    while ready:
+        round_: list[Decision] = []
+        while ready:
+            decision = ready.pop()
+            if decision.query is None:
+                ready.extend(reversed(settle(decision, None)))
+                continue
+            round_.append(decision)
+            if prefetch is None:
+                break
+        if prefetch is not None and round_:
+            prefetch([decision.query for decision in round_])
+        unlocked = []
+        for decision in round_:
+            unlocked.extend(settle(decision, oracle.complete(decision.query)))
+        ready.extend(reversed(unlocked))
+
+    order = range(len(taken))
+    if prefetch is not None:
+        order, stack = [], [first]
+        while stack:
+            index, unlocked = unlocked_by[id(stack.pop())]
+            order.append(index)
+            stack.extend(reversed(unlocked))
+    return tuple(TraceEntry(step, *taken[i]) for step, i in enumerate(order))
+
+
+def label_decision(
+    state: str,
+    left: str,
+    right: str,
+    inventory: LabelInventory,
+    policy: ParsePolicy,
+    labels: list[str],
+) -> Decision:
+    """The nuclearity decision for a node joining two spans of text.
+
+    Its answer makes ready the relation decision, whose prompt carries the
+    nuclearity. The two labels are appended to ``labels`` as they are taken.
+    Unparseable answers fall back to the inventory's defaults.
+    """
+    nuc_prompt = render_nuclearity_prompt(left, right, policy.truncate_chars)
+
+    def take_nuclearity(raw):
+        nuclearity = resolve_label(raw, NUCLEARITY_PATTERNS)
+        corrected = nuclearity is None
+        if nuclearity is None:
+            nuclearity = inventory.default_nuclearity
+        labels.append(nuclearity)
+        rel_prompt = render_relation_prompt(
+            left, right, nuclearity, inventory, policy.truncate_chars
+        )
+
+        def take_relation(raw):
+            relation = resolve_label(raw, inventory.relations)
+            corrected = relation is None
+            if relation is None:
+                relation = inventory.default_relation
+            labels.append(relation)
+            return relation, corrected, "unparseable" if corrected else "", []
+
+        relation = Decision(
+            RELATION, state,
+            OracleQuery(RELATION, rel_prompt, inventory.relations),
+            take_relation,
+        )
+        note = "unparseable" if corrected else ""
+        return nuclearity, corrected, note, [relation]
+
+    return Decision(
+        NUCLEARITY, state,
+        OracleQuery(NUCLEARITY, nuc_prompt, NUCLEARITY_PATTERNS),
+        take_nuclearity,
+    )

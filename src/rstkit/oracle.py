@@ -8,23 +8,31 @@ without the state machines knowing the difference.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, runtime_checkable
-
-import requests
+from urllib.parse import urlsplit
 
 from .prompts import PROMPT_KINDS, PromptKind
 
 logger = logging.getLogger(__name__)
 
 TOKEN_ENV_VAR = "RSTKIT_API_TOKEN"
+
+# Most inner-oracle calls one CachedOracle runs at once, over all the
+# documents that share it.
+IN_FLIGHT_LIMIT = 16
+
+# What a kept-alive connection raises when the server has closed it.
+_STALE_CONNECTION = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
 _INT_RE = re.compile(r"\d+")
 
@@ -87,7 +95,11 @@ class Oracle(Protocol):
     """Answer source for decision queries.
 
     ``fingerprint`` identifies the model and decoding configuration well
-    enough to key a cache; it must change whenever answers could.
+    enough to key a cache; it must change whenever answers could. An oracle
+    whose answers depend only on the query may also offer
+    ``prefetch(queries)``, a hint that those queries will be asked next;
+    the engines then hand it every query that is ready at once (see
+    ``engine.run_decisions``). One without it sees the serial order.
     """
 
     fingerprint: str
@@ -174,6 +186,12 @@ class HttpOracle:
     max_tokens, temperature, and stop; the answer text comes back under
     choices[0].text. Decoding is greedy (temperature 0) and stops at the
     first newline, since every valid answer is a single line.
+
+    Each thread keeps one connection alive across its requests; ``close``
+    closes them all. Transport errors, 429 and 5xx are retried with
+    exponential backoff, or after an integer ``Retry-After``; any other
+    status, or a 200 whose body has no answer, fails at once. Proxy
+    environment variables are not read.
     """
 
     def __init__(
@@ -200,6 +218,52 @@ class HttpOracle:
         self.fingerprint = (
             f"{model}|temperature={temperature}|max_tokens={max_tokens}|stop=nl"
         )
+        url = urlsplit(endpoint)
+        self._scheme = url.scheme
+        self._netloc = url.netloc
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            if self._scheme == "http":
+                conn = http.client.HTTPConnection(self._netloc, timeout=self.timeout)
+            elif self._scheme == "https":
+                conn = http.client.HTTPSConnection(self._netloc, timeout=self.timeout)
+            else:
+                raise OracleFailure(f"unsupported endpoint URL {self.endpoint!r}")
+            with self._lock:
+                self._connections.append(conn)
+            self._local.conn = conn
+        return conn
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes, str | None]:
+        """(status, body, Retry-After) of one request on this thread's
+        connection.
+
+        A kept-alive connection that the server has closed fails on first
+        use; it is opened again and the request sent once more.
+        """
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request("POST", self._target, body, headers)
+                response = conn.getresponse()
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._target, body, headers)
+                response = conn.getresponse()
+            data = response.read()
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            raise
+        return response.status, data, response.getheader("Retry-After")
 
     def complete(self, query: OracleQuery) -> str:
         payload = {
@@ -209,55 +273,80 @@ class HttpOracle:
             "temperature": self.temperature,
             "stop": ["\n"],
         }
+        body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.api_token:
             headers["Authorization"] = f"Bearer {self.api_token}"
         last_error = "no attempt made"
-        for attempt in range(self.retries + 1):
-            if attempt:
-                delay = self.backoff * (2 ** (attempt - 1))
+        attempts = 0
+        delay = self.backoff
+        while attempts <= self.retries:
+            if attempts:
                 logger.info("retrying %s query in %.2fs", query.kind, delay)
                 time.sleep(delay)
+                delay = self.backoff * (2 ** attempts)
+            attempts += 1
             try:
-                response = requests.post(
-                    self.endpoint, json=payload, headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = f"request failed: {exc}"
+                status, data, retry_after = self._post(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = f"request failed: {exc!r}"
                 continue
-            if response.status_code != 200:
-                last_error = f"HTTP {response.status_code}: {response.text[:200]}"
-                continue
-            try:
-                body = response.json()
-                return str(body["choices"][0]["text"])
-            except (ValueError, LookupError, TypeError) as exc:
-                last_error = f"malformed response body: {exc}"
-                continue
+            if status == 200:
+                try:
+                    return str(json.loads(data)["choices"][0]["text"])
+                except (ValueError, LookupError, TypeError) as exc:
+                    last_error = f"malformed response body: {exc}"
+                    break
+            last_error = f"HTTP {status}: {data[:200].decode('utf-8', 'replace')}"
+            if status != 429 and status < 500:
+                break  # cannot succeed on retry
+            if retry_after is not None and retry_after.strip().isdigit():
+                delay = int(retry_after)
         raise OracleFailure(
-            f"{query.kind} query failed after {self.retries + 1} attempts: "
-            f"{last_error}"
+            f"{query.kind} query failed after {attempts} attempts: {last_error}"
         )
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request opens a new one."""
+        with self._lock:
+            connections, self._connections = self._connections, []
+            self._local = threading.local()
+        for conn in connections:
+            conn.close()
 
 
 class CachedOracle:
-    """Persistent read-through cache in front of another oracle.
+    """Read-through cache in front of another oracle, which it can query
+    concurrently.
 
     Keys hash the question and the inner oracle's fingerprint, so changing
     the model or decoding setup never serves stale answers. Records are
-    one JSON file per key, written atomically; concurrent misses on the
-    same key store exactly one record.
+    one JSON file per key under ``store_dir``, written atomically; with
+    ``store_dir`` None nothing is stored, and an answer is kept only until
+    it is taken.
+
+    ``prefetch`` starts fetching queries on a pool of at most
+    IN_FLIGHT_LIMIT threads, which call nothing but the inner oracle's
+    ``complete``; the answers are then taken with ``complete``. A key is
+    fetched once while it is in flight: concurrent misses on the same key
+    make one inner call and store one record. Cache hits are read on the
+    calling thread. ``close`` stops the pool and closes the inner oracle.
     """
 
-    def __init__(self, inner: Oracle, store_dir: str | Path):
+    def __init__(self, inner: Oracle, store_dir: str | Path | None):
         self.inner = inner
-        self.store_dir = Path(store_dir)
-        self.store_dir.mkdir(parents=True, exist_ok=True)
+        self.store_dir = None if store_dir is None else Path(store_dir)
+        if self.store_dir is not None:
+            self.store_dir.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self._guard = threading.Lock()
-        self._key_locks: dict[str, threading.Lock] = {}
+        # key -> its fetch, from the moment it starts until the first
+        # complete() takes its answer
+        self._in_flight: dict[str, Future] = {}
+        # query -> answer that prefetch read from the store, until taken
+        self._read_ahead: dict[OracleQuery, str] = {}
+        self._pool: ThreadPoolExecutor | None = None
 
     @property
     def fingerprint(self) -> str:
@@ -271,6 +360,8 @@ class CachedOracle:
         return self.store_dir / f"{key}.json"
 
     def _load(self, key: str) -> str | None:
+        if self.store_dir is None:
+            return None
         path = self._record_path(key)
         try:
             text = path.read_text()
@@ -282,22 +373,14 @@ class CachedOracle:
         except (ValueError, KeyError, TypeError) as exc:
             raise StoreCorrupt(f"unreadable cache record {path}: {exc}") from None
 
-    def complete(self, query: OracleQuery) -> str:
-        key = self._key(query)
+    def _fetch(self, key: str, query: OracleQuery) -> tuple[str, bool]:
+        """(answer, whether the inner oracle was asked) for a key that was
+        registered in flight; it may have been stored just before."""
         cached = self._load(key)
         if cached is not None:
-            with self._guard:
-                self.hits += 1
-            return cached
-        with self._guard:
-            lock = self._key_locks.setdefault(key, threading.Lock())
-        with lock:
-            cached = self._load(key)
-            if cached is not None:
-                with self._guard:
-                    self.hits += 1
-                return cached
-            raw = self.inner.complete(query)
+            return cached, False
+        raw = self.inner.complete(query)
+        if self.store_dir is not None:
             record = {
                 "kind": query.kind,
                 "fingerprint": self.inner.fingerprint,
@@ -311,10 +394,87 @@ class CachedOracle:
             )
             tmp.write_text(json.dumps(record, ensure_ascii=False))
             os.replace(tmp, path)
+        return raw, True
+
+    def prefetch(self, queries: Iterable[OracleQuery]) -> None:
+        """Read each stored query's answer and start fetching the others.
+
+        A hint: each query's answer is still taken with ``complete``. Reads
+        happen here, on the calling thread; fetches run on the pool.
+        """
+        for query in queries:
+            # unguarded: two threads reading ahead one query cost a second
+            # read, never a wrong answer; fetches are registered under guard
+            if query in self._read_ahead:
+                continue
+            key = self._key(query)
+            if key in self._in_flight:
+                continue
+            cached = self._load(key)
+            if cached is not None:
+                self._read_ahead[query] = cached
+                continue
+            with self._guard:
+                if key in self._in_flight:
+                    continue
+                if self._pool is None:
+                    self._pool = ThreadPoolExecutor(
+                        IN_FLIGHT_LIMIT, thread_name_prefix="rstkit-oracle"
+                    )
+                self._in_flight[key] = self._pool.submit(self._fetch, key, query)
+
+    def complete(self, query: OracleQuery) -> str:
+        cached = self._read_ahead.pop(query, None)
+        if cached is not None:
+            with self._guard:
+                self.hits += 1
+            return cached
+        key = self._key(query)
+        future = self._in_flight.get(key)
+        if future is None:
+            cached = self._load(key)
+            if cached is not None:
+                with self._guard:
+                    self.hits += 1
+                return cached
+            with self._guard:
+                future = self._in_flight.get(key)
+                owner = future is None
+                if owner:
+                    future = self._in_flight[key] = Future()
+            if owner:
+                try:
+                    future.set_result(self._fetch(key, query))
+                except BaseException as exc:  # re-raised by result() below
+                    future.set_exception(exc)
+        try:
+            raw, asked = future.result()
+        finally:
+            with self._guard:
+                first = self._in_flight.get(key) is future
+                if first:
+                    del self._in_flight[key]
         with self._guard:
-            self.misses += 1
+            if first and asked:
+                self.misses += 1
+            else:
+                self.hits += 1
         return raw
 
     def stats(self) -> dict[str, int]:
         with self._guard:
             return {"hits": self.hits, "misses": self.misses}
+
+    def close(self) -> None:
+        """Stop the fetch pool, dropping fetches not yet started, and close
+        the inner oracle if it can be closed."""
+        with self._guard:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        with self._guard:
+            self._in_flight.clear()
+            self._read_ahead.clear()
+        close = getattr(self.inner, "close", None)
+        if close is not None:
+            close()

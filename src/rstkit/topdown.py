@@ -14,26 +14,17 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .core import (
-    NUCLEARITY_PATTERNS,
-    Edu,
-    LabelInventory,
-    Leaf,
-    Node,
-    RstTree,
-    span_text,
+from .core import Edu, LabelInventory, Leaf, Node, RstTree, span_text
+from .engine import (
+    Decision,
+    EmptyDocument,
+    ParsePolicy,
+    ParseResult,
+    label_decision,
+    run_decisions,
 )
-from .engine import EmptyDocument, ParsePolicy, ParseResult, TraceEntry
 from .oracle import Oracle, OracleQuery, resolve_label
-from .prompts import (
-    NUCLEARITY,
-    RELATION,
-    SPLIT,
-    render_nuclearity_prompt,
-    render_relation_prompt,
-    render_split_prompt,
-    split_labels,
-)
+from .prompts import SPLIT, render_split_prompt, split_labels
 
 _INTEGER_RE = re.compile(r"[+-]?\d+")
 
@@ -61,117 +52,75 @@ def parse_top_down(
     Split answers outside 0..len-2 or unparseable ones are corrected to 0
     and flagged; the trace note tells the two apart. Two-EDU spans have a
     single legal split, taken without a query under the default policy.
+
+    A span's split needs only its parent's split, and its labels only its
+    own split, so sibling spans are asked alongside each other (see
+    ``run_decisions``); the trace stays in pre-order.
     """
     if not edus:
         raise EmptyDocument("cannot parse a document with no EDUs")
     n = len(edus)
-    trace: list[TraceEntry] = []
-    step = 0
-
     if n == 1:
         return ParseResult(tree=Leaf(edus[0]), trace=())
 
-    # work items: ("span", i, j) decides and expands a span;
-    # ("make", nuc, rel) joins the two finished subtrees below it.
+    texts = [edu.text for edu in edus]
+    # span -> [last EDU of its left half, nuclearity, relation]
+    nodes: dict[tuple[int, int], list] = {}
+
+    def split(first: int, last: int) -> Decision:
+        state = f"span=({first},{last})"
+        query = None
+        if not (last - first == 1 and policy.skip_forced):
+            prompt = render_split_prompt(
+                texts[first - 1 : last], policy.truncate_chars
+            )
+            query = OracleQuery(SPLIT, prompt, split_labels(last - first + 1))
+
+        def take(raw: str | None):
+            resolved, corrected, note = "0", False, ""
+            if raw is not None:
+                resolved = resolve_label(raw, query.valid_labels)
+                if resolved is None:
+                    first_line = raw.split("\n", 1)[0].strip()
+                    note = (
+                        "out-of-range"
+                        if _INTEGER_RE.fullmatch(first_line)
+                        else "unparseable"
+                    )
+                    resolved, corrected = "0", True
+            mid = first + int(resolved)
+            node = nodes[(first, last)] = [mid]
+            unlocked = [label_decision(
+                state,
+                span_text(edus, (first, mid)), span_text(edus, (mid + 1, last)),
+                inventory, policy, node,
+            )]
+            if mid > first:
+                unlocked.append(split(first, mid))
+            if last > mid + 1:
+                unlocked.append(split(mid + 1, last))
+            return resolved, corrected, note, unlocked
+
+        return Decision(SPLIT, state, query, take)
+
+    trace = run_decisions(oracle, split(1, n))
+
+    # work items: ("span", i, j) expands a span;
+    # ("make", i, j) joins the two finished subtrees below it.
     work: list[tuple] = [("span", 1, n)]
     out: list[RstTree] = []
-
     while work:
-        item = work.pop()
-        if item[0] == "make":
-            _, nuclearity, relation = item
+        item, first, last = work.pop()
+        if item == "make":
             right = out.pop()
-            left = out.pop()
-            out.append(Node(left, right, nuclearity, relation))
-            continue
-
-        _, first, last = item
-        if first == last:
+            _, nuclearity, relation = nodes[(first, last)]
+            out[-1] = Node(out[-1], right, nuclearity, relation)
+        elif first == last:
             out.append(Leaf(edus[first - 1]))
-            continue
-
-        state = f"span=({first},{last})"
-        length = last - first + 1
-        labels = split_labels(length)
-
-        if length == 2 and policy.skip_forced:
-            k = 0
-            trace.append(
-                TraceEntry(
-                    step=step, kind=SPLIT, state=state,
-                    prompt=None, raw=None, resolved="0", forced=True,
-                )
-            )
         else:
-            texts = [edu.text for edu in edus[first - 1 : last]]
-            prompt = render_split_prompt(texts, policy.truncate_chars)
-            raw = oracle.complete(OracleQuery(SPLIT, prompt, labels))
-            resolved = resolve_label(raw, labels)
-            corrected, note = False, ""
-            if resolved is None:
-                first_line = raw.split("\n", 1)[0].strip()
-                note = (
-                    "out-of-range"
-                    if _INTEGER_RE.fullmatch(first_line)
-                    else "unparseable"
-                )
-                resolved, corrected = "0", True
-            trace.append(
-                TraceEntry(
-                    step=step, kind=SPLIT, state=state,
-                    prompt=prompt, raw=raw, resolved=resolved,
-                    corrected=corrected, note=note,
-                )
-            )
-            k = int(resolved)
-        step += 1
-
-        mid = first + k
-        left_text = span_text(edus, (first, mid))
-        right_text = span_text(edus, (mid + 1, last))
-
-        nuc_prompt = render_nuclearity_prompt(
-            left_text, right_text, policy.truncate_chars
-        )
-        raw = oracle.complete(
-            OracleQuery(NUCLEARITY, nuc_prompt, NUCLEARITY_PATTERNS)
-        )
-        nuclearity = resolve_label(raw, NUCLEARITY_PATTERNS)
-        corrected = nuclearity is None
-        if nuclearity is None:
-            nuclearity = inventory.default_nuclearity
-        trace.append(
-            TraceEntry(
-                step=step, kind=NUCLEARITY, state=state,
-                prompt=nuc_prompt, raw=raw, resolved=nuclearity,
-                corrected=corrected, note="unparseable" if corrected else "",
-            )
-        )
-        step += 1
-
-        rel_prompt = render_relation_prompt(
-            left_text, right_text, nuclearity, inventory, policy.truncate_chars
-        )
-        raw = oracle.complete(
-            OracleQuery(RELATION, rel_prompt, inventory.relations)
-        )
-        relation = resolve_label(raw, inventory.relations)
-        corrected = relation is None
-        if relation is None:
-            relation = inventory.default_relation
-        trace.append(
-            TraceEntry(
-                step=step, kind=RELATION, state=state,
-                prompt=rel_prompt, raw=raw, resolved=relation,
-                corrected=corrected, note="unparseable" if corrected else "",
-            )
-        )
-        step += 1
-
-        # left is pushed last so its decisions come right after the parent's
-        work.append(("make", nuclearity, relation))
-        work.append(("span", mid + 1, last))
-        work.append(("span", first, mid))
-
+            mid = nodes[(first, last)][0]
+            work.append(("make", first, last))
+            work.append(("span", mid + 1, last))
+            work.append(("span", first, mid))
     assert len(out) == 1
-    return ParseResult(tree=out[0], trace=tuple(trace))
+    return ParseResult(tree=out[0], trace=trace)

@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
-from rstkit import minicorpus_dir, read_tree
+from rstkit import (
+    builtin_inventory,
+    builtin_relation_map,
+    minicorpus_dir,
+    read_dis,
+    read_tree,
+)
 from rstkit.cli import main
+from rstkit.training import gold_walk
+
+from test_oracle import keep_alive_endpoint, wait_for
 
 CORPUS = str(minicorpus_dir())
 MANIFEST = str(minicorpus_dir() / "splits.tsv")
@@ -146,6 +156,18 @@ def test_scripted_oracle_requires_script(tmp_path, capsys):
     assert "--script" in stderr
 
 
+def test_scripted_oracle_rejects_several_workers(tmp_path, capsys):
+    script = tmp_path / "answers.txt"
+    script.write_text("shift\n")
+    code, _, stderr = run(
+        capsys,
+        *_parse_args(tmp_path / "run", "--oracle", "scripted", "--script",
+                     str(script), "--cycle-script", "--workers", "2"),
+    )
+    assert code == 2
+    assert "--workers 1" in stderr
+
+
 # ---------------------------------------------------------------------------
 # Workers
 
@@ -163,6 +185,49 @@ def test_worker_count_does_not_change_outputs(tmp_path, capsys):
     right = json.loads((threaded / "run_manifest.json").read_text())
     assert left["documents"] == right["documents"]
     assert left["totals"] == right["totals"]
+
+
+def _gold_table() -> dict[str, str]:
+    inventory = builtin_inventory("rst-dt")
+    relations = builtin_relation_map(MAP)
+    table = {}
+    for path in minicorpus_dir().glob("*.dis"):
+        doc = read_dis(path, relations)
+        for strategy in ("bottom-up", "top-down"):
+            for example in gold_walk(doc, inventory, strategy):
+                table[example.prompt] = example.completion
+    return table
+
+
+@pytest.mark.parametrize("strategy", ["bottom-up", "top-down"])
+def test_http_parse_equals_replay_and_leaves_no_connection(
+    tmp_path, capsys, strategy
+):
+    replay = tmp_path / "replay"
+    assert run(capsys, *_parse_args(replay, "--strategy", strategy))[0] == 0
+    table = _gold_table()
+    with keep_alive_endpoint(answer=table.__getitem__) as (url, server):
+        for workers in ("1", "4"):
+            for cache in ((), ("--cache-dir", str(tmp_path / f"cache{workers}"))):
+                out = tmp_path / f"http-{workers}-{len(cache)}"
+                before = len(server.prompts)
+                code, _, stderr = run(capsys, *_parse_args(
+                    out, "--strategy", strategy, "--oracle", "http",
+                    "--endpoint", url, "--model", "gold", "--workers", workers,
+                    *cache,
+                ))
+                assert code == 0, stderr
+                for path in replay.glob("doc*"):
+                    assert (out / path.name).read_bytes() == path.read_bytes()
+                assert wait_for(lambda: server.closed == server.opened)
+                assert not any(t.name.startswith("rstkit-oracle")
+                               for t in threading.enumerate())
+                sent = server.prompts[before:]
+                manifest = json.loads((out / "run_manifest.json").read_text())
+                if cache:
+                    assert len(sent) == len(set(sent))
+                else:
+                    assert len(sent) == manifest["totals"]["queries"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -155,11 +156,13 @@ class _MockHandler(BaseHTTPRequestHandler):
             }
         )
         index = min(len(self.server.requests) - 1, len(self.server.script) - 1)
-        status, payload = self.server.script[index]
+        status, payload, *headers = self.server.script[index]
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -169,8 +172,8 @@ class _MockHandler(BaseHTTPRequestHandler):
 
 @contextmanager
 def _endpoint(script):
-    """Serve a scripted list of (status, payload) responses; later requests
-    repeat the last entry."""
+    """Serve a scripted list of (status, payload[, headers]) responses;
+    later requests repeat the last entry."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _MockHandler)
     server.script = script
     server.requests = []
@@ -241,15 +244,119 @@ def test_http_fails_after_retry_budget():
     assert len(requests_seen) == 3
 
 
-def test_http_malformed_body_counts_as_failure():
-    script = [(200, b"this is not json"), (200, {"nochoices": True}), _ok("ok")]
-    with _endpoint(script) as (url, _):
-        oracle = HttpOracle(url, model="m", retries=2, backoff=0.01)
-        assert oracle.complete(_query()) == "ok"
-    with _endpoint([(200, b"broken")]) as (url, _):
-        oracle = HttpOracle(url, model="m", retries=1, backoff=0.01)
-        with pytest.raises(OracleFailure, match="malformed"):
+@pytest.mark.parametrize("body", [b"this is not json", {"nochoices": True}],
+                         ids=["not-json", "no-choices"])
+def test_http_malformed_body_fails_at_once(body):
+    with _endpoint([(200, body), _ok("ok")]) as (url, requests_seen):
+        oracle = HttpOracle(url, model="m", retries=2, backoff=30.0)
+        with pytest.raises(OracleFailure, match="1 attempts: malformed"):
             oracle.complete(_query())
+    assert len(requests_seen) == 1
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_http_client_errors_are_tried_once(status):
+    with _endpoint([(status, {"error": "no"}), _ok("ok")]) as (url, requests_seen):
+        oracle = HttpOracle(url, model="m", retries=3, backoff=30.0)
+        with pytest.raises(OracleFailure, match=f"1 attempts: HTTP {status}"):
+            oracle.complete(_query())
+    assert len(requests_seen) == 1
+
+
+def test_http_429_waits_for_retry_after():
+    script = [(429, {"error": "slow down"}, {"Retry-After": "0"}), _ok("shift")]
+    with _endpoint(script) as (url, requests_seen):
+        oracle = HttpOracle(url, model="m", retries=1, backoff=30.0)
+        started = time.monotonic()
+        assert oracle.complete(_query()) == "shift"
+        assert time.monotonic() - started < 5.0
+    assert len(requests_seen) == 2
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 answers by ``server.answer(prompt)``; counts connections, and
+    with ``server.drop`` closes each connection after one response without
+    announcing it."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.opened += 1
+
+    def finish(self):
+        super().finish()
+        with self.server.lock:
+            self.server.closed += 1
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with self.server.lock:
+            self.server.prompts.append(body["prompt"])
+        answer = self.server.answer(body["prompt"])
+        data = json.dumps({"choices": [{"text": answer}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = self.server.drop
+
+    def log_message(self, *_args):
+        pass
+
+
+@contextmanager
+def keep_alive_endpoint(drop=False, answer=lambda prompt: prompt):
+    """A keep-alive endpoint, echoing by default; yields (url, server) with
+    the prompts it saw and its opened/closed connection counts."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server.daemon_threads = True
+    server.lock = threading.Lock()
+    server.opened = server.closed = 0
+    server.prompts = []
+    server.drop = drop
+    server.answer = answer
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/completions", server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def wait_for(condition, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def test_http_reuses_one_connection_per_thread():
+    with keep_alive_endpoint() as (url, server):
+        oracle = HttpOracle(url, model="m", retries=0)
+        for i in range(5):
+            assert oracle.complete(_query(prompt=f"p{i}")) == f"p{i}"
+        assert server.opened == 1
+        oracle.close()
+        assert wait_for(lambda: server.closed == 1)
+
+
+def test_http_reopens_a_connection_the_server_closed():
+    # retries=0 and a long backoff: the reconnect must cost neither
+    with keep_alive_endpoint(drop=True) as (url, server):
+        oracle = HttpOracle(url, model="m", retries=0, backoff=30.0)
+        started = time.monotonic()
+        answers = [oracle.complete(_query(prompt=f"p{i}")) for i in range(3)]
+        assert time.monotonic() - started < 5.0
+        oracle.close()
+    assert answers == ["p0", "p1", "p2"]
+    assert server.prompts == ["p0", "p1", "p2"]
+    assert server.opened == 3
 
 
 def test_http_connection_refused_is_oracle_failure():
@@ -363,3 +470,86 @@ def test_cache_concurrent_misses_write_once(tmp_path):
     stats = cache.stats()
     assert stats["misses"] == 1
     assert stats["hits"] == 7
+
+
+def test_cache_prefetch_fetches_each_key_once_and_forgets_it(tmp_path):
+    inner, calls = _counting_inner(answer="x", delay=0.01)
+    cache = CachedOracle(inner, tmp_path)
+    queries = [_query(prompt=f"p{i % 5}") for i in range(10)]
+    cache.prefetch(queries)
+    cache.prefetch(queries)
+    assert [cache.complete(q) for q in queries] == ["x"] * 10
+    cache.close()
+    assert calls["n"] == 5
+    assert cache.stats() == {"hits": 5, "misses": 5}
+    assert cache._in_flight == {} and cache._read_ahead == {}
+    # stored answers are read ahead on this thread, not fetched
+    cache.prefetch(queries[:5])
+    assert [cache.complete(q) for q in queries[:5]] == ["x"] * 5
+    assert calls["n"] == 5
+    assert cache._pool is None and cache._read_ahead == {}
+
+
+def test_cache_without_store_keeps_answers_until_taken():
+    inner, calls = _counting_inner(answer="x")
+    cache = CachedOracle(inner, None)
+    cache.prefetch([_query(prompt="a"), _query(prompt="b")])
+    assert cache.complete(_query(prompt="a")) == "x"
+    assert cache.complete(_query(prompt="b")) == "x"
+    assert cache._in_flight == {}
+    assert cache.complete(_query(prompt="a")) == "x"  # nothing stored
+    cache.close()
+    assert calls["n"] == 3
+
+
+def test_cache_prefetch_failure_reaches_complete(tmp_path):
+    def fail(_query):
+        raise OracleFailure("down")
+
+    cache = CachedOracle(CallableOracle(fail), tmp_path)
+    cache.prefetch([_query()])
+    with pytest.raises(OracleFailure, match="down"):
+        cache.complete(_query())
+    cache.close()
+    assert cache._in_flight == {}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_prefetch_runs_at_most_the_in_flight_limit(tmp_path):
+    from rstkit.oracle import IN_FLIGHT_LIMIT
+
+    lock = threading.Lock()
+    running = {"now": 0, "max": 0}
+
+    def slow(query):
+        with lock:
+            running["now"] += 1
+            running["max"] = max(running["max"], running["now"])
+        time.sleep(0.01)
+        with lock:
+            running["now"] -= 1
+        return query.prompt
+
+    cache = CachedOracle(CallableOracle(slow), tmp_path)
+    queries = [_query(prompt=f"p{i}") for i in range(3 * IN_FLIGHT_LIMIT)]
+    cache.prefetch(queries)
+    assert [cache.complete(q) for q in queries] == [q.prompt for q in queries]
+    cache.close()
+    assert 1 < running["max"] <= IN_FLIGHT_LIMIT
+    assert not any(t.name.startswith("rstkit-oracle") for t in threading.enumerate())
+
+
+def test_cache_over_http_reuses_connections(tmp_path):
+    from rstkit.oracle import IN_FLIGHT_LIMIT
+
+    with keep_alive_endpoint() as (url, server):
+        cache = CachedOracle(HttpOracle(url, model="m", retries=0), tmp_path)
+        queries = [_query(prompt=f"p{i}") for i in range(4 * IN_FLIGHT_LIMIT)]
+        for start in range(0, len(queries), 8):
+            batch = queries[start:start + 8]
+            cache.prefetch(batch)
+            assert [cache.complete(q) for q in batch] == [q.prompt for q in batch]
+        cache.close()
+        assert sorted(server.prompts) == sorted(q.prompt for q in queries)
+        assert server.opened <= 8
+        assert wait_for(lambda: server.closed == server.opened)
