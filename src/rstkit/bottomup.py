@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .core import (
     Action,
+    DocumentText,
     Edu,
     LabelInventory,
     Leaf,
@@ -31,7 +32,7 @@ from .engine import (
     run_decisions,
 )
 from .oracle import Oracle, OracleQuery, resolve_label
-from .prompts import ACTION, ACTION_LABELS, render_action_prompt
+from .prompts import ACTION, ACTION_LABELS, EMPTY_SLOT, action_prompt, span_slot
 
 SHIFT = "shift"
 REDUCE = "reduce"
@@ -100,27 +101,29 @@ def parse_bottom_up(
     if not edus:
         raise EmptyDocument("cannot parse a document with no EDUs")
     n = len(edus)
-    # the stack holds the text of each subtree; the tree is built at the end
-    # from the actions: None for a shift, a reduce's (nuclearity, relation)
-    # once they are in
-    texts: list[str] = []
+    doc = DocumentText(edus)
+    budget = policy.truncate_chars
+    # the stack holds each subtree's EDU span and the slot text prompts show
+    # for it; the tree is built at the end from the actions: None for a
+    # shift, a reduce's (nuclearity, relation) once they are in
+    stack: list[tuple[int, int, str]] = []
     actions: list[list[str] | None] = []
-    queue = 0  # index of the queue front
+    queue = 0  # EDUs shifted so far; EDU queue + 1 heads the queue
 
     def action() -> Decision:
         legal = []
         if queue < n:
             legal.append(SHIFT)
-        if len(texts) >= 2:
+        if len(stack) >= 2:
             legal.append(REDUCE)
-        stack2 = texts[-2] if len(texts) >= 2 else None
-        stack1 = texts[-1] if texts else None
-        state = f"stack={len(texts)} queue={n - queue}"
+        front = span_slot(doc, queue + 1, queue + 1, budget) if queue < n else None
+        state = f"stack={len(stack)} queue={n - queue}"
         query = None
         if not (len(legal) == 1 and policy.skip_forced):
-            prompt = render_action_prompt(
-                stack2, stack1, edus[queue].text if queue < n else None,
-                policy.truncate_chars,
+            prompt = action_prompt(
+                stack[-2][2] if len(stack) >= 2 else EMPTY_SLOT,
+                stack[-1][2] if stack else EMPTY_SLOT,
+                EMPTY_SLOT if front is None else front,
             )
             query = OracleQuery(ACTION, prompt, ACTION_LABELS)
 
@@ -137,31 +140,29 @@ def parse_bottom_up(
                     corrected, note = True, "illegal"
             unlocked = []
             if resolved == SHIFT:
-                texts.append(edus[queue].text)
                 queue += 1
+                stack.append((queue, queue, front))
                 actions.append(None)
             else:
-                assert stack2 is not None and stack1 is not None
-                del texts[-2:]
-                texts.append(f"{stack2} {stack1}")
+                first, _, left = stack[-2]
+                _, last, right = stack.pop()
+                stack[-1] = (first, last, span_slot(doc, first, last, budget))
                 labels: list[str] = []
                 actions.append(labels)
-                unlocked.append(label_decision(
-                    state, stack2, stack1, inventory, policy, labels
-                ))
-            if queue < n or len(texts) > 1:
+                unlocked.append(label_decision(state, left, right, inventory, labels))
+            if queue < n or len(stack) > 1:
                 unlocked.append(action())
             return resolved, corrected, note, unlocked
 
         return Decision(ACTION, state, query, take)
 
     trace = run_decisions(oracle, action())
-    stack: list[RstTree] = []
+    tree: list[RstTree] = []
     leaves = iter(edus)
     for labels in actions:
         if labels is None:
-            stack.append(Leaf(next(leaves)))
+            tree.append(Leaf(next(leaves)))
         else:
-            right = stack.pop()
-            stack[-1] = Node(stack[-1], right, *labels)
-    return ParseResult(tree=stack[0], trace=trace)
+            right = tree.pop()
+            tree[-1] = Node(tree[-1], right, *labels)
+    return ParseResult(tree=tree[0], trace=trace)

@@ -4,14 +4,15 @@ Subcommands: parse, eval, export-training, derive-actions, report-relations.
 A JSON config file can preload any flag (flags win); `parse` leaves a run
 manifest next to its outputs so a run can be audited and reproduced.
 
-Exit codes: 0 success, 2 configuration or I/O problems, 3 oracle transport
-failure, 4 validation failure (malformed input, missing predictions,
-replay divergence).
+Exit codes: 0 success, 2 configuration or I/O problems (an unreadable
+cache record among them), 3 oracle transport failure, 4 validation failure
+(malformed input, missing predictions, replay divergence).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -45,7 +46,7 @@ from .corpus import (
     resolve_document_path,
     write_tree,
 )
-from .engine import EmptyDocument, ParsePolicy, ParseResult, trace_to_jsonl
+from .engine import EmptyDocument, ParsePolicy, trace_to_jsonl
 from .metrics import (
     EmptyCorpus,
     ParsevalCounts,
@@ -62,6 +63,7 @@ from .oracle import (
     OracleFailure,
     ReplayExhausted,
     ScriptedOracle,
+    StoreCorrupt,
 )
 from .topdown import parse_top_down
 from .training import (
@@ -230,41 +232,37 @@ def cmd_parse(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(doc: Document) -> tuple[str, ParseResult]:
+    def run_one(doc: Document) -> dict:
+        """Parse and write one document; its row of the run manifest."""
         oracle = shared
         if oracle is None:
             oracle = replay_oracle(doc, inventory, args.strategy, policy)
         result = engine(doc.edus, oracle, inventory, policy)
         write_text_atomic(out_dir / f"{doc.doc_id}.tree", write_tree(result.tree) + "\n")
         write_text_atomic(out_dir / f"{doc.doc_id}.trace.jsonl", trace_to_jsonl(result.trace))
-        return doc.doc_id, result
+        # the trace, with every prompt, is dropped here, not held to the end
+        return {
+            "doc_id": doc.doc_id,
+            "edus": len(doc.edus),
+            "decisions": len(result.trace),
+            "queries": result.query_count,
+            "corrected": result.corrected_count,
+        }
 
     try:
         if args.workers > 1:
             with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(run_one, documents))
+                doc_rows = list(pool.map(run_one, documents))
         else:
-            results = [run_one(doc) for doc in documents]
+            doc_rows = [run_one(doc) for doc in documents]
     finally:
         # no connection or fetch thread outlives the command
         close = getattr(shared, "close", None)
         if close is not None:
             close()
 
-    doc_rows = []
-    total_queries = total_corrected = 0
-    for (doc_id, result), doc in zip(results, documents):
-        total_queries += result.query_count
-        total_corrected += result.corrected_count
-        doc_rows.append(
-            {
-                "doc_id": doc_id,
-                "edus": len(doc.edus),
-                "decisions": len(result.trace),
-                "queries": result.query_count,
-                "corrected": result.corrected_count,
-            }
-        )
+    total_queries = sum(row["queries"] for row in doc_rows)
+    total_corrected = sum(row["corrected"] for row in doc_rows)
 
     config = _resolved_config(args)
     manifest = {
@@ -368,14 +366,25 @@ def cmd_export_training(args: argparse.Namespace) -> int:
         if args.strategy == BOTTOM_UP
         else ("split", "nuclearity", "relation")
     )
-    buffers: dict[str, list[str]] = {kind: [] for kind in kinds}
-    for doc in documents:
-        for example in gold_walk(doc, inventory, args.strategy, policy):
-            buffers[example.kind].append(example_to_json(example))
-    counts = {kind: len(lines) for kind, lines in buffers.items()}
-    for kind, lines in buffers.items():
-        path = out_dir / f"{args.strategy}.{kind}.jsonl"
-        write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+    paths = {kind: out_dir / f"{args.strategy}.{kind}.jsonl" for kind in kinds}
+    # each pair is written as it comes, to a temporary file per kind; the
+    # files replace their targets only once every document has been walked
+    tmps = {kind: path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            for kind, path in paths.items()}
+    counts = dict.fromkeys(kinds, 0)
+    try:
+        with contextlib.ExitStack() as stack:
+            files = {kind: stack.enter_context(open(tmp, "w"))
+                     for kind, tmp in tmps.items()}
+            for doc in documents:
+                for example in gold_walk(doc, inventory, args.strategy, policy):
+                    files[example.kind].write(example_to_json(example) + "\n")
+                    counts[example.kind] += 1
+        for kind, tmp in tmps.items():
+            os.replace(tmp, paths[kind])
+    finally:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
     meta = export_metadata(inventory, args.strategy, policy, counts)
     meta["documents"] = len(documents)
     write_text_atomic(
@@ -600,6 +609,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ORACLE
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except StoreCorrupt as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

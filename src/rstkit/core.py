@@ -127,6 +127,31 @@ def span_text(edus: Sequence[Edu], span: tuple[int, int]) -> str:
     return " ".join(edu.text for edu in edus[first - 1 : last])
 
 
+class DocumentText:
+    """A document's EDU texts joined by single spaces, with EDU offsets.
+
+    EDU i (1-based) occupies ``text[starts[i]:ends[i]]``, so the text of
+    EDUs first..last is the one slice ``text[starts[first]:ends[last]]``,
+    equal to ``span_text`` of that span, and a prompt can take a long
+    span's head and tail without joining its middle.
+    """
+
+    __slots__ = ("text", "starts", "ends")
+
+    def __init__(self, edus: Sequence[Edu]):
+        texts = [edu.text for edu in edus]
+        self.text = " ".join(texts)
+        # index 0 is unused, so EDU numbers index the tables directly
+        self.starts = [0] * (len(texts) + 1)
+        self.ends = [0] * (len(texts) + 1)
+        pos = 0
+        for index, text in enumerate(texts, 1):
+            self.starts[index] = pos
+            pos += len(text)
+            self.ends[index] = pos
+            pos += 1
+
+
 def check_tree(tree: RstTree, n_edus: int) -> None:
     """Validate that a tree covers EDUs 1..n_edus exactly once, in order.
 

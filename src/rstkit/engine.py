@@ -10,12 +10,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .core import NUCLEARITY_PATTERNS, LabelInventory, RstTree
 from .oracle import Oracle, OracleQuery, resolve_label
-from .prompts import (
-    NUCLEARITY,
-    RELATION,
-    render_nuclearity_prompt,
-    render_relation_prompt,
-)
+from .prompts import NUCLEARITY, RELATION, nuclearity_prompt, relation_prompt
 
 
 class EmptyDocument(ValueError):
@@ -39,8 +34,7 @@ class ParsePolicy:
     truncate_chars: int | None = None
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One decision as the engine saw it.
 
     ``prompt`` and ``raw`` are None on forced moves, which never reach the
@@ -190,16 +184,17 @@ def label_decision(
     left: str,
     right: str,
     inventory: LabelInventory,
-    policy: ParsePolicy,
     labels: list[str],
 ) -> Decision:
-    """The nuclearity decision for a node joining two spans of text.
+    """The nuclearity decision for a node joining two spans.
 
-    Its answer makes ready the relation decision, whose prompt carries the
-    nuclearity. The two labels are appended to ``labels`` as they are taken.
-    Unparseable answers fall back to the inventory's defaults.
+    ``left`` and ``right`` are the spans' slot texts, as prompts show them
+    (see ``prompts.span_slot``). The answer makes ready the relation
+    decision, whose prompt carries the nuclearity. The two labels are
+    appended to ``labels`` as they are taken. Unparseable answers fall back
+    to the inventory's defaults.
     """
-    nuc_prompt = render_nuclearity_prompt(left, right, policy.truncate_chars)
+    nuc_prompt = nuclearity_prompt(left, right)
 
     def take_nuclearity(raw):
         nuclearity = resolve_label(raw, NUCLEARITY_PATTERNS)
@@ -207,9 +202,7 @@ def label_decision(
         if nuclearity is None:
             nuclearity = inventory.default_nuclearity
         labels.append(nuclearity)
-        rel_prompt = render_relation_prompt(
-            left, right, nuclearity, inventory, policy.truncate_chars
-        )
+        rel_prompt = relation_prompt(left, right, nuclearity, inventory)
 
         def take_relation(raw):
             relation = resolve_label(raw, inventory.relations)

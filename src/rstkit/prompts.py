@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import NUCLEARITY_PATTERNS, LabelInventory
+from .core import NUCLEARITY_PATTERNS, DocumentText, LabelInventory
 
 # Prompt kinds; also the "kind" field of training records and trace entries.
 ACTION = "action"
@@ -27,6 +27,21 @@ EMPTY_SLOT = "None"
 
 _ELLIPSIS = " ... "
 
+_NUCLEARITY_CUE = f"Nucleus label ({', '.join(NUCLEARITY_PATTERNS)}):"
+
+
+def _elide(text: str, start: int, end: int, budget: int | None) -> str:
+    """``truncate_text(text[start:end], budget)``, slicing only what is kept."""
+    if budget is None or end - start <= budget:
+        return text[start:end]
+    if budget < 0:  # as str slicing reads it: all but that many at the end
+        return text[start:end][:budget]
+    if budget <= len(_ELLIPSIS):
+        return text[start : start + budget]
+    keep = budget - len(_ELLIPSIS)
+    head = (keep + 1) // 2
+    return text[start : start + head] + _ELLIPSIS + text[end - keep + head : end]
+
 
 def truncate_text(text: str, budget: int | None) -> str:
     """Center-elide text over the budget, keeping both edges.
@@ -34,20 +49,63 @@ def truncate_text(text: str, budget: int | None) -> str:
     Decision prompts care most about span boundaries, so the middle is what
     goes. Deterministic; None disables.
     """
-    if budget is None or len(text) <= budget:
-        return text
-    if budget <= len(_ELLIPSIS):
-        return text[:budget]
-    keep = budget - len(_ELLIPSIS)
-    head = (keep + 1) // 2
-    tail = keep - head
-    return text[:head] + _ELLIPSIS + (text[-tail:] if tail else "")
+    return _elide(text, 0, len(text), budget)
+
+
+def truncate_span(
+    doc: DocumentText, first: int, last: int, budget: int | None
+) -> str:
+    """``truncate_text`` of the text of EDUs first..last (1-based, inclusive).
+
+    The kept head and tail are sliced from the joined document, so the cost
+    follows the budget, not the span's length.
+    """
+    return _elide(doc.text, doc.starts[first], doc.ends[last], budget)
 
 
 def _slot(text: str | None, budget: int | None) -> str:
     if text is None or text == "":
         return EMPTY_SLOT
     return truncate_text(text, budget)
+
+
+def span_slot(doc: DocumentText, first: int, last: int, budget: int | None) -> str:
+    """What a prompt shows for EDUs first..last: their text, elided to the
+    budget, or the empty-slot placeholder when they hold no text."""
+    if doc.starts[first] == doc.ends[last]:
+        return EMPTY_SLOT
+    return truncate_span(doc, first, last, budget)
+
+
+# The renderers below take slot texts, already elided (see ``span_slot``);
+# the ``render_*`` functions take plain texts and elide them first.
+
+
+def action_prompt(stack2: str, stack1: str, queue1: str) -> str:
+    return (
+        f"Stack2: {stack2}\n"
+        f"Stack1: {stack1}\n"
+        f"Queue1: {queue1}\n"
+        "Action (shift or reduce):"
+    )
+
+
+def nuclearity_prompt(span2: str, span1: str) -> str:
+    return f"Span2: {span2}\nSpan1: {span1}\n{_NUCLEARITY_CUE}"
+
+
+def relation_prompt(
+    span2: str, span1: str, nuclearity: str, inventory: LabelInventory
+) -> str:
+    if nuclearity not in NUCLEARITY_PATTERNS:
+        raise ValueError(f"unknown nuclearity pattern {nuclearity!r}")
+    options = ", ".join(inventory.relations)
+    return (
+        f"Span2: {span2}\n"
+        f"Span1: {span1}\n"
+        f"Nucleus label: {nuclearity}\n"
+        f"Relation label ({options}):"
+    )
 
 
 def render_action_prompt(
@@ -57,11 +115,8 @@ def render_action_prompt(
     truncate: int | None = None,
 ) -> str:
     """Shift/reduce decision over the top two stack spans and queue front."""
-    return (
-        f"Stack2: {_slot(stack2, truncate)}\n"
-        f"Stack1: {_slot(stack1, truncate)}\n"
-        f"Queue1: {_slot(queue1, truncate)}\n"
-        "Action (shift or reduce):"
+    return action_prompt(
+        _slot(stack2, truncate), _slot(stack1, truncate), _slot(queue1, truncate)
     )
 
 
@@ -69,12 +124,7 @@ def render_nuclearity_prompt(
     span2: str, span1: str, truncate: int | None = None
 ) -> str:
     """Nuclearity decision; span2 is the left span, span1 the right."""
-    options = ", ".join(NUCLEARITY_PATTERNS)
-    return (
-        f"Span2: {_slot(span2, truncate)}\n"
-        f"Span1: {_slot(span1, truncate)}\n"
-        f"Nucleus label ({options}):"
-    )
+    return nuclearity_prompt(_slot(span2, truncate), _slot(span1, truncate))
 
 
 def render_relation_prompt(
@@ -88,15 +138,39 @@ def render_relation_prompt(
 
     The options list follows inventory order exactly.
     """
-    if nuclearity not in NUCLEARITY_PATTERNS:
-        raise ValueError(f"unknown nuclearity pattern {nuclearity!r}")
-    options = ", ".join(inventory.relations)
-    return (
-        f"Span2: {_slot(span2, truncate)}\n"
-        f"Span1: {_slot(span1, truncate)}\n"
-        f"Nucleus label: {nuclearity}\n"
-        f"Relation label ({options}):"
+    return relation_prompt(
+        _slot(span2, truncate), _slot(span1, truncate), nuclearity, inventory
     )
+
+
+class SplitPrompts:
+    """Split prompts for the spans of one document.
+
+    Each EDU's line text is elided once, and the renumbered ``"i: "``
+    prefixes and the answers are made once, so a prompt costs one join of
+    its own lines.
+    """
+
+    def __init__(self, edu_texts: Sequence[str], truncate: int | None = None):
+        self._lines = [_slot(text, truncate) for text in edu_texts]
+        self._prefixes = [f"\n{offset}: " for offset in range(len(edu_texts))]
+        self._answers = tuple(map(str, range(len(edu_texts) - 1)))
+
+    def render(self, first: int, last: int) -> str:
+        """The prompt for EDUs first..last (1-based, inclusive)."""
+        m = last - first + 1
+        if m < 2:
+            raise ValueError("split prompts need at least two EDUs")
+        parts = [""] * (2 * m + 2)
+        parts[0] = "Input:"
+        parts[1 : 2 * m : 2] = self._prefixes[:m]
+        parts[2 : 2 * m + 1 : 2] = self._lines[first - 1 : last]
+        parts[-1] = f"\nSplit point (0 - {m - 2}):"
+        return "".join(parts)
+
+    def labels(self, first: int, last: int) -> tuple[str, ...]:
+        """``split_labels`` of the span of EDUs first..last."""
+        return self._answers[: last - first]
 
 
 def render_split_prompt(
@@ -108,13 +182,7 @@ def render_split_prompt(
     the span sits in the document; the inclusive bound is length - 2, the
     last index a left half may end on.
     """
-    if len(edu_texts) < 2:
-        raise ValueError("split prompts need at least two EDUs")
-    lines = ["Input:"]
-    for offset, text in enumerate(edu_texts):
-        lines.append(f"{offset}: {_slot(text, truncate)}")
-    lines.append(f"Split point (0 - {len(edu_texts) - 2}):")
-    return "\n".join(lines)
+    return SplitPrompts(edu_texts, truncate).render(1, len(edu_texts))
 
 
 def split_labels(span_len: int) -> tuple[str, ...]:

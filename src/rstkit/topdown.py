@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .core import Edu, LabelInventory, Leaf, Node, RstTree, span_text
+from .core import DocumentText, Edu, LabelInventory, Leaf, Node, RstTree
 from .engine import (
     Decision,
     EmptyDocument,
@@ -24,7 +24,7 @@ from .engine import (
     run_decisions,
 )
 from .oracle import Oracle, OracleQuery, resolve_label
-from .prompts import SPLIT, render_split_prompt, split_labels
+from .prompts import SPLIT, SplitPrompts, span_slot
 
 _INTEGER_RE = re.compile(r"[+-]?\d+")
 
@@ -63,7 +63,9 @@ def parse_top_down(
     if n == 1:
         return ParseResult(tree=Leaf(edus[0]), trace=())
 
-    texts = [edu.text for edu in edus]
+    doc = DocumentText(edus)
+    budget = policy.truncate_chars
+    prompts = SplitPrompts([edu.text for edu in edus], budget)
     # span -> [last EDU of its left half, nuclearity, relation]
     nodes: dict[tuple[int, int], list] = {}
 
@@ -71,10 +73,9 @@ def parse_top_down(
         state = f"span=({first},{last})"
         query = None
         if not (last - first == 1 and policy.skip_forced):
-            prompt = render_split_prompt(
-                texts[first - 1 : last], policy.truncate_chars
+            query = OracleQuery(
+                SPLIT, prompts.render(first, last), prompts.labels(first, last)
             )
-            query = OracleQuery(SPLIT, prompt, split_labels(last - first + 1))
 
         def take(raw: str | None):
             resolved, corrected, note = "0", False, ""
@@ -92,8 +93,9 @@ def parse_top_down(
             node = nodes[(first, last)] = [mid]
             unlocked = [label_decision(
                 state,
-                span_text(edus, (first, mid)), span_text(edus, (mid + 1, last)),
-                inventory, policy, node,
+                span_slot(doc, first, mid, budget),
+                span_slot(doc, mid + 1, last, budget),
+                inventory, node,
             )]
             if mid > first:
                 unlocked.append(split(first, mid))

@@ -1,40 +1,41 @@
 """Gold derivation walks: training pairs and replay scripts.
 
-A walk simulates an engine over a gold tree and emits exactly the queries
-the engine would make under the same policy, paired with the gold answers.
-The same walk therefore serves two purposes: its (prompt, completion) pairs
-are the fine-tuning data, and its (kind, completion) pairs are the script
+A gold derivation simulates an engine over a gold tree and yields exactly
+the decisions the engine would put to the oracle under the same policy,
+with their gold answers. It serves two purposes: a walk renders each
+decision's prompt, and its (prompt, completion) pairs are the fine-tuning
+data; the (kind, answer) pairs alone, rendered from nothing, are the script
 that drives a replay parse back to the original tree.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .bottomup import ParserState, apply_action
 from .core import (
+    DocumentText,
     LabelInventory,
     Reduce,
+    RstTree,
     derive_shift_reduce_sequence,
     derive_split_sequence,
-    span_text,
-    tree_text,
 )
 from .corpus import Document
 from .engine import ParsePolicy
 from .oracle import ReplayOracle
 from .prompts import (
     ACTION,
+    EMPTY_SLOT,
     NUCLEARITY,
     RELATION,
     SPLIT,
     PromptKind,
-    render_action_prompt,
-    render_nuclearity_prompt,
-    render_relation_prompt,
-    render_split_prompt,
+    SplitPrompts,
+    action_prompt,
+    nuclearity_prompt,
+    relation_prompt,
+    span_slot,
 )
 
 BOTTOM_UP = "bottom-up"
@@ -60,8 +61,7 @@ FINE_TUNING_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class TrainingExample:
+class TrainingExample(NamedTuple):
     """One supervised pair; ``step`` matches the engine's trace numbering."""
 
     kind: PromptKind
@@ -71,61 +71,120 @@ class TrainingExample:
     step: int
 
 
+# A gold decision as the derivations below yield it: its trace step, its
+# kind, the gold answer, and the EDU spans its prompt shows. An action shows
+# (stack2, stack1, queue front), each a (first, last) span or None; a
+# nuclearity or relation decision shows (left, right); a split its own span.
+GoldDecision = tuple[int, str, str, tuple]
+
+
+def _gold_tree(doc: Document) -> RstTree:
+    if doc.tree is None:
+        raise ValueError(f"document {doc.doc_id} has no gold tree")
+    return doc.tree
+
+
+def _bottom_up_decisions(
+    doc: Document, policy: ParsePolicy
+) -> Iterator[GoldDecision]:
+    """Oracle-visible decisions of a gold bottom-up parse, in engine order.
+
+    Forced actions consume a step number but yield nothing, mirroring the
+    engine's trace.
+    """
+    n = len(doc.edus)
+    stack: list[tuple[int, int]] = []
+    front = 1  # the EDU heading the queue
+    step = 0
+    for action in derive_shift_reduce_sequence(_gold_tree(doc)):
+        stack2 = stack[-2] if len(stack) >= 2 else None
+        stack1 = stack[-1] if stack else None
+        # exactly one of shift and reduce is legal
+        forced = (front <= n) != (stack2 is not None)
+        if not (forced and policy.skip_forced):
+            queue1 = (front, front) if front <= n else None
+            yield step, ACTION, str(action), (stack2, stack1, queue1)
+        step += 1
+        if isinstance(action, Reduce):
+            assert stack2 is not None and stack1 is not None
+            yield step, NUCLEARITY, action.nuclearity, (stack2, stack1)
+            yield step + 1, RELATION, action.relation, (stack2, stack1)
+            step += 2
+            stack.pop()
+            stack[-1] = (stack2[0], stack1[1])
+        else:
+            stack.append((front, front))
+            front += 1
+
+
+def _top_down_decisions(
+    doc: Document, policy: ParsePolicy
+) -> Iterator[GoldDecision]:
+    """Oracle-visible decisions of a gold top-down parse, in engine order."""
+    step = 0
+    for split in derive_split_sequence(_gold_tree(doc)):
+        first, last = split.span
+        if not (last - first == 1 and policy.skip_forced):
+            yield step, SPLIT, str(split.k), split.span
+        mid = first + split.k
+        halves = ((first, mid), (mid + 1, last))
+        yield step + 1, NUCLEARITY, split.nuclearity, halves
+        yield step + 2, RELATION, split.relation, halves
+        step += 3
+
+
+def _gold_decisions(
+    doc: Document, strategy: str, policy: ParsePolicy
+) -> Iterator[GoldDecision]:
+    if strategy == BOTTOM_UP:
+        return _bottom_up_decisions(doc, policy)
+    if strategy == TOP_DOWN:
+        return _top_down_decisions(doc, policy)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _examples(
+    doc: Document,
+    inventory: LabelInventory,
+    policy: ParsePolicy,
+    decisions: Iterator[GoldDecision],
+) -> Iterator[TrainingExample]:
+    """Render each gold decision's prompt, as the engine renders it.
+
+    Reduce labels use the gold nuclearity as the "predicted" value inside
+    the relation prompt (teacher forcing).
+    """
+    text = DocumentText(doc.edus)
+    budget = policy.truncate_chars
+    splits = None
+
+    def show(span: tuple[int, int] | None) -> str:
+        return EMPTY_SLOT if span is None else span_slot(text, *span, budget)
+
+    for step, kind, answer, spans in decisions:
+        if kind == ACTION:
+            prompt = action_prompt(*map(show, spans))
+        elif kind == SPLIT:
+            if splits is None:
+                splits = SplitPrompts([edu.text for edu in doc.edus], budget)
+            prompt = splits.render(*spans)
+        elif kind == NUCLEARITY:
+            # the relation decision that follows shows the same two spans
+            left, right = map(show, spans)
+            nuclearity = answer
+            prompt = nuclearity_prompt(left, right)
+        else:
+            prompt = relation_prompt(left, right, nuclearity, inventory)
+        yield TrainingExample(kind, prompt, answer, doc.doc_id, step)
+
+
 def bottom_up_walk(
     doc: Document,
     inventory: LabelInventory,
     policy: ParsePolicy = ParsePolicy(),
 ) -> Iterator[TrainingExample]:
-    """Oracle-visible decisions of a gold bottom-up parse, in engine order.
-
-    Forced actions consume a step number but yield nothing, mirroring the
-    engine's trace; reduce labels use the gold nuclearity as the "predicted"
-    value inside the relation prompt (teacher forcing).
-    """
-    if doc.tree is None:
-        raise ValueError(f"document {doc.doc_id} has no gold tree")
-    state = ParserState.initial(doc.edus)
-    step = 0
-    for action in derive_shift_reduce_sequence(doc.tree):
-        legal = state.legal_actions()
-        stack2 = tree_text(state.stack[-2]) if len(state.stack) >= 2 else None
-        stack1 = tree_text(state.stack[-1]) if state.stack else None
-        queue1 = state.queue[0].text if state.queue else None
-        if not (len(legal) == 1 and policy.skip_forced):
-            yield TrainingExample(
-                kind=ACTION,
-                prompt=render_action_prompt(
-                    stack2, stack1, queue1, policy.truncate_chars
-                ),
-                completion=str(action),
-                doc_id=doc.doc_id,
-                step=step,
-            )
-        step += 1
-        if isinstance(action, Reduce):
-            assert stack2 is not None and stack1 is not None
-            yield TrainingExample(
-                kind=NUCLEARITY,
-                prompt=render_nuclearity_prompt(
-                    stack2, stack1, policy.truncate_chars
-                ),
-                completion=action.nuclearity,
-                doc_id=doc.doc_id,
-                step=step,
-            )
-            step += 1
-            yield TrainingExample(
-                kind=RELATION,
-                prompt=render_relation_prompt(
-                    stack2, stack1, action.nuclearity, inventory,
-                    policy.truncate_chars,
-                ),
-                completion=action.relation,
-                doc_id=doc.doc_id,
-                step=step,
-            )
-            step += 1
-        state = apply_action(state, action)
+    """Training pairs of a gold bottom-up parse, in engine order."""
+    return gold_walk(doc, inventory, BOTTOM_UP, policy)
 
 
 def top_down_walk(
@@ -133,47 +192,8 @@ def top_down_walk(
     inventory: LabelInventory,
     policy: ParsePolicy = ParsePolicy(),
 ) -> Iterator[TrainingExample]:
-    """Oracle-visible decisions of a gold top-down parse, in engine order."""
-    if doc.tree is None:
-        raise ValueError(f"document {doc.doc_id} has no gold tree")
-    step = 0
-    for split in derive_split_sequence(doc.tree):
-        first, last = split.span
-        length = last - first + 1
-        if not (length == 2 and policy.skip_forced):
-            texts = [edu.text for edu in doc.edus[first - 1 : last]]
-            yield TrainingExample(
-                kind=SPLIT,
-                prompt=render_split_prompt(texts, policy.truncate_chars),
-                completion=str(split.k),
-                doc_id=doc.doc_id,
-                step=step,
-            )
-        step += 1
-        mid = first + split.k
-        left_text = span_text(doc.edus, (first, mid))
-        right_text = span_text(doc.edus, (mid + 1, last))
-        yield TrainingExample(
-            kind=NUCLEARITY,
-            prompt=render_nuclearity_prompt(
-                left_text, right_text, policy.truncate_chars
-            ),
-            completion=split.nuclearity,
-            doc_id=doc.doc_id,
-            step=step,
-        )
-        step += 1
-        yield TrainingExample(
-            kind=RELATION,
-            prompt=render_relation_prompt(
-                left_text, right_text, split.nuclearity, inventory,
-                policy.truncate_chars,
-            ),
-            completion=split.relation,
-            doc_id=doc.doc_id,
-            step=step,
-        )
-        step += 1
+    """Training pairs of a gold top-down parse, in engine order."""
+    return gold_walk(doc, inventory, TOP_DOWN, policy)
 
 
 def gold_walk(
@@ -182,11 +202,7 @@ def gold_walk(
     strategy: str,
     policy: ParsePolicy = ParsePolicy(),
 ) -> Iterator[TrainingExample]:
-    if strategy == BOTTOM_UP:
-        return bottom_up_walk(doc, inventory, policy)
-    if strategy == TOP_DOWN:
-        return top_down_walk(doc, inventory, policy)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _examples(doc, inventory, policy, _gold_decisions(doc, strategy, policy))
 
 
 def replay_oracle(
@@ -195,10 +211,14 @@ def replay_oracle(
     strategy: str,
     policy: ParsePolicy = ParsePolicy(),
 ) -> ReplayOracle:
-    """Oracle that answers a parse of ``doc`` with its own gold decisions."""
+    """Oracle that answers a parse of ``doc`` with its own gold decisions.
+
+    Its script is the (kind, completion) sequence of ``gold_walk``, taken
+    from the same gold decisions without rendering a prompt; the inventory
+    only shapes prompts, so it does not change the script.
+    """
     return ReplayOracle(
-        (example.kind, example.completion)
-        for example in gold_walk(doc, inventory, strategy, policy)
+        (kind, answer) for _, kind, answer, _ in _gold_decisions(doc, strategy, policy)
     )
 
 

@@ -10,9 +10,11 @@ import pytest
 from rstkit import (
     builtin_inventory,
     builtin_relation_map,
+    load_split_manifest,
     minicorpus_dir,
     read_dis,
     read_tree,
+    resolve_document_path,
 )
 from rstkit.cli import main
 from rstkit.training import gold_walk
@@ -228,6 +230,32 @@ def test_http_parse_equals_replay_and_leaves_no_connection(
                     assert len(sent) == len(set(sent))
                 else:
                     assert len(sent) == manifest["totals"]["queries"]
+
+
+def test_corrupt_cache_record_exits_two(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    table = _gold_table()
+    with keep_alive_endpoint(answer=table.__getitem__) as (url, _server):
+        argv = _parse_args(
+            tmp_path / "run", "--strategy", "top-down", "--oracle", "http",
+            "--endpoint", url, "--model", "gold", "--cache-dir", str(cache),
+        )
+        assert run(capsys, *argv)[0] == 0
+        # the record of the first query of the first dev document
+        doc_id = load_split_manifest(MANIFEST)["dev"][0]
+        doc = read_dis(
+            resolve_document_path(CORPUS, doc_id), builtin_relation_map(MAP)
+        )
+        first = next(gold_walk(doc, builtin_inventory("rst-dt"), "top-down"))
+        (record,) = [
+            path for path in cache.glob("*.json")
+            if json.loads(path.read_text())["prompt"] == first.prompt
+        ]
+        record.write_text("{broken")
+        code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith(f"cache error: unreadable cache record {record}")
+    assert stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,9 @@ def _endpoint(script):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _MockHandler)
     server.script = script
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/v1/completions", server.requests

@@ -7,12 +7,19 @@ from hypothesis import given, strategies as st
 
 from rstkit import (
     EMPTY_SLOT,
+    DocumentText,
+    Edu,
+    SplitPrompts,
     builtin_inventory,
+    nuclearity_prompt,
     render_action_prompt,
     render_nuclearity_prompt,
     render_relation_prompt,
     render_split_prompt,
+    span_slot,
+    span_text,
     split_labels,
+    truncate_span,
     truncate_text,
 )
 
@@ -168,3 +175,42 @@ def test_truncate_length_property(text, budget):
         assert len(out) == budget
     else:
         assert out == text
+
+
+# ---------------------------------------------------------------------------
+# Span texts sliced from the joined document
+
+_BUDGETS = st.one_of(
+    st.none(), st.integers(min_value=-3, max_value=5),
+    st.integers(min_value=6, max_value=40),
+)
+
+
+@given(st.lists(st.text(alphabet="ab .", max_size=9), min_size=1, max_size=8),
+       st.data(), _BUDGETS)
+def test_sliced_span_equals_truncated_join(texts, data, budget):
+    edus = [Edu(i, text) for i, text in enumerate(texts, 1)]
+    doc = DocumentText(edus)
+    first = data.draw(st.integers(min_value=1, max_value=len(texts)))
+    last = data.draw(st.integers(min_value=first, max_value=len(texts)))
+    joined = span_text(edus, (first, last))
+    assert truncate_span(doc, first, last, budget) == truncate_text(joined, budget)
+    shown = span_slot(doc, first, last, budget)
+    assert nuclearity_prompt(shown, shown) == render_nuclearity_prompt(
+        joined, joined, budget
+    )
+
+
+@given(st.lists(st.text(alphabet="ab .", max_size=9), min_size=2, max_size=8),
+       st.data(), _BUDGETS)
+def test_split_prompts_equal_line_by_line_rendering(texts, data, budget):
+    first = data.draw(st.integers(min_value=1, max_value=len(texts) - 1))
+    last = data.draw(st.integers(min_value=first + 1, max_value=len(texts)))
+    lines = ["Input:"]
+    for offset, text in enumerate(texts[first - 1 : last]):
+        shown = truncate_text(text, budget) if text else EMPTY_SLOT
+        lines.append(f"{offset}: {shown}")
+    lines.append(f"Split point (0 - {last - first - 1}):")
+    prompts = SplitPrompts(texts, budget)
+    assert prompts.render(first, last) == "\n".join(lines)
+    assert prompts.labels(first, last) == split_labels(last - first + 1)

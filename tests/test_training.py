@@ -9,6 +9,7 @@ import pytest
 from rstkit import (
     FINE_TUNING_DEFAULTS,
     Document,
+    OracleQuery,
     ParsePolicy,
     bottom_up_walk,
     example_to_json,
@@ -22,7 +23,7 @@ from rstkit import (
     top_down_walk,
 )
 
-from conftest import make_edus, random_document
+from conftest import chain_tree, make_edus, random_document
 import random
 
 STRATEGIES = ("bottom-up", "top-down")
@@ -68,6 +69,38 @@ def test_walk_lockstep_on_dis_fixture(press_release_path, relmap, inventory,
         (x.kind, x.prompt, x.completion) for x in examples
     ]
     assert result.tree == doc.tree
+
+
+def _scripted_documents(minicorpus):
+    docs = list(minicorpus)
+    for n in (1, 2, 3, 40):
+        edus = make_edus(n)
+        for right_heavy in (True, False):
+            docs.append(Document(f"chain{n}", edus, chain_tree(edus, right_heavy)))
+    for seed in range(12):
+        rng = random.Random(seed)
+        docs.append(random_document(rng, rng.randint(1, 60), f"rand{seed}"))
+    return docs
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("skip_forced", [True, False])
+def test_replay_script_is_the_walk_without_prompts(minicorpus, inventory,
+                                                   strategy, skip_forced):
+    policy = ParsePolicy(skip_forced=skip_forced)
+    for doc in _scripted_documents(minicorpus):
+        examples = list(gold_walk(doc, inventory, strategy, policy))
+        oracle = replay_oracle(doc, inventory, strategy, policy)
+        assert len(oracle) == len(examples), doc.doc_id
+        for example in examples:
+            # a kind the script does not hold next raises KindMismatch
+            query = OracleQuery(example.kind, example.prompt,
+                                (example.completion,))
+            assert oracle.complete(query) == example.completion
+        assert oracle.remaining == 0
+        replayed = _parse(doc, replay_oracle(doc, inventory, strategy, policy),
+                          inventory, strategy, policy)
+        assert replayed.tree == doc.tree, doc.doc_id
 
 
 def test_forced_steps_consume_numbering(inventory):
