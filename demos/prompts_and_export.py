@@ -1,7 +1,7 @@
 """Render the four prompt templates and export the supervised pairs a gold
-walk produces. The pairs double as a replay script: answering a parse with
-its own completions reconstructs the tree, which is exactly how the replay
-oracle works.
+walk produces. A gold walk is a replay parse: the engine runs with the
+replay oracle, which answers each query with the gold decision, and every
+query it puts becomes one (prompt, completion) pair.
 
 Run: python3 demos/prompts_and_export.py
 """

@@ -3,26 +3,10 @@
 Two parsing strategies share one pluggable decision source: a bottom-up
 shift-reduce transition system and a top-down span splitter. Everything
 else supports them: treebank I/O, binarization, prompt rendering, training
-export, a biaffine scoring baseline, and Standard-Parseval evaluation.
+export, and Standard-Parseval evaluation.
 """
 
-from .biaffine import (
-    BiaffineParams,
-    DimensionMismatch,
-    NoCandidates,
-    PairScorer,
-    Projection,
-    best_label,
-    best_split,
-    concat_features,
-    label_score,
-    load_params,
-    project,
-    random_params,
-    save_params,
-    split_score,
-)
-from .bottomup import ParserState, apply_action, parse_bottom_up
+from .bottomup import parse_bottom_up
 from .core import (
     NN,
     NS,
@@ -77,7 +61,6 @@ from .corpus import (
 )
 from .engine import (
     EmptyDocument,
-    IllegalAction,
     ParsePolicy,
     ParseResult,
     TraceEntry,
@@ -140,13 +123,11 @@ from .training import (
     STRATEGIES,
     TOP_DOWN,
     TrainingExample,
-    bottom_up_walk,
     example_to_json,
     export_metadata,
     export_training_pairs,
     gold_walk,
     replay_oracle,
-    top_down_walk,
 )
 
 __version__ = "0.1.0"

@@ -8,24 +8,12 @@ Parsing an n-EDU document always takes exactly 2n-1 actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    Action,
-    DocumentText,
-    Edu,
-    LabelInventory,
-    Leaf,
-    Node,
-    Reduce,
-    RstTree,
-    Shift,
-)
+from .core import DocumentText, Edu, LabelInventory, Leaf, Node, RstTree
 from .engine import (
     Decision,
     EmptyDocument,
-    IllegalAction,
     ParsePolicy,
     ParseResult,
     label_decision,
@@ -36,49 +24,6 @@ from .prompts import ACTION, ACTION_LABELS, EMPTY_SLOT, action_prompt, span_slot
 
 SHIFT = "shift"
 REDUCE = "reduce"
-
-
-@dataclass(frozen=True)
-class ParserState:
-    """Immutable snapshot of the transition system."""
-
-    stack: tuple[RstTree, ...]
-    queue: tuple[Edu, ...]
-
-    @classmethod
-    def initial(cls, edus: Sequence[Edu]) -> "ParserState":
-        return cls(stack=(), queue=tuple(edus))
-
-    @property
-    def is_terminal(self) -> bool:
-        return not self.queue and len(self.stack) == 1
-
-    def legal_actions(self) -> tuple[str, ...]:
-        legal = []
-        if self.queue:
-            legal.append(SHIFT)
-        if len(self.stack) >= 2:
-            legal.append(REDUCE)
-        return tuple(legal)
-
-    def summary(self) -> str:
-        return f"stack={len(self.stack)} queue={len(self.queue)}"
-
-
-def apply_action(state: ParserState, action: Action) -> ParserState:
-    """One transition; raises IllegalAction rather than corrupt the state."""
-    if isinstance(action, Shift):
-        if not state.queue:
-            raise IllegalAction("shift with an empty queue")
-        leaf = Leaf(state.queue[0])
-        return ParserState(state.stack + (leaf,), state.queue[1:])
-    if isinstance(action, Reduce):
-        if len(state.stack) < 2:
-            raise IllegalAction("reduce with fewer than two stack items")
-        left, right = state.stack[-2], state.stack[-1]
-        node = Node(left, right, action.nuclearity, action.relation)
-        return ParserState(state.stack[:-2] + (node,), state.queue)
-    raise IllegalAction(f"unknown action {action!r}")
 
 
 def parse_bottom_up(

@@ -154,9 +154,13 @@ def _load_relation_map(spec: str | None):
 
 
 def _policy(args: argparse.Namespace) -> ParsePolicy:
-    return ParsePolicy(
-        skip_forced=not args.query_forced, truncate_chars=args.truncate
-    )
+    truncate = args.truncate
+    # a config file's value skips argparse's type check; bool is an int too
+    if truncate is not None and (type(truncate) is not int or truncate < 0):
+        raise ConfigError(
+            f"--truncate takes a character count of 0 or more, not {truncate!r}"
+        )
+    return ParsePolicy(skip_forced=not args.query_forced, truncate_chars=truncate)
 
 
 def _document_ids(args: argparse.Namespace) -> list[str]:
@@ -232,8 +236,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(doc: Document) -> dict:
-        """Parse and write one document; its row of the run manifest."""
+    # manifest rows of the documents finished so far, by document index
+    rows: dict[int, dict] = {}
+
+    def run_one(index: int) -> None:
+        """Parse and write one document; record its row of the run manifest."""
+        doc = documents[index]
         oracle = shared
         if oracle is None:
             oracle = replay_oracle(doc, inventory, args.strategy, policy)
@@ -241,7 +249,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         write_text_atomic(out_dir / f"{doc.doc_id}.tree", write_tree(result.tree) + "\n")
         write_text_atomic(out_dir / f"{doc.doc_id}.trace.jsonl", trace_to_jsonl(result.trace))
         # the trace, with every prompt, is dropped here, not held to the end
-        return {
+        rows[index] = {
             "doc_id": doc.doc_id,
             "edus": len(doc.edus),
             "decisions": len(result.trace),
@@ -249,23 +257,31 @@ def cmd_parse(args: argparse.Namespace) -> int:
             "corrected": result.corrected_count,
         }
 
+    error = None
     try:
         if args.workers > 1:
             with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                doc_rows = list(pool.map(run_one, documents))
+                list(pool.map(run_one, range(len(documents))))
         else:
-            doc_rows = [run_one(doc) for doc in documents]
+            for index in range(len(documents)):
+                run_one(index)
+    except Exception as exc:
+        # the manifest below records the failure; main maps it to an exit code
+        error = exc
     finally:
         # no connection or fetch thread outlives the command
         close = getattr(shared, "close", None)
         if close is not None:
             close()
 
+    doc_rows = [rows[index] for index in sorted(rows)]
     total_queries = sum(row["queries"] for row in doc_rows)
     total_corrected = sum(row["corrected"] for row in doc_rows)
 
     config = _resolved_config(args)
     manifest = {
+        "status": "ok" if error is None else "failed",
+        "error": None if error is None else f"{type(error).__name__}: {error}",
         "config": config,
         "config_hash": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()
@@ -282,6 +298,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
     write_text_atomic(
         out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n"
     )
+    if error is not None:
+        raise error
     print(
         f"parsed {len(doc_rows)} documents with {args.strategy}: "
         f"{total_queries} queries, {total_corrected} corrected -> {out_dir}"

@@ -17,10 +17,6 @@ class EmptyDocument(ValueError):
     """Parsing needs at least one EDU."""
 
 
-class IllegalAction(ValueError):
-    """An action was applied in a state where it is not legal."""
-
-
 @dataclass(frozen=True)
 class ParsePolicy:
     """Knobs shared by both engines.

@@ -46,7 +46,9 @@ class ReplayExhausted(RuntimeError):
 
 
 class KindMismatch(RuntimeError):
-    """A replay oracle was asked a different kind of question than scripted."""
+    """A replay diverged from its script: the engine asked a different kind
+    of question than scripted, left scripted answers unused, or corrected
+    a scripted answer (see ``training.gold_walk``)."""
 
 
 class StoreCorrupt(RuntimeError):

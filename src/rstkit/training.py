@@ -1,11 +1,10 @@
-"""Gold derivation walks: training pairs and replay scripts.
+"""Gold walks: training pairs and replay scripts.
 
-A gold derivation simulates an engine over a gold tree and yields exactly
-the decisions the engine would put to the oracle under the same policy,
-with their gold answers. It serves two purposes: a walk renders each
-decision's prompt, and its (prompt, completion) pairs are the fine-tuning
-data; the (kind, answer) pairs alone, rendered from nothing, are the script
-that drives a replay parse back to the original tree.
+A gold derivation lists, in engine order, the answers a parse needs to
+rebuild a gold tree under a policy: the script of a replay oracle. A gold
+walk is a replay parse: the strategy's own engine runs on the document's
+EDUs with that oracle, and each query it puts is one fine-tuning pair, so
+the pairs hold exactly the prompts a parse shows the model.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, NamedTuple
 
+from .bottomup import parse_bottom_up
 from .core import (
-    DocumentText,
     LabelInventory,
     Reduce,
     RstTree,
@@ -23,20 +22,9 @@ from .core import (
 )
 from .corpus import Document
 from .engine import ParsePolicy
-from .oracle import ReplayOracle
-from .prompts import (
-    ACTION,
-    EMPTY_SLOT,
-    NUCLEARITY,
-    RELATION,
-    SPLIT,
-    PromptKind,
-    SplitPrompts,
-    action_prompt,
-    nuclearity_prompt,
-    relation_prompt,
-    span_slot,
-)
+from .oracle import KindMismatch, ReplayOracle
+from .prompts import ACTION, NUCLEARITY, RELATION, SPLIT, PromptKind
+from .topdown import parse_top_down
 
 BOTTOM_UP = "bottom-up"
 TOP_DOWN = "top-down"
@@ -71,138 +59,45 @@ class TrainingExample(NamedTuple):
     step: int
 
 
-# A gold decision as the derivations below yield it: its trace step, its
-# kind, the gold answer, and the EDU spans its prompt shows. An action shows
-# (stack2, stack1, queue front), each a (first, last) span or None; a
-# nuclearity or relation decision shows (left, right); a split its own span.
-GoldDecision = tuple[int, str, str, tuple]
-
-
 def _gold_tree(doc: Document) -> RstTree:
     if doc.tree is None:
         raise ValueError(f"document {doc.doc_id} has no gold tree")
     return doc.tree
 
 
-def _bottom_up_decisions(
+def _bottom_up_answers(
     doc: Document, policy: ParsePolicy
-) -> Iterator[GoldDecision]:
-    """Oracle-visible decisions of a gold bottom-up parse, in engine order.
+) -> Iterator[tuple[str, str]]:
+    """(kind, gold answer) of each query of a gold bottom-up parse.
 
-    Forced actions consume a step number but yield nothing, mirroring the
-    engine's trace.
+    An action is forced when exactly one of shift and reduce is legal.
     """
     n = len(doc.edus)
-    stack: list[tuple[int, int]] = []
+    stacked = 0  # subtrees on the stack
     front = 1  # the EDU heading the queue
-    step = 0
     for action in derive_shift_reduce_sequence(_gold_tree(doc)):
-        stack2 = stack[-2] if len(stack) >= 2 else None
-        stack1 = stack[-1] if stack else None
-        # exactly one of shift and reduce is legal
-        forced = (front <= n) != (stack2 is not None)
+        forced = (front <= n) != (stacked >= 2)
         if not (forced and policy.skip_forced):
-            queue1 = (front, front) if front <= n else None
-            yield step, ACTION, str(action), (stack2, stack1, queue1)
-        step += 1
+            yield ACTION, str(action)
         if isinstance(action, Reduce):
-            assert stack2 is not None and stack1 is not None
-            yield step, NUCLEARITY, action.nuclearity, (stack2, stack1)
-            yield step + 1, RELATION, action.relation, (stack2, stack1)
-            step += 2
-            stack.pop()
-            stack[-1] = (stack2[0], stack1[1])
+            yield NUCLEARITY, action.nuclearity
+            yield RELATION, action.relation
+            stacked -= 1
         else:
-            stack.append((front, front))
+            stacked += 1
             front += 1
 
 
-def _top_down_decisions(
+def _top_down_answers(
     doc: Document, policy: ParsePolicy
-) -> Iterator[GoldDecision]:
-    """Oracle-visible decisions of a gold top-down parse, in engine order."""
-    step = 0
+) -> Iterator[tuple[str, str]]:
+    """(kind, gold answer) of each query of a gold top-down parse."""
     for split in derive_split_sequence(_gold_tree(doc)):
         first, last = split.span
         if not (last - first == 1 and policy.skip_forced):
-            yield step, SPLIT, str(split.k), split.span
-        mid = first + split.k
-        halves = ((first, mid), (mid + 1, last))
-        yield step + 1, NUCLEARITY, split.nuclearity, halves
-        yield step + 2, RELATION, split.relation, halves
-        step += 3
-
-
-def _gold_decisions(
-    doc: Document, strategy: str, policy: ParsePolicy
-) -> Iterator[GoldDecision]:
-    if strategy == BOTTOM_UP:
-        return _bottom_up_decisions(doc, policy)
-    if strategy == TOP_DOWN:
-        return _top_down_decisions(doc, policy)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _examples(
-    doc: Document,
-    inventory: LabelInventory,
-    policy: ParsePolicy,
-    decisions: Iterator[GoldDecision],
-) -> Iterator[TrainingExample]:
-    """Render each gold decision's prompt, as the engine renders it.
-
-    Reduce labels use the gold nuclearity as the "predicted" value inside
-    the relation prompt (teacher forcing).
-    """
-    text = DocumentText(doc.edus)
-    budget = policy.truncate_chars
-    splits = None
-
-    def show(span: tuple[int, int] | None) -> str:
-        return EMPTY_SLOT if span is None else span_slot(text, *span, budget)
-
-    for step, kind, answer, spans in decisions:
-        if kind == ACTION:
-            prompt = action_prompt(*map(show, spans))
-        elif kind == SPLIT:
-            if splits is None:
-                splits = SplitPrompts([edu.text for edu in doc.edus], budget)
-            prompt = splits.render(*spans)
-        elif kind == NUCLEARITY:
-            # the relation decision that follows shows the same two spans
-            left, right = map(show, spans)
-            nuclearity = answer
-            prompt = nuclearity_prompt(left, right)
-        else:
-            prompt = relation_prompt(left, right, nuclearity, inventory)
-        yield TrainingExample(kind, prompt, answer, doc.doc_id, step)
-
-
-def bottom_up_walk(
-    doc: Document,
-    inventory: LabelInventory,
-    policy: ParsePolicy = ParsePolicy(),
-) -> Iterator[TrainingExample]:
-    """Training pairs of a gold bottom-up parse, in engine order."""
-    return gold_walk(doc, inventory, BOTTOM_UP, policy)
-
-
-def top_down_walk(
-    doc: Document,
-    inventory: LabelInventory,
-    policy: ParsePolicy = ParsePolicy(),
-) -> Iterator[TrainingExample]:
-    """Training pairs of a gold top-down parse, in engine order."""
-    return gold_walk(doc, inventory, TOP_DOWN, policy)
-
-
-def gold_walk(
-    doc: Document,
-    inventory: LabelInventory,
-    strategy: str,
-    policy: ParsePolicy = ParsePolicy(),
-) -> Iterator[TrainingExample]:
-    return _examples(doc, inventory, policy, _gold_decisions(doc, strategy, policy))
+            yield SPLIT, str(split.k)
+        yield NUCLEARITY, split.nuclearity
+        yield RELATION, split.relation
 
 
 def replay_oracle(
@@ -213,13 +108,42 @@ def replay_oracle(
 ) -> ReplayOracle:
     """Oracle that answers a parse of ``doc`` with its own gold decisions.
 
-    Its script is the (kind, completion) sequence of ``gold_walk``, taken
-    from the same gold decisions without rendering a prompt; the inventory
-    only shapes prompts, so it does not change the script.
+    The inventory only shapes prompts, so it does not change the script.
     """
-    return ReplayOracle(
-        (kind, answer) for _, kind, answer, _ in _gold_decisions(doc, strategy, policy)
-    )
+    if strategy == BOTTOM_UP:
+        return ReplayOracle(_bottom_up_answers(doc, policy))
+    if strategy == TOP_DOWN:
+        return ReplayOracle(_top_down_answers(doc, policy))
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def gold_walk(
+    doc: Document,
+    inventory: LabelInventory,
+    strategy: str,
+    policy: ParsePolicy = ParsePolicy(),
+) -> Iterator[TrainingExample]:
+    """Training pairs of a gold parse, in engine order.
+
+    The strategy's engine parses ``doc`` with ``replay_oracle``; each query
+    it puts becomes a pair whose completion is the gold answer. Relation
+    prompts carry the gold nuclearity (teacher forcing). A replay that
+    leaves answers unused or corrects one raises KindMismatch, so a gold
+    derivation that drifts from its engine cannot yield wrong pairs.
+    """
+    oracle = replay_oracle(doc, inventory, strategy, policy)
+    parse = parse_bottom_up if strategy == BOTTOM_UP else parse_top_down
+    result = parse(doc.edus, oracle, inventory, policy)
+    if oracle.remaining or result.corrected_count:
+        raise KindMismatch(
+            f"{strategy} replay of {doc.doc_id} left {oracle.remaining} gold "
+            f"answers unused and corrected {result.corrected_count}"
+        )
+    for entry in result.trace:
+        if entry.prompt is not None:
+            yield TrainingExample(
+                entry.kind, entry.prompt, entry.raw, doc.doc_id, entry.step
+            )
 
 
 def export_training_pairs(

@@ -3,6 +3,8 @@
 Each test exercises a whole capability end to end and emits a single
 uncaptured PASS line so a full run reads as a checklist. Criterion 8 needs
 a user-supplied corpus and completion endpoint and skips itself otherwise.
+Criterion 4 checked a biaffine scorer that the package no longer has; the
+other criteria keep their numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from rstkit import (
@@ -26,26 +27,20 @@ from rstkit import (
     OracleQuery,
     ParsePolicy,
     ScriptedOracle,
-    best_split,
     check_tree,
-    label_score,
     micro_f1,
     micro_scores,
     minicorpus_dir,
     parse_bottom_up,
     parse_top_down,
-    project,
-    random_params,
     replay_oracle,
     score_corpus,
     score_document,
-    split_score,
 )
 from rstkit.cli import main as cli_main
 from rstkit.training import example_to_json, export_training_pairs
 
 from conftest import GOLDEN_DIR, make_edus, random_tree
-from test_biaffine import ref_label_score, ref_project, ref_split_score
 from test_oracle import _endpoint, _ok, _query
 from test_prompts import _rendered
 
@@ -202,64 +197,6 @@ def test_criterion_3_metric_fixtures(capsys, minicorpus):
     _passed(capsys, "criterion 3: PASS — hand fixtures within 0.05, "
                     "self-evaluation exactly 100.0, 500 random pairs keep "
                     "P=R and level monotonicity")
-
-
-# ---------------------------------------------------------------------------
-# 4. Biaffine scorer against brute force
-
-
-def test_criterion_4_biaffine_reference(capsys):
-    rng = np.random.default_rng(515)
-    labels = ("Elaboration", "Joint", NS)
-    reltol = 1e-9
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= reltol * max(1.0, abs(b))
-
-    for trial in range(100):
-        params = random_params(
-            rng, int(rng.integers(2, 9)), int(rng.integers(2, 8)), labels,
-            nonlinearity="tanh" if trial % 2 else "none",
-        )
-        u_l = rng.normal(0, 1.2, params.input_dim).tolist()
-        u_r = rng.normal(0, 1.2, params.input_dim).tolist()
-        assert close(split_score(params, u_l, u_r),
-                     ref_split_score(params, u_l, u_r))
-        for label in labels:
-            assert close(label_score(params, label, u_l, u_r),
-                         ref_label_score(params, label, u_l, u_r))
-        want = ref_project(params.proj_left.weight.tolist(),
-                           params.proj_left.bias.tolist(), u_l,
-                           params.nonlinearity)
-        for a, b in zip(project(params, "left", u_l).tolist(), want):
-            assert close(a, b)
-
-    params = random_params(np.random.default_rng(8), 3, 4, ("x",))
-    for length in range(1, 13):
-        candidates = [(rng.normal(0, 1, 3).tolist(),
-                       rng.normal(0, 1, 3).tolist())
-                      for _ in range(length)]
-        scores = [ref_split_score(params, ul, ur) for ul, ur in candidates]
-        assert best_split(params, candidates) == max(
-            range(length), key=lambda i: (scores[i], -i)
-        )
-
-    eye = np.eye(3)
-    zero = np.zeros(3)
-    from rstkit import BiaffineParams, PairScorer, Projection
-    identity = BiaffineParams(
-        proj_left=Projection(eye, zero), proj_right=Projection(eye, zero),
-        split=PairScorer(eye, zero, zero),
-        labels={"only": PairScorer(np.zeros((3, 3)), zero, zero)},
-        nonlinearity="none",
-    )
-    assert split_score(identity, [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]) == 32.0
-    assert label_score(identity, "only", [1.0, 2.0, 3.0],
-                       [4.0, 5.0, 6.0]) == 0.0
-
-    _passed(capsys, "criterion 4: PASS — scores track brute force within "
-                    "1e-9 relative; split choice matches enumeration up to "
-                    "length 12")
 
 
 # ---------------------------------------------------------------------------

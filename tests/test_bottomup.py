@@ -1,4 +1,4 @@
-"""Shift-reduce engine: transition system, closure, correction semantics."""
+"""Shift-reduce engine: replay closure, correction semantics."""
 
 from __future__ import annotations
 
@@ -8,17 +8,11 @@ import pytest
 
 from rstkit import (
     EmptyDocument,
-    IllegalAction,
     Leaf,
-    Node,
     ParsePolicy,
-    ParserState,
-    Reduce,
     ReplayExhausted,
     ReplayOracle,
     ScriptedOracle,
-    Shift,
-    apply_action,
     check_tree,
     parse_bottom_up,
     replay_oracle,
@@ -26,71 +20,6 @@ from rstkit import (
 )
 
 from conftest import make_edus, random_document
-
-
-# ---------------------------------------------------------------------------
-# Transition system
-
-
-def test_initial_state_shape():
-    edus = make_edus(3)
-    state = ParserState.initial(edus)
-    assert state.stack == ()
-    assert state.queue == tuple(edus)
-    assert not state.is_terminal
-    assert state.legal_actions() == ("shift",)
-
-
-def test_legal_actions_truth_table():
-    edus = make_edus(4)
-    leaves = tuple(Leaf(e) for e in edus)
-
-    one_done = ParserState(stack=leaves[:1], queue=())
-    assert one_done.is_terminal
-    assert one_done.legal_actions() == ()
-
-    two_stacked = ParserState(stack=leaves[:2], queue=())
-    assert not two_stacked.is_terminal
-    assert two_stacked.legal_actions() == ("reduce",)
-
-    mid = ParserState(stack=leaves[:2], queue=edus[2:])
-    assert mid.legal_actions() == ("shift", "reduce")
-
-    single = ParserState(stack=leaves[:1], queue=edus[1:2])
-    assert single.legal_actions() == ("shift",)
-
-
-def test_shift_moves_queue_front_onto_stack():
-    edus = make_edus(2)
-    state = apply_action(ParserState.initial(edus), Shift())
-    assert state.stack == (Leaf(edus[0]),)
-    assert state.queue == (edus[1],)
-
-
-def test_reduce_joins_top_two_with_left_below():
-    edus = make_edus(3)
-    state = ParserState(stack=(Leaf(edus[0]), Leaf(edus[1])), queue=(edus[2],))
-    state = apply_action(state, Reduce("nucleus-satellite", "Elaboration"))
-    assert len(state.stack) == 1
-    node = state.stack[0]
-    assert isinstance(node, Node)
-    assert node.left == Leaf(edus[0])
-    assert node.right == Leaf(edus[1])
-    assert node.nuclearity == "nucleus-satellite"
-    assert node.relation == "Elaboration"
-    assert state.queue == (edus[2],)
-
-
-def test_illegal_transitions_raise():
-    edus = make_edus(2)
-    empty_queue = ParserState(stack=(Leaf(edus[0]), Leaf(edus[1])), queue=())
-    with pytest.raises(IllegalAction, match="empty queue"):
-        apply_action(empty_queue, Shift())
-    short_stack = ParserState(stack=(Leaf(edus[0]),), queue=(edus[1],))
-    with pytest.raises(IllegalAction, match="fewer than two"):
-        apply_action(short_stack, Reduce("nucleus-nucleus", "Joint"))
-    with pytest.raises(IllegalAction, match="unknown action"):
-        apply_action(short_stack, "shift")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from rstkit import (
 from rstkit.cli import main
 from rstkit.training import gold_walk
 
-from test_oracle import keep_alive_endpoint, wait_for
+from test_oracle import _endpoint, keep_alive_endpoint, wait_for
 
 CORPUS = str(minicorpus_dir())
 MANIFEST = str(minicorpus_dir() / "splits.tsv")
@@ -102,6 +102,8 @@ def test_run_manifest_contents(tmp_path, capsys):
     out = tmp_path / "run"
     run(capsys, *_parse_args(out))
     manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["error"] is None
     assert manifest["totals"]["documents"] == 4
     assert manifest["totals"]["corrected"] == 0
     assert manifest["config"]["strategy"] == "bottom-up"
@@ -256,6 +258,46 @@ def test_corrupt_cache_record_exits_two(tmp_path, capsys):
     assert code == 2
     assert stderr.startswith(f"cache error: unreadable cache record {record}")
     assert stderr.count("\n") == 1
+
+
+def test_failed_parse_still_writes_its_manifest(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    table = _gold_table()
+    with keep_alive_endpoint(answer=table.__getitem__) as (url, _server):
+        assert run(capsys, *_parse_args(
+            tmp_path / "full", "--oracle", "http", "--endpoint", url,
+            "--model", "gold", "--cache-dir", str(cache),
+        ))[0] == 0
+    # forget the answers only the last dev document asks for
+    inventory = builtin_inventory("rst-dt")
+    relations = builtin_relation_map(MAP)
+    *done, last = [
+        read_dis(resolve_document_path(CORPUS, doc_id), relations)
+        for doc_id in load_split_manifest(MANIFEST)["dev"]
+    ]
+    kept = {x.prompt for doc in done for x in gold_walk(doc, inventory, "bottom-up")}
+    forgotten = {x.prompt for x in gold_walk(last, inventory, "bottom-up")} - kept
+    for path in cache.glob("*.json"):
+        if json.loads(path.read_text())["prompt"] in forgotten:
+            path.unlink()
+
+    out = tmp_path / "run"
+    with _endpoint([(400, {"error": "bad request"})]) as (url, _requests):
+        code, _, stderr = run(capsys, *_parse_args(
+            out, "--oracle", "http", "--endpoint", url, "--model", "gold",
+            "--cache-dir", str(cache),
+        ))
+    assert code == 3
+    assert "HTTP 400" in stderr
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("OracleFailure: ")
+    assert "HTTP 400" in manifest["error"]
+    assert [row["doc_id"] for row in manifest["documents"]] == [
+        doc.doc_id for doc in done
+    ]
+    assert manifest["totals"]["documents"] == len(done)
+    assert not (out / f"{last.doc_id}.tree").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +486,30 @@ def test_bad_config_files_exit_two(tmp_path, capsys, content, fragment):
     )
     assert code == 2
     assert fragment in stderr
+
+
+@pytest.mark.parametrize("value", [-3, 4.5, True])
+def test_bad_truncate_in_config_exits_two(tmp_path, capsys, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"truncate": value}))
+    code, _, stderr = run(
+        capsys, "--config", str(config), "export-training", "--corpus-dir",
+        CORPUS, "--relation-map", MAP, "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert f"--truncate takes a character count of 0 or more, not {value!r}" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["parse", "export-training"])
+def test_negative_truncate_flag_exits_two(tmp_path, capsys, command):
+    code, _, stderr = run(
+        capsys, command, "--corpus-dir", CORPUS, "--relation-map", MAP,
+        "--truncate", "-3", "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert "--truncate" in stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from rstkit import (
     FINE_TUNING_DEFAULTS,
     Document,
+    KindMismatch,
     OracleQuery,
     ParsePolicy,
-    bottom_up_walk,
     example_to_json,
     export_metadata,
     export_training_pairs,
@@ -20,8 +21,10 @@ from rstkit import (
     parse_top_down,
     read_dis,
     replay_oracle,
-    top_down_walk,
+    write_tree,
 )
+from rstkit import training
+from rstkit.cli import main
 
 from conftest import chain_tree, make_edus, random_document
 import random
@@ -71,6 +74,30 @@ def test_walk_lockstep_on_dis_fixture(press_release_path, relmap, inventory,
     assert result.tree == doc.tree
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("drift,message", [
+    ("unused", "left 1 gold answers unused and corrected 0"),
+    ("corrected", "left 0 gold answers unused and corrected 1"),
+])
+def test_walk_that_drifts_from_its_engine_raises(monkeypatch, minicorpus,
+                                                 inventory, strategy, drift,
+                                                 message):
+    name = "_bottom_up_answers" if strategy == "bottom-up" else "_top_down_answers"
+    derive = getattr(training, name)
+
+    def drifted(doc, policy):
+        *answers, last = derive(doc, policy)
+        # both derivations end on the relation of the last node
+        assert last[0] == "relation"
+        if drift == "unused":
+            return answers + [last, last]
+        return answers + [("relation", "no such relation")]
+
+    monkeypatch.setattr(training, name, drifted)
+    with pytest.raises(KindMismatch, match=message):
+        list(gold_walk(minicorpus[5], inventory, strategy))
+
+
 def _scripted_documents(minicorpus):
     docs = list(minicorpus)
     for n in (1, 2, 3, 40):
@@ -107,7 +134,7 @@ def test_forced_steps_consume_numbering(inventory):
     # 3 EDUs bottom-up: steps 0 and 1 are forced shifts, so the first
     # emitted example is the open shift/reduce choice at step 2
     doc = random_document(random.Random(11), 3)
-    examples = list(bottom_up_walk(doc, inventory))
+    examples = list(gold_walk(doc, inventory, "bottom-up"))
     assert examples[0].kind == "action"
     assert examples[0].step == 2
     steps = [x.step for x in examples]
@@ -120,14 +147,14 @@ def test_walk_counts_without_skipping(inventory):
     doc = random_document(random.Random(3), n)
     policy = ParsePolicy(skip_forced=False)
 
-    bu = list(bottom_up_walk(doc, inventory, policy))
+    bu = list(gold_walk(doc, inventory, "bottom-up", policy))
     by_kind = {}
     for x in bu:
         by_kind[x.kind] = by_kind.get(x.kind, 0) + 1
     assert by_kind == {"action": 2 * n - 1, "nuclearity": n - 1,
                        "relation": n - 1}
 
-    td = list(top_down_walk(doc, inventory, policy))
+    td = list(gold_walk(doc, inventory, "top-down", policy))
     by_kind = {}
     for x in td:
         by_kind[x.kind] = by_kind.get(x.kind, 0) + 1
@@ -136,11 +163,12 @@ def test_walk_counts_without_skipping(inventory):
 
 def test_two_edu_top_down_skips_only_the_split(inventory):
     doc = random_document(random.Random(8), 2)
-    examples = list(top_down_walk(doc, inventory))
+    examples = list(gold_walk(doc, inventory, "top-down"))
     assert [x.kind for x in examples] == ["nuclearity", "relation"]
     assert [x.step for x in examples] == [1, 2]
 
-    queried = list(top_down_walk(doc, inventory, ParsePolicy(skip_forced=False)))
+    queried = list(gold_walk(doc, inventory, "top-down",
+                             ParsePolicy(skip_forced=False)))
     assert [x.kind for x in queried] == ["split", "nuclearity", "relation"]
     assert queried[0].completion == "0"
     assert queried[0].step == 0
@@ -159,13 +187,72 @@ def test_relation_prompts_are_teacher_forced(minicorpus, inventory):
             previous = x
 
 
+def _chain_dis(n: int, right_heavy: bool) -> str:
+    """A fully right- or left-branching n-EDU treebank file with short EDU
+    texts, one constituent a line, written without recursion."""
+    lines = []
+    stack: list = [(1, n, "Root", "")]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            lines.append(")")
+            continue
+        lo, hi, role, rel2par = item
+        if lo == hi:
+            lines.append(f"( {role} (leaf {lo}){rel2par} (text _!edu {lo}._!) )")
+            continue
+        lines.append(f"( {role} (span {lo} {hi}){rel2par}")
+        mid = lo if right_heavy else hi - 1
+        stack.append(None)
+        stack.append((mid + 1, hi, "Satellite", " (rel2par elaboration-additional)"))
+        stack.append((lo, mid, "Nucleus", " (rel2par span)"))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("right_heavy", [True, False])
+def test_deep_chains_under_the_default_recursion_limit(
+    tmp_path, capsys, relmap, inventory, right_heavy
+):
+    n = 1200
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "chain.dis").write_text(_chain_dis(n, right_heavy))
+    doc = read_dis(corpus / "chain.dis", relmap)
+    assert len(doc.edus) == n
+    gold = write_tree(doc.tree)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for strategy in STRATEGIES:
+            walk = list(gold_walk(doc, inventory, strategy))
+            oracle = replay_oracle(doc, inventory, strategy)
+            result = _parse(doc, oracle, inventory, strategy)
+            assert len(walk) == result.query_count == len(oracle)
+            assert write_tree(result.tree) == gold
+
+            argv = ("--corpus-dir", str(corpus), "--relation-map",
+                    "rst-dt-coarse", "--strategy", strategy)
+            out = tmp_path / strategy
+            assert main(["parse", *argv, "--out", str(out / "parse")]) == 0
+            assert (out / "parse" / "chain.tree").read_text() == gold + "\n"
+            assert main(["export-training", *argv, "--out", str(out)]) == 0
+            exported = sum(
+                len(path.read_text().splitlines())
+                for path in out.glob("*.jsonl")
+            )
+            assert exported == len(walk)
+    finally:
+        sys.setrecursionlimit(limit)
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # Export serialization
 
 
 def test_example_json_field_names(inventory):
     doc = random_document(random.Random(2), 4)
-    example = next(iter(bottom_up_walk(doc, inventory)))
+    example = next(iter(gold_walk(doc, inventory, "bottom-up")))
     record = json.loads(example_to_json(example))
     assert set(record) == {"kind", "prompt", "completion", "document_id",
                            "step"}
@@ -250,6 +337,6 @@ def test_unknown_strategy_rejected(inventory):
 def test_walk_requires_gold_tree(inventory):
     doc = Document(doc_id="bare", edus=make_edus(3), tree=None)
     with pytest.raises(ValueError, match="gold tree"):
-        list(bottom_up_walk(doc, inventory))
+        list(gold_walk(doc, inventory, "bottom-up"))
     with pytest.raises(ValueError, match="gold tree"):
-        list(top_down_walk(doc, inventory))
+        list(gold_walk(doc, inventory, "top-down"))
