@@ -10,12 +10,10 @@ from rstkit import (
     Leaf,
     Node,
     builtin_relation_map,
-    load_split_manifest,
+    load_documents,
     micro_f1,
     minicorpus_dir,
     per_relation_rows,
-    read_dis,
-    resolve_document_path,
     score_corpus,
     score_document,
 )
@@ -48,9 +46,7 @@ def main():
 
     corpus = minicorpus_dir()
     relmap = builtin_relation_map("rst-dt-coarse")
-    splits = load_split_manifest(corpus / "splits.tsv")
-    docs = [read_dis(resolve_document_path(corpus, doc_id), relmap)
-            for doc_id in splits["test"]]
+    docs = load_documents(corpus, corpus / "splits.tsv", "test", relmap)
     counts = score_corpus((d.tree, d.tree) for d in docs)
     show(f"self-evaluation over the {len(docs)}-document test split",
          micro_f1(counts))

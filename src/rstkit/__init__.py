@@ -45,11 +45,10 @@ from .corpus import (
     UnknownRelation,
     builtin_inventory,
     builtin_relation_map,
+    load_documents,
     load_inventory,
     load_relation_map,
-    load_split,
     load_split_manifest,
-    map_relations,
     minicorpus_dir,
     normalize_relation,
     normalize_edu_text,

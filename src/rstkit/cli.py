@@ -16,6 +16,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -38,12 +39,11 @@ from .corpus import (
     UnknownRelation,
     builtin_inventory,
     builtin_relation_map,
+    load_documents,
     load_inventory,
     load_relation_map,
-    load_split_manifest,
     read_dis,
     read_tree,
-    resolve_document_path,
     write_tree,
 )
 from .engine import EmptyDocument, ParsePolicy, trace_to_jsonl
@@ -153,45 +153,40 @@ def _load_relation_map(spec: str | None):
         raise ConfigError(f"no bundled relation map or file named {spec!r}") from None
 
 
+# Numeric options. A config file's values skip argparse's type checks, and
+# bool is an int too, so each is checked here: dest -> (accepted types,
+# test, what the flag takes). A --truncate of None means no truncation.
+_NUMERIC_OPTIONS = {
+    "truncate": ((int,), lambda v: v >= 0, "a character count of 0 or more"),
+    "workers": ((int,), lambda v: v >= 1, "an integer of 1 or more"),
+    "retries": ((int,), lambda v: v >= 0, "an integer of 0 or more"),
+    "max_tokens": ((int,), lambda v: v >= 1, "an integer of 1 or more"),
+    "timeout": ((int, float), lambda v: 0 < v < math.inf, "a number above 0"),
+    "backoff": ((int, float), lambda v: 0 <= v < math.inf, "a number of 0 or more"),
+}
+
+
+def _check_numeric_options(args: argparse.Namespace) -> None:
+    for dest, (types, test, takes) in _NUMERIC_OPTIONS.items():
+        value = getattr(args, dest, None)
+        if value is None and (dest == "truncate" or not hasattr(args, dest)):
+            continue
+        if type(value) not in types or not test(value):
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} takes {takes}, not {value!r}")
+
+
 def _policy(args: argparse.Namespace) -> ParsePolicy:
-    truncate = args.truncate
-    # a config file's value skips argparse's type check; bool is an int too
-    if truncate is not None and (type(truncate) is not int or truncate < 0):
-        raise ConfigError(
-            f"--truncate takes a character count of 0 or more, not {truncate!r}"
-        )
-    return ParsePolicy(skip_forced=not args.query_forced, truncate_chars=truncate)
+    return ParsePolicy(skip_forced=not args.query_forced, truncate_chars=args.truncate)
 
 
-def _document_ids(args: argparse.Namespace) -> list[str]:
-    corpus_dir = Path(args.corpus_dir)
-    if not corpus_dir.is_dir():
-        raise ConfigError(f"corpus directory {corpus_dir} does not exist")
-    if args.manifest:
-        splits = load_split_manifest(args.manifest)
-        if args.split:
-            if args.split not in splits:
-                raise ConfigError(
-                    f"manifest has no split {args.split!r}; "
-                    f"found {sorted(splits)}"
-                )
-            return splits[args.split]
-        return [doc_id for ids in splits.values() for doc_id in ids]
-    if args.split:
-        raise ConfigError("--split needs --manifest")
-    names = sorted(p.name for p in corpus_dir.iterdir() if p.suffix == ".dis")
-    if not names:
-        raise ConfigError(f"no .dis files under {corpus_dir}")
-    return names
-
-
-def _load_documents(args: argparse.Namespace) -> list[Document]:
-    relation_map = _load_relation_map(args.relation_map)
-    docs = []
-    for doc_id in _document_ids(args):
-        path = resolve_document_path(args.corpus_dir, doc_id)
-        docs.append(read_dis(path, relation_map))
-    return docs
+def _predictions(pred_dir: str, documents: list[Document]):
+    """Yield (document, predicted tree) from ``pred_dir/<doc_id>.tree`` files."""
+    for doc in documents:
+        pred_path = Path(pred_dir) / f"{doc.doc_id}.tree"
+        if not pred_path.is_file():
+            raise MissingDocument(f"no prediction {pred_path}")
+        yield doc, read_tree(pred_path.read_text().strip(), doc.edus)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +225,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
     started = time.time()
     inventory = _load_inventory(args.inventory)
     policy = _policy(args)
-    documents = _load_documents(args)
+    documents = load_documents(
+        args.corpus_dir, args.manifest, args.split, _load_relation_map(args.relation_map)
+    )
     engine = parse_bottom_up if args.strategy == BOTTOM_UP else parse_top_down
     shared = _make_shared_oracle(args)
     out_dir = Path(args.out)
@@ -321,22 +318,13 @@ def _resolved_config(args: argparse.Namespace) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    gold_args = argparse.Namespace(
-        corpus_dir=args.gold_dir,
-        manifest=args.manifest,
-        split=args.split,
-        relation_map=args.relation_map,
+    documents = load_documents(
+        args.gold_dir, args.manifest, args.split, _load_relation_map(args.relation_map)
     )
-    documents = _load_documents(gold_args)
-    pred_dir = Path(args.pred_dir)
     include_root = not args.exclude_root
     total = ParsevalCounts()
     per_doc = {}
-    for doc in documents:
-        pred_path = pred_dir / f"{doc.doc_id}.tree"
-        if not pred_path.is_file():
-            raise MissingDocument(f"no prediction {pred_path}")
-        predicted = read_tree(pred_path.read_text().strip(), doc.edus)
+    for doc, predicted in _predictions(args.pred_dir, documents):
         assert doc.tree is not None
         counts = score_document(predicted, doc.tree, include_root)
         per_doc[doc.doc_id] = counts
@@ -376,7 +364,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_export_training(args: argparse.Namespace) -> int:
     inventory = _load_inventory(args.inventory)
     policy = _policy(args)
-    documents = _load_documents(args)
+    documents = load_documents(
+        args.corpus_dir, args.manifest, args.split, _load_relation_map(args.relation_map)
+    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     kinds = (
@@ -440,26 +430,18 @@ def cmd_derive_actions(args: argparse.Namespace) -> int:
 
 
 def cmd_report_relations(args: argparse.Namespace) -> int:
-    gold_args = argparse.Namespace(
-        corpus_dir=args.gold_dir,
-        manifest=args.manifest,
-        split=args.split,
-        relation_map=args.relation_map,
+    documents = load_documents(
+        args.gold_dir, args.manifest, args.split, _load_relation_map(args.relation_map)
     )
-    documents = _load_documents(gold_args)
     include_root = not args.exclude_root
     inventory = _load_inventory(args.inventory) if args.inventory else None
     seed = inventory.relations if inventory else ()
 
     if args.pred_dir:
-        pred_dir = Path(args.pred_dir)
-        pairs = []
-        for doc in documents:
-            pred_path = pred_dir / f"{doc.doc_id}.tree"
-            if not pred_path.is_file():
-                raise MissingDocument(f"no prediction {pred_path}")
-            assert doc.tree is not None
-            pairs.append((read_tree(pred_path.read_text().strip(), doc.edus), doc.tree))
+        pairs = [
+            (predicted, doc.tree)
+            for doc, predicted in _predictions(args.pred_dir, documents)
+        ]
         rows = per_relation_rows(pairs, seed, include_root)
         header = ("relation", "predicted", "gold", "matched", "f1")
         table = [
@@ -618,6 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        _check_numeric_options(args)
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

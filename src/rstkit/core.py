@@ -59,9 +59,14 @@ class Leaf:
         return (self.edu.index, self.edu.index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Node:
-    """Binary constituent over two adjacent spans."""
+    """Binary constituent over two adjacent spans.
+
+    Equality compares whole trees, walking them with a stack rather than
+    recursing; the hash covers only this node's span and labels, which equal
+    trees share.
+    """
 
     left: "RstTree"
     right: "RstTree"
@@ -80,6 +85,27 @@ class Node:
                 f"children must cover adjacent spans, got {lspan} then {rspan}"
             )
         object.__setattr__(self, "span", (lspan[0], rspan[1]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        pairs: list[tuple[RstTree, RstTree]] = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if not isinstance(a, Node) or not isinstance(b, Node):
+                if a != b:
+                    return False
+                continue
+            if (a.span, a.nuclearity, a.relation) != (b.span, b.nuclearity, b.relation):
+                return False
+            pairs.append((a.right, b.right))
+            pairs.append((a.left, b.left))
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.span, self.nuclearity, self.relation))
 
 
 RstTree = Union[Leaf, Node]

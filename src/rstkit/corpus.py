@@ -1,8 +1,11 @@
 """Treebank and config file I/O.
 
-Covers the parenthesized .dis constituent format, relation-name maps and
-label inventories (editable text fixtures under rstkit/data), a canonical
-one-line bracket format for predicted trees, and split manifests.
+Covers the parenthesized .dis constituent format, read in one pass that
+maps relation names and collects EDUs as it goes; relation-name maps and
+label inventories (editable text fixtures under rstkit/data); a canonical
+one-line bracket format for predicted trees; split manifests; and
+``load_documents``, which turns a corpus directory, manifest and split into
+the documents every command works on.
 """
 
 from __future__ import annotations
@@ -75,9 +78,15 @@ class Document:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer shared by the .dis reader and the bracket format
+# Token scan shared by the .dis reader and the bracket format
 
-_ATOM_RE = re.compile(r"[^\s()]+")
+# Branches in order: a text field, which may hold parentheses and newlines;
+# a _! that no later _! closes; parentheses; an atom. Whitespace matches
+# no branch, so finditer skips it between tokens.
+_TOKEN_RE = re.compile(
+    r"_!(?P<text>.*?)_!|(?P<lone>_!)|(?P<open>\()|(?P<close>\))|(?P<atom>[^\s()]+)",
+    re.DOTALL,
+)
 # Two WSJ training files carry stray tool output after closing parens.
 _TT_ERR_RE = re.compile(r"\)//TT_ERR")
 
@@ -85,71 +94,43 @@ _TT_ERR_RE = re.compile(r"\)//TT_ERR")
 Token = tuple[str, str, int]
 
 
-def _tokenize(text: str) -> list[Token]:
-    """Tokens as (kind, value, offset).
-
-    Text fields are delimited by _! ... _! and may contain parentheses and
-    newlines, so they are scanned whole before the paren/atom rules apply.
-    """
+def _scan(text: str) -> list[Token]:
+    """Tokens as (kind, value, offset); a text field's value is its inside."""
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("_!", i):
-            end = text.find("_!", i + 2)
-            if end < 0:
-                raise DisSyntaxError("unterminated _!text field", i)
-            tokens.append(("text", text[i + 2 : end], i))
-            i = end + 2
-            continue
-        if ch == "(":
-            tokens.append(("open", "(", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(("close", ")", i))
-            i += 1
-            continue
-        match = _ATOM_RE.match(text, i)
-        assert match is not None
-        tokens.append(("atom", match.group(), i))
-        i = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "lone":
+            raise DisSyntaxError("unterminated _!text field", match.start())
+        tokens.append((kind, match[kind], match.start()))
     return tokens
 
 
 class _Tokens:
-    """Cursor over a token list with position-carrying errors."""
+    """Cursor over scanned tokens with position-carrying errors."""
 
-    def __init__(self, tokens: list[Token], length: int):
-        self.tokens = tokens
-        self.length = length
+    def __init__(self, text: str, length: int | None = None):
+        self.tokens = _scan(text)
+        # end-of-input errors point past the text as the caller gave it
+        self.length = len(text) if length is None else length
         self.pos = 0
 
     @property
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
-    def peek(self) -> Token:
-        if self.done:
-            raise DisSyntaxError("unexpected end of input", self.length)
-        return self.tokens[self.pos]
-
     def take(self, kind: str | None = None) -> Token:
-        token = self.peek()
+        try:
+            token = self.tokens[self.pos]
+        except IndexError:
+            raise DisSyntaxError("unexpected end of input", self.length) from None
         if kind is not None and token[0] != kind:
             raise DisSyntaxError(f"expected {kind}, got {token[1]!r}", token[2])
         self.pos += 1
         return token
 
-    def take_atom(self) -> str:
-        return self.take("atom")[1]
-
     def take_int(self) -> int:
         kind, value, pos = self.take()
-        if kind != "atom" or not re.fullmatch(r"\d+", value):
+        if kind != "atom" or not value.isdecimal():
             raise DisSyntaxError("expected integer", pos)
         return int(value)
 
@@ -194,22 +175,30 @@ class _Frame:
         )
 
 
-def _parse_dis(text: str) -> NaryNode:
-    """Parse one .dis record with an explicit frame stack.
+def parse_dis(
+    text: str, relation_map: "RelationMap | None" = None
+) -> tuple[NaryNode, tuple[Edu, ...]]:
+    """Parse .dis text into the raw n-ary tree plus its EDUs in order.
 
-    Treebank nesting is as deep as the document, so no recursion here.
+    With ``relation_map``, every real rel2par is mapped as it is read; the
+    "span" placeholder and the Root's missing rel2par pass through, and an
+    unknown name raises UnknownRelation. Treebank nesting is as deep as the
+    document, so the constituents are kept on an explicit frame stack.
     """
-    cursor = _Tokens(_tokenize(_TT_ERR_RE.sub(")", text)), len(text))
+    cursor = _Tokens(_TT_ERR_RE.sub(")", text), len(text))
     cursor.take("open")
-    kind, role, pos = cursor.take("atom")
+    _, role, pos = cursor.take("atom")
     if role != ROOT:
         raise DisSyntaxError(f"expected {ROOT}, got {role!r}", pos)
     frames: list[_Frame] = [_Frame(role)]
+    edus: list[Edu] = []
     root: NaryNode | None = None
     while root is None:
         kind, value, pos = cursor.take()
         if kind == "close":
             node = frames.pop().close(pos)
+            if node.edu is not None:
+                edus.append(node.edu)
             if frames:
                 frames[-1].children.append(node)
             else:
@@ -217,45 +206,31 @@ def _parse_dis(text: str) -> NaryNode:
             continue
         if kind != "open":
             raise DisSyntaxError(f"expected ( or ), got {value!r}", pos)
-        head_kind, head, head_pos = cursor.peek()
+        head_kind, head, head_pos = cursor.take()
         if head_kind != "atom":
             raise DisSyntaxError("expected a name after (", head_pos)
         if head in (NUCLEUS, SATELLITE):
-            cursor.take()
             frames.append(_Frame(head))
             continue
         if head == ROOT:
             raise DisSyntaxError("Root below the top level", head_pos)
-        cursor.take()
         frame = frames[-1]
         if head == "span":
             frame.span = (cursor.take_int(), cursor.take_int())
         elif head == "leaf":
             frame.leaf = cursor.take_int()
         elif head == "rel2par":
-            frame.rel2par = cursor.take_atom()
+            rel2par = cursor.take("atom")[1]
+            if relation_map is not None and rel2par != SPAN_REL:
+                rel2par = relation_map.apply(rel2par)
+            frame.rel2par = rel2par
         elif head == "text":
             frame.text = normalize_edu_text(cursor.take("text")[1])
         else:
             raise DisSyntaxError(f"unknown field {head!r}", head_pos)
         cursor.take("close")
     if not cursor.done:
-        raise DisSyntaxError("trailing content after tree", cursor.peek()[2])
-    return root
-
-
-def parse_dis(text: str) -> tuple[NaryNode, tuple[Edu, ...]]:
-    """Parse .dis text into the raw n-ary tree plus its EDUs in order."""
-    root = _parse_dis(text)
-    edus: list[Edu] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            assert node.edu is not None
-            edus.append(node.edu)
-        else:
-            stack.extend(node.children)
+        raise DisSyntaxError("trailing content after tree", cursor.take()[2])
     edus.sort(key=lambda e: e.index)
     if [e.index for e in edus] != list(range(1, len(edus) + 1)):
         raise MalformedTree("leaf indices are not contiguous from 1")
@@ -273,11 +248,9 @@ def _doc_id_from_path(path: Path) -> str:
 def read_dis(
     path: str | Path, relation_map: "RelationMap | None" = None
 ) -> Document:
-    """Load one annotated document: parse, optionally map relations, binarize."""
+    """Load one annotated document: parse, mapping relations, and binarize."""
     path = Path(path)
-    nary, edus = parse_dis(path.read_text())
-    if relation_map is not None:
-        nary = map_relations(nary, relation_map)
+    nary, edus = parse_dis(path.read_text(), relation_map)
     return Document(_doc_id_from_path(path), edus, binarize(nary))
 
 
@@ -337,31 +310,6 @@ def load_relation_map(path: str | Path) -> RelationMap:
     if not entries:
         raise ConfigError(f"{path}: empty relation map")
     return RelationMap(entries)
-
-
-def map_relations(root: NaryNode, mapping: RelationMap) -> NaryNode:
-    """Copy of the tree with every real rel2par passed through the map.
-
-    The "span" placeholder and the Root's missing rel2par pass through
-    untouched; unknown names raise UnknownRelation.
-    """
-
-    def convert(rel2par: str | None) -> str | None:
-        if rel2par is None or rel2par == SPAN_REL:
-            return rel2par
-        return mapping.apply(rel2par)
-
-    out_root = NaryNode(root.role, convert(root.rel2par), root.span, edu=root.edu)
-    stack = [(root, out_root)]
-    while stack:
-        src, dst = stack.pop()
-        for child in src.children:
-            copy = NaryNode(
-                child.role, convert(child.rel2par), child.span, edu=child.edu
-            )
-            dst.children.append(copy)
-            stack.append((child, copy))
-    return out_root
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +395,7 @@ def write_tree(tree: RstTree) -> str:
 
 def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
     """Parse the bracket form back; attaches texts when ``edus`` is given."""
-    cursor = _Tokens(_tokenize(line), len(line))
+    cursor = _Tokens(line)
     # frames hold (pattern, relation, children)
     frames: list[tuple[str, str, list[RstTree]]] = []
     result: RstTree | None = None
@@ -477,7 +425,7 @@ def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
                 else:
                     attach(Leaf(Edu(index, "")), pos)
             elif head in SHORT_PATTERN:
-                relation = cursor.take_atom()
+                relation = cursor.take("atom")[1]
                 frames.append((SHORT_PATTERN[head], relation, []))
             else:
                 raise DisSyntaxError(f"unknown node head {head!r}", head_pos)
@@ -551,17 +499,38 @@ def resolve_document_path(corpus_dir: str | Path, doc_id: str) -> Path:
     raise MissingDocument(f"no file for document {doc_id!r} under {corpus_dir}")
 
 
-def load_split(
-    manifest_path: str | Path,
+def load_documents(
     corpus_dir: str | Path,
+    manifest: str | Path | None = None,
+    split: str | None = None,
     relation_map: RelationMap | None = None,
-) -> dict[str, list[Document]]:
-    """Load every document of every split, in manifest order."""
-    splits = load_split_manifest(manifest_path)
-    return {
-        name: [
-            read_dis(resolve_document_path(corpus_dir, doc_id), relation_map)
-            for doc_id in doc_ids
-        ]
-        for name, doc_ids in splits.items()
-    }
+) -> list[Document]:
+    """Read the documents a command works on, mapping relations as they load.
+
+    With a manifest: the documents of ``split``, or of every split, in
+    manifest order. Without one: every ``.dis`` file in the directory,
+    sorted by name.
+    """
+    corpus_dir = Path(corpus_dir)
+    if not corpus_dir.is_dir():
+        raise ConfigError(f"corpus directory {corpus_dir} does not exist")
+    if manifest:
+        splits = load_split_manifest(manifest)
+        if split:
+            if split not in splits:
+                raise ConfigError(
+                    f"manifest has no split {split!r}; found {sorted(splits)}"
+                )
+            doc_ids = splits[split]
+        else:
+            doc_ids = [doc_id for ids in splits.values() for doc_id in ids]
+    elif split:
+        raise ConfigError("--split needs --manifest")
+    else:
+        doc_ids = sorted(p.name for p in corpus_dir.iterdir() if p.suffix == ".dis")
+        if not doc_ids:
+            raise ConfigError(f"no .dis files under {corpus_dir}")
+    return [
+        read_dis(resolve_document_path(corpus_dir, doc_id), relation_map)
+        for doc_id in doc_ids
+    ]

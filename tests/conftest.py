@@ -16,10 +16,8 @@ from rstkit import (
     Node,
     builtin_inventory,
     builtin_relation_map,
-    load_split_manifest,
+    load_documents,
     minicorpus_dir,
-    read_dis,
-    resolve_document_path,
 )
 
 # deterministic property tests: same examples on every run
@@ -105,9 +103,4 @@ def press_release_path() -> Path:
 def minicorpus(relmap) -> list[Document]:
     """All 22 bundled documents, relations mapped, in manifest order."""
     corpus = minicorpus_dir()
-    splits = load_split_manifest(corpus / "splits.tsv")
-    return [
-        read_dis(resolve_document_path(corpus, doc_id), relmap)
-        for ids in splits.values()
-        for doc_id in ids
-    ]
+    return load_documents(corpus, corpus / "splits.tsv", relation_map=relmap)

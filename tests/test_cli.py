@@ -512,6 +512,54 @@ def test_negative_truncate_flag_exits_two(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+# (option, bad value): each must exit 2 from a flag and from a config file
+BAD_NUMBERS = [
+    ("workers", 0), ("workers", -2), ("workers", 2.5), ("workers", True),
+    ("retries", -1), ("retries", 1.5), ("retries", False),
+    ("max_tokens", 0), ("max_tokens", 8.0),
+    ("timeout", 0), ("timeout", -1.5), ("timeout", True),
+    ("backoff", -0.5), ("backoff", False),
+]
+
+
+def _http_parse_args(tmp_path, *extra):
+    # the port is never contacted: the options are checked before any query
+    return (
+        "parse", "--corpus-dir", CORPUS, "--manifest", MANIFEST, "--split",
+        "dev", "--relation-map", MAP, "--oracle", "http", "--endpoint",
+        "http://127.0.0.1:9/v1/completions", "--model", "m",
+        "--out", str(tmp_path / "out"), *extra,
+    )
+
+
+@pytest.mark.parametrize("dest,value", BAD_NUMBERS)
+def test_bad_number_in_config_exits_two(tmp_path, capsys, dest, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({dest: value}))
+    code, _, stderr = run(capsys, "--config", str(config), *_http_parse_args(tmp_path))
+    flag = "--" + dest.replace("_", "-")
+    assert code == 2
+    assert stderr.startswith(f"config error: {flag} takes ")
+    assert stderr.endswith(f", not {value!r}\n")
+    assert stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+# values argparse's own type checks let through
+@pytest.mark.parametrize("dest,value", [
+    ("workers", "0"), ("workers", "-2"), ("retries", "-1"), ("max_tokens", "0"),
+    ("timeout", "0"), ("timeout", "-1.5"), ("timeout", "nan"), ("timeout", "inf"),
+    ("backoff", "-0.5"), ("backoff", "nan"),
+])
+def test_bad_number_flag_exits_two(tmp_path, capsys, dest, value):
+    flag = "--" + dest.replace("_", "-")
+    code, _, stderr = run(capsys, *_http_parse_args(tmp_path, flag, value))
+    assert code == 2
+    assert stderr.startswith(f"config error: {flag} takes ")
+    assert stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "--config", str(tmp_path / "absent.json"), "parse",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -110,6 +111,52 @@ def test_node_span_is_union_of_children():
     root = Node(inner, Leaf(e[2]), SN, "Background")
     assert root.span == (1, 3)
     assert edu_count(root) == 3
+
+
+def _chain(n, right_heavy, deepest_relation="Elaboration", deepest_text=None):
+    """A one-sided chain; the deepest node and leaf can be relabelled."""
+    edus = list(make_edus(n))
+    deep = n - 1 if right_heavy else 0
+    if deepest_text is not None:
+        edus[deep] = Edu(deep + 1, deepest_text)
+    leafs = [Leaf(e) for e in edus]
+    if right_heavy:
+        tree = leafs[-1]
+        for i, leaf in enumerate(reversed(leafs[:-1])):
+            tree = Node(leaf, tree, NS, deepest_relation if i == 0 else "Elaboration")
+    else:
+        tree = leafs[0]
+        for i, leaf in enumerate(leafs[1:]):
+            tree = Node(tree, leaf, NS, deepest_relation if i == 0 else "Elaboration")
+    return tree
+
+
+@pytest.mark.parametrize("right_heavy", [True, False])
+def test_deep_trees_compare_and_hash_without_recursion(right_heavy):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        tree = _chain(1200, right_heavy)
+        same = _chain(1200, right_heavy)
+        relabelled = _chain(1200, right_heavy, deepest_relation="Cause")
+        retexted = _chain(1200, right_heavy, deepest_text="other words.")
+        assert tree == same and not tree != same
+        assert hash(tree) == hash(same)
+        assert tree != relabelled
+        assert tree != retexted
+        assert isinstance(hash(relabelled), int) and isinstance(hash(retexted), int)
+        assert tree != _chain(1200, not right_heavy)
+        assert {tree, same} == {tree}
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_node_equality_against_other_types():
+    e = make_edus(2)
+    node = Node(Leaf(e[0]), Leaf(e[1]), NS, "Cause")
+    assert node != Leaf(e[0])
+    assert Leaf(e[0]) != node
+    assert node != "(NS Cause (leaf 1) (leaf 2))"
 
 
 def test_leaves_and_tree_text_order():

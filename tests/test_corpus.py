@@ -24,11 +24,11 @@ from rstkit import (
     UnknownRelation,
     builtin_inventory,
     builtin_relation_map,
+    binarize,
+    load_documents,
     load_inventory,
     load_relation_map,
-    load_split,
     load_split_manifest,
-    map_relations,
     minicorpus_dir,
     normalize_edu_text,
     normalize_relation,
@@ -39,6 +39,7 @@ from rstkit import (
     write_tree,
 )
 from rstkit.core import NN, NS, SN
+from rstkit.corpus import _scan
 
 from conftest import make_edus, random_tree
 
@@ -115,19 +116,67 @@ def test_multiline_text_field():
     assert edus[0].text == "split across lines"
 
 
-@pytest.mark.parametrize("bad,fragment", [
-    ("( Root (span 1 2) ( Nucleus (leaf 1) (rel2par span) (text _!x_!) )", "end of input"),
-    ("( Nucleus (leaf 1) (rel2par span) (text _!x_!) )", "expected Root"),
-    ("( Root (leaf 1) (rel2par span) (text _!unterminated_) )", "unterminated"),
-    ("( Root (span 1 1) ( Root (leaf 1) (text _!x_!) ) )", "below the top"),
-    ("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) (flavor tart) (text _!x_!) ) )", "unknown field"),
-    ("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) ) )", "no text"),
-    ("( Root (span one 2) ( Nucleus (leaf 1) (rel2par span) (text _!x_!) ) )", "integer"),
-    ("( Root (leaf 1) (text _!x_!) ) trailing", "trailing"),
-])
+# (input, message fragment, character offset the error reports)
+DIS_SYNTAX_ERRORS = [
+    ("( Root (span 1 2) ( Nucleus (leaf 1) (rel2par span) (text _!x_!) )", "end of input", 66),
+    ("( Nucleus (leaf 1) (rel2par span) (text _!x_!) )", "expected Root", 2),
+    ("( Root (leaf 1) (rel2par span) (text _!unterminated_) )", "unterminated", 37),
+    ("( Root (span 1 1) ( Root (leaf 1) (text _!x_!) ) )", "below the top", 20),
+    ("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) (flavor tart) (text _!x_!) ) )", "unknown field", 53),
+    ("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) ) )", "no text", 52),
+    ("( Root (span one 2) ( Nucleus (leaf 1) (rel2par span) (text _!x_!) ) )", "integer", 13),
+    ("( Root (leaf 1) (text _!x_!) ) trailing", "trailing", 31),
+]
+
+
+@pytest.mark.parametrize("bad,fragment", [case[:2] for case in DIS_SYNTAX_ERRORS])
 def test_dis_syntax_errors(bad, fragment):
     with pytest.raises(DisSyntaxError, match=fragment):
         parse_dis(bad)
+
+
+@pytest.mark.parametrize("bad,fragment,pos", DIS_SYNTAX_ERRORS)
+def test_dis_syntax_error_offsets(bad, fragment, pos):
+    with pytest.raises(DisSyntaxError, match=fragment) as caught:
+        parse_dis(bad)
+    assert caught.value.pos == pos
+    assert str(caught.value).endswith(f" (at offset {pos})")
+
+
+@pytest.mark.parametrize("text,tokens", [
+    # a text field keeps parentheses and newlines, and only its inside
+    ("(text _!a (b)\nc) _!)", [
+        ("open", "(", 0), ("atom", "text", 1), ("text", "a (b)\nc) ", 6),
+        ("close", ")", 19),
+    ]),
+    # _! inside an atom opens no text field
+    ("(rel2par a_!b) x_!", [
+        ("open", "(", 0), ("atom", "rel2par", 1), ("atom", "a_!b", 9),
+        ("close", ")", 13), ("atom", "x_!", 15),
+    ]),
+    # the scan itself leaves tool noise as an atom; parse_dis drops it first
+    (")//TT_ERR", [("close", ")", 0), ("atom", "//TT_ERR", 1)]),
+    ("_!_! ( _!x_!_!y_!", [
+        ("text", "", 0), ("open", "(", 5), ("text", "x", 7), ("text", "y", 12),
+    ]),
+    ("  \t(leaf\xa01)  ", [
+        ("open", "(", 3), ("atom", "leaf", 4), ("atom", "1", 9), ("close", ")", 10),
+    ]),
+])
+def test_token_scan(text, tokens):
+    assert _scan(text) == tokens
+
+
+def test_errors_after_tt_err_noise_keep_their_offsets():
+    head = "( Root (span 1 2) ( Nucleus (leaf 1) (rel2par span) (text _!a_!) )//TT_ERR"
+    with pytest.raises(DisSyntaxError, match="end of input") as caught:
+        parse_dis(head)
+    assert caught.value.pos == 74
+    # past the noise, offsets count in the text with the noise taken out
+    bad_text = head + "\n ( Satellite (leaf 2) (rel2par cause) (text x) )\n)"
+    with pytest.raises(DisSyntaxError, match="expected text, got 'x'") as caught:
+        parse_dis(bad_text)
+    assert caught.value.pos == 111
 
 
 def test_dis_syntax_errors_carry_positions():
@@ -216,14 +265,26 @@ def test_load_relation_map_rejects_bad_rows(tmp_path):
         load_relation_map(path)
 
 
-def test_map_relations_preserves_placeholders(press_release_path):
-    raw, _ = parse_dis(press_release_path.read_text())
-    mapped = map_relations(raw, builtin_relation_map("rst-dt-coarse"))
-    span13 = mapped.children[0]
-    assert span13.rel2par == "span"
+def test_parse_dis_maps_relations_as_read(press_release_path, relmap):
+    text = press_release_path.read_text()
+    mapped, edus = parse_dis(text, relmap)
+    assert binarize(mapped) == _press_expected((
+        "Attribution", "Elaboration", "Elaboration", "Same-Unit", "Elaboration",
+    ))
+    # the span placeholder and the Root's missing rel2par pass through
+    assert mapped.rel2par is None
+    assert mapped.children[0].rel2par == "span"
     assert mapped.children[1].rel2par == "Elaboration"
-    # the original tree is untouched
-    assert raw.children[1].rel2par == "elaboration-additional-e"
+    assert edus == parse_dis(text)[1]
+
+
+def test_parse_dis_rejects_unmapped_relation():
+    text = """( Root (span 1 2)
+      ( Nucleus (leaf 1) (rel2par span) (text _!a_!) )
+      ( Satellite (leaf 2) (rel2par mystery-e) (text _!b_!) )
+    )"""
+    with pytest.raises(UnknownRelation, match="mystery-e"):
+        parse_dis(text, RelationMap({"cause": "Cause"}))
 
 
 def test_unknown_relation_has_offending_name():
@@ -373,11 +434,35 @@ def test_resolve_document_path_probes_suffixes():
         resolve_document_path(corpus, "doc99")
 
 
-def test_load_split_reads_documents(relmap):
+def test_load_documents_follows_manifest_or_directory(relmap, tmp_path):
     corpus = minicorpus_dir()
-    splits = load_split(corpus / "splits.tsv", corpus, relmap)
-    assert {name: len(docs) for name, docs in splits.items()} == {
-        "train": 14, "dev": 4, "test": 4,
-    }
-    assert splits["test"][0].doc_id == "doc19"
-    assert all(doc.tree is not None for docs in splits.values() for doc in docs)
+    manifest = corpus / "splits.tsv"
+    splits = load_split_manifest(manifest)
+    everything = load_documents(corpus, manifest, relation_map=relmap)
+    assert [doc.doc_id for doc in everything] == [
+        doc_id for ids in splits.values() for doc_id in ids
+    ]
+    assert all(doc.tree is not None for doc in everything)
+    test = load_documents(corpus, manifest, "test", relmap)
+    assert [doc.doc_id for doc in test] == splits["test"]
+    assert test[0].doc_id == "doc19"
+    # without a manifest: every .dis file in name order, relations unmapped
+    for name in ("b.dis", "a.dis", "c.out.dis"):
+        (tmp_path / name).write_text((corpus / "doc01.dis").read_text())
+    (tmp_path / "notes.txt").write_text("not a document")
+    plain = load_documents(tmp_path)
+    assert [doc.doc_id for doc in plain] == ["a", "b", "c"]
+    assert plain[0].tree == read_dis(corpus / "doc01.dis").tree
+
+
+@pytest.mark.parametrize("where,manifest,split,fragment", [
+    ("absent", None, None, "does not exist"),
+    ("corpus", None, "dev", "--split needs --manifest"),
+    ("corpus", "splits.tsv", "holdout", "no split 'holdout'"),
+    ("empty", None, None, "no .dis files under"),
+])
+def test_load_documents_errors(tmp_path, where, manifest, split, fragment):
+    corpus = minicorpus_dir()
+    corpus_dir = {"absent": tmp_path / "absent", "corpus": corpus, "empty": tmp_path}[where]
+    with pytest.raises(ConfigError, match=fragment):
+        load_documents(corpus_dir, manifest and corpus / manifest, split)
