@@ -9,12 +9,12 @@ from rstkit import (
     Edu,
     Leaf,
     Node,
+    ParsevalCounts,
     builtin_relation_map,
     load_documents,
     micro_f1,
     minicorpus_dir,
     per_relation_rows,
-    score_corpus,
     score_document,
 )
 
@@ -47,7 +47,8 @@ def main():
     corpus = minicorpus_dir()
     relmap = builtin_relation_map("rst-dt-coarse")
     docs = load_documents(corpus, corpus / "splits.tsv", "test", relmap)
-    counts = score_corpus((d.tree, d.tree) for d in docs)
+    # micro averaging pools the documents' counts before scoring
+    counts = sum((score_document(d.tree, d.tree) for d in docs), ParsevalCounts())
     show(f"self-evaluation over the {len(docs)}-document test split",
          micro_f1(counts))
     print()

@@ -7,12 +7,12 @@ Run: python3 demos/top_down_parsing.py
 
 from rstkit import (
     ScriptedOracle,
+    SplitPrompts,
     builtin_inventory,
     builtin_relation_map,
     minicorpus_dir,
     parse_top_down,
     read_dis,
-    render_split_prompt,
     replay_oracle,
     write_tree,
 )
@@ -26,7 +26,8 @@ def main():
     print()
 
     print("the first split prompt renumbers the whole document from 0:")
-    print(render_split_prompt([edu.text for edu in doc.edus]))
+    prompts = SplitPrompts([edu.text for edu in doc.edus])
+    print(prompts.render(1, len(doc.edus)))
     print()
 
     oracle = replay_oracle(doc, inventory, "top-down")

@@ -1,45 +1,33 @@
-"""Build an n-ary constituent the way a treebank file stores one, binarize
-it, and derive both decision sequences from the result.
+"""Read an n-ary constituent the way a treebank file stores one: the reader
+folds it into binary nodes as each constituent closes. Then derive both
+decision sequences from the binary tree.
 
 Run: python3 demos/trees_and_binarization.py
 """
 
 from rstkit import (
-    Edu,
-    NaryNode,
-    binarize,
     derive_shift_reduce_sequence,
     derive_split_sequence,
+    parse_dis,
     write_tree,
 )
 
-EDUS = [
-    Edu(1, "The committee met on Tuesday"),
-    Edu(2, "to review the audit,"),
-    Edu(3, "which had taken three months."),
-    Edu(4, "No action was taken."),
-]
-
-
-def leaf(role, rel, edu):
-    return NaryNode(role, rel, (edu.index, edu.index), edu=edu)
+# a three-child constituent plus a trailing satellite, as a .dis file
+# stores them
+DIS = """( Root (span 1 4)
+  ( Nucleus (span 1 3) (rel2par span)
+    ( Nucleus (leaf 1) (rel2par span) (text _!The committee met on Tuesday_!) )
+    ( Satellite (leaf 2) (rel2par purpose) (text _!to review the audit,_!) )
+    ( Satellite (leaf 3) (rel2par elaboration)
+      (text _!which had taken three months._!) )
+  )
+  ( Satellite (leaf 4) (rel2par evaluation) (text _!No action was taken._!) )
+)"""
 
 
 def main():
-    # a three-child constituent plus a trailing satellite, as a reader
-    # would find them in a .dis file
-    inner = NaryNode("Nucleus", "span", (1, 3), children=[
-        leaf("Nucleus", "span", EDUS[0]),
-        leaf("Satellite", "purpose", EDUS[1]),
-        leaf("Satellite", "elaboration", EDUS[2]),
-    ])
-    root = NaryNode("Root", None, (1, 4), children=[
-        inner,
-        leaf("Satellite", "evaluation", EDUS[3]),
-    ])
-
-    tree = binarize(root)
-    print("binarized:", write_tree(tree))
+    tree, edus = parse_dis(DIS)
+    print(f"{len(edus)} EDUs, binarized:", write_tree(tree))
     print()
 
     print("shift-reduce derivation (post-order, 2n-1 actions):")

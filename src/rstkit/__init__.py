@@ -2,8 +2,8 @@
 
 Two parsing strategies share one pluggable decision source: a bottom-up
 shift-reduce transition system and a top-down span splitter. Everything
-else supports them: treebank I/O, binarization, prompt rendering, training
-export, and Standard-Parseval evaluation.
+else supports them: treebank I/O, prompt rendering, training export, and
+Standard-Parseval evaluation.
 """
 
 from .bottomup import parse_bottom_up
@@ -18,22 +18,15 @@ from .core import (
     LabelInventory,
     Leaf,
     MalformedTree,
-    NaryNode,
     Node,
     Reduce,
     RstTree,
     Shift,
     SplitStep,
-    binarize,
-    check_tree,
     derive_shift_reduce_sequence,
     derive_split_sequence,
-    edu_count,
     internal_nodes,
     leaves,
-    span_text,
-    tree_text,
-    validate_nary,
 )
 from .corpus import (
     ConfigError,
@@ -78,7 +71,6 @@ from .metrics import (
     micro_scores,
     per_relation_rows,
     round1,
-    score_corpus,
     score_document,
 )
 from .oracle import (
@@ -106,16 +98,11 @@ from .prompts import (
     action_prompt,
     nuclearity_prompt,
     relation_prompt,
-    render_action_prompt,
-    render_nuclearity_prompt,
-    render_relation_prompt,
-    render_split_prompt,
     span_slot,
-    split_labels,
     truncate_span,
     truncate_text,
 )
-from .topdown import parse_top_down, relative_index_bounds
+from .topdown import parse_top_down
 from .training import (
     BOTTOM_UP,
     FINE_TUNING_DEFAULTS,
@@ -124,7 +111,6 @@ from .training import (
     TrainingExample,
     example_to_json,
     export_metadata,
-    export_training_pairs,
     gold_walk,
     replay_oracle,
 )

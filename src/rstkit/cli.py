@@ -89,7 +89,6 @@ _VALIDATION_ERRORS = (
     ReplayExhausted,
     KindMismatch,
     MissingDocument,
-    UnknownRelation,
 )
 
 
@@ -602,6 +601,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         _check_numeric_options(args)
         return args.func(args)
+    except UnknownRelation as exc:
+        # only a command given a relation map can meet an unknown relation
+        print(f"error: {exc} (--relation-map {args.relation_map})", file=sys.stderr)
+        return EXIT_VALIDATION
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

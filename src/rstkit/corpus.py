@@ -1,11 +1,12 @@
 """Treebank and config file I/O.
 
 Covers the parenthesized .dis constituent format, read in one pass that
-maps relation names and collects EDUs as it goes; relation-name maps and
-label inventories (editable text fixtures under rstkit/data); a canonical
-one-line bracket format for predicted trees; split manifests; and
-``load_documents``, which turns a corpus directory, manifest and split into
-the documents every command works on.
+maps relation names, collects EDUs and folds each n-ary constituent into
+binary nodes as it goes; relation-name maps and label inventories
+(editable text fixtures under rstkit/data); a canonical one-line bracket
+format for predicted trees; split manifests; and ``load_documents``, which
+turns a corpus directory, manifest and split into the documents every
+command works on.
 """
 
 from __future__ import annotations
@@ -19,19 +20,13 @@ from typing import Iterable, Sequence
 from .core import (
     NN,
     NS,
-    NUCLEUS,
-    ROOT,
-    SATELLITE,
     SN,
-    SPAN_REL,
     Edu,
     LabelInventory,
     Leaf,
     MalformedTree,
-    NaryNode,
     Node,
     RstTree,
-    binarize,
 )
 
 PATTERN_SHORT = {NN: "NN", NS: "NS", SN: "SN"}
@@ -50,6 +45,10 @@ class DisSyntaxError(ValueError):
 
 class UnknownRelation(KeyError):
     """A relation name has no entry in the active relation map."""
+
+    def __str__(self) -> str:
+        # KeyError's own str() shows its argument quoted, as a dict key
+        return str(self.args[0]) if self.args else ""
 
 
 class ConfigError(ValueError):
@@ -143,6 +142,61 @@ def normalize_edu_text(raw: str) -> str:
 # ---------------------------------------------------------------------------
 # .dis reader
 
+# Child roles in the .dis constituent format.
+ROOT = "Root"
+NUCLEUS = "Nucleus"
+SATELLITE = "Satellite"
+
+# rel2par marker on the nucleus child of a mono-nuclear constituent. It is a
+# placeholder, not a relation; the pair's relation comes from the satellite.
+SPAN_REL = "span"
+
+# A constituent as its parent sees it: (role, rel2par, binary subtree).
+_Side = tuple[str, str, RstTree]
+
+
+def _pair(left: _Side, right: _Side) -> Node:
+    """Join two sides of a constituent into one binary node.
+
+    Mono-nuclear pairs take the satellite side's relation; nucleus-nucleus
+    pairs take whichever side carries a real relation (the shared
+    multi-nuclear label in practice). A satellite-satellite pair can only be
+    the tail of a satellite-only chain; it leans on the left side, which
+    sits nearer the nucleus.
+    """
+    lrole, lrel, ltree = left
+    rrole, rrel, rtree = right
+    if lrole == NUCLEUS and rrole == SATELLITE:
+        return Node(ltree, rtree, NS, rrel)
+    if lrole == SATELLITE and rrole == NUCLEUS:
+        return Node(ltree, rtree, SN, lrel)
+    if lrole == SATELLITE and rrole == SATELLITE:
+        return Node(ltree, rtree, NS, rrel)
+    # nucleus-nucleus: prefer the left rel2par, skipping "span" placeholders
+    relation = lrel if lrel != SPAN_REL else rrel
+    if relation == SPAN_REL:
+        raise MalformedTree(
+            f"two span-marked nuclei under one constituent at {ltree.span}"
+        )
+    return Node(ltree, rtree, NN, relation)
+
+
+def _chain(parts: list[_Side]) -> _Side:
+    """Fold a constituent's children into a right-heavy binary chain.
+
+    A k-child constituent becomes k-1 binary nodes: the first child paired
+    against the folded remainder, so a multi-nuclear constituent yields
+    intermediate nodes that repeat its relation with pattern NN. The folded
+    remainder acts as Nucleus toward its left sibling iff it contains a
+    nucleus, and presents its first child's rel2par as its own.
+    """
+    role, rel, tree = parts[-1]
+    for lrole, lrel, ltree in reversed(parts[:-1]):
+        tree = _pair((lrole, lrel, ltree), (role, rel, tree))
+        role = NUCLEUS if NUCLEUS in (lrole, role) else SATELLITE
+        rel = lrel
+    return role, rel, tree
+
 
 @dataclass
 class _Frame:
@@ -151,39 +205,54 @@ class _Frame:
     span: tuple[int, int] | None = None
     leaf: int | None = None
     text: str | None = None
-    children: list[NaryNode] = field(default_factory=list)
+    children: list[_Side] = field(default_factory=list)
 
-    def close(self, pos: int) -> NaryNode:
+    def close(self, pos: int) -> _Side:
+        """Check the constituent and fold it into its binary subtree."""
         if self.leaf is not None:
             if self.text is None:
                 raise DisSyntaxError(f"leaf {self.leaf} has no text field", pos)
             if self.children:
                 raise DisSyntaxError(f"leaf {self.leaf} has children", pos)
-            return NaryNode(
-                role=self.role,
-                rel2par=self.rel2par,
-                span=(self.leaf, self.leaf),
-                edu=Edu(self.leaf, self.text),
-            )
-        if self.span is None:
+            span = (self.leaf, self.leaf)
+        elif self.span is None:
             raise DisSyntaxError("constituent lacks both span and leaf", pos)
-        if not self.children:
+        elif not self.children:
             raise DisSyntaxError(f"span {self.span} has no children", pos)
-        return NaryNode(
-            role=self.role, rel2par=self.rel2par, span=self.span,
-            children=self.children,
-        )
+        else:
+            span = self.span
+        if self.role != ROOT and not self.rel2par:
+            raise MalformedTree(f"missing rel2par on span {span}")
+        rel2par = self.rel2par or SPAN_REL
+        if self.leaf is not None:
+            return self.role, rel2par, Leaf(Edu(self.leaf, self.text))
+        if len(self.children) > 1 and not any(
+            role == NUCLEUS for role, _, _ in self.children
+        ):
+            raise MalformedTree(f"constituent {span} has no nucleus child")
+        start = span[0]
+        for _, _, child in self.children:
+            if child.span[0] != start:
+                raise MalformedTree(
+                    f"children of {span} not contiguous at {child.span}"
+                )
+            start = child.span[1] + 1
+        if start != span[1] + 1:
+            raise MalformedTree(f"children do not cover {span}")
+        return self.role, rel2par, _chain(self.children)[2]
 
 
 def parse_dis(
     text: str, relation_map: "RelationMap | None" = None
-) -> tuple[NaryNode, tuple[Edu, ...]]:
-    """Parse .dis text into the raw n-ary tree plus its EDUs in order.
+) -> tuple[RstTree, tuple[Edu, ...]]:
+    """Parse .dis text into its binary tree plus its EDUs in order.
 
-    With ``relation_map``, every real rel2par is mapped as it is read; the
-    "span" placeholder and the Root's missing rel2par pass through, and an
-    unknown name raises UnknownRelation. Treebank nesting is as deep as the
-    document, so the constituents are kept on an explicit frame stack.
+    Each constituent is checked and folded into binary nodes (see
+    ``_chain``) as its closing parenthesis is read. With ``relation_map``,
+    every real rel2par is mapped as it is read; the "span" placeholder and
+    the Root's missing rel2par pass through, and an unknown name raises
+    UnknownRelation. Treebank nesting is as deep as the document, so the
+    open constituents are kept on an explicit frame stack.
     """
     cursor = _Tokens(_TT_ERR_RE.sub(")", text), len(text))
     cursor.take("open")
@@ -192,17 +261,17 @@ def parse_dis(
         raise DisSyntaxError(f"expected {ROOT}, got {role!r}", pos)
     frames: list[_Frame] = [_Frame(role)]
     edus: list[Edu] = []
-    root: NaryNode | None = None
+    root: RstTree | None = None
     while root is None:
         kind, value, pos = cursor.take()
         if kind == "close":
-            node = frames.pop().close(pos)
-            if node.edu is not None:
-                edus.append(node.edu)
+            side = frames.pop().close(pos)
+            if isinstance(side[2], Leaf):
+                edus.append(side[2].edu)
             if frames:
-                frames[-1].children.append(node)
+                frames[-1].children.append(side)
             else:
-                root = node
+                root = side[2]
             continue
         if kind != "open":
             raise DisSyntaxError(f"expected ( or ), got {value!r}", pos)
@@ -231,8 +300,9 @@ def parse_dis(
         cursor.take("close")
     if not cursor.done:
         raise DisSyntaxError("trailing content after tree", cursor.take()[2])
-    edus.sort(key=lambda e: e.index)
-    if [e.index for e in edus] != list(range(1, len(edus) + 1)):
+    # every constituent covers its span with contiguous children, so the
+    # leaves run root.span[0]..root.span[1] in document order
+    if root.span[0] != 1:
         raise MalformedTree("leaf indices are not contiguous from 1")
     return root, tuple(edus)
 
@@ -248,10 +318,13 @@ def _doc_id_from_path(path: Path) -> str:
 def read_dis(
     path: str | Path, relation_map: "RelationMap | None" = None
 ) -> Document:
-    """Load one annotated document: parse, mapping relations, and binarize."""
+    """Load one annotated document, mapping relations as it reads."""
     path = Path(path)
-    nary, edus = parse_dis(path.read_text(), relation_map)
-    return Document(_doc_id_from_path(path), edus, binarize(nary))
+    try:
+        tree, edus = parse_dis(path.read_text(), relation_map)
+    except UnknownRelation as exc:
+        raise UnknownRelation(f"{path}: {exc}") from None
+    return Document(_doc_id_from_path(path), edus, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +350,9 @@ class RelationMap:
         try:
             return self.entries[key]
         except KeyError:
-            raise UnknownRelation(name) from None
-
-    def targets(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for target in self.entries.values():
-            seen.setdefault(target)
-        return tuple(seen)
+            raise UnknownRelation(
+                f"relation {name!r} is not in the relation map"
+            ) from None
 
 
 def _config_rows(text: str) -> Iterable[tuple[int, list[str]]]:

@@ -126,16 +126,6 @@ def score_document(
     )
 
 
-def score_corpus(
-    pairs: Iterable[tuple[RstTree, RstTree]], include_root: bool = True
-) -> ParsevalCounts:
-    """Sum document counts; micro averaging happens on the sums."""
-    total = ParsevalCounts()
-    for predicted, gold in pairs:
-        total = total + score_document(predicted, gold, include_root)
-    return total
-
-
 @dataclass(frozen=True)
 class LevelScore:
     precision: float

@@ -63,12 +63,6 @@ def truncate_span(
     return _elide(doc.text, doc.starts[first], doc.ends[last], budget)
 
 
-def _slot(text: str | None, budget: int | None) -> str:
-    if text is None or text == "":
-        return EMPTY_SLOT
-    return truncate_text(text, budget)
-
-
 def span_slot(doc: DocumentText, first: int, last: int, budget: int | None) -> str:
     """What a prompt shows for EDUs first..last: their text, elided to the
     budget, or the empty-slot placeholder when they hold no text."""
@@ -77,8 +71,7 @@ def span_slot(doc: DocumentText, first: int, last: int, budget: int | None) -> s
     return truncate_span(doc, first, last, budget)
 
 
-# The renderers below take slot texts, already elided (see ``span_slot``);
-# the ``render_*`` functions take plain texts and elide them first.
+# The renderers below take slot texts, already elided (see ``span_slot``).
 
 
 def action_prompt(stack2: str, stack1: str, queue1: str) -> str:
@@ -108,41 +101,6 @@ def relation_prompt(
     )
 
 
-def render_action_prompt(
-    stack2: str | None,
-    stack1: str | None,
-    queue1: str | None,
-    truncate: int | None = None,
-) -> str:
-    """Shift/reduce decision over the top two stack spans and queue front."""
-    return action_prompt(
-        _slot(stack2, truncate), _slot(stack1, truncate), _slot(queue1, truncate)
-    )
-
-
-def render_nuclearity_prompt(
-    span2: str, span1: str, truncate: int | None = None
-) -> str:
-    """Nuclearity decision; span2 is the left span, span1 the right."""
-    return nuclearity_prompt(_slot(span2, truncate), _slot(span1, truncate))
-
-
-def render_relation_prompt(
-    span2: str,
-    span1: str,
-    nuclearity: str,
-    inventory: LabelInventory,
-    truncate: int | None = None,
-) -> str:
-    """Relation decision, conditioned on the already-predicted nuclearity.
-
-    The options list follows inventory order exactly.
-    """
-    return relation_prompt(
-        _slot(span2, truncate), _slot(span1, truncate), nuclearity, inventory
-    )
-
-
 class SplitPrompts:
     """Split prompts for the spans of one document.
 
@@ -152,12 +110,16 @@ class SplitPrompts:
     """
 
     def __init__(self, edu_texts: Sequence[str], truncate: int | None = None):
-        self._lines = [_slot(text, truncate) for text in edu_texts]
+        self._lines = [
+            truncate_text(text, truncate) if text else EMPTY_SLOT
+            for text in edu_texts
+        ]
         self._prefixes = [f"\n{offset}: " for offset in range(len(edu_texts))]
         self._answers = tuple(map(str, range(len(edu_texts) - 1)))
 
     def render(self, first: int, last: int) -> str:
-        """The prompt for EDUs first..last (1-based, inclusive)."""
+        """The prompt for EDUs first..last (1-based, inclusive), renumbered
+        from 0 so a span renders the same wherever it sits in a document."""
         m = last - first + 1
         if m < 2:
             raise ValueError("split prompts need at least two EDUs")
@@ -169,24 +131,5 @@ class SplitPrompts:
         return "".join(parts)
 
     def labels(self, first: int, last: int) -> tuple[str, ...]:
-        """``split_labels`` of the span of EDUs first..last."""
+        """Valid answers for the span of EDUs first..last: "0".."m-2"."""
         return self._answers[: last - first]
-
-
-def render_split_prompt(
-    edu_texts: Sequence[str], truncate: int | None = None
-) -> str:
-    """Split-point decision over a span's EDUs.
-
-    EDUs are renumbered so the prompt always starts at 0 regardless of where
-    the span sits in the document; the inclusive bound is length - 2, the
-    last index a left half may end on.
-    """
-    return SplitPrompts(edu_texts, truncate).render(1, len(edu_texts))
-
-
-def split_labels(span_len: int) -> tuple[str, ...]:
-    """Valid split answers for a span of ``span_len`` EDUs: "0".."len-2"."""
-    if span_len < 2:
-        raise ValueError("spans of fewer than two EDUs cannot split")
-    return tuple(str(k) for k in range(span_len - 1))

@@ -29,18 +29,6 @@ from .prompts import SPLIT, SplitPrompts, span_slot
 _INTEGER_RE = re.compile(r"[+-]?\d+")
 
 
-def relative_index_bounds(span: tuple[int, int]) -> tuple[int, int]:
-    """Inclusive bounds of valid split answers for a document span.
-
-    A span (i, j) renumbers its EDUs from 0; the left half may end at any
-    relative index from 0 to j-i-1 (one before the last EDU).
-    """
-    first, last = span
-    if last <= first:
-        raise ValueError(f"span {span} has nothing to split")
-    return (0, last - first - 1)
-
-
 def parse_top_down(
     edus: Sequence[Edu],
     oracle: Oracle,

@@ -10,7 +10,7 @@ the pairs hold exactly the prompts a parse shows the model.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bottomup import parse_bottom_up
 from .core import (
@@ -144,17 +144,6 @@ def gold_walk(
             yield TrainingExample(
                 entry.kind, entry.prompt, entry.raw, doc.doc_id, entry.step
             )
-
-
-def export_training_pairs(
-    documents: Iterable[Document],
-    inventory: LabelInventory,
-    strategy: str,
-    policy: ParsePolicy = ParsePolicy(),
-) -> Iterator[TrainingExample]:
-    """All supervised pairs for a corpus, document by document."""
-    for doc in documents:
-        yield from gold_walk(doc, inventory, strategy, policy)
 
 
 def example_to_json(example: TrainingExample) -> str:

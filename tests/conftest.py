@@ -1,4 +1,5 @@
-"""Shared fixtures: corpus paths, random tree builders, hypothesis profile."""
+"""Shared fixtures: corpus paths, random tree builders, a tree validity
+check, hypothesis profile."""
 
 from __future__ import annotations
 
@@ -13,9 +14,11 @@ from rstkit import (
     Document,
     Edu,
     Leaf,
+    MalformedTree,
     Node,
     builtin_inventory,
     builtin_relation_map,
+    leaves,
     load_documents,
     minicorpus_dir,
 )
@@ -63,6 +66,17 @@ def random_tree(
         rng.choice(NUCLEARITY_PATTERNS),
         rng.choice(relations),
     )
+
+
+def check_tree(tree, n_edus: int) -> None:
+    """Validate that a tree covers EDUs 1..n_edus exactly once, in order.
+
+    Node construction already enforces adjacency and label sanity; this
+    checks the global leaf sequence so engine outputs can be asserted valid.
+    """
+    got = [leaf.edu.index for leaf in leaves(tree)]
+    if got != list(range(1, n_edus + 1)):
+        raise MalformedTree(f"leaves cover {got}, expected 1..{n_edus}")
 
 
 def random_document(rng: random.Random, n: int, doc_id: str = "rand") -> Document:

@@ -6,7 +6,7 @@ Run from the repository root:
 
 The output under src/rstkit/data/minicorpus/ is committed; rerunning must
 reproduce it byte for byte (fixed seed). The documents are synthetic but
-exercise the structural range the reader and binarizer must handle: 2-40
+exercise the structural range the reader must handle: 2-40
 EDU documents, constituents with 2-4 children, mono- and multi-nuclear
 patterns, embedded-unit "-e" relation variants, mixed-case relation names,
 paragraph markers, a text field broken across lines, stray )//TT_ERR tool
@@ -162,9 +162,10 @@ def main() -> None:
             lines.append(f"{split}\t{name}")
     (OUT_DIR / "splits.tsv").write_text("\n".join(lines) + "\n")
 
-    # sanity: every document must read, binarize, and replay-close
+    # sanity: every document must read and replay-close
+    from conftest import check_tree
     from rstkit import (
-        builtin_inventory, builtin_relation_map, check_tree, parse_bottom_up,
+        builtin_inventory, builtin_relation_map, parse_bottom_up,
         parse_top_down, read_dis, replay_oracle,
     )
 

@@ -26,23 +26,23 @@ from rstkit import (
     OracleFailure,
     OracleQuery,
     ParsePolicy,
+    ParsevalCounts,
     ScriptedOracle,
-    check_tree,
+    SplitPrompts,
     micro_f1,
     micro_scores,
     minicorpus_dir,
     parse_bottom_up,
     parse_top_down,
     replay_oracle,
-    score_corpus,
     score_document,
 )
 from rstkit.cli import main as cli_main
-from rstkit.training import example_to_json, export_training_pairs
+from rstkit.training import example_to_json, gold_walk
 
-from conftest import GOLDEN_DIR, make_edus, random_tree
+from conftest import GOLDEN_DIR, check_tree, make_edus, random_tree
+from make_goldens import golden_prompts
 from test_oracle import _endpoint, _ok, _query
-from test_prompts import _rendered
 
 CORPUS = str(minicorpus_dir())
 MANIFEST = str(minicorpus_dir() / "splits.tsv")
@@ -169,14 +169,16 @@ def test_criterion_3_metric_fixtures(capsys, minicorpus):
                       NS, "Joint"),
                  NS, "Elaboration")
     pairs = [(perfect, perfect), (pred4, gold4)]
-    micro = micro_f1(score_corpus(pairs))
+    micro = micro_f1(
+        sum((score_document(p, g) for p, g in pairs), ParsevalCounts())
+    )
     assert abs(micro["full"] - 50.0) <= 0.05
     macro = sum(micro_f1(score_document(p, g))["full"] for p, g in pairs) / 2
     assert abs(macro - 66.65) <= 0.05
 
-    self_scores = micro_scores(
-        score_corpus((doc.tree, doc.tree) for doc in minicorpus)
-    )
+    self_scores = micro_scores(sum(
+        (score_document(doc.tree, doc.tree) for doc in minicorpus), ParsevalCounts()
+    ))
     for level in LEVELS:
         assert self_scores[level].precision == 100.0
         assert self_scores[level].recall == 100.0
@@ -204,7 +206,7 @@ def test_criterion_3_metric_fixtures(capsys, minicorpus):
 
 
 def test_criterion_5_prompt_stability(capsys, minicorpus, inventory):
-    rendered = _rendered()
+    rendered = golden_prompts()
     assert len(rendered) == 9
     for name, text in rendered.items():
         assert text.encode("utf-8") == (GOLDEN_DIR / name).read_bytes(), name
@@ -214,17 +216,17 @@ def test_criterion_5_prompt_stability(capsys, minicorpus, inventory):
     assert len(rst_line[len("Relation label ("):-2].split(", ")) == 18
     assert len(instr_line[len("Relation label ("):-2].split(", ")) == 39
 
-    from rstkit import render_split_prompt
     texts = [edu.text for edu in make_edus(5)]
-    assert render_split_prompt(texts) == render_split_prompt(list(texts))
-    assert render_split_prompt(texts[1:4]).startswith("Input:\n0: ")
+    assert SplitPrompts(texts).render(1, 5) == SplitPrompts(list(texts)).render(1, 5)
+    assert SplitPrompts(texts).render(2, 4).startswith("Input:\n0: ")
 
     docs = minicorpus[:6]
     for strategy in ("bottom-up", "top-down"):
         blobs = [
             "\n".join(
                 example_to_json(x)
-                for x in export_training_pairs(docs, inventory, strategy)
+                for doc in docs
+                for x in gold_walk(doc, inventory, strategy)
             ).encode("utf-8")
             for _ in range(2)
         ]

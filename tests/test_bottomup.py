@@ -13,13 +13,12 @@ from rstkit import (
     ReplayExhausted,
     ReplayOracle,
     ScriptedOracle,
-    check_tree,
     parse_bottom_up,
     replay_oracle,
     trace_to_jsonl,
 )
 
-from conftest import make_edus, random_document
+from conftest import check_tree, make_edus, random_document
 
 
 # ---------------------------------------------------------------------------

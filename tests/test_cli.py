@@ -19,6 +19,7 @@ from rstkit import (
 from rstkit.cli import main
 from rstkit.training import gold_walk
 
+from test_core import MALFORMED_CONSTITUENTS
 from test_oracle import _endpoint, keep_alive_endpoint, wait_for
 
 CORPUS = str(minicorpus_dir())
@@ -674,3 +675,28 @@ def test_unknown_relation_exits_four(tmp_path, capsys):
     )
     assert code == 4
     assert "mystery-link" in stderr
+    assert "odd.dis" in stderr and MAP in stderr
+
+
+def test_unknown_relation_names_relation_map_and_file(tmp_path, capsys):
+    tiny = tmp_path / "tiny.map"
+    tiny.write_text("definition\tElaboration\n")
+    doc = minicorpus_dir() / "doc03.dis"
+    code, _, stderr = run(
+        capsys, "derive-actions", "--file", str(doc), "--relation-map", str(tiny),
+    )
+    assert code == 4
+    assert "'Circumstance'" in stderr
+    assert str(tiny) in stderr
+    assert str(doc) in stderr
+
+
+@pytest.mark.parametrize(
+    "fragment,text", MALFORMED_CONSTITUENTS, ids=[c[0] for c in MALFORMED_CONSTITUENTS]
+)
+def test_malformed_constituent_exits_four(tmp_path, capsys, fragment, text):
+    path = tmp_path / "bad.dis"
+    path.write_text(text)
+    code, _, stderr = run(capsys, "derive-actions", "--file", str(path))
+    assert code == 4
+    assert fragment in stderr

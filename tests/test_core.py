@@ -1,8 +1,9 @@
 """Tree model: construction rules, binarization, gold derivations.
 
-The binarization tests compare the package against a small recursive
-reference implementation kept here, written directly from the labeling
-rules. It is the fixed point the iterative production code must match.
+The binarization tests write small n-ary trees as .dis text and compare
+what ``parse_dis`` reads against a recursive reference implementation kept
+here, written directly from the labeling rules. It is the fixed point the
+reader's fold-as-it-reads must match.
 """
 
 from __future__ import annotations
@@ -14,31 +15,50 @@ import sys
 import pytest
 
 from rstkit import (
+    DocumentText,
     Edu,
     Leaf,
     MalformedTree,
-    NaryNode,
     Node,
     Reduce,
     Shift,
-    binarize,
-    check_tree,
     derive_shift_reduce_sequence,
     derive_split_sequence,
-    edu_count,
     internal_nodes,
     leaves,
-    span_text,
-    tree_text,
-    validate_nary,
+    parse_dis,
 )
 from rstkit.core import NN, NS, SN
 
-from conftest import make_edus, random_tree
+from conftest import check_tree, make_edus, random_tree
 
 
 # ---------------------------------------------------------------------------
-# Reference binarizer: recursive, rule-by-rule, small trees only
+# Test-local n-ary trees, their .dis text, and the reference binarizer
+#
+# A constituent is (role, rel2par, body): body is the EDU index of a leaf,
+# or the list of child constituents. The Root's rel2par is None.
+
+
+def _edu(index: int) -> Edu:
+    return Edu(index, f"edu {index}.")
+
+
+def _span(node) -> tuple[int, int]:
+    body = node[2]
+    if isinstance(body, int):
+        return (body, body)
+    return (_span(body[0])[0], _span(body[-1])[1])
+
+
+def to_dis(node) -> str:
+    role, rel, body = node
+    if isinstance(body, int):
+        head, inside = f"(leaf {body})", [f"(text _!{_edu(body).text}_!)"]
+    else:
+        head, inside = "(span %d %d)" % _span(node), [to_dis(c) for c in body]
+    rel2par = [] if rel is None else [f"(rel2par {rel})"]
+    return " ".join([f"( {role}", head, *rel2par, *inside, ")"])
 
 
 def ref_pair(left, right):
@@ -65,15 +85,23 @@ def ref_fold(sides):
     return (role, first[1], node)
 
 
-def ref_binarize(node: NaryNode):
-    if node.is_leaf:
-        return (node.role, node.rel2par or "span", Leaf(node.edu))
-    sides = [ref_binarize(child) for child in node.children]
-    return (node.role, node.rel2par or "span", ref_fold(sides)[2])
+def ref_binarize(node):
+    role, rel, body = node
+    if isinstance(body, int):
+        return (role, rel or "span", Leaf(_edu(body)))
+    sides = [ref_binarize(child) for child in body]
+    return (role, rel or "span", ref_fold(sides)[2])
 
 
-def ref_binarize_root(root: NaryNode):
+def ref_binarize_root(root):
     return ref_binarize(root)[2]
+
+
+def read(root):
+    """The binary tree ``parse_dis`` reads from the .dis text of ``root``."""
+    tree, edus = parse_dis(to_dis(root))
+    assert edus == tuple(leaf.edu for leaf in leaves(tree))
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +138,6 @@ def test_node_span_is_union_of_children():
     assert inner.span == (1, 2)
     root = Node(inner, Leaf(e[2]), SN, "Background")
     assert root.span == (1, 3)
-    assert edu_count(root) == 3
 
 
 def _chain(n, right_heavy, deepest_relation="Elaboration", deepest_text=None):
@@ -163,7 +190,8 @@ def test_leaves_and_tree_text_order():
     e = make_edus(3)
     root = Node(Node(Leaf(e[0]), Leaf(e[1]), NS, "Cause"), Leaf(e[2]), NN, "Joint")
     assert [leaf.edu.index for leaf in leaves(root)] == [1, 2, 3]
-    assert tree_text(root) == " ".join(edu.text for edu in e)
+    doc = DocumentText([leaf.edu for leaf in leaves(root)])
+    assert doc.text == " ".join(edu.text for edu in e)
 
 
 def test_internal_nodes_preorder_left_before_right():
@@ -181,15 +209,6 @@ def test_internal_nodes_preorder_left_before_right():
             ) or later.span == node.span
 
 
-def test_span_text_bounds():
-    edus = make_edus(4)
-    assert span_text(edus, (2, 3)) == f"{edus[1].text} {edus[2].text}"
-    with pytest.raises(IndexError):
-        span_text(edus, (0, 2))
-    with pytest.raises(IndexError):
-        span_text(edus, (3, 5))
-
-
 def test_check_tree_catches_gaps():
     e = make_edus(3)
     assert check_tree(Node(Node(Leaf(e[0]), Leaf(e[1]), NS, "Cause"),
@@ -199,60 +218,56 @@ def test_check_tree_catches_gaps():
 
 
 # ---------------------------------------------------------------------------
-# N-ary validation
+# Binarization as .dis text is read, against the reference
 
 
-def _leaf(i: int, role: str, rel: str) -> NaryNode:
-    return NaryNode(role, rel, (i, i), edu=Edu(i, f"edu {i}."))
+def _leaf(i: int, role: str, rel: str):
+    return (role, rel, i)
 
 
-def _nary(role, rel, children):
-    return NaryNode(role, rel, (children[0].span[0], children[-1].span[1]),
-                    children=list(children))
+def _root(children):
+    return ("Root", None, list(children))
 
 
-def test_validate_nary_accepts_canonical_shapes():
-    root = _nary("Root", None, [
-        _leaf(1, "Nucleus", "span"),
-        _leaf(2, "Satellite", "elaboration"),
-    ])
-    validate_nary(root)
+def _text(*lines: str) -> str:
+    return "( Root " + " ".join(lines) + " )"
 
 
-def test_validate_nary_rejects_bad_roles_and_gaps():
-    with pytest.raises(MalformedTree, match="role"):
-        validate_nary(_nary("Nucleus", "span",
-                            [_leaf(1, "Nucleus", "span"),
-                             _leaf(2, "Satellite", "cause")]))
-    with pytest.raises(MalformedTree, match="nucleus"):
-        validate_nary(_nary("Root", None, [
-            _leaf(1, "Satellite", "cause"), _leaf(2, "Satellite", "result"),
-        ]))
-    with pytest.raises(MalformedTree, match="rel2par"):
-        validate_nary(_nary("Root", None, [
-            NaryNode("Nucleus", None, (1, 1), edu=Edu(1, "x")),
-            _leaf(2, "Satellite", "cause"),
-        ]))
-    gap = NaryNode("Root", None, (1, 3), children=[
-        _leaf(1, "Nucleus", "span"), _leaf(3, "Satellite", "cause"),
-    ])
-    with pytest.raises(MalformedTree, match="contiguous"):
-        validate_nary(gap)
-    short = NaryNode("Root", None, (1, 3), children=[
-        _leaf(1, "Nucleus", "span"), _leaf(2, "Satellite", "cause"),
-    ])
-    with pytest.raises(MalformedTree, match="cover"):
-        validate_nary(short)
+# (MalformedTree message fragment, .dis text); each breaks one rule the
+# reader checks as a constituent closes
+MALFORMED_CONSTITUENTS = [
+    # a nested constituent is checked when it closes, inside a sound Root
+    ("rel2par", _text(
+        "(span 1 3)",
+        "( Nucleus (span 1 2)",
+        "  ( Nucleus (leaf 1) (rel2par span) (text _!a_!) )",
+        "  ( Satellite (leaf 2) (rel2par cause) (text _!b_!) ) )",
+        "( Satellite (leaf 3) (rel2par cause) (text _!c_!) )",
+    )),
+    ("nucleus", _text(
+        "(span 1 2)",
+        "( Satellite (leaf 1) (rel2par cause) (text _!a_!) )",
+        "( Satellite (leaf 2) (rel2par result) (text _!b_!) )",
+    )),
+    ("contiguous", _text(
+        "(span 1 3)",
+        "( Nucleus (leaf 1) (rel2par span) (text _!a_!) )",
+        "( Satellite (leaf 3) (rel2par cause) (text _!c_!) )",
+    )),
+    ("cover", _text(
+        "(span 1 3)",
+        "( Nucleus (leaf 1) (rel2par span) (text _!a_!) )",
+        "( Satellite (leaf 2) (rel2par cause) (text _!b_!) )",
+    )),
+]
 
 
-def test_validate_nary_leaf_span_must_match_edu():
-    bad = NaryNode("Root", None, (1, 1), edu=Edu(2, "x"))
-    with pytest.raises(MalformedTree):
-        validate_nary(bad)
-
-
-# ---------------------------------------------------------------------------
-# Binarization against the reference
+@pytest.mark.parametrize(
+    "fragment,text", MALFORMED_CONSTITUENTS, ids=[c[0] for c in MALFORMED_CONSTITUENTS]
+)
+def test_parse_dis_rejects_malformed_constituents(fragment, text):
+    with pytest.raises(MalformedTree, match=fragment):
+        parse_dis(text)
 
 
 def _role_assignments(n: int):
@@ -283,11 +298,11 @@ def test_binarize_matches_reference_on_all_flat_shapes():
         for roles in _role_assignments(n):
             for style in ("mono", "multi", "arbitrary"):
                 rels = _rel_for(roles, style)
-                root = _nary("Root", None, [
+                root = _root(
                     _leaf(i + 1, role, rel)
                     for i, (role, rel) in enumerate(zip(roles, rels))
-                ])
-                got = binarize(root)
+                )
+                got = read(root)
                 expected = ref_binarize_root(root)
                 assert got == expected, (roles, rels)
                 check_tree(got, n)
@@ -297,110 +312,93 @@ def test_binarize_matches_reference_on_all_flat_shapes():
 
 def test_binarize_specific_mixed_shapes():
     # (N span, S a, S b): satellites fold NS with the right side's label
-    root = _nary("Root", None, [
+    got = read(_root([
         _leaf(1, "Nucleus", "span"),
         _leaf(2, "Satellite", "evidence"),
         _leaf(3, "Satellite", "background"),
-    ])
-    got = binarize(root)
+    ]))
     assert got.nuclearity == NS and got.relation == "evidence"
     assert got.right.nuclearity == NS and got.right.relation == "background"
 
     # (S a, N span, S b)
-    root = _nary("Root", None, [
+    got = read(_root([
         _leaf(1, "Satellite", "attribution"),
         _leaf(2, "Nucleus", "span"),
         _leaf(3, "Satellite", "elaboration"),
-    ])
-    got = binarize(root)
+    ]))
     assert got.nuclearity == SN and got.relation == "attribution"
     assert got.right.nuclearity == NS and got.right.relation == "elaboration"
 
     # multi-nuclear triple repeats the shared relation on the chain node
-    root = _nary("Root", None, [
+    got = read(_root([
         _leaf(1, "Nucleus", "list"),
         _leaf(2, "Nucleus", "list"),
         _leaf(3, "Nucleus", "list"),
-    ])
-    got = binarize(root)
+    ]))
     assert (got.nuclearity, got.relation) == (NN, "list")
     assert (got.right.nuclearity, got.right.relation) == (NN, "list")
 
     # same-unit with an embedded satellite between the nuclei
-    root = _nary("Root", None, [
+    got = read(_root([
         _leaf(1, "Nucleus", "Same-Unit"),
         _leaf(2, "Satellite", "elaboration"),
         _leaf(3, "Nucleus", "Same-Unit"),
-    ])
-    got = binarize(root)
+    ]))
     assert (got.nuclearity, got.relation) == (NN, "Same-Unit")
     assert (got.right.nuclearity, got.right.relation) == (SN, "elaboration")
 
 
 def test_binarize_rejects_two_span_nuclei():
-    root = _nary("Root", None, [
-        _leaf(1, "Nucleus", "span"), _leaf(2, "Nucleus", "span"),
-    ])
+    root = _root([_leaf(1, "Nucleus", "span"), _leaf(2, "Nucleus", "span")])
     with pytest.raises(MalformedTree, match="span"):
-        binarize(root)
+        parse_dis(to_dis(root))
     with pytest.raises(MalformedTree):
         ref_binarize_root(root)
 
 
 def test_binarize_single_child_root_unwraps():
-    root = _nary("Root", None, [
-        _nary("Nucleus", "span", [
+    root = _root([
+        ("Nucleus", "span", [
             _leaf(1, "Nucleus", "span"), _leaf(2, "Satellite", "cause"),
         ]),
     ])
-    got = binarize(root)
+    got = read(root)
     assert got == ref_binarize_root(root)
     assert (got.nuclearity, got.relation) == (NS, "cause")
 
 
 def test_binarize_leaf_root():
-    root = NaryNode("Root", None, (1, 1), edu=Edu(1, "only."))
-    assert binarize(root) == Leaf(Edu(1, "only."))
+    assert read(("Root", None, 1)) == Leaf(_edu(1))
 
 
-def _random_nary(rng: random.Random, lo: int, hi: int, depth: int) -> NaryNode:
-    if lo == hi or depth == 0:
-        # collapse the remaining span into leaves under one constituent
-        if lo == hi:
-            return _leaf(lo, "Nucleus", "placeholder")
-    size = hi - lo + 1
-    n_children = rng.randint(2, min(4, size))
+def _random_nary(rng: random.Random, lo: int, hi: int, role: str, rel):
+    """A random constituent over EDUs lo..hi with the given role and rel2par."""
+    if lo == hi:
+        return _leaf(lo, role, rel)
+    n_children = rng.randint(2, min(4, hi - lo + 1))
     cuts = sorted(rng.sample(range(lo, hi), n_children - 1))
-    bounds = list(zip([lo] + [c + 1 for c in cuts], cuts + [hi]))
-    children = []
-    for a, b in bounds:
-        if a == b:
-            children.append(_leaf(a, "x", "x"))
-        else:
-            children.append(_random_nary(rng, a, b, depth - 1))
+    bounds = zip([lo] + [c + 1 for c in cuts], cuts + [hi])
     if rng.random() < 0.4:
-        rel = rng.choice(["list", "sequence", "contrast"])
-        for child in children:
-            child.role, child.rel2par = "Nucleus", rel
+        shared = rng.choice(["list", "sequence", "contrast"])
+        labels = [("Nucleus", shared)] * n_children
     else:
         nucleus_at = rng.randrange(n_children)
-        for i, child in enumerate(children):
-            if i == nucleus_at:
-                child.role, child.rel2par = "Nucleus", "span"
-            else:
-                child.role = "Satellite"
-                child.rel2par = rng.choice(["cause", "evidence", "condition"])
-    return NaryNode("Root" if lo == 1 and depth == 5 else "Nucleus", None,
-                    (lo, hi), children=children)
+        labels = [
+            ("Nucleus", "span") if i == nucleus_at
+            else ("Satellite", rng.choice(["cause", "evidence", "condition"]))
+            for i in range(n_children)
+        ]
+    return (role, rel, [
+        _random_nary(rng, a, b, *label) for (a, b), label in zip(bounds, labels)
+    ])
 
 
 def test_binarize_matches_reference_on_random_nested_trees():
     rng = random.Random(20118)
     for trial in range(200):
         n = rng.randint(2, 14)
-        root = _random_nary(rng, 1, n, 5)
-        root.role, root.rel2par = "Root", None
-        got = binarize(root)
+        root = _random_nary(rng, 1, n, "Root", None)
+        got = read(root)
         assert got == ref_binarize_root(root), trial
         check_tree(got, n)
         assert sum(1 for _ in internal_nodes(got)) == n - 1

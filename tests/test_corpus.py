@@ -24,7 +24,6 @@ from rstkit import (
     UnknownRelation,
     builtin_inventory,
     builtin_relation_map,
-    binarize,
     load_documents,
     load_inventory,
     load_relation_map,
@@ -85,9 +84,9 @@ def test_tt_err_noise_is_stripped():
       ( Nucleus (leaf 1) (rel2par span) (text _!first._!) )//TT_ERR
       ( Satellite (leaf 2) (rel2par cause) (text _!second._!) )
     )"""
-    root, edus = parse_dis(text)
+    tree, edus = parse_dis(text)
     assert [e.text for e in edus] == ["first.", "second."]
-    assert len(root.children) == 2
+    assert write_tree(tree) == "(NS cause (leaf 1) (leaf 2))"
 
 
 def test_minicorpus_files_with_noise_still_parse(relmap):
@@ -195,21 +194,20 @@ def test_noncontiguous_edu_indices_rejected():
     )"""
     with pytest.raises(MalformedTree, match="contiguous"):
         parse_dis(text)
+    # contiguous, but not from 1
+    late = text.replace("span 1 2", "span 2 3").replace("leaf 1", "leaf 2")
+    with pytest.raises(MalformedTree, match="contiguous from 1"):
+        parse_dis(late)
 
 
-def test_missing_rel2par_fails_at_binarize():
-    text = """( Root (span 1 2)
+def test_missing_rel2par_fails_at_binarize(tmp_path):
+    path = tmp_path / "norel.dis"
+    path.write_text("""( Root (span 1 2)
       ( Nucleus (leaf 1) (text _!a_!) )
       ( Satellite (leaf 2) (rel2par cause) (text _!b_!) )
-    )"""
+    )""")
     with pytest.raises(MalformedTree, match="rel2par"):
-        read_dis_from_text(text)
-
-
-def read_dis_from_text(text: str):
-    from rstkit import binarize
-    root, _ = parse_dis(text)
-    return binarize(root)
+        read_dis(path)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +266,10 @@ def test_load_relation_map_rejects_bad_rows(tmp_path):
 def test_parse_dis_maps_relations_as_read(press_release_path, relmap):
     text = press_release_path.read_text()
     mapped, edus = parse_dis(text, relmap)
-    assert binarize(mapped) == _press_expected((
+    # the span placeholders and the Root's missing rel2par are not looked up
+    assert mapped == _press_expected((
         "Attribution", "Elaboration", "Elaboration", "Same-Unit", "Elaboration",
     ))
-    # the span placeholder and the Root's missing rel2par pass through
-    assert mapped.rel2par is None
-    assert mapped.children[0].rel2par == "span"
-    assert mapped.children[1].rel2par == "Elaboration"
     assert edus == parse_dis(text)[1]
 
 

@@ -20,11 +20,15 @@ from rstkit import (
     micro_scores,
     per_relation_rows,
     round1,
-    score_corpus,
     score_document,
 )
 
 from conftest import make_edus, random_tree
+
+
+def _corpus_counts(pairs) -> ParsevalCounts:
+    """Document counts summed; micro averaging happens on the sums."""
+    return sum((score_document(p, g) for p, g in pairs), ParsevalCounts())
 
 NS = "nucleus-satellite"
 NN = "nucleus-nucleus"
@@ -118,7 +122,7 @@ def _micro_macro_corpus():
 
 def test_micro_pools_counts_rather_than_averaging_documents():
     pairs = _micro_macro_corpus()
-    micro = micro_f1(score_corpus(pairs))
+    micro = micro_f1(_corpus_counts(pairs))
     for level in LEVELS:
         assert abs(micro[level] - 50.0) <= 0.05
 
@@ -131,7 +135,7 @@ def test_micro_pools_counts_rather_than_averaging_documents():
 
 
 def test_self_evaluation_is_exactly_perfect(minicorpus):
-    counts = score_corpus((doc.tree, doc.tree) for doc in minicorpus)
+    counts = _corpus_counts((doc.tree, doc.tree) for doc in minicorpus)
     scores = micro_scores(counts)
     for level in LEVELS:
         assert scores[level].precision == 100.0
@@ -193,7 +197,7 @@ def test_single_edu_documents_contribute_nothing():
 
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyCorpus):
-        micro_f1(score_corpus([]))
+        micro_f1(_corpus_counts([]))
 
 
 def test_counts_add_componentwise():

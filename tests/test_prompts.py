@@ -10,62 +10,26 @@ from rstkit import (
     DocumentText,
     Edu,
     SplitPrompts,
+    action_prompt,
     builtin_inventory,
     nuclearity_prompt,
-    render_action_prompt,
-    render_nuclearity_prompt,
-    render_relation_prompt,
-    render_split_prompt,
+    relation_prompt,
     span_slot,
-    span_text,
-    split_labels,
     truncate_span,
     truncate_text,
 )
 
 from conftest import GOLDEN_DIR
-
-EDUS = [
-    "Westinghouse Electric Corp. said",
-    "it will buy Shaw-Walker Co.",
-    "Terms weren't disclosed.",
-    "Shaw-Walker,",
-    "based in Muskegon, Mich.,",
-    "makes metal files and desks, and seating and office systems furniture.",
-]
-SPAN12 = " ".join(EDUS[:2])
+from make_goldens import golden_prompts
 
 
 def _golden(name: str) -> bytes:
     return (GOLDEN_DIR / name).read_bytes()
 
 
-def _rendered() -> dict[str, str]:
-    rst = builtin_inventory("rst-dt")
-    instr = builtin_inventory("instr-dt")
-    return {
-        "action_initial.txt": render_action_prompt(None, None, EDUS[0]),
-        "action_midparse.txt": render_action_prompt(SPAN12, EDUS[2], EDUS[3]),
-        "action_empty_queue.txt": render_action_prompt(SPAN12, EDUS[2], None),
-        "nuclearity.txt": render_nuclearity_prompt(SPAN12, EDUS[2]),
-        "relation_rst.txt": render_relation_prompt(
-            SPAN12, EDUS[2], "nucleus-satellite", rst
-        ),
-        "relation_instr.txt": render_relation_prompt(
-            "tighten the drain plug", "then refill the reservoir",
-            "nucleus-nucleus", instr,
-        ),
-        "split_press.txt": render_split_prompt(EDUS),
-        "split_pair.txt": render_split_prompt(EDUS[4:6]),
-        "action_truncated.txt": render_action_prompt(
-            SPAN12, EDUS[5], EDUS[2], truncate=40
-        ),
-    }
-
-
-@pytest.mark.parametrize("name", sorted(_rendered()))
+@pytest.mark.parametrize("name", sorted(golden_prompts()))
 def test_golden_bytes(name):
-    assert _rendered()[name].encode("utf-8") == _golden(name)
+    assert golden_prompts()[name].encode("utf-8") == _golden(name)
 
 
 def test_goldens_cover_option_list_sizes():
@@ -78,7 +42,9 @@ def test_goldens_cover_option_list_sizes():
 
 
 def test_empty_slots_render_placeholder():
-    prompt = render_action_prompt(None, "", "text")
+    doc = DocumentText([Edu(1, ""), Edu(2, "text")])
+    prompt = action_prompt(EMPTY_SLOT, span_slot(doc, 1, 1, None),
+                           span_slot(doc, 2, 2, None))
     lines = prompt.split("\n")
     assert lines[0] == f"Stack2: {EMPTY_SLOT}"
     assert lines[1] == f"Stack1: {EMPTY_SLOT}"
@@ -88,8 +54,8 @@ def test_empty_slots_render_placeholder():
 
 
 def test_rendering_is_deterministic():
-    a = render_nuclearity_prompt("left span", "right span")
-    b = render_nuclearity_prompt("left span", "right span")
+    a = nuclearity_prompt("left span", "right span")
+    b = nuclearity_prompt("left span", "right span")
     assert a == b
     assert a.split("\n")[-1] == (
         "Nucleus label (nucleus-nucleus, nucleus-satellite, satellite-nucleus):"
@@ -98,15 +64,15 @@ def test_rendering_is_deterministic():
 
 def test_relation_prompt_embeds_predicted_nuclearity():
     inv = builtin_inventory("rst-dt")
-    prompt = render_relation_prompt("l", "r", "satellite-nucleus", inv)
+    prompt = relation_prompt("l", "r", "satellite-nucleus", inv)
     assert prompt.split("\n")[2] == "Nucleus label: satellite-nucleus"
     with pytest.raises(ValueError, match="nuclearity"):
-        render_relation_prompt("l", "r", "NS", inv)
+        relation_prompt("l", "r", "NS", inv)
 
 
 def test_relation_options_follow_inventory_order():
     inv = builtin_inventory("rst-dt")
-    prompt = render_relation_prompt("l", "r", "nucleus-satellite", inv)
+    prompt = relation_prompt("l", "r", "nucleus-satellite", inv)
     expected = "Relation label (" + ", ".join(inv.relations) + "):"
     assert prompt.split("\n")[-1] == expected
 
@@ -114,15 +80,17 @@ def test_relation_options_follow_inventory_order():
 def test_split_prompt_renumbers_from_zero():
     # the same texts render identically wherever the span sits
     texts = ["alpha one.", "beta two.", "gamma three."]
-    assert render_split_prompt(texts) == (
+    expected = (
         "Input:\n0: alpha one.\n1: beta two.\n2: gamma three.\nSplit point (0 - 1):"
     )
+    assert SplitPrompts(texts).render(1, 3) == expected
+    assert SplitPrompts(["before."] + texts).render(2, 4) == expected
 
 
 @given(st.lists(st.text(alphabet="abc xyz.", min_size=1, max_size=12),
                 min_size=2, max_size=10))
 def test_split_prompt_always_starts_at_zero(texts):
-    prompt = render_split_prompt(texts)
+    prompt = SplitPrompts(texts).render(1, len(texts))
     lines = prompt.split("\n")
     assert lines[0] == "Input:"
     assert lines[1].startswith("0: ")
@@ -131,14 +99,14 @@ def test_split_prompt_always_starts_at_zero(texts):
 
 def test_split_prompt_needs_two_edus():
     with pytest.raises(ValueError):
-        render_split_prompt(["only one"])
+        SplitPrompts(["only one"]).render(1, 1)
 
 
 def test_split_labels():
-    assert split_labels(2) == ("0",)
-    assert split_labels(5) == ("0", "1", "2", "3")
-    with pytest.raises(ValueError):
-        split_labels(1)
+    prompts = SplitPrompts([f"edu {i}." for i in range(1, 7)])
+    assert prompts.labels(1, 2) == ("0",)
+    assert prompts.labels(1, 5) == ("0", "1", "2", "3")
+    assert prompts.labels(4, 6) == ("0", "1")
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +157,14 @@ _BUDGETS = st.one_of(
 @given(st.lists(st.text(alphabet="ab .", max_size=9), min_size=1, max_size=8),
        st.data(), _BUDGETS)
 def test_sliced_span_equals_truncated_join(texts, data, budget):
-    edus = [Edu(i, text) for i, text in enumerate(texts, 1)]
-    doc = DocumentText(edus)
+    doc = DocumentText([Edu(i, text) for i, text in enumerate(texts, 1)])
     first = data.draw(st.integers(min_value=1, max_value=len(texts)))
     last = data.draw(st.integers(min_value=first, max_value=len(texts)))
-    joined = span_text(edus, (first, last))
+    joined = " ".join(texts[first - 1 : last])
+    assert doc.text[doc.starts[first] : doc.ends[last]] == joined
     assert truncate_span(doc, first, last, budget) == truncate_text(joined, budget)
-    shown = span_slot(doc, first, last, budget)
-    assert nuclearity_prompt(shown, shown) == render_nuclearity_prompt(
-        joined, joined, budget
-    )
+    shown = truncate_text(joined, budget) if joined else EMPTY_SLOT
+    assert span_slot(doc, first, last, budget) == shown
 
 
 @given(st.lists(st.text(alphabet="ab .", max_size=9), min_size=2, max_size=8),
@@ -213,4 +179,4 @@ def test_split_prompts_equal_line_by_line_rendering(texts, data, budget):
     lines.append(f"Split point (0 - {last - first - 1}):")
     prompts = SplitPrompts(texts, budget)
     assert prompts.render(first, last) == "\n".join(lines)
-    assert prompts.labels(first, last) == split_labels(last - first + 1)
+    assert prompts.labels(first, last) == tuple(map(str, range(last - first)))

@@ -13,18 +13,24 @@ from rstkit import (
     Node,
     ParsePolicy,
     ScriptedOracle,
-    check_tree,
+    SplitPrompts,
     derive_split_sequence,
     parse_top_down,
-    relative_index_bounds,
     replay_oracle,
 )
 
-from conftest import chain_tree, make_edus
+from conftest import chain_tree, check_tree, make_edus
 
 
 # ---------------------------------------------------------------------------
 # Split bounds
+
+
+def _bounds(span: tuple[int, int]) -> tuple[int, int]:
+    """Inclusive bounds of the split answers a span's prompt offers."""
+    texts = [edu.text for edu in make_edus(max(span))]
+    labels = SplitPrompts(texts).labels(*span)
+    return int(labels[0]), int(labels[-1])
 
 
 @pytest.mark.parametrize(
@@ -32,13 +38,15 @@ from conftest import chain_tree, make_edus
     [((1, 5), (0, 3)), ((3, 4), (0, 0)), ((7, 20), (0, 12)), ((1, 2), (0, 0))],
 )
 def test_relative_index_bounds(span, expected):
-    assert relative_index_bounds(span) == expected
+    assert _bounds(span) == expected
+    prompts = SplitPrompts([edu.text for edu in make_edus(span[1])])
+    assert prompts.render(*span).endswith(f"Split point (0 - {expected[1]}):")
 
 
 @pytest.mark.parametrize("span", [(2, 2), (5, 3)])
 def test_degenerate_span_has_no_split(span):
-    with pytest.raises(ValueError, match="nothing to split"):
-        relative_index_bounds(span)
+    with pytest.raises(ValueError, match="at least two EDUs"):
+        SplitPrompts([edu.text for edu in make_edus(5)]).render(*span)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +173,7 @@ def test_garbage_always_yields_valid_tree(inventory):
         steps = derive_split_sequence(result.tree)
         assert len(steps) == max(n - 1, 0)
         for step in steps:
-            lo, hi = relative_index_bounds(step.span)
+            lo, hi = _bounds(step.span)
             assert lo <= step.k <= hi
 
 

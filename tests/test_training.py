@@ -15,8 +15,9 @@ from rstkit import (
     ParsePolicy,
     example_to_json,
     export_metadata,
-    export_training_pairs,
     gold_walk,
+    load_split_manifest,
+    minicorpus_dir,
     parse_bottom_up,
     parse_top_down,
     read_dis,
@@ -270,7 +271,8 @@ def test_export_is_bitwise_deterministic(minicorpus, inventory, strategy):
     def render() -> bytes:
         lines = [
             example_to_json(x)
-            for x in export_training_pairs(docs, inventory, strategy)
+            for d in docs
+            for x in gold_walk(d, inventory, strategy)
         ]
         return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -282,13 +284,19 @@ def test_export_is_bitwise_deterministic(minicorpus, inventory, strategy):
     )
 
 
-def test_export_preserves_document_order(minicorpus, inventory):
-    docs = minicorpus[:3]
+def test_export_preserves_document_order(tmp_path):
+    manifest = minicorpus_dir() / "splits.tsv"
+    assert main([
+        "export-training", "--corpus-dir", str(minicorpus_dir()), "--manifest",
+        str(manifest), "--split", "test", "--relation-map", "rst-dt-coarse",
+        "--strategy", "top-down", "--out", str(tmp_path),
+    ]) == 0
     seen = []
-    for x in export_training_pairs(docs, inventory, "top-down"):
-        if not seen or seen[-1] != x.doc_id:
-            seen.append(x.doc_id)
-    assert seen == [d.doc_id for d in docs]
+    for line in (tmp_path / "top-down.nuclearity.jsonl").read_text().splitlines():
+        doc_id = json.loads(line)["document_id"]
+        if not seen or seen[-1] != doc_id:
+            seen.append(doc_id)
+    assert seen == load_split_manifest(manifest)["test"]
 
 
 # ---------------------------------------------------------------------------
