@@ -265,8 +265,11 @@ def parse_dis(
     while root is None:
         kind, value, pos = cursor.take()
         if kind == "close":
-            side = frames.pop().close(pos)
-            if isinstance(side[2], Leaf):
+            frame = frames.pop()
+            side = frame.close(pos)
+            # only a leaf frame records its EDU: a one-child constituent
+            # over a leaf also closes to that Leaf (``_chain`` unwraps it)
+            if frame.leaf is not None:
                 edus.append(side[2].edu)
             if frames:
                 frames[-1].children.append(side)

@@ -367,12 +367,34 @@ def test_binarize_single_child_root_unwraps():
     assert (got.nuclearity, got.relation) == (NS, "cause")
 
 
+@pytest.mark.parametrize("root", [
+    ("Root", None, [("Nucleus", "span", 1)]),
+    ("Root", None, [("Nucleus", "span", [("Nucleus", "span", 1)])]),
+    _root([
+        ("Nucleus", "span", [("Nucleus", "span", 1)]),
+        ("Satellite", "cause", [
+            ("Satellite", "cause", [("Satellite", "cause", 2)]),
+        ]),
+        _leaf(3, "Satellite", "evidence"),
+    ]),
+], ids=["root-over-leaf", "two-deep-over-leaf", "nested-over-leaves"])
+def test_single_child_over_leaf_records_its_edu_once(root):
+    # ``read`` asserts the EDUs are exactly the tree's leaves, in order
+    got = read(root)
+    assert got == ref_binarize_root(root)
+    check_tree(got, _span(root)[1])
+
+
 def test_binarize_leaf_root():
     assert read(("Root", None, 1)) == Leaf(_edu(1))
 
 
 def _random_nary(rng: random.Random, lo: int, hi: int, role: str, rel):
     """A random constituent over EDUs lo..hi with the given role and rel2par."""
+    if role != "Root" and rng.random() < 0.1:
+        # a one-child constituent wrapping the same span, as the treebank
+        # occasionally writes; it binarizes to its child's tree
+        return (role, rel, [_random_nary(rng, lo, hi, role, rel)])
     if lo == hi:
         return _leaf(lo, role, rel)
     n_children = rng.randint(2, min(4, hi - lo + 1))
