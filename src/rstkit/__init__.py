@@ -66,7 +66,6 @@ from .metrics import (
     RelationRow,
     SegmentationMismatch,
     extract_tuples,
-    gold_relation_frequencies,
     micro_f1,
     micro_scores,
     per_relation_rows,
@@ -99,7 +98,6 @@ from .prompts import (
     nuclearity_prompt,
     relation_prompt,
     span_slot,
-    truncate_span,
     truncate_text,
 )
 from .topdown import parse_top_down

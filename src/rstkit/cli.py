@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -51,7 +52,6 @@ from .metrics import (
     EmptyCorpus,
     ParsevalCounts,
     SegmentationMismatch,
-    gold_relation_frequencies,
     micro_scores,
     per_relation_rows,
     score_document,
@@ -94,7 +94,7 @@ _VALIDATION_ERRORS = (
 
 def write_text_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -132,24 +132,25 @@ def _add_policy_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_inventory(spec: str):
-    if Path(spec).is_file():
-        return load_inventory(spec)
-    try:
-        return builtin_inventory(spec)
-    except FileNotFoundError:
-        raise ConfigError(f"no bundled inventory or file named {spec!r}") from None
+# fixture kind -> (loader of a file, loader of a bundled name)
+_FIXTURES = {
+    "inventory": (load_inventory, builtin_inventory),
+    "relation map": (load_relation_map, builtin_relation_map),
+}
 
 
-def _load_relation_map(spec: str | None):
+def _fixture(kind: str, spec: str | None):
+    """The inventory or relation map that spec names: a file path first,
+    then a bundled name. No spec, no fixture."""
     if spec is None:
         return None
+    from_file, bundled = _FIXTURES[kind]
     if Path(spec).is_file():
-        return load_relation_map(spec)
+        return from_file(spec)
     try:
-        return builtin_relation_map(spec)
+        return bundled(spec)
     except FileNotFoundError:
-        raise ConfigError(f"no bundled relation map or file named {spec!r}") from None
+        raise ConfigError(f"no bundled {kind} or file named {spec!r}") from None
 
 
 # Numeric options. A config file's values skip argparse's type checks, and
@@ -175,6 +176,12 @@ def _check_numeric_options(args: argparse.Namespace) -> None:
             raise ConfigError(f"{flag} takes {takes}, not {value!r}")
 
 
+def _documents(args: argparse.Namespace, corpus_dir: str) -> list[Document]:
+    """The documents a command works on, relations mapped as they load."""
+    relation_map = _fixture("relation map", args.relation_map)
+    return load_documents(corpus_dir, args.manifest, args.split, relation_map)
+
+
 def _policy(args: argparse.Namespace) -> ParsePolicy:
     return ParsePolicy(skip_forced=not args.query_forced, truncate_chars=args.truncate)
 
@@ -185,7 +192,11 @@ def _predictions(pred_dir: str, documents: list[Document]):
         pred_path = Path(pred_dir) / f"{doc.doc_id}.tree"
         if not pred_path.is_file():
             raise MissingDocument(f"no prediction {pred_path}")
-        yield doc, read_tree(pred_path.read_text().strip(), doc.edus)
+        try:
+            line = pred_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DisSyntaxError(f"{pred_path} is not UTF-8 text: {exc}") from None
+        yield doc, read_tree(line.strip(), doc.edus)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +205,8 @@ def _predictions(pred_dir: str, documents: list[Document]):
 
 def _make_shared_oracle(args: argparse.Namespace):
     """Oracle shared across documents, or None when replay (per-document)."""
+    if args.cache_dir and args.oracle != "http":
+        raise ConfigError("--cache-dir needs --oracle http")
     if args.oracle == "replay":
         return None
     if args.oracle == "scripted":
@@ -202,7 +215,7 @@ def _make_shared_oracle(args: argparse.Namespace):
         if args.workers > 1:
             # its answers go to whichever document asks next
             raise ConfigError("--oracle scripted needs --workers 1")
-        answers = Path(args.script).read_text().splitlines()
+        answers = Path(args.script).read_text(encoding="utf-8").splitlines()
         return ScriptedOracle(answers, cycle=args.cycle_script)
     if args.oracle == "http":
         if not args.endpoint or not args.model:
@@ -222,11 +235,9 @@ def _make_shared_oracle(args: argparse.Namespace):
 
 def cmd_parse(args: argparse.Namespace) -> int:
     started = time.time()
-    inventory = _load_inventory(args.inventory)
+    inventory = _fixture("inventory", args.inventory)
     policy = _policy(args)
-    documents = load_documents(
-        args.corpus_dir, args.manifest, args.split, _load_relation_map(args.relation_map)
-    )
+    documents = _documents(args, args.corpus_dir)
     engine = parse_bottom_up if args.strategy == BOTTOM_UP else parse_top_down
     shared = _make_shared_oracle(args)
     out_dir = Path(args.out)
@@ -317,9 +328,7 @@ def _resolved_config(args: argparse.Namespace) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    documents = load_documents(
-        args.gold_dir, args.manifest, args.split, _load_relation_map(args.relation_map)
-    )
+    documents = _documents(args, args.gold_dir)
     include_root = not args.exclude_root
     total = ParsevalCounts()
     per_doc = {}
@@ -331,25 +340,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     scores = micro_scores(total)
     print("level\tprecision\trecall\tf1")
     for level, score in scores.items():
-        print(f"{level}\t{score.precision}\t{score.recall}\t{score.f1}")
+        print(level, *dataclasses.astuple(score), sep="\t")
     if args.out:
         payload = {
             "documents": len(per_doc),
-            "counts": {
-                "predicted": total.predicted,
-                "gold": total.gold,
-                "matched_span": total.matched_span,
-                "matched_nuclearity": total.matched_nuclearity,
-                "matched_relation": total.matched_relation,
-                "matched_full": total.matched_full,
-            },
+            "counts": dataclasses.asdict(total),
             "scores": {
-                level: {
-                    "precision": score.precision,
-                    "recall": score.recall,
-                    "f1": score.f1,
-                }
-                for level, score in scores.items()
+                level: dataclasses.asdict(score) for level, score in scores.items()
             },
         }
         write_text_atomic(Path(args.out), json.dumps(payload, indent=2) + "\n")
@@ -361,11 +358,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_export_training(args: argparse.Namespace) -> int:
-    inventory = _load_inventory(args.inventory)
+    inventory = _fixture("inventory", args.inventory)
     policy = _policy(args)
-    documents = load_documents(
-        args.corpus_dir, args.manifest, args.split, _load_relation_map(args.relation_map)
-    )
+    documents = _documents(args, args.corpus_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     kinds = (
@@ -381,7 +376,7 @@ def cmd_export_training(args: argparse.Namespace) -> int:
     counts = dict.fromkeys(kinds, 0)
     try:
         with contextlib.ExitStack() as stack:
-            files = {kind: stack.enter_context(open(tmp, "w"))
+            files = {kind: stack.enter_context(open(tmp, "w", encoding="utf-8"))
                      for kind, tmp in tmps.items()}
             for doc in documents:
                 for example in gold_walk(doc, inventory, args.strategy, policy):
@@ -407,7 +402,7 @@ def cmd_export_training(args: argparse.Namespace) -> int:
 
 
 def cmd_derive_actions(args: argparse.Namespace) -> int:
-    relation_map = _load_relation_map(args.relation_map)
+    relation_map = _fixture("relation map", args.relation_map)
     doc = read_dis(args.file, relation_map)
     assert doc.tree is not None
     if args.strategy == BOTTOM_UP:
@@ -429,11 +424,9 @@ def cmd_derive_actions(args: argparse.Namespace) -> int:
 
 
 def cmd_report_relations(args: argparse.Namespace) -> int:
-    documents = load_documents(
-        args.gold_dir, args.manifest, args.split, _load_relation_map(args.relation_map)
-    )
+    documents = _documents(args, args.gold_dir)
     include_root = not args.exclude_root
-    inventory = _load_inventory(args.inventory) if args.inventory else None
+    inventory = _fixture("inventory", args.inventory)
     seed = inventory.relations if inventory else ()
 
     if args.pred_dir:
@@ -441,20 +434,13 @@ def cmd_report_relations(args: argparse.Namespace) -> int:
             (predicted, doc.tree)
             for doc, predicted in _predictions(args.pred_dir, documents)
         ]
-        rows = per_relation_rows(pairs, seed, include_root)
         header = ("relation", "predicted", "gold", "matched", "f1")
-        table = [
-            (row.relation, row.predicted, row.gold, row.matched, row.f1)
-            for row in rows
-        ]
     else:
-        frequencies = gold_relation_frequencies(
-            (doc.tree for doc in documents if doc.tree is not None), include_root
-        )
-        for rel in seed:
-            frequencies.setdefault(rel, 0)
+        # the gold trees scored against themselves: the gold column alone
+        pairs = [(doc.tree, doc.tree) for doc in documents if doc.tree is not None]
         header = ("relation", "gold")
-        table = sorted(frequencies.items(), key=lambda kv: (-kv[1], kv[0]))
+    rows = per_relation_rows(pairs, seed, include_root)
+    table = [tuple(getattr(row, name) for name in header) for row in rows]
 
     widths = [
         max(len(str(header[col])), *(len(str(row[col])) for row in table))
@@ -467,7 +453,7 @@ def cmd_report_relations(args: argparse.Namespace) -> int:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
 
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
+        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(table)
@@ -567,7 +553,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         return  # argparse will complain properly
     path = Path(argv[index + 1])
     try:
-        config = json.loads(path.read_text())
+        config = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
     except ValueError as exc:

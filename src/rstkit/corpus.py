@@ -324,7 +324,11 @@ def read_dis(
     """Load one annotated document, mapping relations as it reads."""
     path = Path(path)
     try:
-        tree, edus = parse_dis(path.read_text(), relation_map)
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DisSyntaxError(f"{path} is not UTF-8 text: {exc}") from None
+    try:
+        tree, edus = parse_dis(text, relation_map)
     except UnknownRelation as exc:
         raise UnknownRelation(f"{path}: {exc}") from None
     return Document(_doc_id_from_path(path), edus, tree)
@@ -370,7 +374,7 @@ def _config_rows(text: str) -> Iterable[tuple[int, list[str]]]:
 def load_relation_map(path: str | Path) -> RelationMap:
     path = Path(path)
     entries: dict[str, str] = {}
-    for lineno, cells in _config_rows(path.read_text()):
+    for lineno, cells in _config_rows(path.read_text(encoding="utf-8")):
         if len(cells) != 2 or not cells[0] or not cells[1]:
             raise ConfigError(f"{path}:{lineno}: expected 'source<TAB>target'")
         key = normalize_relation(cells[0])
@@ -392,7 +396,7 @@ def load_inventory(path: str | Path) -> LabelInventory:
     path = Path(path)
     directives: dict[str, str] = {}
     relations: list[str] = []
-    for lineno, cells in _config_rows(path.read_text()):
+    for lineno, cells in _config_rows(path.read_text(encoding="utf-8")):
         if cells[0].startswith("!"):
             if len(cells) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected '!key<TAB>value'")
@@ -533,7 +537,7 @@ def load_split_manifest(path: str | Path) -> dict[str, list[str]]:
     splits: dict[str, list[str]] = {}
     declared: dict[str, int] = {}
     owner: dict[str, str] = {}
-    for lineno, cells in _config_rows(path.read_text()):
+    for lineno, cells in _config_rows(path.read_text(encoding="utf-8")):
         if cells[0] == "!count":
             if len(cells) != 3 or not re.fullmatch(r"\d+", cells[2]):
                 raise ConfigError(

@@ -209,14 +209,3 @@ def per_relation_rows(
     ]
     rows.sort(key=lambda row: (-row.gold, row.relation))
     return rows
-
-
-def gold_relation_frequencies(
-    trees: Iterable[RstTree], include_root: bool = True
-) -> dict[str, int]:
-    """How often each relation labels a gold internal node."""
-    counts: dict[str, int] = {}
-    for tree in trees:
-        for _, (_, rel) in extract_tuples(tree, include_root).items():
-            counts[rel] = counts.get(rel, 0) + 1
-    return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))

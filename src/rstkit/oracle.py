@@ -36,6 +36,9 @@ _STALE_CONNECTION = (BrokenPipeError, ConnectionResetError, ConnectionAbortedErr
 
 _INT_RE = re.compile(r"\d+")
 
+# HttpOracle decodes greedily; payloads and fingerprints carry this value.
+_TEMPERATURE = 0.0
+
 
 class OracleFailure(RuntimeError):
     """Transport-level failure after retries are exhausted."""
@@ -201,7 +204,6 @@ class HttpOracle:
         endpoint: str,
         model: str,
         max_tokens: int = 16,
-        temperature: float = 0.0,
         timeout: float = 60.0,
         retries: int = 3,
         backoff: float = 1.0,
@@ -212,13 +214,12 @@ class HttpOracle:
         self.endpoint = endpoint
         self.model = model
         self.max_tokens = max_tokens
-        self.temperature = temperature
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.api_token = api_token or os.environ.get(TOKEN_ENV_VAR)
         self.fingerprint = (
-            f"{model}|temperature={temperature}|max_tokens={max_tokens}|stop=nl"
+            f"{model}|temperature={_TEMPERATURE}|max_tokens={max_tokens}|stop=nl"
         )
         url = urlsplit(endpoint)
         self._scheme = url.scheme
@@ -272,7 +273,7 @@ class HttpOracle:
             "model": self.model,
             "prompt": query.prompt,
             "max_tokens": self.max_tokens,
-            "temperature": self.temperature,
+            "temperature": _TEMPERATURE,
             "stop": ["\n"],
         }
         body = json.dumps(payload).encode("utf-8")
@@ -366,12 +367,11 @@ class CachedOracle:
             return None
         path = self._record_path(key)
         try:
-            text = path.read_text()
+            # text that is not UTF-8 raises UnicodeDecodeError, a ValueError
+            record = json.loads(path.read_text(encoding="utf-8"))
+            return str(record["raw"])
         except FileNotFoundError:
             return None
-        try:
-            record = json.loads(text)
-            return str(record["raw"])
         except (ValueError, KeyError, TypeError) as exc:
             raise StoreCorrupt(f"unreadable cache record {path}: {exc}") from None
 
@@ -394,7 +394,7 @@ class CachedOracle:
             tmp = path.with_name(
                 f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
             )
-            tmp.write_text(json.dumps(record, ensure_ascii=False))
+            tmp.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
             os.replace(tmp, path)
         return raw, True
 

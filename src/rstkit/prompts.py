@@ -52,23 +52,16 @@ def truncate_text(text: str, budget: int | None) -> str:
     return _elide(text, 0, len(text), budget)
 
 
-def truncate_span(
-    doc: DocumentText, first: int, last: int, budget: int | None
-) -> str:
-    """``truncate_text`` of the text of EDUs first..last (1-based, inclusive).
+def span_slot(doc: DocumentText, first: int, last: int, budget: int | None) -> str:
+    """What a prompt shows for EDUs first..last (1-based, inclusive): their
+    text, elided to the budget, or the empty-slot placeholder when they hold
+    no text.
 
     The kept head and tail are sliced from the joined document, so the cost
     follows the budget, not the span's length.
     """
-    return _elide(doc.text, doc.starts[first], doc.ends[last], budget)
-
-
-def span_slot(doc: DocumentText, first: int, last: int, budget: int | None) -> str:
-    """What a prompt shows for EDUs first..last: their text, elided to the
-    budget, or the empty-slot placeholder when they hold no text."""
-    if doc.starts[first] == doc.ends[last]:
-        return EMPTY_SLOT
-    return truncate_span(doc, first, last, budget)
+    start, end = doc.starts[first], doc.ends[last]
+    return EMPTY_SLOT if start == end else _elide(doc.text, start, end, budget)
 
 
 # The renderers below take slot texts, already elided (see ``span_slot``).

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import codecs
+import csv
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +95,14 @@ def test_eval_json_payload(tmp_path, capsys):
     assert payload["counts"]["matched_full"] == payload["counts"]["gold"]
     for level in ("span", "nuclearity", "relation", "full"):
         assert payload["scores"][level]["f1"] == 100.0
+    assert list(payload) == ["documents", "counts", "scores"]
+    assert list(payload["counts"]) == [
+        "predicted", "gold", "matched_span", "matched_nuclearity",
+        "matched_relation", "matched_full",
+    ]
+    assert list(payload["scores"]) == ["span", "nuclearity", "relation", "full"]
+    for score in payload["scores"].values():
+        assert list(score) == ["precision", "recall", "f1"]
 
 
 def test_eval_exclude_root_still_perfect_on_replay(tmp_path, capsys):
@@ -171,6 +185,28 @@ def test_scripted_oracle_rejects_several_workers(tmp_path, capsys):
     )
     assert code == 2
     assert "--workers 1" in stderr
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("oracle", ["replay", "scripted"])
+def test_cache_dir_needs_http_oracle(tmp_path, capsys, oracle, source):
+    script = tmp_path / "answers.txt"
+    script.write_text("shift\n")
+    cache = tmp_path / "cache"
+    out = tmp_path / "run"
+    argv = _parse_args(out, "--oracle", oracle, "--script", str(script),
+                       "--cycle-script")
+    if source == "flag":
+        argv = (*argv, "--cache-dir", str(cache))
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"cache_dir": str(cache)}))
+        argv = ("--config", str(config), *argv)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "config error: --cache-dir needs --oracle http\n"
+    assert not out.exists() and not cache.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +467,35 @@ def test_report_relations_with_predictions_and_csv(tmp_path, capsys):
         assert predicted == gold == matched
         if int(gold) > 0:
             assert f1 == "100.0"
+
+
+@pytest.mark.parametrize("exclude_root", [(), ("--exclude-root",)])
+def test_gold_relation_table_is_gold_column_of_prediction_table(
+    tmp_path, capsys, exclude_root
+):
+    out = tmp_path / "run"
+    assert run(capsys, *_parse_args(out))[0] == 0
+    argv = (
+        "report-relations", "--gold-dir", CORPUS, "--manifest", MANIFEST,
+        "--split", "dev", "--relation-map", MAP, "--inventory", "rst-dt",
+        *exclude_root,
+    )
+    tables = {}
+    for name, extra in (("pred", ("--pred-dir", str(out))), ("gold", ())):
+        csv_path = tmp_path / f"{name}.csv"
+        code, stdout, _ = run(capsys, *argv, *extra, "--csv", str(csv_path))
+        assert code == 0
+        with open(csv_path, newline="") as handle:
+            tables[name] = (
+                [line.split() for line in stdout.splitlines()],
+                list(csv.reader(handle)),
+            )
+    for pred_rows, gold_rows in zip(tables["pred"], tables["gold"]):
+        assert gold_rows[0] == ["relation", "gold"]
+        assert len(gold_rows) > 10  # the inventory's unused relations too
+        assert [(row[0], row[2]) for row in pred_rows] == [
+            tuple(row) for row in gold_rows
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -700,3 +765,101 @@ def test_malformed_constituent_exits_four(tmp_path, capsys, fragment, text):
     code, _, stderr = run(capsys, "derive-actions", "--file", str(path))
     assert code == 4
     assert fragment in stderr
+
+
+# ---------------------------------------------------------------------------
+# Text encoding
+
+
+def test_text_not_utf8_exits_four_naming_its_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    dis = corpus / "latin.dis"
+    dis.write_bytes(
+        b"( Root (span 1 2)\n"
+        b"  ( Nucleus (leaf 1) (rel2par span) (text _!caf\xe9._!) )\n"
+        b"  ( Satellite (leaf 2) (rel2par elaboration) (text _!Two._!) )\n)\n"
+    )
+    code, _, stderr = run(capsys, "derive-actions", "--file", str(dis))
+    assert code == 4
+    assert f"{dis} is not UTF-8 text" in stderr
+
+    out = tmp_path / "run"
+    assert run(capsys, *_parse_args(out))[0] == 0
+    tree = next(out.glob("*.tree"))
+    tree.write_bytes(tree.read_bytes().replace(b"(leaf 1)", b"(leaf\xa01)"))
+    code, _, stderr = run(capsys, *_eval_args(out))
+    assert code == 4
+    assert f"{tree} is not UTF-8 text" in stderr
+
+
+_CLI = "import sys; from rstkit.cli import main; sys.exit(main())"
+_STORE = """import sys
+from rstkit import CachedOracle, CallableOracle, OracleQuery
+query = OracleQuery("action", "Stack1: caf\\u00e9", ("shift",))
+CachedOracle(CallableOracle(lambda q: "shift \\u00e9"), sys.argv[1]).complete(query)
+assert CachedOracle(CallableOracle(None), sys.argv[1]).complete(query) == "shift \\u00e9"
+"""
+
+
+def _run_under_locale(where: Path, utf8: bool) -> dict:
+    """Every file a parse, eval, export and report of a non-ASCII corpus
+    write, and a cache record of a non-ASCII prompt, plus each command's
+    stdout, under a UTF-8 locale or the plain C locale."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG"))}
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env.update(
+        {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"} if utf8
+        else {"LC_ALL": "C", "PYTHONUTF8": "0"}
+    )
+    corpus = "../corpus"
+    commands = [
+        ("parse", "--corpus-dir", corpus, "--relation-map", MAP, "--out", "run"),
+        ("eval", "--gold-dir", corpus, "--pred-dir", "run",
+         "--relation-map", MAP, "--out", "scores.json"),
+        ("export-training", "--corpus-dir", corpus, "--relation-map", MAP,
+         "--out", "export"),
+        ("report-relations", "--gold-dir", corpus, "--pred-dir", "run",
+         "--relation-map", MAP, "--csv", "relations.csv"),
+    ]
+    where.mkdir()
+    encoding = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding())"],
+        env=env, cwd=where, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert (codecs.lookup(encoding).name == "utf-8") == utf8
+    outputs = {}
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-c", _CLI, *argv], env=env, cwd=where,
+            capture_output=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+        outputs[f"{argv[0]} stdout"] = done.stdout
+    subprocess.run(
+        [sys.executable, "-c", _STORE, "cache"], env=env, cwd=where, check=True
+    )
+    for path in sorted(where.rglob("*")):
+        if path.is_file() and path.name != "run_manifest.json":
+            outputs[str(path.relative_to(where))] = path.read_bytes()
+    manifest = json.loads((where / "run" / "run_manifest.json").read_text("utf-8"))
+    del manifest["elapsed_seconds"]
+    outputs["run_manifest.json"] = manifest
+    return outputs
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for doc_id in load_split_manifest(MANIFEST)["dev"]:
+        text = resolve_document_path(CORPUS, doc_id).read_text(encoding="utf-8")
+        (corpus / f"{doc_id}.dis").write_text(
+            text.replace("(text _!", "(text _!caf\u00e9 "), encoding="utf-8"
+        )
+    with_utf8 = _run_under_locale(tmp_path / "utf8", utf8=True)
+    with_c = _run_under_locale(tmp_path / "c", utf8=False)
+    assert "caf\u00e9".encode("utf-8") in with_utf8["export/bottom-up.action.jsonl"]
+    (record,) = [name for name in with_utf8 if name.startswith("cache")]
+    assert "caf\u00e9".encode("utf-8") in with_utf8[record]
+    assert with_c == with_utf8

@@ -15,7 +15,6 @@ from rstkit import (
     RelationRow,
     SegmentationMismatch,
     extract_tuples,
-    gold_relation_frequencies,
     micro_f1,
     micro_scores,
     per_relation_rows,
@@ -279,10 +278,12 @@ def test_relation_row_f1_rounds_half_up():
     assert row.f1 == 50.0
 
 
-def test_gold_relation_frequencies_orders_by_count_then_name():
-    pairs = _micro_macro_corpus()
-    freqs = gold_relation_frequencies(g for _, g in pairs)
-    assert list(freqs.items()) == [("Elaboration", 2), ("Joint", 2)]
-    no_root = gold_relation_frequencies((g for _, g in pairs),
-                                        include_root=False)
-    assert no_root == {"Joint": 2}
+def test_gold_relation_counts_order_by_count_then_name():
+    golds = [(g, g) for _, g in _micro_macro_corpus()]
+    rows = per_relation_rows(golds)
+    assert [(row.relation, row.gold) for row in rows] == [
+        ("Elaboration", 2), ("Joint", 2)
+    ]
+    assert all(row.predicted == row.matched == row.gold for row in rows)
+    no_root = per_relation_rows(golds, include_root=False)
+    assert [(row.relation, row.gold) for row in no_root] == [("Joint", 2)]

@@ -212,7 +212,6 @@ def test_http_success_returns_first_choice_text(monkeypatch):
 
 def test_http_greedy_decoding_is_pinned():
     oracle = HttpOracle("http://unused", model="m")
-    assert oracle.temperature == 0.0
     assert oracle.fingerprint == "m|temperature=0.0|max_tokens=16|stop=nl"
 
 
@@ -457,6 +456,9 @@ def test_cache_corrupt_record_raises(tmp_path):
         cache.complete(q)
     record_path.write_text(json.dumps({"kind": "action"}))  # no raw field
     with pytest.raises(StoreCorrupt):
+        cache.complete(q)
+    record_path.write_bytes(b'{"raw": "caf\xe9"}')  # Latin-1, not UTF-8
+    with pytest.raises(StoreCorrupt, match="unreadable"):
         cache.complete(q)
 
 

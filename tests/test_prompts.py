@@ -15,7 +15,6 @@ from rstkit import (
     nuclearity_prompt,
     relation_prompt,
     span_slot,
-    truncate_span,
     truncate_text,
 )
 
@@ -162,7 +161,6 @@ def test_sliced_span_equals_truncated_join(texts, data, budget):
     last = data.draw(st.integers(min_value=first, max_value=len(texts)))
     joined = " ".join(texts[first - 1 : last])
     assert doc.text[doc.starts[first] : doc.ends[last]] == joined
-    assert truncate_span(doc, first, last, budget) == truncate_text(joined, budget)
     shown = truncate_text(joined, budget) if joined else EMPTY_SLOT
     assert span_slot(doc, first, last, budget) == shown
 
