@@ -1,18 +1,18 @@
 """Drive the shift-reduce engine from two kinds of oracle: a replay of the
-gold derivation, then a deliberately useless one, to show that parsing
+gold tree, then a deliberately useless one, to show that parsing
 always terminates with a valid tree and a fully annotated trace.
 
 Run: python3 demos/bottom_up_parsing.py
 """
 
 from rstkit import (
+    ReplayOracle,
     ScriptedOracle,
     builtin_inventory,
     builtin_relation_map,
     minicorpus_dir,
     parse_bottom_up,
     read_dis,
-    replay_oracle,
     write_tree,
 )
 
@@ -33,8 +33,7 @@ def main():
     print(f"document {doc.doc_id}: {len(doc.edus)} EDUs")
     print()
 
-    oracle = replay_oracle(doc, inventory, "bottom-up")
-    result = parse_bottom_up(doc.edus, oracle, inventory)
+    result = parse_bottom_up(doc.edus, ReplayOracle(doc.tree), inventory)
     print("replay oracle reproduces the gold tree:")
     print(" ", write_tree(result.tree))
     print(f"  matches gold: {result.tree == doc.tree}, "

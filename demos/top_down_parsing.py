@@ -6,6 +6,7 @@ Run: python3 demos/top_down_parsing.py
 """
 
 from rstkit import (
+    ReplayOracle,
     ScriptedOracle,
     SplitPrompts,
     builtin_inventory,
@@ -13,7 +14,6 @@ from rstkit import (
     minicorpus_dir,
     parse_top_down,
     read_dis,
-    replay_oracle,
     write_tree,
 )
 
@@ -30,8 +30,7 @@ def main():
     print(prompts.render(1, len(doc.edus)))
     print()
 
-    oracle = replay_oracle(doc, inventory, "top-down")
-    result = parse_top_down(doc.edus, oracle, inventory)
+    result = parse_top_down(doc.edus, ReplayOracle(doc.tree), inventory)
     print("replay closure:", result.tree == doc.tree)
     splits = [e for e in result.trace if e.kind == "split"]
     print(f"{len(splits)} splits for {len(doc.edus)} EDUs "

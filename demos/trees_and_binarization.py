@@ -1,14 +1,17 @@
 """Read an n-ary constituent the way a treebank file stores one: the reader
-folds it into binary nodes as each constituent closes. Then derive both
-decision sequences from the binary tree.
+folds it into binary nodes as each constituent closes. Then replay the
+binary tree through both engines to see the decisions each takes.
 
 Run: python3 demos/trees_and_binarization.py
 """
 
 from rstkit import (
-    derive_shift_reduce_sequence,
-    derive_split_sequence,
+    LabelInventory,
+    ParsePolicy,
+    ReplayOracle,
+    parse_bottom_up,
     parse_dis,
+    parse_top_down,
     write_tree,
 )
 
@@ -30,15 +33,25 @@ def main():
     print(f"{len(edus)} EDUs, binarized:", write_tree(tree))
     print()
 
+    # the replay answers each decision from the tree by the span it is
+    # about; the policy asks even the decisions that have one legal answer
+    inventory = LabelInventory(
+        "demo", ("elaboration", "evaluation", "purpose"), "elaboration"
+    )
+    every = ParsePolicy(skip_forced=False)
+
     print("shift-reduce derivation (post-order, 2n-1 actions):")
-    for action in derive_shift_reduce_sequence(tree):
-        print(" ", action)
+    result = parse_bottom_up(edus, ReplayOracle(tree), inventory, every)
+    for entry in result.trace:
+        if entry.kind == "action":
+            print(f"  {entry.state:<16} {entry.resolved}")
     print()
 
     print("split derivation (pre-order, n-1 steps, k is 0-based):")
-    for step in derive_split_sequence(tree):
-        print(f"  span={step.span} k={step.k} "
-              f"{step.nuclearity} {step.relation}")
+    result = parse_top_down(edus, ReplayOracle(tree), inventory, every)
+    for entry in result.trace:
+        if entry.kind == "split":
+            print(f"  {entry.state:<16} k={entry.resolved}")
 
 
 if __name__ == "__main__":

@@ -12,19 +12,13 @@ from .core import (
     NS,
     NUCLEARITY_PATTERNS,
     SN,
-    Action,
     DocumentText,
     Edu,
     LabelInventory,
     Leaf,
     MalformedTree,
     Node,
-    Reduce,
     RstTree,
-    Shift,
-    SplitStep,
-    derive_shift_reduce_sequence,
-    derive_split_sequence,
     internal_nodes,
     leaves,
 )
@@ -110,7 +104,6 @@ from .training import (
     example_to_json,
     export_metadata,
     gold_walk,
-    replay_oracle,
 )
 
 __version__ = "0.1.0"

@@ -70,7 +70,9 @@ def parse_bottom_up(
                 stack[-1][2] if stack else EMPTY_SLOT,
                 EMPTY_SLOT if front is None else front,
             )
-            query = OracleQuery(ACTION, prompt, ACTION_LABELS)
+            # the span a reduce would build
+            span = (stack[-2][0], stack[-1][1]) if len(stack) >= 2 else None
+            query = OracleQuery(ACTION, prompt, ACTION_LABELS, span)
 
         def take(raw: str | None):
             nonlocal queue
@@ -94,7 +96,9 @@ def parse_bottom_up(
                 stack[-1] = (first, last, span_slot(doc, first, last, budget))
                 labels: list[str] = []
                 actions.append(labels)
-                unlocked.append(label_decision(state, left, right, inventory, labels))
+                unlocked.append(
+                    label_decision(state, (first, last), left, right, inventory, labels)
+                )
             if queue < n or len(stack) > 1:
                 unlocked.append(action())
             return resolved, corrected, note, unlocked

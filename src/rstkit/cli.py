@@ -25,13 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bottomup import parse_bottom_up
-from .core import (
-    MalformedTree,
-    Reduce,
-    Shift,
-    derive_shift_reduce_sequence,
-    derive_split_sequence,
-)
+from .core import MalformedTree, Node, internal_nodes
 from .corpus import (
     ConfigError,
     DisSyntaxError,
@@ -45,6 +39,7 @@ from .corpus import (
     load_relation_map,
     read_dis,
     read_tree,
+    read_utf8,
     write_tree,
 )
 from .engine import EmptyDocument, ParsePolicy, trace_to_jsonl
@@ -62,6 +57,7 @@ from .oracle import (
     KindMismatch,
     OracleFailure,
     ReplayExhausted,
+    ReplayOracle,
     ScriptedOracle,
     StoreCorrupt,
 )
@@ -72,7 +68,6 @@ from .training import (
     example_to_json,
     export_metadata,
     gold_walk,
-    replay_oracle,
 )
 
 EXIT_OK = 0
@@ -96,6 +91,13 @@ def write_text_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _echo(line: str) -> None:
+    """Print a line; what stdout's encoding cannot hold prints as
+    backslash escapes."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +194,7 @@ def _predictions(pred_dir: str, documents: list[Document]):
         pred_path = Path(pred_dir) / f"{doc.doc_id}.tree"
         if not pred_path.is_file():
             raise MissingDocument(f"no prediction {pred_path}")
-        try:
-            line = pred_path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise DisSyntaxError(f"{pred_path} is not UTF-8 text: {exc}") from None
+        line = read_utf8(pred_path, DisSyntaxError)
         yield doc, read_tree(line.strip(), doc.edus)
 
 
@@ -215,7 +214,7 @@ def _make_shared_oracle(args: argparse.Namespace):
         if args.workers > 1:
             # its answers go to whichever document asks next
             raise ConfigError("--oracle scripted needs --workers 1")
-        answers = Path(args.script).read_text(encoding="utf-8").splitlines()
+        answers = read_utf8(args.script).splitlines()
         return ScriptedOracle(answers, cycle=args.cycle_script)
     if args.oracle == "http":
         if not args.endpoint or not args.model:
@@ -249,9 +248,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     def run_one(index: int) -> None:
         """Parse and write one document; record its row of the run manifest."""
         doc = documents[index]
-        oracle = shared
-        if oracle is None:
-            oracle = replay_oracle(doc, inventory, args.strategy, policy)
+        oracle = ReplayOracle(doc.tree) if shared is None else shared
         result = engine(doc.edus, oracle, inventory, policy)
         write_text_atomic(out_dir / f"{doc.doc_id}.tree", write_tree(result.tree) + "\n")
         write_text_atomic(out_dir / f"{doc.doc_id}.trace.jsonl", trace_to_jsonl(result.trace))
@@ -333,7 +330,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     total = ParsevalCounts()
     per_doc = {}
     for doc, predicted in _predictions(args.pred_dir, documents):
-        assert doc.tree is not None
         counts = score_document(predicted, doc.tree, include_root)
         per_doc[doc.doc_id] = counts
         total = total + counts
@@ -402,20 +398,29 @@ def cmd_export_training(args: argparse.Namespace) -> int:
 
 
 def cmd_derive_actions(args: argparse.Namespace) -> int:
+    """Print the gold tree's decisions: bottom-up, its actions in post-order;
+    top-down, its splits in pre-order, k relative to the span."""
     relation_map = _fixture("relation map", args.relation_map)
-    doc = read_dis(args.file, relation_map)
-    assert doc.tree is not None
+    tree = read_dis(args.file, relation_map).tree
     if args.strategy == BOTTOM_UP:
-        for action in derive_shift_reduce_sequence(doc.tree):
-            if isinstance(action, Shift):
-                print("shift")
+        # post-order is the reverse of a pre-order that visits right first
+        lines, stack = [], [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Node):
+                lines.append(f"reduce\t{node.nuclearity}\t{node.relation}")
+                stack += (node.left, node.right)
             else:
-                assert isinstance(action, Reduce)
-                print(f"reduce\t{action.nuclearity}\t{action.relation}")
+                lines.append("shift")
+        lines.reverse()
     else:
-        for step in derive_split_sequence(doc.tree):
-            first, last = step.span
-            print(f"{first}\t{last}\t{step.k}\t{step.nuclearity}\t{step.relation}")
+        lines = []
+        for node in internal_nodes(tree):
+            first, last = node.span
+            k = node.left.span[1] - first
+            lines.append(f"{first}\t{last}\t{k}\t{node.nuclearity}\t{node.relation}")
+    for line in lines:
+        _echo(line)
     return EXIT_OK
 
 
@@ -437,7 +442,7 @@ def cmd_report_relations(args: argparse.Namespace) -> int:
         header = ("relation", "predicted", "gold", "matched", "f1")
     else:
         # the gold trees scored against themselves: the gold column alone
-        pairs = [(doc.tree, doc.tree) for doc in documents if doc.tree is not None]
+        pairs = [(doc.tree, doc.tree) for doc in documents]
         header = ("relation", "gold")
     rows = per_relation_rows(pairs, seed, include_root)
     table = [tuple(getattr(row, name) for name in header) for row in rows]
@@ -448,15 +453,13 @@ def cmd_report_relations(args: argparse.Namespace) -> int:
         else len(str(header[col]))
         for col in range(len(header))
     ]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in table:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
-
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(table)
+    for row in (header, *table):
+        _echo("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
     return EXIT_OK
 
 

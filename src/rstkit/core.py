@@ -177,79 +177,3 @@ class LabelInventory:
             raise ValueError(
                 f"default nuclearity {self.default_nuclearity!r} unknown"
             )
-
-
-# ---------------------------------------------------------------------------
-# Gold derivations
-
-
-@dataclass(frozen=True)
-class Shift:
-    def __str__(self) -> str:
-        return "shift"
-
-
-@dataclass(frozen=True)
-class Reduce:
-    nuclearity: str
-    relation: str
-
-    def __str__(self) -> str:
-        return "reduce"
-
-
-Action = Union[Shift, Reduce]
-
-
-def derive_shift_reduce_sequence(tree: RstTree) -> list[Action]:
-    """Post-order action sequence that rebuilds the tree, length 2n-1."""
-    ordered: list[RstTree] = []
-    stack: list[RstTree] = [tree]
-    while stack:
-        node = stack.pop()
-        ordered.append(node)
-        if isinstance(node, Node):
-            stack.append(node.left)
-            stack.append(node.right)
-    actions: list[Action] = []
-    for node in reversed(ordered):
-        if isinstance(node, Leaf):
-            actions.append(Shift())
-        else:
-            actions.append(Reduce(node.nuclearity, node.relation))
-    return actions
-
-
-@dataclass(frozen=True)
-class SplitStep:
-    """One top-down decision: where a span splits and how the halves relate.
-
-    ``k`` is the 0-based relative index of the last EDU in the left half, so
-    for a span of length m it lies in 0..m-2.
-    """
-
-    span: tuple[int, int]
-    k: int
-    nuclearity: str
-    relation: str
-
-
-def derive_split_sequence(tree: RstTree) -> list[SplitStep]:
-    """Pre-order split decisions, left subtree before right, length n-1."""
-    steps: list[SplitStep] = []
-    stack: list[RstTree] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            continue
-        steps.append(
-            SplitStep(
-                span=node.span,
-                k=node.left.span[1] - node.span[0],
-                nuclearity=node.nuclearity,
-                relation=node.relation,
-            )
-        )
-        stack.append(node.right)
-        stack.append(node.left)
-    return steps

@@ -52,7 +52,8 @@ class UnknownRelation(KeyError):
 
 
 class ConfigError(ValueError):
-    """Bad config fixture: inventory, relation map, or split manifest."""
+    """Bad configuration: an inventory, relation map, split manifest or
+    answers file, or a flag."""
 
 
 class OverlappingSplits(ConfigError):
@@ -65,15 +66,12 @@ class MissingDocument(FileNotFoundError):
 
 @dataclass(frozen=True)
 class Document:
-    """A document ready for parsing or scoring.
-
-    ``tree`` is the gold binary tree when the source was annotated, else
-    None. EDU indices run 1..len(edus) in order.
-    """
+    """A document ready for parsing or scoring: its EDUs, whose indices run
+    1..len(edus) in order, and its gold binary tree."""
 
     doc_id: str
     edus: tuple[Edu, ...]
-    tree: RstTree | None = None
+    tree: RstTree
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +316,21 @@ def _doc_id_from_path(path: Path) -> str:
     return name
 
 
+def read_utf8(path: str | Path, error: type[Exception] = ConfigError) -> str:
+    """The text of a file, which must be UTF-8: other bytes raise ``error``
+    naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_dis(
     path: str | Path, relation_map: "RelationMap | None" = None
 ) -> Document:
     """Load one annotated document, mapping relations as it reads."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DisSyntaxError(f"{path} is not UTF-8 text: {exc}") from None
+    text = read_utf8(path, DisSyntaxError)
     try:
         tree, edus = parse_dis(text, relation_map)
     except UnknownRelation as exc:
@@ -362,9 +366,9 @@ class RelationMap:
             ) from None
 
 
-def _config_rows(text: str) -> Iterable[tuple[int, list[str]]]:
+def _config_rows(path: Path) -> Iterable[tuple[int, list[str]]]:
     """Tab-split data rows of a config file, skipping blanks and # comments."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         line = line.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -374,7 +378,7 @@ def _config_rows(text: str) -> Iterable[tuple[int, list[str]]]:
 def load_relation_map(path: str | Path) -> RelationMap:
     path = Path(path)
     entries: dict[str, str] = {}
-    for lineno, cells in _config_rows(path.read_text(encoding="utf-8")):
+    for lineno, cells in _config_rows(path):
         if len(cells) != 2 or not cells[0] or not cells[1]:
             raise ConfigError(f"{path}:{lineno}: expected 'source<TAB>target'")
         key = normalize_relation(cells[0])
@@ -396,7 +400,7 @@ def load_inventory(path: str | Path) -> LabelInventory:
     path = Path(path)
     directives: dict[str, str] = {}
     relations: list[str] = []
-    for lineno, cells in _config_rows(path.read_text(encoding="utf-8")):
+    for lineno, cells in _config_rows(path):
         if cells[0].startswith("!"):
             if len(cells) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected '!key<TAB>value'")
@@ -537,7 +541,7 @@ def load_split_manifest(path: str | Path) -> dict[str, list[str]]:
     splits: dict[str, list[str]] = {}
     declared: dict[str, int] = {}
     owner: dict[str, str] = {}
-    for lineno, cells in _config_rows(path.read_text(encoding="utf-8")):
+    for lineno, cells in _config_rows(path):
         if cells[0] == "!count":
             if len(cells) != 3 or not re.fullmatch(r"\d+", cells[2]):
                 raise ConfigError(

@@ -177,15 +177,17 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
 
 def label_decision(
     state: str,
+    span: tuple[int, int],
     left: str,
     right: str,
     inventory: LabelInventory,
     labels: list[str],
 ) -> Decision:
-    """The nuclearity decision for a node joining two spans.
+    """The nuclearity decision for the node over ``span``, which joins two
+    spans.
 
-    ``left`` and ``right`` are the spans' slot texts, as prompts show them
-    (see ``prompts.span_slot``). The answer makes ready the relation
+    ``left`` and ``right`` are the two spans' slot texts, as prompts show
+    them (see ``prompts.span_slot``). The answer makes ready the relation
     decision, whose prompt carries the nuclearity. The two labels are
     appended to ``labels`` as they are taken. Unparseable answers fall back
     to the inventory's defaults.
@@ -210,7 +212,7 @@ def label_decision(
 
         relation = Decision(
             RELATION, state,
-            OracleQuery(RELATION, rel_prompt, inventory.relations),
+            OracleQuery(RELATION, rel_prompt, inventory.relations, span),
             take_relation,
         )
         note = "unparseable" if corrected else ""
@@ -218,6 +220,6 @@ def label_decision(
 
     return Decision(
         NUCLEARITY, state,
-        OracleQuery(NUCLEARITY, nuc_prompt, NUCLEARITY_PATTERNS),
+        OracleQuery(NUCLEARITY, nuc_prompt, NUCLEARITY_PATTERNS, span),
         take_nuclearity,
     )

@@ -1,8 +1,8 @@
 """Decision oracles: where completions come from.
 
 The engines only ever see the Oracle protocol, so a parse can be driven by
-a gold-derivation replay, a scripted list, or a live completion endpoint
-without the state machines knowing the difference.
+a gold tree, a scripted list, or a live completion endpoint without the
+state machines knowing the difference.
 """
 
 from __future__ import annotations
@@ -16,12 +16,20 @@ import re
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol, runtime_checkable
 from urllib.parse import urlsplit
 
-from .prompts import PROMPT_KINDS, PromptKind
+from .core import RstTree, internal_nodes
+from .prompts import (
+    ACTION,
+    ACTION_LABELS,
+    NUCLEARITY,
+    PROMPT_KINDS,
+    SPLIT,
+    PromptKind,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -36,6 +44,8 @@ _STALE_CONNECTION = (BrokenPipeError, ConnectionResetError, ConnectionAbortedErr
 
 _INT_RE = re.compile(r"\d+")
 
+_SHIFT, _REDUCE = ACTION_LABELS
+
 # HttpOracle decodes greedily; payloads and fingerprints carry this value.
 _TEMPERATURE = 0.0
 
@@ -45,13 +55,13 @@ class OracleFailure(RuntimeError):
 
 
 class ReplayExhausted(RuntimeError):
-    """A replay or scripted oracle ran out of answers."""
+    """A scripted oracle ran out of answers."""
 
 
 class KindMismatch(RuntimeError):
-    """A replay diverged from its script: the engine asked a different kind
-    of question than scripted, left scripted answers unused, or corrected
-    a scripted answer (see ``training.gold_walk``)."""
+    """A replay left its gold tree: the engine asked for the split or labels
+    of a span the tree has no node over, or corrected a gold answer (see
+    ``training.gold_walk``)."""
 
 
 class StoreCorrupt(RuntimeError):
@@ -63,13 +73,17 @@ class OracleQuery:
     """One decision put to an oracle.
 
     ``valid_labels`` is the closed answer set, in canonical form and prompt
-    order; oracles may use it (replay checks against it) but the engine does
-    the resolution and correction itself.
+    order; oracles may use it, but the engine does the resolution and
+    correction itself. ``span`` is the EDU span the decision is about: the
+    node a reduce would build (None with fewer than two items stacked), the
+    span a split divides, or the node being labeled. It takes no part in
+    equality or hashing.
     """
 
     kind: PromptKind
     prompt: str
     valid_labels: tuple[str, ...]
+    span: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in PROMPT_KINDS:
@@ -100,8 +114,10 @@ class Oracle(Protocol):
     """Answer source for decision queries.
 
     ``fingerprint`` identifies the model and decoding configuration well
-    enough to key a cache; it must change whenever answers could. An oracle
-    whose answers depend only on the query may also offer
+    enough to key a cache; it must change whenever answers could. Caches
+    key on the prompt, so a model-backed oracle must answer from the prompt
+    alone, never from ``query.span``, which only a gold replay reads. An
+    oracle whose answers depend only on the query may also offer
     ``prefetch(queries)``, a hint that those queries will be asked next;
     the engines then hand it every query that is ready at once (see
     ``engine.run_decisions``). One without it sees the serial order.
@@ -113,38 +129,36 @@ class Oracle(Protocol):
 
 
 class ReplayOracle:
-    """Replays a scripted (kind, answer) sequence, verifying kinds.
+    """Answers each query from a gold tree, by the span it is about.
 
-    Built from a gold derivation, this drives an engine along the exact
-    decision path that reconstructs the original tree. Any divergence in
-    what the engine asks shows up immediately as KindMismatch.
+    An action is a reduce when the gold tree has a node over the span the
+    reduce would build, else a shift; a split or label query gets the
+    answer of the gold node over its span. Gold constituents nest and never
+    cross, so these answers drive either engine along the derivation that
+    rebuilds the tree, whatever order the questions come in. A split or
+    label query over a span the tree lacks, as when the tree is not the
+    parsed document's, raises KindMismatch.
     """
 
     fingerprint = "replay"
 
-    def __init__(self, script: Iterable[tuple[PromptKind, str]]):
-        self._script = list(script)
-        self._next = 0
-
-    def __len__(self) -> int:
-        return len(self._script)
-
-    @property
-    def remaining(self) -> int:
-        return len(self._script) - self._next
+    def __init__(self, tree: RstTree):
+        self._nodes = {node.span: node for node in internal_nodes(tree)}
 
     def complete(self, query: OracleQuery) -> str:
-        if self._next >= len(self._script):
-            raise ReplayExhausted(
-                f"no answer left for {query.kind} query #{self._next}"
-            )
-        kind, answer = self._script[self._next]
-        if kind != query.kind:
+        if query.kind == ACTION:
+            return _REDUCE if query.span in self._nodes else _SHIFT
+        node = self._nodes.get(query.span)
+        if node is None:
             raise KindMismatch(
-                f"step {self._next}: scripted {kind}, engine asked {query.kind}"
+                f"the gold tree has no node over {query.span} "
+                f"to answer a {query.kind} query"
             )
-        self._next += 1
-        return answer
+        if query.kind == SPLIT:
+            return str(node.left.span[1] - node.span[0])
+        if query.kind == NUCLEARITY:
+            return node.nuclearity
+        return node.relation
 
 
 class ScriptedOracle:

@@ -62,7 +62,8 @@ def parse_top_down(
         query = None
         if not (last - first == 1 and policy.skip_forced):
             query = OracleQuery(
-                SPLIT, prompts.render(first, last), prompts.labels(first, last)
+                SPLIT, prompts.render(first, last), prompts.labels(first, last),
+                (first, last),
             )
 
         def take(raw: str | None):
@@ -81,6 +82,7 @@ def parse_top_down(
             node = nodes[(first, last)] = [mid]
             unlocked = [label_decision(
                 state,
+                (first, last),
                 span_slot(doc, first, mid, budget),
                 span_slot(doc, mid + 1, last, budget),
                 inventory, node,

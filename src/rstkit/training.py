@@ -1,10 +1,11 @@
-"""Gold walks: training pairs and replay scripts.
+"""Gold walks: training pairs from replay parses.
 
-A gold derivation lists, in engine order, the answers a parse needs to
-rebuild a gold tree under a policy: the script of a replay oracle. A gold
-walk is a replay parse: the strategy's own engine runs on the document's
-EDUs with that oracle, and each query it puts is one fine-tuning pair, so
-the pairs hold exactly the prompts a parse shows the model.
+A gold walk is a replay parse: the strategy's own engine runs on the
+document's EDUs with a ``ReplayOracle`` over its gold tree, which answers
+each decision by the span it is about. Each query the engine puts is one
+fine-tuning pair, so the pairs hold exactly the prompts a parse shows the
+model, and which decisions are asked, and in what order, is decided by the
+engine alone.
 """
 
 from __future__ import annotations
@@ -13,17 +14,11 @@ import json
 from typing import Iterator, NamedTuple
 
 from .bottomup import parse_bottom_up
-from .core import (
-    LabelInventory,
-    Reduce,
-    RstTree,
-    derive_shift_reduce_sequence,
-    derive_split_sequence,
-)
+from .core import LabelInventory
 from .corpus import Document
 from .engine import ParsePolicy
 from .oracle import KindMismatch, ReplayOracle
-from .prompts import ACTION, NUCLEARITY, RELATION, SPLIT, PromptKind
+from .prompts import PromptKind
 from .topdown import parse_top_down
 
 BOTTOM_UP = "bottom-up"
@@ -59,64 +54,6 @@ class TrainingExample(NamedTuple):
     step: int
 
 
-def _gold_tree(doc: Document) -> RstTree:
-    if doc.tree is None:
-        raise ValueError(f"document {doc.doc_id} has no gold tree")
-    return doc.tree
-
-
-def _bottom_up_answers(
-    doc: Document, policy: ParsePolicy
-) -> Iterator[tuple[str, str]]:
-    """(kind, gold answer) of each query of a gold bottom-up parse.
-
-    An action is forced when exactly one of shift and reduce is legal.
-    """
-    n = len(doc.edus)
-    stacked = 0  # subtrees on the stack
-    front = 1  # the EDU heading the queue
-    for action in derive_shift_reduce_sequence(_gold_tree(doc)):
-        forced = (front <= n) != (stacked >= 2)
-        if not (forced and policy.skip_forced):
-            yield ACTION, str(action)
-        if isinstance(action, Reduce):
-            yield NUCLEARITY, action.nuclearity
-            yield RELATION, action.relation
-            stacked -= 1
-        else:
-            stacked += 1
-            front += 1
-
-
-def _top_down_answers(
-    doc: Document, policy: ParsePolicy
-) -> Iterator[tuple[str, str]]:
-    """(kind, gold answer) of each query of a gold top-down parse."""
-    for split in derive_split_sequence(_gold_tree(doc)):
-        first, last = split.span
-        if not (last - first == 1 and policy.skip_forced):
-            yield SPLIT, str(split.k)
-        yield NUCLEARITY, split.nuclearity
-        yield RELATION, split.relation
-
-
-def replay_oracle(
-    doc: Document,
-    inventory: LabelInventory,
-    strategy: str,
-    policy: ParsePolicy = ParsePolicy(),
-) -> ReplayOracle:
-    """Oracle that answers a parse of ``doc`` with its own gold decisions.
-
-    The inventory only shapes prompts, so it does not change the script.
-    """
-    if strategy == BOTTOM_UP:
-        return ReplayOracle(_bottom_up_answers(doc, policy))
-    if strategy == TOP_DOWN:
-        return ReplayOracle(_top_down_answers(doc, policy))
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def gold_walk(
     doc: Document,
     inventory: LabelInventory,
@@ -125,19 +62,23 @@ def gold_walk(
 ) -> Iterator[TrainingExample]:
     """Training pairs of a gold parse, in engine order.
 
-    The strategy's engine parses ``doc`` with ``replay_oracle``; each query
-    it puts becomes a pair whose completion is the gold answer. Relation
-    prompts carry the gold nuclearity (teacher forcing). A replay that
-    leaves answers unused or corrects one raises KindMismatch, so a gold
-    derivation that drifts from its engine cannot yield wrong pairs.
+    The strategy's engine parses ``doc`` with ``ReplayOracle(doc.tree)``;
+    each query it puts becomes a pair whose completion is the gold answer.
+    Relation prompts carry the gold nuclearity (teacher forcing). A replay
+    that corrects a gold answer, as when a relation is not in the
+    inventory, raises KindMismatch, so a walk cannot yield wrong pairs.
     """
-    oracle = replay_oracle(doc, inventory, strategy, policy)
-    parse = parse_bottom_up if strategy == BOTTOM_UP else parse_top_down
-    result = parse(doc.edus, oracle, inventory, policy)
-    if oracle.remaining or result.corrected_count:
+    if strategy == BOTTOM_UP:
+        parse = parse_bottom_up
+    elif strategy == TOP_DOWN:
+        parse = parse_top_down
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    result = parse(doc.edus, ReplayOracle(doc.tree), inventory, policy)
+    if result.corrected_count:
         raise KindMismatch(
-            f"{strategy} replay of {doc.doc_id} left {oracle.remaining} gold "
-            f"answers unused and corrected {result.corrected_count}"
+            f"{strategy} replay of {doc.doc_id} corrected "
+            f"{result.corrected_count} gold answers"
         )
     for entry in result.trace:
         if entry.prompt is not None:

@@ -165,21 +165,18 @@ def main() -> None:
     # sanity: every document must read and replay-close
     from conftest import check_tree
     from rstkit import (
-        builtin_inventory, builtin_relation_map, parse_bottom_up,
-        parse_top_down, read_dis, replay_oracle,
+        ReplayOracle, builtin_inventory, builtin_relation_map, parse_bottom_up,
+        parse_top_down, read_dis,
     )
 
     inventory = builtin_inventory("rst-dt")
     relmap = builtin_relation_map("rst-dt-coarse")
     for name, n_edus in DOCS:
         doc = read_dis(OUT_DIR / filename(name), relmap)
-        assert doc.tree is not None
         check_tree(doc.tree, n_edus)
-        for strategy, engine in (
-            ("bottom-up", parse_bottom_up), ("top-down", parse_top_down)
-        ):
-            result = engine(doc.edus, replay_oracle(doc, inventory, strategy), inventory)
-            assert result.tree == doc.tree, (name, strategy)
+        for engine in (parse_bottom_up, parse_top_down):
+            result = engine(doc.edus, ReplayOracle(doc.tree), inventory)
+            assert result.tree == doc.tree, (name, engine.__name__)
         print(f"{filename(name)}: {n_edus} EDUs ok")
     print(f"wrote {len(DOCS)} documents + splits.tsv to {OUT_DIR}")
 

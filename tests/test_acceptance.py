@@ -27,6 +27,7 @@ from rstkit import (
     OracleQuery,
     ParsePolicy,
     ParsevalCounts,
+    ReplayOracle,
     ScriptedOracle,
     SplitPrompts,
     micro_f1,
@@ -34,7 +35,6 @@ from rstkit import (
     minicorpus_dir,
     parse_bottom_up,
     parse_top_down,
-    replay_oracle,
     score_document,
 )
 from rstkit.cli import main as cli_main
@@ -68,8 +68,7 @@ def test_criterion_1_replay_closure(tmp_path, capsys, minicorpus, inventory):
     for strategy, engine in (("bottom-up", parse_bottom_up),
                              ("top-down", parse_top_down)):
         for doc in minicorpus:
-            oracle = replay_oracle(doc, inventory, strategy)
-            result = engine(doc.edus, oracle, inventory)
+            result = engine(doc.edus, ReplayOracle(doc.tree), inventory)
             assert result.tree == doc.tree, (strategy, doc.doc_id)
             assert result.corrected_count == 0, (strategy, doc.doc_id)
 

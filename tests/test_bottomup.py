@@ -14,7 +14,6 @@ from rstkit import (
     ReplayOracle,
     ScriptedOracle,
     parse_bottom_up,
-    replay_oracle,
     trace_to_jsonl,
 )
 
@@ -27,18 +26,15 @@ from conftest import check_tree, make_edus, random_document
 
 def test_replay_reproduces_gold_on_minicorpus(minicorpus, inventory):
     for doc in minicorpus:
-        oracle = replay_oracle(doc, inventory, "bottom-up")
-        result = parse_bottom_up(doc.edus, oracle, inventory)
+        result = parse_bottom_up(doc.edus, ReplayOracle(doc.tree), inventory)
         assert result.tree == doc.tree, doc.doc_id
         assert result.corrected_count == 0, doc.doc_id
-        assert oracle.remaining == 0, doc.doc_id
 
 
 def test_replay_closure_without_skipping_forced(minicorpus, inventory):
     policy = ParsePolicy(skip_forced=False)
     doc = minicorpus[2]
-    oracle = replay_oracle(doc, inventory, "bottom-up", policy)
-    result = parse_bottom_up(doc.edus, oracle, inventory, policy)
+    result = parse_bottom_up(doc.edus, ReplayOracle(doc.tree), inventory, policy)
     n = len(doc.edus)
     assert result.tree == doc.tree
     assert len(result.trace) == 4 * n - 3
@@ -51,7 +47,7 @@ def test_replay_closure_without_skipping_forced(minicorpus, inventory):
 def test_empty_replay_script_exhausts(inventory):
     # a 2-EDU parse is all forced moves until the nuclearity query
     with pytest.raises(ReplayExhausted):
-        parse_bottom_up(make_edus(2), ReplayOracle([]), inventory)
+        parse_bottom_up(make_edus(2), ScriptedOracle([]), inventory)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +160,7 @@ def test_trace_serialization_round_trip(inventory):
     import json
 
     doc = random_document(random.Random(5), 6)
-    oracle = replay_oracle(doc, inventory, "bottom-up")
-    result = parse_bottom_up(doc.edus, oracle, inventory)
+    result = parse_bottom_up(doc.edus, ReplayOracle(doc.tree), inventory)
     text = trace_to_jsonl(result.trace)
     assert text.endswith("\n")
     rows = [json.loads(line) for line in text.splitlines()]

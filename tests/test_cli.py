@@ -793,6 +793,31 @@ def test_text_not_utf8_exits_four_naming_its_file(tmp_path, capsys):
     assert f"{tree} is not UTF-8 text" in stderr
 
 
+# (flags naming a config file, its bytes): each holds a Latin-1 é
+_LATIN1_CONFIGS = {
+    "inventory": (
+        ("--inventory",),
+        b"!id\tx\n!default_relation\tJoint\nJoint\nContrast\xe9\n",
+    ),
+    "relation map": (("--relation-map",), b"joint\tJoint\ncontrast\tContrast\xe9\n"),
+    "split manifest": (("--manifest",), b"dev\tdoc15\ndev\tdoc\xe9\n"),
+    "script": (("--oracle", "scripted", "--script"), b"shift\nr\xe9duire\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LATIN1_CONFIGS))
+def test_config_file_not_utf8_exits_two_naming_its_path(tmp_path, capsys, kind):
+    flags, content = _LATIN1_CONFIGS[kind]
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(content)
+    code, _, stderr = run(
+        capsys, "parse", "--corpus-dir", CORPUS, "--out", str(tmp_path / "run"),
+        *flags, str(path),
+    )
+    assert code == 2
+    assert f"config error: {path} is not UTF-8 text" in stderr
+
+
 _CLI = "import sys; from rstkit.cli import main; sys.exit(main())"
 _STORE = """import sys
 from rstkit import CachedOracle, CallableOracle, OracleQuery
@@ -803,8 +828,9 @@ assert CachedOracle(CallableOracle(None), sys.argv[1]).complete(query) == "shift
 
 
 def _run_under_locale(where: Path, utf8: bool) -> dict:
-    """Every file a parse, eval, export and report of a non-ASCII corpus
-    write, and a cache record of a non-ASCII prompt, plus each command's
+    """Every file a parse, eval, export and two reports of a non-ASCII
+    corpus write, one report through a relation map with a non-ASCII
+    target, and a cache record of a non-ASCII prompt, plus each command's
     stdout, under a UTF-8 locale or the plain C locale."""
     env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG"))}
     src = Path(__file__).resolve().parents[1] / "src"
@@ -822,6 +848,8 @@ def _run_under_locale(where: Path, utf8: bool) -> dict:
          "--out", "export"),
         ("report-relations", "--gold-dir", corpus, "--pred-dir", "run",
          "--relation-map", MAP, "--csv", "relations.csv"),
+        ("report-relations", "--gold-dir", corpus,
+         "--relation-map", "../accented.map", "--csv", "accented.csv"),
     ]
     where.mkdir()
     encoding = subprocess.run(
@@ -836,7 +864,7 @@ def _run_under_locale(where: Path, utf8: bool) -> dict:
             capture_output=True, check=False,
         )
         assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
-        outputs[f"{argv[0]} stdout"] = done.stdout
+        outputs[f"{argv[-1]} stdout"] = done.stdout
     subprocess.run(
         [sys.executable, "-c", _STORE, "cache"], env=env, cwd=where, check=True
     )
@@ -857,8 +885,19 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
         (corpus / f"{doc_id}.dis").write_text(
             text.replace("(text _!", "(text _!caf\u00e9 "), encoding="utf-8"
         )
+    coarse = (minicorpus_dir().parent / f"{MAP}.map").read_text(encoding="utf-8")
+    (tmp_path / "accented.map").write_text(
+        coarse.replace("\tContrast\n", "\tContrast\u00e9\n"), encoding="utf-8"
+    )
     with_utf8 = _run_under_locale(tmp_path / "utf8", utf8=True)
     with_c = _run_under_locale(tmp_path / "c", utf8=False)
+    # stdout that the C locale cannot encode prints as backslash escapes
+    accented = with_utf8.pop("accented.csv stdout")
+    escaped = with_c.pop("accented.csv stdout")
+    assert "Contrast\u00e9".encode("utf-8") in accented
+    assert b"Contrast\\xe9" in escaped
+    assert escaped.replace(b"\\xe9", "\u00e9".encode("utf-8")) == accented
+    assert "Contrast\u00e9".encode("utf-8") in with_c["accented.csv"]
     assert "caf\u00e9".encode("utf-8") in with_utf8["export/bottom-up.action.jsonl"]
     (record,) = [name for name in with_utf8 if name.startswith("cache")]
     assert "caf\u00e9".encode("utf-8") in with_utf8[record]

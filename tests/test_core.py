@@ -20,14 +20,16 @@ from rstkit import (
     Leaf,
     MalformedTree,
     Node,
-    Reduce,
-    Shift,
-    derive_shift_reduce_sequence,
-    derive_split_sequence,
+    ParsePolicy,
+    ReplayOracle,
     internal_nodes,
     leaves,
+    parse_bottom_up,
     parse_dis,
+    parse_top_down,
+    write_tree,
 )
+from rstkit.cli import main as cli_main
 from rstkit.core import NN, NS, SN
 
 from conftest import check_tree, make_edus, random_tree
@@ -427,77 +429,70 @@ def test_binarize_matches_reference_on_random_nested_trees():
 
 
 # ---------------------------------------------------------------------------
-# Gold derivations
+# Gold derivations: replay parses that ask every decision, and derive-actions
 
 
-def _rebuild_from_actions(edus, actions):
-    """Independent shift-reduce replay: plain list stack, no engine code."""
-    stack, queue = [], list(edus)
-    for action in actions:
-        if isinstance(action, Shift):
-            stack.append(Leaf(queue.pop(0)))
-        else:
-            right = stack.pop()
-            left = stack.pop()
-            stack.append(Node(left, right, action.nuclearity, action.relation))
-    assert not queue and len(stack) == 1
-    return stack[0]
-
-
-def _rebuild_from_splits(edus, steps):
-    """Independent top-down replay over the recorded absolute spans."""
-    by_span = {step.span: step for step in steps}
-
-    def build(lo: int, hi: int):
-        if lo == hi:
-            return Leaf(edus[lo - 1])
-        step = by_span[(lo, hi)]
-        mid = lo + step.k
-        return Node(build(lo, mid), build(mid + 1, hi),
-                    step.nuclearity, step.relation)
-
-    return build(1, len(edus))
-
-
-def test_shift_reduce_sequence_counts_and_closure():
+def test_shift_reduce_sequence_counts_and_closure(inventory):
+    policy = ParsePolicy(skip_forced=False)
     rng = random.Random(31)
     for _ in range(100):
         n = rng.randint(1, 24)
         edus = make_edus(n, rng)
         tree = random_tree(rng, edus)
-        actions = derive_shift_reduce_sequence(tree)
+        result = parse_bottom_up(edus, ReplayOracle(tree), inventory, policy)
+        actions = [e.resolved for e in result.trace if e.kind == "action"]
         assert len(actions) == 2 * n - 1
-        assert sum(isinstance(a, Shift) for a in actions) == n
-        assert sum(isinstance(a, Reduce) for a in actions) == n - 1
-        assert _rebuild_from_actions(edus, actions) == tree
+        assert actions.count("shift") == n
+        assert result.corrected_count == 0
+        assert write_tree(result.tree) == write_tree(tree)
 
 
-def test_split_sequence_counts_and_closure():
+def test_split_sequence_counts_and_closure(inventory):
+    policy = ParsePolicy(skip_forced=False)
     rng = random.Random(32)
     for _ in range(100):
         n = rng.randint(1, 24)
         edus = make_edus(n, rng)
         tree = random_tree(rng, edus)
-        steps = derive_split_sequence(tree)
-        assert len(steps) == n - 1
-        for step in steps:
-            first, last = step.span
-            assert 0 <= step.k <= last - first - 1
-        if n >= 1:
-            assert _rebuild_from_splits(edus, steps) == tree
+        result = parse_top_down(edus, ReplayOracle(tree), inventory, policy)
+        splits = [e for e in result.trace if e.kind == "split"]
+        assert len(splits) == n - 1
+        assert not any(e.forced for e in splits)
+        assert result.corrected_count == 0
+        assert write_tree(result.tree) == write_tree(tree)
 
 
-def test_split_sequence_is_preorder_left_first():
-    e = make_edus(4)
-    left = Node(Leaf(e[0]), Leaf(e[1]), NS, "Cause")
-    right = Node(Leaf(e[2]), Leaf(e[3]), SN, "Contrast")
-    root = Node(left, right, NN, "Joint")
-    spans = [step.span for step in derive_split_sequence(root)]
-    assert spans == [(1, 4), (1, 2), (3, 4)]
+def _derive_actions(tmp_path, capsys, root, strategy) -> list[list[str]]:
+    path = tmp_path / "doc.dis"
+    path.write_text(to_dis(root), encoding="utf-8")
+    argv = ["derive-actions", "--file", str(path), "--strategy", strategy]
+    assert cli_main(argv) == 0
+    return [line.split("\t") for line in capsys.readouterr().out.splitlines()]
 
 
-def test_action_sequence_is_postorder():
-    e = make_edus(3)
-    tree = Node(Node(Leaf(e[0]), Leaf(e[1]), NS, "Cause"), Leaf(e[2]), NS, "Cause")
-    kinds = [str(a) for a in derive_shift_reduce_sequence(tree)]
-    assert kinds == ["shift", "shift", "reduce", "shift", "reduce"]
+def test_split_sequence_is_preorder_left_first(tmp_path, capsys):
+    root = _root([
+        ("Nucleus", "joint", [_leaf(1, "Nucleus", "span"),
+                              _leaf(2, "Satellite", "cause")]),
+        ("Nucleus", "joint", [_leaf(3, "Satellite", "contrast"),
+                              _leaf(4, "Nucleus", "span")]),
+    ])
+    rows = _derive_actions(tmp_path, capsys, root, "top-down")
+    assert rows == [
+        ["1", "4", "1", NN, "joint"],
+        ["1", "2", "0", NS, "cause"],
+        ["3", "4", "0", SN, "contrast"],
+    ]
+
+
+def test_action_sequence_is_postorder(tmp_path, capsys):
+    root = _root([
+        ("Nucleus", "span", [_leaf(1, "Nucleus", "span"),
+                             _leaf(2, "Satellite", "cause")]),
+        _leaf(3, "Satellite", "cause"),
+    ])
+    rows = _derive_actions(tmp_path, capsys, root, "bottom-up")
+    assert rows == [
+        ["shift"], ["shift"], ["reduce", NS, "cause"],
+        ["shift"], ["reduce", NS, "cause"],
+    ]

@@ -18,18 +18,27 @@ from rstkit import (
     CallableOracle,
     HttpOracle,
     KindMismatch,
+    Leaf,
+    Node,
     OracleFailure,
     OracleQuery,
+    ParsePolicy,
     ReplayExhausted,
     ReplayOracle,
     ScriptedOracle,
     StoreCorrupt,
+    parse_bottom_up,
+    parse_top_down,
     resolve_label,
 )
+from rstkit.core import NS, SN
+
+from conftest import make_edus
 
 
-def _query(kind="action", prompt="p", labels=("shift", "reduce")):
-    return OracleQuery(kind=kind, prompt=prompt, valid_labels=tuple(labels))
+def _query(kind="action", prompt="p", labels=("shift", "reduce"), span=None):
+    return OracleQuery(kind=kind, prompt=prompt, valid_labels=tuple(labels),
+                       span=span)
 
 
 # ---------------------------------------------------------------------------
@@ -84,27 +93,53 @@ def test_query_rejects_empty_label_set():
 # Replay and scripted oracles
 
 
-def test_replay_follows_script_and_counts_down():
-    oracle = ReplayOracle([("action", "shift"), ("action", "reduce")])
-    assert len(oracle) == 2
-    assert oracle.remaining == 2
-    assert oracle.complete(_query()) == "shift"
-    assert oracle.remaining == 1
-    assert oracle.complete(_query()) == "reduce"
-    assert oracle.remaining == 0
+def _three_edu_tree():
+    e = make_edus(3)
+    return Node(Leaf(e[0]), Node(Leaf(e[1]), Leaf(e[2]), SN, "Cause"), NS, "Joint")
+
+
+def test_replay_answers_each_kind_by_span():
+    oracle = ReplayOracle(_three_edu_tree())
+    assert oracle.complete(_query(span=None)) == "shift"
+    assert oracle.complete(_query(span=(1, 2))) == "shift"
+    assert oracle.complete(_query(span=(2, 3))) == "reduce"
+    assert oracle.complete(_query(span=(1, 3))) == "reduce"
+    assert oracle.complete(_query("split", span=(1, 3))) == "0"
+    assert oracle.complete(_query("split", span=(2, 3))) == "0"
+    assert oracle.complete(_query("nuclearity", span=(1, 3))) == NS
+    assert oracle.complete(_query("relation", span=(1, 3))) == "Joint"
+    assert oracle.complete(_query("nuclearity", span=(2, 3))) == SN
+    assert oracle.complete(_query("relation", span=(2, 3))) == "Cause"
+
+
+@pytest.mark.parametrize("strategy", ["bottom-up", "top-down"])
+def test_replay_answers_do_not_depend_on_question_order(minicorpus, inventory,
+                                                       strategy):
+    doc = minicorpus[7]
+    replay = ReplayOracle(doc.tree)
+    queries = []
+
+    def record(query):
+        queries.append(query)
+        return replay.complete(query)
+
+    engine = parse_bottom_up if strategy == "bottom-up" else parse_top_down
+    policy = ParsePolicy(skip_forced=False)
+    result = engine(doc.edus, CallableOracle(record), inventory, policy)
+    asked = [entry.raw for entry in result.trace]
+    assert len(queries) == len(asked) and result.corrected_count == 0
+    fresh = ReplayOracle(doc.tree)
+    backwards = [fresh.complete(query) for query in reversed(queries)]
+    assert backwards[::-1] == asked
 
 
 def test_replay_kind_mismatch():
-    oracle = ReplayOracle([("nuclearity", "nucleus-satellite")])
-    with pytest.raises(KindMismatch, match="nuclearity"):
-        oracle.complete(_query(kind="action"))
-
-
-def test_replay_exhaustion():
-    oracle = ReplayOracle([("action", "shift")])
-    oracle.complete(_query())
-    with pytest.raises(ReplayExhausted):
-        oracle.complete(_query())
+    # a label query over a span the gold tree has no node for
+    oracle = ReplayOracle(_three_edu_tree())
+    with pytest.raises(KindMismatch, match=r"\(1, 2\)"):
+        oracle.complete(_query("relation", span=(1, 2)))
+    with pytest.raises(KindMismatch, match="split"):
+        oracle.complete(_query("split", span=(3, 5)))
 
 
 def test_scripted_order_and_exhaustion():

@@ -7,16 +7,16 @@ import random
 import pytest
 
 from rstkit import (
-    Document,
     EmptyDocument,
     Leaf,
     Node,
     ParsePolicy,
+    ReplayOracle,
     ScriptedOracle,
     SplitPrompts,
-    derive_split_sequence,
+    internal_nodes,
     parse_top_down,
-    replay_oracle,
+    write_tree,
 )
 
 from conftest import chain_tree, check_tree, make_edus
@@ -55,19 +55,15 @@ def test_degenerate_span_has_no_split(span):
 
 def test_replay_reproduces_gold_on_minicorpus(minicorpus, inventory):
     for doc in minicorpus:
-        oracle = replay_oracle(doc, inventory, "top-down")
-        result = parse_top_down(doc.edus, oracle, inventory)
+        result = parse_top_down(doc.edus, ReplayOracle(doc.tree), inventory)
         assert result.tree == doc.tree, doc.doc_id
         assert result.corrected_count == 0, doc.doc_id
-        assert oracle.remaining == 0, doc.doc_id
 
 
 def test_trace_has_one_split_per_internal_node(minicorpus, inventory):
     for doc in minicorpus[:6]:
         n = len(doc.edus)
-        result = parse_top_down(
-            doc.edus, replay_oracle(doc, inventory, "top-down"), inventory
-        )
+        result = parse_top_down(doc.edus, ReplayOracle(doc.tree), inventory)
         kinds = [e.kind for e in result.trace]
         assert kinds.count("split") == n - 1
         assert kinds.count("nuclearity") == n - 1
@@ -76,13 +72,11 @@ def test_trace_has_one_split_per_internal_node(minicorpus, inventory):
 
 def test_decisions_follow_preorder_left_first(minicorpus, inventory):
     doc = minicorpus[7]
-    result = parse_top_down(
-        doc.edus, replay_oracle(doc, inventory, "top-down"), inventory
-    )
+    result = parse_top_down(doc.edus, ReplayOracle(doc.tree), inventory)
     split_states = [e.state for e in result.trace if e.kind == "split"]
     expected = [
-        f"span=({step.span[0]},{step.span[1]})"
-        for step in derive_split_sequence(doc.tree)
+        f"span=({node.span[0]},{node.span[1]})"
+        for node in internal_nodes(doc.tree)
     ]
     assert split_states == expected
 
@@ -170,11 +164,11 @@ def test_garbage_always_yields_valid_tree(inventory):
         check_tree(result.tree, n)
         kinds = [e.kind for e in result.trace]
         assert kinds.count("split") == max(n - 1, 0)
-        steps = derive_split_sequence(result.tree)
-        assert len(steps) == max(n - 1, 0)
-        for step in steps:
-            lo, hi = _bounds(step.span)
-            assert lo <= step.k <= hi
+        nodes = list(internal_nodes(result.tree))
+        assert len(nodes) == max(n - 1, 0)
+        for node in nodes:
+            lo, hi = _bounds(node.span)
+            assert lo <= node.left.span[1] - node.span[0] <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +180,8 @@ def test_thousand_edu_chain_round_trip(right_heavy, inventory):
     n = 1000
     edus = make_edus(n)
     gold = chain_tree(edus, right_heavy=right_heavy)
-    doc = Document(doc_id="chain", edus=edus, tree=gold)
-    oracle = replay_oracle(doc, inventory, "top-down")
-    result = parse_top_down(doc.edus, oracle, inventory)
-    # sequence equality avoids deep recursive dataclass comparison
-    assert derive_split_sequence(result.tree) == derive_split_sequence(gold)
+    result = parse_top_down(edus, ReplayOracle(gold), inventory)
+    assert write_tree(result.tree) == write_tree(gold)
     assert result.corrected_count == 0
     splits = [e for e in result.trace if e.kind == "split"]
     assert len(splits) == n - 1

@@ -11,8 +11,9 @@ from rstkit import (
     FINE_TUNING_DEFAULTS,
     Document,
     KindMismatch,
-    OracleQuery,
+    Node,
     ParsePolicy,
+    ReplayOracle,
     example_to_json,
     export_metadata,
     gold_walk,
@@ -21,10 +22,8 @@ from rstkit import (
     parse_bottom_up,
     parse_top_down,
     read_dis,
-    replay_oracle,
     write_tree,
 )
-from rstkit import training
 from rstkit.cli import main
 
 from conftest import chain_tree, make_edus, random_document
@@ -49,8 +48,7 @@ def test_walk_matches_engine_queries(minicorpus, inventory, strategy,
     policy = ParsePolicy(skip_forced=skip_forced)
     for doc in minicorpus[:8]:
         examples = list(gold_walk(doc, inventory, strategy, policy))
-        oracle = replay_oracle(doc, inventory, strategy, policy)
-        result = _parse(doc, oracle, inventory, strategy, policy)
+        result = _parse(doc, ReplayOracle(doc.tree), inventory, strategy, policy)
         asked = [e for e in result.trace if not e.forced]
         assert len(asked) == len(examples), doc.doc_id
         for entry, example in zip(asked, examples):
@@ -66,8 +64,7 @@ def test_walk_lockstep_on_dis_fixture(press_release_path, relmap, inventory,
                                       strategy):
     doc = read_dis(press_release_path, relmap)
     examples = list(gold_walk(doc, inventory, strategy))
-    oracle = replay_oracle(doc, inventory, strategy)
-    result = _parse(doc, oracle, inventory, strategy)
+    result = _parse(doc, ReplayOracle(doc.tree), inventory, strategy)
     asked = [e for e in result.trace if not e.forced]
     assert [(e.kind, e.prompt, e.resolved) for e in asked] == [
         (x.kind, x.prompt, x.completion) for x in examples
@@ -76,27 +73,18 @@ def test_walk_lockstep_on_dis_fixture(press_release_path, relmap, inventory,
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("drift,message", [
-    ("unused", "left 1 gold answers unused and corrected 0"),
-    ("corrected", "left 0 gold answers unused and corrected 1"),
-])
-def test_walk_that_drifts_from_its_engine_raises(monkeypatch, minicorpus,
-                                                 inventory, strategy, drift,
-                                                 message):
-    name = "_bottom_up_answers" if strategy == "bottom-up" else "_top_down_answers"
-    derive = getattr(training, name)
-
-    def drifted(doc, policy):
-        *answers, last = derive(doc, policy)
-        # both derivations end on the relation of the last node
-        assert last[0] == "relation"
-        if drift == "unused":
-            return answers + [last, last]
-        return answers + [("relation", "no such relation")]
-
-    monkeypatch.setattr(training, name, drifted)
+def test_walk_that_drifts_from_its_engine_raises(minicorpus, inventory,
+                                                 strategy):
+    # a gold relation the inventory lacks is corrected to its default, so
+    # the replay no longer follows the gold tree
+    doc = minicorpus[5]
+    root = doc.tree
+    drifted = Document(doc.doc_id, doc.edus, Node(
+        root.left, root.right, root.nuclearity, "no such relation"
+    ))
+    message = f"{strategy} replay of {doc.doc_id} corrected 1 gold answers"
     with pytest.raises(KindMismatch, match=message):
-        list(gold_walk(minicorpus[5], inventory, strategy))
+        list(gold_walk(drifted, inventory, strategy))
 
 
 def _scripted_documents(minicorpus):
@@ -115,20 +103,16 @@ def _scripted_documents(minicorpus):
 @pytest.mark.parametrize("skip_forced", [True, False])
 def test_replay_script_is_the_walk_without_prompts(minicorpus, inventory,
                                                    strategy, skip_forced):
+    # a replay parse rebuilds the gold tree, and the answers the replay
+    # gives, in order, are the walk's completions
     policy = ParsePolicy(skip_forced=skip_forced)
     for doc in _scripted_documents(minicorpus):
         examples = list(gold_walk(doc, inventory, strategy, policy))
-        oracle = replay_oracle(doc, inventory, strategy, policy)
-        assert len(oracle) == len(examples), doc.doc_id
-        for example in examples:
-            # a kind the script does not hold next raises KindMismatch
-            query = OracleQuery(example.kind, example.prompt,
-                                (example.completion,))
-            assert oracle.complete(query) == example.completion
-        assert oracle.remaining == 0
-        replayed = _parse(doc, replay_oracle(doc, inventory, strategy, policy),
-                          inventory, strategy, policy)
+        replayed = _parse(doc, ReplayOracle(doc.tree), inventory, strategy,
+                          policy)
         assert replayed.tree == doc.tree, doc.doc_id
+        answers = [(e.kind, e.raw) for e in replayed.trace if not e.forced]
+        assert answers == [(x.kind, x.completion) for x in examples], doc.doc_id
 
 
 def test_forced_steps_consume_numbering(inventory):
@@ -226,9 +210,8 @@ def test_deep_chains_under_the_default_recursion_limit(
     try:
         for strategy in STRATEGIES:
             walk = list(gold_walk(doc, inventory, strategy))
-            oracle = replay_oracle(doc, inventory, strategy)
-            result = _parse(doc, oracle, inventory, strategy)
-            assert len(walk) == result.query_count == len(oracle)
+            result = _parse(doc, ReplayOracle(doc.tree), inventory, strategy)
+            assert len(walk) == result.query_count
             assert write_tree(result.tree) == gold
 
             argv = ("--corpus-dir", str(corpus), "--relation-map",
@@ -341,10 +324,3 @@ def test_unknown_strategy_rejected(inventory):
     with pytest.raises(ValueError, match="strategy"):
         list(gold_walk(doc, inventory, "sideways"))
 
-
-def test_walk_requires_gold_tree(inventory):
-    doc = Document(doc_id="bare", edus=make_edus(3), tree=None)
-    with pytest.raises(ValueError, match="gold tree"):
-        list(gold_walk(doc, inventory, "bottom-up"))
-    with pytest.raises(ValueError, match="gold tree"):
-        list(gold_walk(doc, inventory, "top-down"))
