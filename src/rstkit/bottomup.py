@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import DocumentText, Edu, LabelInventory, Leaf, Node, RstTree
+from .core import DocumentText, Edu, LabelInventory
 from .engine import (
     Decision,
     EmptyDocument,
     ParsePolicy,
     ParseResult,
+    build_tree,
     label_decision,
     run_decisions,
 )
@@ -49,10 +50,10 @@ def parse_bottom_up(
     doc = DocumentText(edus)
     budget = policy.truncate_chars
     # the stack holds each subtree's EDU span and the slot text prompts show
-    # for it; the tree is built at the end from the actions: None for a
-    # shift, a reduce's (nuclearity, relation) once they are in
+    # for it
     stack: list[tuple[int, int, str]] = []
-    actions: list[list[str] | None] = []
+    # the internal nodes, as build_tree reads them
+    nodes: dict[tuple[int, int], list] = {}
     queue = 0  # EDUs shifted so far; EDU queue + 1 heads the queue
 
     def action() -> Decision:
@@ -89,15 +90,13 @@ def parse_bottom_up(
             if resolved == SHIFT:
                 queue += 1
                 stack.append((queue, queue, front))
-                actions.append(None)
             else:
-                first, _, left = stack[-2]
+                first, mid, left = stack[-2]
                 _, last, right = stack.pop()
                 stack[-1] = (first, last, span_slot(doc, first, last, budget))
-                labels: list[str] = []
-                actions.append(labels)
+                node = nodes[(first, last)] = [mid]
                 unlocked.append(
-                    label_decision(state, (first, last), left, right, inventory, labels)
+                    label_decision(state, (first, last), left, right, inventory, node)
                 )
             if queue < n or len(stack) > 1:
                 unlocked.append(action())
@@ -106,12 +105,4 @@ def parse_bottom_up(
         return Decision(ACTION, state, query, take)
 
     trace = run_decisions(oracle, action())
-    tree: list[RstTree] = []
-    leaves = iter(edus)
-    for labels in actions:
-        if labels is None:
-            tree.append(Leaf(next(leaves)))
-        else:
-            right = tree.pop()
-            tree[-1] = Node(tree[-1], right, *labels)
-    return ParseResult(tree=tree[0], trace=trace)
+    return ParseResult(tree=build_tree(edus, nodes), trace=trace)

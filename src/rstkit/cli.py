@@ -155,10 +155,15 @@ def _fixture(kind: str, spec: str | None):
         raise ConfigError(f"no bundled {kind} or file named {spec!r}") from None
 
 
-# Numeric options. A config file's values skip argparse's type checks, and
-# bool is an int too, so each is checked here: dest -> (accepted types,
-# test, what the flag takes). A --truncate of None means no truncation.
-_NUMERIC_OPTIONS = {
+_ORACLES = ("replay", "scripted", "http")
+
+# A config file's values skip argparse's type and choices checks, and bool
+# is an int too, so these options are checked here: dest -> (accepted
+# types, test, what the flag takes). A --truncate of None means no
+# truncation.
+_CHECKED_OPTIONS = {
+    "strategy": ((str,), STRATEGIES.__contains__, "one of " + ", ".join(STRATEGIES)),
+    "oracle": ((str,), _ORACLES.__contains__, "one of " + ", ".join(_ORACLES)),
     "truncate": ((int,), lambda v: v >= 0, "a character count of 0 or more"),
     "workers": ((int,), lambda v: v >= 1, "an integer of 1 or more"),
     "retries": ((int,), lambda v: v >= 0, "an integer of 0 or more"),
@@ -168,8 +173,8 @@ _NUMERIC_OPTIONS = {
 }
 
 
-def _check_numeric_options(args: argparse.Namespace) -> None:
-    for dest, (types, test, takes) in _NUMERIC_OPTIONS.items():
+def _check_options(args: argparse.Namespace) -> None:
+    for dest, (types, test, takes) in _CHECKED_OPTIONS.items():
         value = getattr(args, dest, None)
         if value is None and (dest == "truncate" or not hasattr(args, dest)):
             continue
@@ -216,9 +221,9 @@ def _make_shared_oracle(args: argparse.Namespace):
             raise ConfigError("--oracle scripted needs --workers 1")
         answers = read_utf8(args.script).splitlines()
         return ScriptedOracle(answers, cycle=args.cycle_script)
-    if args.oracle == "http":
-        if not args.endpoint or not args.model:
-            raise ConfigError("--oracle http needs --endpoint and --model")
+    if not args.endpoint or not args.model:
+        raise ConfigError("--oracle http needs --endpoint and --model")
+    try:
         oracle = HttpOracle(
             endpoint=args.endpoint,
             model=args.model,
@@ -227,9 +232,10 @@ def _make_shared_oracle(args: argparse.Namespace):
             retries=args.retries,
             backoff=args.backoff,
         )
-        # without a store the wrapper still fetches concurrently
-        return CachedOracle(oracle, args.cache_dir)
-    raise ConfigError(f"unknown oracle type {args.oracle!r}")
+    except ValueError as exc:  # an endpoint that is not http:// or https://
+        raise ConfigError(str(exc)) from None
+    # without a store the wrapper still fetches concurrently
+    return CachedOracle(oracle, args.cache_dir)
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -480,12 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("parse", help="parse documents to trees and traces")
     _add_corpus_options(sub)
     _add_policy_options(sub)
-    sub.add_argument(
-        "--strategy", choices=STRATEGIES, default=BOTTOM_UP
-    )
-    sub.add_argument(
-        "--oracle", choices=("replay", "scripted", "http"), default="replay"
-    )
+    sub.add_argument("--strategy", choices=STRATEGIES, default=BOTTOM_UP)
+    sub.add_argument("--oracle", choices=_ORACLES, default="replay")
     sub.add_argument("--script", help="answers file for --oracle scripted")
     sub.add_argument(
         "--cycle-script", action="store_true",
@@ -588,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        _check_numeric_options(args)
+        _check_options(args)
         return args.func(args)
     except UnknownRelation as exc:
         # only a command given a relation map can meet an unknown relation

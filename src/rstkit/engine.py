@@ -1,14 +1,14 @@
-"""Shared plumbing for the two parsing engines: policy, trace, result, and
-the loop that puts their decisions to an oracle."""
+"""Shared plumbing for the two parsing engines: policy, trace, result, the
+loop that puts their decisions to an oracle, and the tree they build."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import NUCLEARITY_PATTERNS, LabelInventory, RstTree
+from .core import NUCLEARITY_PATTERNS, Edu, LabelInventory, Leaf, Node, RstTree
 from .oracle import Oracle, OracleQuery, resolve_label
 from .prompts import NUCLEARITY, RELATION, nuclearity_prompt, relation_prompt
 
@@ -175,6 +175,42 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
     return tuple(TraceEntry(step, *taken[i]) for step, i in enumerate(order))
 
 
+def resolve(raw: str, labels: Sequence[str], default: str) -> tuple[str, bool]:
+    """(the member of ``labels`` that ``raw`` names, False), or
+    (``default``, True) when it names none."""
+    label = resolve_label(raw, labels)
+    return (default, True) if label is None else (label, False)
+
+
+def build_tree(
+    edus: Sequence[Edu], nodes: dict[tuple[int, int], list]
+) -> RstTree:
+    """The tree over all of ``edus`` from a table of its internal nodes:
+    span -> [last EDU of its left half, nuclearity, relation].
+
+    Built with an explicit work stack: right-heavy trees over long
+    documents nest as deep as the document is long.
+    """
+    # work items: ("span", i, j) expands a span;
+    # ("make", i, j) joins the two finished subtrees below it.
+    work: list[tuple] = [("span", 1, len(edus))]
+    out: list[RstTree] = []
+    while work:
+        item, first, last = work.pop()
+        if item == "make":
+            right = out.pop()
+            _, nuclearity, relation = nodes[(first, last)]
+            out[-1] = Node(out[-1], right, nuclearity, relation)
+        elif first == last:
+            out.append(Leaf(edus[first - 1]))
+        else:
+            mid = nodes[(first, last)][0]
+            work.append(("make", first, last))
+            work.append(("span", mid + 1, last))
+            work.append(("span", first, mid))
+    return out[0]
+
+
 def label_decision(
     state: str,
     span: tuple[int, int],
@@ -195,18 +231,16 @@ def label_decision(
     nuc_prompt = nuclearity_prompt(left, right)
 
     def take_nuclearity(raw):
-        nuclearity = resolve_label(raw, NUCLEARITY_PATTERNS)
-        corrected = nuclearity is None
-        if nuclearity is None:
-            nuclearity = inventory.default_nuclearity
+        nuclearity, corrected = resolve(
+            raw, NUCLEARITY_PATTERNS, inventory.default_nuclearity
+        )
         labels.append(nuclearity)
         rel_prompt = relation_prompt(left, right, nuclearity, inventory)
 
         def take_relation(raw):
-            relation = resolve_label(raw, inventory.relations)
-            corrected = relation is None
-            if relation is None:
-                relation = inventory.default_relation
+            relation, corrected = resolve(
+                raw, inventory.relations, inventory.default_relation
+            )
             labels.append(relation)
             return relation, corrected, "unparseable" if corrected else "", []
 

@@ -39,6 +39,12 @@ TOKEN_ENV_VAR = "RSTKIT_API_TOKEN"
 # documents that share it.
 IN_FLIGHT_LIMIT = 16
 
+# Endpoint URL scheme -> the connection that speaks it.
+_CONNECTIONS = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
+
 # What a kept-alive connection raises when the server has closed it.
 _STALE_CONNECTION = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
@@ -225,6 +231,11 @@ class HttpOracle:
     ):
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        url = urlsplit(endpoint)
+        if url.scheme not in _CONNECTIONS:
+            raise ValueError(
+                f"endpoint must be an http:// or https:// URL, not {endpoint!r}"
+            )
         self.endpoint = endpoint
         self.model = model
         self.max_tokens = max_tokens
@@ -235,8 +246,7 @@ class HttpOracle:
         self.fingerprint = (
             f"{model}|temperature={_TEMPERATURE}|max_tokens={max_tokens}|stop=nl"
         )
-        url = urlsplit(endpoint)
-        self._scheme = url.scheme
+        self._connection_class = _CONNECTIONS[url.scheme]
         self._netloc = url.netloc
         self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._local = threading.local()
@@ -246,12 +256,7 @@ class HttpOracle:
     def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            if self._scheme == "http":
-                conn = http.client.HTTPConnection(self._netloc, timeout=self.timeout)
-            elif self._scheme == "https":
-                conn = http.client.HTTPSConnection(self._netloc, timeout=self.timeout)
-            else:
-                raise OracleFailure(f"unsupported endpoint URL {self.endpoint!r}")
+            conn = self._connection_class(self._netloc, timeout=self.timeout)
             with self._lock:
                 self._connections.append(conn)
             self._local.conn = conn
@@ -342,12 +347,13 @@ class CachedOracle:
     ``store_dir`` None nothing is stored, and an answer is kept only until
     it is taken.
 
-    ``prefetch`` starts fetching queries on a pool of at most
-    IN_FLIGHT_LIMIT threads, which call nothing but the inner oracle's
-    ``complete``; the answers are then taken with ``complete``. A key is
-    fetched once while it is in flight: concurrent misses on the same key
-    make one inner call and store one record. Cache hits are read on the
-    calling thread. ``close`` stops the pool and closes the inner oracle.
+    Each query's pending answer is kept in one map until the first
+    ``complete`` takes it: a stored answer, read on the calling thread, or
+    a fetch on a pool of at most IN_FLIGHT_LIMIT threads that call nothing
+    but the inner oracle's ``complete``. A ``complete`` with no
+    ``prefetch`` before it fetches on the pool too, and waits. Concurrent
+    misses on one query make one inner call and store one record.
+    ``close`` stops the pool and closes the inner oracle.
     """
 
     def __init__(self, inner: Oracle, store_dir: str | Path | None):
@@ -358,11 +364,9 @@ class CachedOracle:
         self.hits = 0
         self.misses = 0
         self._guard = threading.Lock()
-        # key -> its fetch, from the moment it starts until the first
-        # complete() takes its answer
-        self._in_flight: dict[str, Future] = {}
-        # query -> answer that prefetch read from the store, until taken
-        self._read_ahead: dict[OracleQuery, str] = {}
+        # query -> (stored answer, False) or the fetch of its (answer,
+        # whether the inner oracle was asked), until the first take
+        self._pending: dict[OracleQuery, tuple[str, bool] | Future] = {}
         self._pool: ThreadPoolExecutor | None = None
 
     @property
@@ -390,8 +394,8 @@ class CachedOracle:
             raise StoreCorrupt(f"unreadable cache record {path}: {exc}") from None
 
     def _fetch(self, key: str, query: OracleQuery) -> tuple[str, bool]:
-        """(answer, whether the inner oracle was asked) for a key that was
-        registered in flight; it may have been stored just before."""
+        """(answer, whether the inner oracle was asked) for a query that
+        missed the store; its record may have been written since."""
         cached = self._load(key)
         if cached is not None:
             return cached, False
@@ -412,64 +416,43 @@ class CachedOracle:
             os.replace(tmp, path)
         return raw, True
 
-    def prefetch(self, queries: Iterable[OracleQuery]) -> None:
-        """Read each stored query's answer and start fetching the others.
+    def _entry(self, query: OracleQuery) -> tuple[str, bool] | Future:
+        """The query's pending answer, started if there is none. The store
+        is read first, so a corrupt record leaves no entry to wait on."""
+        entry = self._pending.get(query)
+        if entry is not None:
+            return entry
+        key = self._key(query)
+        cached = self._load(key)
+        with self._guard:
+            entry = self._pending.get(query)
+            if entry is None:
+                if cached is not None:
+                    entry = (cached, False)
+                else:
+                    if self._pool is None:
+                        self._pool = ThreadPoolExecutor(
+                            IN_FLIGHT_LIMIT, thread_name_prefix="rstkit-oracle"
+                        )
+                    entry = self._pool.submit(self._fetch, key, query)
+                self._pending[query] = entry
+        return entry
 
-        A hint: each query's answer is still taken with ``complete``. Reads
-        happen here, on the calling thread; fetches run on the pool.
-        """
+    def prefetch(self, queries: Iterable[OracleQuery]) -> None:
+        """Read each stored query's answer on this thread and start fetching
+        the others; a hint, as each answer is still taken with ``complete``."""
         for query in queries:
-            # unguarded: two threads reading ahead one query cost a second
-            # read, never a wrong answer; fetches are registered under guard
-            if query in self._read_ahead:
-                continue
-            key = self._key(query)
-            if key in self._in_flight:
-                continue
-            cached = self._load(key)
-            if cached is not None:
-                self._read_ahead[query] = cached
-                continue
-            with self._guard:
-                if key in self._in_flight:
-                    continue
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        IN_FLIGHT_LIMIT, thread_name_prefix="rstkit-oracle"
-                    )
-                self._in_flight[key] = self._pool.submit(self._fetch, key, query)
+            self._entry(query)
 
     def complete(self, query: OracleQuery) -> str:
-        cached = self._read_ahead.pop(query, None)
-        if cached is not None:
-            with self._guard:
-                self.hits += 1
-            return cached
-        key = self._key(query)
-        future = self._in_flight.get(key)
-        if future is None:
-            cached = self._load(key)
-            if cached is not None:
-                with self._guard:
-                    self.hits += 1
-                return cached
-            with self._guard:
-                future = self._in_flight.get(key)
-                owner = future is None
-                if owner:
-                    future = self._in_flight[key] = Future()
-            if owner:
-                try:
-                    future.set_result(self._fetch(key, query))
-                except BaseException as exc:  # re-raised by result() below
-                    future.set_exception(exc)
+        entry = self._entry(query)
         try:
-            raw, asked = future.result()
+            raw, asked = entry.result() if isinstance(entry, Future) else entry
         finally:
             with self._guard:
-                first = self._in_flight.get(key) is future
+                first = self._pending.get(query) is entry
                 if first:
-                    del self._in_flight[key]
+                    del self._pending[query]
         with self._guard:
             if first and asked:
                 self.misses += 1
@@ -489,8 +472,7 @@ class CachedOracle:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
         with self._guard:
-            self._in_flight.clear()
-            self._read_ahead.clear()
+            self._pending.clear()
         close = getattr(self.inner, "close", None)
         if close is not None:
             close()

@@ -4,9 +4,6 @@ Each span of two or more EDUs is split at an oracle-chosen point, labeled
 immediately, and the halves are processed left before right. The split
 answer is a 0-based relative index (the span's EDUs are renumbered from 0
 in the prompt), so the same fine-tuned model works anywhere in a document.
-
-The traversal uses an explicit work stack: right-heavy trees over long
-documents nest as deep as the document is long.
 """
 
 from __future__ import annotations
@@ -14,12 +11,13 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .core import DocumentText, Edu, LabelInventory, Leaf, Node, RstTree
+from .core import DocumentText, Edu, LabelInventory, Leaf
 from .engine import (
     Decision,
     EmptyDocument,
     ParsePolicy,
     ParseResult,
+    build_tree,
     label_decision,
     run_decisions,
 )
@@ -54,7 +52,7 @@ def parse_top_down(
     doc = DocumentText(edus)
     budget = policy.truncate_chars
     prompts = SplitPrompts([edu.text for edu in edus], budget)
-    # span -> [last EDU of its left half, nuclearity, relation]
+    # the internal nodes, as build_tree reads them
     nodes: dict[tuple[int, int], list] = {}
 
     def split(first: int, last: int) -> Decision:
@@ -96,23 +94,4 @@ def parse_top_down(
         return Decision(SPLIT, state, query, take)
 
     trace = run_decisions(oracle, split(1, n))
-
-    # work items: ("span", i, j) expands a span;
-    # ("make", i, j) joins the two finished subtrees below it.
-    work: list[tuple] = [("span", 1, n)]
-    out: list[RstTree] = []
-    while work:
-        item, first, last = work.pop()
-        if item == "make":
-            right = out.pop()
-            _, nuclearity, relation = nodes[(first, last)]
-            out[-1] = Node(out[-1], right, nuclearity, relation)
-        elif first == last:
-            out.append(Leaf(edus[first - 1]))
-        else:
-            mid = nodes[(first, last)][0]
-            work.append(("make", first, last))
-            work.append(("span", mid + 1, last))
-            work.append(("span", first, mid))
-    assert len(out) == 1
-    return ParseResult(tree=out[0], trace=trace)
+    return ParseResult(tree=build_tree(edus, nodes), trace=trace)

@@ -626,6 +626,52 @@ def test_bad_number_flag_exits_two(tmp_path, capsys, dest, value):
     assert not (tmp_path / "out").exists()
 
 
+# each command that takes an option with choices, that option and its choices
+@pytest.mark.parametrize("command,dest,choices", [
+    ("parse", "strategy", "bottom-up, top-down"),
+    ("parse", "oracle", "replay, scripted, http"),
+    ("export-training", "strategy", "bottom-up, top-down"),
+    ("derive-actions", "strategy", "bottom-up, top-down"),
+])
+def test_bad_choice_in_config_exits_two(tmp_path, capsys, command, dest, choices):
+    out = str(tmp_path / "out")
+    argv = {
+        "parse": ("parse", "--corpus-dir", CORPUS, "--out", out),
+        "export-training": ("export-training", "--corpus-dir", CORPUS, "--out", out),
+        "derive-actions": ("derive-actions", "--file", str(tmp_path / "doc.dis")),
+    }[command]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({dest: "sideways"}))
+    code, stdout, stderr = run(capsys, "--config", str(config), *argv)
+    assert code == 2
+    assert stderr == f"config error: --{dest} takes one of {choices}, not 'sideways'\n"
+    assert stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "endpoint", ["ftp://127.0.0.1:9/x", "localhost:8000/v1/completions"]
+)
+def test_endpoint_that_is_not_http_exits_two(tmp_path, capsys, endpoint, source):
+    argv = [
+        "parse", "--corpus-dir", CORPUS, "--relation-map", MAP, "--oracle", "http",
+        "--model", "m", "--out", str(tmp_path / "out"),
+    ]
+    if source == "flag":
+        argv += ["--endpoint", endpoint]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"endpoint": endpoint}))
+        argv = ["--config", str(config), *argv]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr == (
+        f"config error: endpoint must be an http:// or https:// URL, not {endpoint!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "--config", str(tmp_path / "absent.json"), "parse",

@@ -88,11 +88,11 @@ def test_prefetched_parse_equals_serial_parse(
         )
         try:
             concurrent = engine(doc.edus, cache, inventory, policy)
+            assert cache._pending == {}
         finally:
             cache.close()
         assert write_tree(concurrent.tree) == write_tree(serial.tree)
         assert trace_to_jsonl(concurrent.trace) == trace_to_jsonl(serial.trace)
-        assert cache._in_flight == {} and cache._read_ahead == {}
         notes.update(entry.note for entry in serial.trace if entry.corrected)
     if answers is _gold_answers:
         expected = set()
@@ -166,6 +166,8 @@ def test_shared_cache_under_thread_stress(tmp_path, minicorpus, inventory):
             results = list(pool.map(
                 lambda job: job[1](job[0].edus, cache, inventory), jobs
             ))
+        # every answer started was taken
+        assert cache._pending == {}
     finally:
         sys.setswitchinterval(interval)
         cache.close()
@@ -175,4 +177,3 @@ def test_shared_cache_under_thread_stress(tmp_path, minicorpus, inventory):
     stats = cache.stats()
     assert stats["misses"] == len(fetched)
     assert stats["hits"] + stats["misses"] == sum(r.query_count for r in results)
-    assert cache._in_flight == {} and cache._read_ahead == {}

@@ -125,6 +125,12 @@ DIS_SYNTAX_ERRORS = [
     ("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) ) )", "no text", 52),
     ("( Root (span one 2) ( Nucleus (leaf 1) (rel2par span) (text _!x_!) ) )", "integer", 13),
     ("( Root (leaf 1) (text _!x_!) ) trailing", "trailing", 31),
+    ("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) (text _!x_!)"
+     " ( Nucleus (leaf 2) (rel2par span) (text _!y_!) ) ) )", "has children", 114),
+    ("( Root (span 1 1) ( Nucleus (rel2par span) (text _!x_!) ) )", "lacks both", 56),
+    ("( Root (span 1 1) )", "no children", 18),
+    ("( Root (span 1 1) x )", "expected \\( or \\)", 18),
+    ("( Root (span 1 1) ( (leaf 1) ) )", "expected a name", 20),
 ]
 
 
@@ -319,6 +325,23 @@ def test_load_inventory_requires_directives(tmp_path):
     assert inv.default_nuclearity == NS
 
 
+@pytest.mark.parametrize("content,fragment", [
+    ("!id\n!default_relation\talpha\nalpha\n", "1: expected '!key<TAB>value'"),
+    ("!id\ttiny\n!default_relation\talpha\nalpha\tbeta\n", "3: one relation name"),
+    ("!id\ttiny\n!default_relation\talpha\n", "at least one relation"),
+    ("!id\ttiny\n!default_relation\talpha\nalpha\nalpha\n", "must be unique"),
+    ("!id\ttiny\n!default_relation\talpha\n!default_nuclearity\tsideways\nalpha\n",
+     "default nuclearity 'sideways' unknown"),
+])
+def test_load_inventory_errors(tmp_path, content, fragment):
+    path = tmp_path / "tiny.inv"
+    path.write_text(content)
+    with pytest.raises(ConfigError) as caught:
+        load_inventory(path)
+    assert str(caught.value).startswith(str(path))
+    assert fragment in str(caught.value)
+
+
 # ---------------------------------------------------------------------------
 # Bracket format round-trip
 
@@ -365,6 +388,9 @@ def test_write_leaf_only():
     ("", "empty"),
     ("(XX Cause (leaf 1) (leaf 2))", "unknown node head"),
     ("(NS Cause (leaf 1) (leaf 3))", "adjacent"),
+    ("((leaf 1))", "expected node head"),
+    ("(leaf 1))", "unbalanced"),
+    ("(NS Cause (leaf 1) x (leaf 2))", "unexpected token 'x'"),
 ])
 def test_read_tree_errors(line, fragment):
     with pytest.raises(DisSyntaxError, match=fragment):

@@ -497,12 +497,62 @@ def test_cache_corrupt_record_raises(tmp_path):
         cache.complete(q)
 
 
+def test_cache_complete_without_prefetch_fetches_on_the_pool(tmp_path):
+    threads = []
+
+    def answer(_query):
+        threads.append(threading.current_thread().name)
+        return "x"
+
+    cache = CachedOracle(CallableOracle(answer), tmp_path)
+    assert cache.complete(_query(prompt="cold")) == "x"
+    assert len(threads) == 1 and threads[0].startswith("rstkit-oracle")
+    assert cache._pending == {}
+    assert cache.stats() == {"hits": 0, "misses": 1}
+    cache.close()
+
+
+def test_cache_corrupt_record_in_prefetch_leaves_no_entry(tmp_path):
+    inner, calls = _counting_inner()
+    cache = CachedOracle(inner, tmp_path)
+    q = _query(prompt="poisoned")
+    cache.complete(q)
+    (record_path,) = tmp_path.glob("*.json")
+    record_path.write_text("{not json at all")
+    with pytest.raises(StoreCorrupt, match="unreadable"):
+        cache.prefetch([q])
+    assert cache._pending == {}
+    raised = []
+
+    def take():
+        try:
+            cache.complete(q)
+        except StoreCorrupt as exc:
+            raised.append(exc)
+
+    taker = threading.Thread(target=take, daemon=True)
+    taker.start()
+    taker.join(timeout=5)
+    assert not taker.is_alive()
+    assert len(raised) == 1
+    assert calls["n"] == 1
+    cache.close()
+
+
 def test_cache_concurrent_misses_write_once(tmp_path):
     inner, calls = _counting_inner(answer="only", delay=0.05)
     cache = CachedOracle(inner, tmp_path)
     q = _query(prompt="hot key")
+
+    def ask(i):
+        # half the threads hint the query first, as a parse does
+        if i % 2:
+            cache.prefetch([q])
+        return cache.complete(q)
+
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: cache.complete(q), range(8)))
+        results = list(pool.map(ask, range(8)))
+    cache.close()
     assert results == ["only"] * 8
     assert calls["n"] == 1
     assert len(list(tmp_path.glob("*.json"))) == 1
@@ -518,15 +568,15 @@ def test_cache_prefetch_fetches_each_key_once_and_forgets_it(tmp_path):
     cache.prefetch(queries)
     cache.prefetch(queries)
     assert [cache.complete(q) for q in queries] == ["x"] * 10
+    assert cache._pending == {}
     cache.close()
     assert calls["n"] == 5
     assert cache.stats() == {"hits": 5, "misses": 5}
-    assert cache._in_flight == {} and cache._read_ahead == {}
     # stored answers are read ahead on this thread, not fetched
     cache.prefetch(queries[:5])
     assert [cache.complete(q) for q in queries[:5]] == ["x"] * 5
     assert calls["n"] == 5
-    assert cache._pool is None and cache._read_ahead == {}
+    assert cache._pool is None and cache._pending == {}
 
 
 def test_cache_without_store_keeps_answers_until_taken():
@@ -535,7 +585,7 @@ def test_cache_without_store_keeps_answers_until_taken():
     cache.prefetch([_query(prompt="a"), _query(prompt="b")])
     assert cache.complete(_query(prompt="a")) == "x"
     assert cache.complete(_query(prompt="b")) == "x"
-    assert cache._in_flight == {}
+    assert cache._pending == {}
     assert cache.complete(_query(prompt="a")) == "x"  # nothing stored
     cache.close()
     assert calls["n"] == 3
@@ -549,8 +599,8 @@ def test_cache_prefetch_failure_reaches_complete(tmp_path):
     cache.prefetch([_query()])
     with pytest.raises(OracleFailure, match="down"):
         cache.complete(_query())
+    assert cache._pending == {}
     cache.close()
-    assert cache._in_flight == {}
     assert list(tmp_path.iterdir()) == []
 
 
