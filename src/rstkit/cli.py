@@ -550,13 +550,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The --config value before the command, however argparse would
+    accept it spelled: ``--config PATH``, ``--config=PATH`` or a prefix."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    pre.add_argument("command", nargs=argparse.REMAINDER)
+    try:
+        return pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return None  # the full parser reports it
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    if "--config" not in argv:
+    """Preload each key of the --config file into the commands that take it."""
+    path = _config_path(argv)
+    if path is None:
         return
-    index = argv.index("--config")
-    if index + 1 >= len(argv):
-        return  # argparse will complain properly
-    path = Path(argv[index + 1])
+    path = Path(path)
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -565,23 +576,19 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    known = set()
-    for action in parser._actions:  # includes subparsers
-        known.add(action.dest)
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                known.update(a.dest for a in sub._actions)
-    unknown = set(config) - known
+    (commands,) = [
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    taken = {
+        name: {action.dest for action in sub._actions} - {"help"}
+        for name, sub in commands.items()
+    }
+    unknown = set(config).difference(*taken.values())
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    parser.set_defaults(**config)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                sub.set_defaults(
-                    **{k: v for k, v in config.items()
-                       if k in {a.dest for a in sub._actions}}
-                )
+    for name, sub in commands.items():
+        sub.set_defaults(**{k: v for k, v in config.items() if k in taken[name]})
 
 
 def main(argv: list[str] | None = None) -> int:

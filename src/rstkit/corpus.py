@@ -75,55 +75,103 @@ class Document:
 
 
 # ---------------------------------------------------------------------------
-# Token scan shared by the .dis reader and the bracket format
+# Field scan shared by the .dis reader and the bracket format
 
-# Branches in order: a text field, which may hold parentheses and newlines;
-# a _! that no later _! closes; parentheses; an atom. Whitespace matches
-# no branch, so finditer skips it between tokens.
-_TOKEN_RE = re.compile(
-    r"_!(?P<text>.*?)_!|(?P<lone>_!)|(?P<open>\()|(?P<close>\))|(?P<atom>[^\s()]+)",
-    re.DOTALL,
+# One match per well-formed field, or else per token. Fields: (span a b),
+# (leaf n), (rel2par name), (text _!..._!), a constituent's ( Role and a
+# bracket node's (NS Relation. Tokens: ")"; a text field, which may hold
+# parentheses and newlines; a _! that no later _! closes, which takes the
+# rest of the input with it; "("; an atom. Whitespace matches no branch,
+# so finditer skips it. A field branch matches exactly the token runs the
+# readers accept there, spaced as the token scan allows, so a malformed
+# field falls through to its tokens and fails as they do.
+_FIELD_RE = re.compile(
+    r"""
+      (?P<close>\))
+    | \(\s*(?:
+        (?P<span>span\s+(?P<first>\d+)\s+(?P<last>\d+)\s*\))
+      | (?P<leaf>leaf\s+(?P<index>\d+)\s*\))
+      | (?P<rel2par>rel2par\s+(?P<name>(?!_!)[^\s()]+)\s*\))
+      | (?P<field_text>text\s+_!(?P<inside>[^_]*(?:_(?!!)[^_]*)*)_!\s*\))
+      | (?P<constituent>(?P<role>Root|Nucleus|Satellite)(?![^\s()]))
+      | (?P<node>(?P<pattern>NS|SN|NN)\s+(?P<relation>(?!_!)[^\s()]+))
+    )
+    | _!(?P<text>.*?)_!
+    | (?P<lone>_!.*)
+    | (?P<open>\()
+    | (?P<atom>[^\s()]+)
+    """,
+    re.DOTALL | re.VERBOSE,
 )
+# the head of a field: the atom after its (
+_HEAD_RE = re.compile(r"\(\s*([^\s()]+)")
 # Two WSJ training files carry stray tool output after closing parens.
 _TT_ERR_RE = re.compile(r"\)//TT_ERR")
 
-# token kinds: "open", "close", "atom", "text"
+# (kind, value, offset): kind is "open", "close", "atom" or "text"; a text
+# token's value is its inside
 Token = tuple[str, str, int]
+_TOKEN_KINDS = frozenset(("open", "close", "atom", "text"))
+_FIELD_KINDS = frozenset(
+    ("span", "leaf", "rel2par", "field_text", "constituent", "node")
+)
 
 
-def _scan(text: str) -> list[Token]:
-    """Tokens as (kind, value, offset); a text field's value is its inside."""
-    tokens: list[Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "lone":
-            raise DisSyntaxError("unterminated _!text field", match.start())
-        tokens.append((kind, match[kind], match.start()))
-    return tokens
+def _unterminated(match: re.Match) -> DisSyntaxError:
+    return DisSyntaxError("unterminated _!text field", match.start())
+
+
+def _token(match: re.Match, kind: str | None = None) -> Token:
+    """A match as the token it starts with (every field starts with "("),
+    which must be of ``kind`` if one is given."""
+    if match.lastgroup == "lone":
+        raise _unterminated(match)
+    if match.lastgroup in _TOKEN_KINDS:
+        token = (match.lastgroup, match[match.lastgroup], match.start())
+    else:
+        token = ("open", "(", match.start())
+    if kind is not None and token[0] != kind:
+        raise DisSyntaxError(f"expected {kind}, got {token[1]!r}", token[2])
+    return token
+
+
+def _head(field: re.Match) -> tuple[str, int]:
+    """A field's head name and its offset."""
+    head = _HEAD_RE.match(field.string, field.start())
+    return head[1], head.start(1)
 
 
 class _Tokens:
-    """Cursor over scanned tokens with position-carrying errors."""
+    """Lazy cursor over the fields and tokens of a text; ``take`` reads the
+    next one as a token, for the checks of a field that did not match whole.
+
+    Used as a context manager: an error raised inside gives way to an
+    unterminated _! further on, which a reader reports before any other
+    fault in the text.
+    """
 
     def __init__(self, text: str, length: int | None = None):
-        self.tokens = _scan(text)
+        self.fields = _FIELD_RE.finditer(text)
         # end-of-input errors point past the text as the caller gave it
         self.length = len(text) if length is None else length
-        self.pos = 0
 
-    @property
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def __enter__(self) -> "_Tokens":
+        return self
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if error is not None:
+            for field in self.fields:
+                if field.lastgroup == "lone":
+                    raise _unterminated(field) from None
+
+    def field(self) -> re.Match:
+        field = next(self.fields, None)
+        if field is None:
+            raise DisSyntaxError("unexpected end of input", self.length)
+        return field
 
     def take(self, kind: str | None = None) -> Token:
-        try:
-            token = self.tokens[self.pos]
-        except IndexError:
-            raise DisSyntaxError("unexpected end of input", self.length) from None
-        if kind is not None and token[0] != kind:
-            raise DisSyntaxError(f"expected {kind}, got {token[1]!r}", token[2])
-        self.pos += 1
-        return token
+        return _token(self.field(), kind)
 
     def take_int(self) -> int:
         kind, value, pos = self.take()
@@ -196,7 +244,7 @@ def _chain(parts: list[_Side]) -> _Side:
     return role, rel, tree
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     role: str
     rel2par: str | None = None
@@ -247,64 +295,103 @@ def parse_dis(
 
     Each constituent is checked and folded into binary nodes (see
     ``_chain``) as its closing parenthesis is read. With ``relation_map``,
-    every real rel2par is mapped as it is read; the "span" placeholder and
-    the Root's missing rel2par pass through, and an unknown name raises
-    UnknownRelation. Treebank nesting is as deep as the document, so the
-    open constituents are kept on an explicit frame stack.
+    every real rel2par is mapped as it is read, each distinct name once;
+    the "span" placeholder and the Root's missing rel2par pass through, and
+    an unknown name raises UnknownRelation.
     """
-    cursor = _Tokens(_TT_ERR_RE.sub(")", text), len(text))
-    cursor.take("open")
-    _, role, pos = cursor.take("atom")
-    if role != ROOT:
-        raise DisSyntaxError(f"expected {ROOT}, got {role!r}", pos)
-    frames: list[_Frame] = [_Frame(role)]
-    edus: list[Edu] = []
-    root: RstTree | None = None
-    while root is None:
-        kind, value, pos = cursor.take()
-        if kind == "close":
-            frame = frames.pop()
-            side = frame.close(pos)
-            # only a leaf frame records its EDU: a one-child constituent
-            # over a leaf also closes to that Leaf (``_chain`` unwraps it)
-            if frame.leaf is not None:
-                edus.append(side[2].edu)
-            if frames:
-                frames[-1].children.append(side)
-            else:
-                root = side[2]
-            continue
-        if kind != "open":
-            raise DisSyntaxError(f"expected ( or ), got {value!r}", pos)
-        head_kind, head, head_pos = cursor.take()
-        if head_kind != "atom":
-            raise DisSyntaxError("expected a name after (", head_pos)
-        if head in (NUCLEUS, SATELLITE):
-            frames.append(_Frame(head))
-            continue
-        if head == ROOT:
-            raise DisSyntaxError("Root below the top level", head_pos)
-        frame = frames[-1]
-        if head == "span":
-            frame.span = (cursor.take_int(), cursor.take_int())
-        elif head == "leaf":
-            frame.leaf = cursor.take_int()
-        elif head == "rel2par":
-            rel2par = cursor.take("atom")[1]
-            if relation_map is not None and rel2par != SPAN_REL:
-                rel2par = relation_map.apply(rel2par)
-            frame.rel2par = rel2par
-        elif head == "text":
-            frame.text = normalize_edu_text(cursor.take("text")[1])
-        else:
-            raise DisSyntaxError(f"unknown field {head!r}", head_pos)
-        cursor.take("close")
-    if not cursor.done:
-        raise DisSyntaxError("trailing content after tree", cursor.take()[2])
+    with _Tokens(_TT_ERR_RE.sub(")", text), len(text)) as cursor:
+        root, edus = _read_constituents(cursor, relation_map)
     # every constituent covers its span with contiguous children, so the
     # leaves run root.span[0]..root.span[1] in document order
     if root.span[0] != 1:
         raise MalformedTree("leaf indices are not contiguous from 1")
+    return root, edus
+
+
+def _read_constituents(
+    cursor: _Tokens, relation_map: "RelationMap | None"
+) -> tuple[RstTree, tuple[Edu, ...]]:
+    """Read the Root constituent and everything in it. Treebank nesting is
+    as deep as the document, so the open constituents are kept on an
+    explicit frame stack."""
+    mapped = {SPAN_REL: SPAN_REL}
+
+    def relation(name: str) -> str:
+        if relation_map is None:
+            return name
+        if name not in mapped:
+            mapped[name] = relation_map.apply(name)
+        return mapped[name]
+
+    first = cursor.field()
+    if first.lastgroup in _FIELD_KINDS:
+        role, pos = _head(first)
+    else:
+        _token(first, "open")
+        _, role, pos = cursor.take("atom")
+    if role != ROOT:
+        raise DisSyntaxError(f"expected {ROOT}, got {role!r}", pos)
+    frames: list[_Frame] = [_Frame(role)]
+    edus: list[Edu] = []
+    for field in cursor.fields:
+        kind = field.lastgroup
+        if kind == "close":
+            frame = frames.pop()
+            side = frame.close(field.start())
+            # only a leaf frame records its EDU: a one-child constituent
+            # over a leaf also closes to that Leaf (``_chain`` unwraps it)
+            if frame.leaf is not None:
+                edus.append(side[2].edu)
+            if not frames:
+                root = side[2]
+                break
+            frames[-1].children.append(side)
+        elif kind == "constituent":
+            role = field["role"]
+            if role == ROOT:
+                raise DisSyntaxError("Root below the top level", field.start("role"))
+            frames.append(_Frame(role))
+        elif kind == "span":
+            frames[-1].span = (int(field["first"]), int(field["last"]))
+        elif kind == "leaf":
+            frames[-1].leaf = int(field["index"])
+        elif kind == "rel2par":
+            frames[-1].rel2par = relation(field["name"])
+        elif kind == "field_text":
+            frames[-1].text = normalize_edu_text(field["inside"])
+        elif kind == "open":
+            # a ( that starts no whole field: read it token by token
+            head_kind, head, head_pos = cursor.take()
+            if head_kind != "atom":
+                raise DisSyntaxError("expected a name after (", head_pos)
+            if head in (NUCLEUS, SATELLITE):
+                frames.append(_Frame(head))
+                continue
+            if head == ROOT:
+                raise DisSyntaxError("Root below the top level", head_pos)
+            frame = frames[-1]
+            if head == "span":
+                frame.span = (cursor.take_int(), cursor.take_int())
+            elif head == "leaf":
+                frame.leaf = cursor.take_int()
+            elif head == "rel2par":
+                frame.rel2par = relation(cursor.take("atom")[1])
+            elif head == "text":
+                frame.text = normalize_edu_text(cursor.take("text")[1])
+            else:
+                raise DisSyntaxError(f"unknown field {head!r}", head_pos)
+            cursor.take("close")
+        elif kind == "node":
+            head, head_pos = _head(field)
+            raise DisSyntaxError(f"unknown field {head!r}", head_pos)
+        else:
+            _, value, pos = _token(field)
+            raise DisSyntaxError(f"expected ( or ), got {value!r}", pos)
+    else:
+        raise DisSyntaxError("unexpected end of input", cursor.length)
+    trailing = next(cursor.fields, None)
+    if trailing is not None:
+        raise DisSyntaxError("trailing content after tree", _token(trailing)[2])
     return root, tuple(edus)
 
 
@@ -475,7 +562,6 @@ def write_tree(tree: RstTree) -> str:
 
 def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
     """Parse the bracket form back; attaches texts when ``edus`` is given."""
-    cursor = _Tokens(line)
     # frames hold (pattern, relation, children)
     frames: list[tuple[str, str, list[RstTree]]] = []
     result: RstTree | None = None
@@ -489,40 +575,54 @@ def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
         else:
             raise DisSyntaxError("multiple top-level trees on one line", pos)
 
-    while not cursor.done:
-        kind, value, pos = cursor.take()
-        if kind == "open":
-            head_kind, head, head_pos = cursor.take()
-            if head_kind != "atom":
-                raise DisSyntaxError("expected node head after (", head_pos)
-            if head == "leaf":
-                index = cursor.take_int()
-                cursor.take("close")
-                if edus is not None:
-                    if not 1 <= index <= len(edus):
-                        raise DisSyntaxError(f"leaf {index} outside document", pos)
-                    attach(Leaf(edus[index - 1]), pos)
-                else:
-                    attach(Leaf(Edu(index, "")), pos)
-            elif head in SHORT_PATTERN:
-                relation = cursor.take("atom")[1]
-                frames.append((SHORT_PATTERN[head], relation, []))
-            else:
-                raise DisSyntaxError(f"unknown node head {head!r}", head_pos)
-        elif kind == "close":
-            if not frames:
-                raise DisSyntaxError("unbalanced )", pos)
-            pattern, relation, children = frames.pop()
-            if len(children) != 2:
-                raise DisSyntaxError(
-                    f"node needs exactly two children, got {len(children)}", pos
-                )
-            try:
-                attach(Node(children[0], children[1], pattern, relation), pos)
-            except MalformedTree as exc:
-                raise DisSyntaxError(str(exc), pos) from None
+    def leaf(index: int, pos: int) -> None:
+        if edus is None:
+            attach(Leaf(Edu(index, "")), pos)
+        elif 1 <= index <= len(edus):
+            attach(Leaf(edus[index - 1]), pos)
         else:
-            raise DisSyntaxError(f"unexpected token {value!r}", pos)
+            raise DisSyntaxError(f"leaf {index} outside document", pos)
+
+    with _Tokens(line) as cursor:
+        for field in cursor.fields:
+            kind = field.lastgroup
+            if kind == "leaf":
+                leaf(int(field["index"]), field.start())
+            elif kind == "node":
+                pattern = SHORT_PATTERN[field["pattern"]]
+                frames.append((pattern, field["relation"], []))
+            elif kind == "close":
+                pos = field.start()
+                if not frames:
+                    raise DisSyntaxError("unbalanced )", pos)
+                pattern, relation, children = frames.pop()
+                if len(children) != 2:
+                    raise DisSyntaxError(
+                        f"node needs exactly two children, got {len(children)}", pos
+                    )
+                try:
+                    attach(Node(children[0], children[1], pattern, relation), pos)
+                except MalformedTree as exc:
+                    raise DisSyntaxError(str(exc), pos) from None
+            elif kind == "open":
+                # a ( that starts no whole node: read it token by token
+                head_kind, head, head_pos = cursor.take()
+                if head_kind != "atom":
+                    raise DisSyntaxError("expected node head after (", head_pos)
+                if head == "leaf":
+                    index = cursor.take_int()
+                    cursor.take("close")
+                    leaf(index, field.start())
+                elif head in SHORT_PATTERN:
+                    frames.append((SHORT_PATTERN[head], cursor.take("atom")[1], []))
+                else:
+                    raise DisSyntaxError(f"unknown node head {head!r}", head_pos)
+            elif kind in _FIELD_KINDS:
+                head, head_pos = _head(field)
+                raise DisSyntaxError(f"unknown node head {head!r}", head_pos)
+            else:
+                _, value, pos = _token(field)
+                raise DisSyntaxError(f"unexpected token {value!r}", pos)
 
     if frames:
         raise DisSyntaxError("unclosed ( in bracket line", len(line))

@@ -23,8 +23,10 @@ from rstkit import (
     minicorpus_dir,
 )
 
-# deterministic property tests: same examples on every run
+# deterministic property tests: same examples on every run; pytest's
+# --hypothesis-profile=deep selects the longer run
 settings.register_profile("ci", derandomize=True, max_examples=60)
+settings.register_profile("deep", derandomize=True, max_examples=2000)
 settings.load_profile("ci")
 
 TESTS_DIR = Path(__file__).resolve().parent

@@ -535,6 +535,44 @@ def test_flags_beat_config(tmp_path, capsys):
     assert manifest["config"]["strategy"] == "bottom-up"
 
 
+@pytest.mark.parametrize("spelling", ["--config PATH", "--config=PATH", "--conf PATH"])
+def test_each_config_spelling_applies_the_file(tmp_path, capsys, spelling):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"strategy": "top-down"}))
+    dis = tmp_path / "doc.dis"
+    dis.write_text((Path(CORPUS) / "doc01.dis").read_text())
+    flags = spelling.replace("PATH", str(config)).split()
+    code, stdout, _ = run(capsys, *flags, "derive-actions", "--file", str(dis))
+    assert code == 0
+    # top-down prints splits (first, last, k, ...), bottom-up shift/reduce rows
+    assert stdout.split("\t", 1)[0] == "1"
+
+
+def test_config_keys_reach_only_the_commands_that_take_them(tmp_path, capsys):
+    # workers is an option of parse alone; a bad value there leaves eval be
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"workers": 0}))
+    pred = tmp_path / "pred"
+    assert run(capsys, *_parse_args(pred))[0] == 0
+    code, stdout, _ = run(
+        capsys, "--config", str(config), "eval", "--gold-dir", CORPUS,
+        "--pred-dir", str(pred), "--manifest", MANIFEST, "--split", "dev",
+        "--relation-map", MAP,
+    )
+    assert code == 0
+    assert stdout.startswith("level\tprecision")
+    assert run(capsys, "--config", str(config), *_parse_args(tmp_path / "p"))[0] == 2
+    # eval and report-relations options leave parse's manifest as it was
+    config.write_text(json.dumps({"exclude_root": True, "csv": "x.csv"}))
+    assert run(capsys, "--config", str(config), *_parse_args(tmp_path / "with"))[0] == 0
+    with_config = json.loads((tmp_path / "with" / "run_manifest.json").read_text())
+    without = json.loads((pred / "run_manifest.json").read_text())
+    assert "exclude_root" not in with_config["config"]
+    assert "csv" not in with_config["config"]
+    with_config["config"]["out"] = without["config"]["out"]
+    assert with_config["config"] == without["config"]
+
+
 @pytest.mark.parametrize(
     "content,fragment",
     [

@@ -3,7 +3,9 @@
 The binarization tests write small n-ary trees as .dis text and compare
 what ``parse_dis`` reads against a recursive reference implementation kept
 here, written directly from the labeling rules. It is the fixed point the
-reader's fold-as-it-reads must match.
+reader's fold-as-it-reads must match. The same documents, and one-character
+edits of them, hold the field-at-a-time readers to the token-at-a-time
+ones in ``token_reader.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
+import token_reader
 from rstkit import (
     DocumentText,
     Edu,
@@ -21,12 +25,14 @@ from rstkit import (
     MalformedTree,
     Node,
     ParsePolicy,
+    RelationMap,
     ReplayOracle,
     internal_nodes,
     leaves,
     parse_bottom_up,
     parse_dis,
     parse_top_down,
+    read_tree,
     write_tree,
 )
 from rstkit.cli import main as cli_main
@@ -426,6 +432,69 @@ def test_binarize_matches_reference_on_random_nested_trees():
         assert got == ref_binarize_root(root), trial
         check_tree(got, n)
         assert sum(1 for _ in internal_nodes(got)) == n - 1
+
+
+# ---------------------------------------------------------------------------
+# The field readers against the token readers, on documents and their edits
+
+# maps some of the names ``_random_nary`` writes; "condition" is left out
+PARTIAL_MAP = RelationMap({
+    name: name.title()
+    for name in ("cause", "evidence", "list", "sequence", "contrast")
+})
+
+
+def _outcome(read, *args):
+    """What a reader returns, or the type, message and offset it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+@st.composite
+def _edited(draw, text: str) -> str:
+    """``text`` as it is, or with one character deleted, or with one the
+    readers treat specially (or a whole ``_!``) inserted or put in place of
+    one."""
+    edit = draw(st.sampled_from(("none", "insert", "delete", "replace")))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    char = draw(st.sampled_from([*"()_! 0123456789", "_!"]))
+    if edit == "insert":
+        return text[:at] + char + text[at:]
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    if edit == "replace":
+        return text[:at] + char + text[at + 1:]
+    return text
+
+
+@st.composite
+def _dis_texts(draw) -> str:
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n = draw(st.integers(min_value=1, max_value=8))
+    return draw(_edited(to_dis(_random_nary(rng, 1, n, "Root", None))))
+
+
+@given(_dis_texts(), st.sampled_from((None, PARTIAL_MAP)))
+def test_field_reader_matches_token_reader_on_dis_edits(text, relation_map):
+    expected = _outcome(token_reader.parse_dis, text, relation_map)
+    assert _outcome(parse_dis, text, relation_map) == expected
+
+
+@st.composite
+def _bracket_lines(draw) -> tuple[str, tuple[Edu, ...] | None]:
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    edus = make_edus(draw(st.integers(min_value=1, max_value=8)), rng)
+    line = draw(_edited(write_tree(random_tree(rng, edus))))
+    return line, draw(st.sampled_from((None, edus)))
+
+
+@given(_bracket_lines())
+def test_field_reader_matches_token_reader_on_bracket_edits(case):
+    line, edus = case
+    expected = _outcome(token_reader.read_tree, line, edus)
+    assert _outcome(read_tree, line, edus) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from rstkit import (
     write_tree,
 )
 from rstkit.core import NN, NS, SN
-from rstkit.corpus import _scan
+from rstkit.corpus import _FIELD_RE
 
 from conftest import make_edus, random_tree
 
@@ -131,6 +131,24 @@ DIS_SYNTAX_ERRORS = [
     ("( Root (span 1 1) )", "no children", 18),
     ("( Root (span 1 1) x )", "expected \\( or \\)", 18),
     ("( Root (span 1 1) ( (leaf 1) ) )", "expected a name", 20),
+    # fields that are not whole, read and rejected token by token
+    ("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) (text_!x_!) ) )",
+     "unknown field 'text_!x_!'", 53),
+    ("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par _!x_!) (text _!x_!) ) )",
+     "expected atom, got 'x'", 46),
+    ("( Root (span 1 2 3) ( Nucleus (leaf 1) (rel2par span) (text _!x_!) ) )",
+     "expected close, got '3'", 17),
+    ("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) (text _!a_!_!b_!) ) )",
+     "expected close, got 'b'", 63),
+    ("( Root (span 1 1) (Nucleus_!a_! (leaf 1) (rel2par span) (text _!x_!) ) )",
+     "unknown field 'Nucleus_!a_!'", 19),
+    # an unterminated _! is reported before a fault earlier in the text
+    ("( Root (span one 2) ( Nucleus (leaf 1) (rel2par span) (text _!x) ) )",
+     "unterminated", 60),
+    ("( Root (leaf 1) (text _!x_!) ) _!x", "unterminated", 31),
+    # any Unicode decimal digit reads as a number, whole field or not
+    ("( Root (span 1 1) ( Nucleus (leaf \u0661) (rel2par span) ) )",
+     "leaf 1 has no text field", 52),
 ]
 
 
@@ -148,25 +166,48 @@ def test_dis_syntax_error_offsets(bad, fragment, pos):
     assert str(caught.value).endswith(f" (at offset {pos})")
 
 
+def _scan(text):
+    """The scan as (kind, value, offset): a token's value is its text, or a
+    text field's inside; a whole field's value is the tuple of its parts."""
+    scanned = []
+    for match in _FIELD_RE.finditer(text):
+        kind = match.lastgroup
+        parts = tuple(
+            value for name, value in match.groupdict().items()
+            if value is not None and name != kind
+        )
+        scanned.append((kind, parts or match[kind], match.start()))
+    return scanned
+
+
 @pytest.mark.parametrize("text,tokens", [
     # a text field keeps parentheses and newlines, and only its inside
-    ("(text _!a (b)\nc) _!)", [
-        ("open", "(", 0), ("atom", "text", 1), ("text", "a (b)\nc) ", 6),
-        ("close", ")", 19),
-    ]),
+    ("(text _!a (b)\nc) _!)", [("field_text", ("a (b)\nc) ",), 0)]),
     # _! inside an atom opens no text field
-    ("(rel2par a_!b) x_!", [
-        ("open", "(", 0), ("atom", "rel2par", 1), ("atom", "a_!b", 9),
-        ("close", ")", 13), ("atom", "x_!", 15),
-    ]),
+    ("(rel2par a_!b) x_!", [("rel2par", ("a_!b",), 0), ("atom", "x_!", 15)]),
     # the scan itself leaves tool noise as an atom; parse_dis drops it first
     (")//TT_ERR", [("close", ")", 0), ("atom", "//TT_ERR", 1)]),
     ("_!_! ( _!x_!_!y_!", [
         ("text", "", 0), ("open", "(", 5), ("text", "x", 7), ("text", "y", 12),
     ]),
-    ("  \t(leaf\xa01)  ", [
-        ("open", "(", 3), ("atom", "leaf", 4), ("atom", "1", 9), ("close", ")", 10),
+    # any whitespace separates, a no-break space too; offsets count it
+    ("  \t(leaf\xa01)  ", [("leaf", ("1",), 3)]),
+    # a field that is not whole falls back to its tokens
+    ("(span 1 2 3)", [
+        ("open", "(", 0), ("atom", "span", 1), ("atom", "1", 6), ("atom", "2", 8),
+        ("atom", "3", 10), ("close", ")", 11),
     ]),
+    ("(text _!a_!_!b_!)", [
+        ("open", "(", 0), ("atom", "text", 1), ("text", "a", 6), ("text", "b", 11),
+        ("close", ")", 16),
+    ]),
+    # constituent and bracket-node openers; the role must be a whole atom
+    ("( Nucleus (NS Cause-e (Satellite_!x", [
+        ("constituent", ("Nucleus",), 0), ("node", ("NS", "Cause-e"), 10),
+        ("open", "(", 22), ("atom", "Satellite_!x", 23),
+    ]),
+    # a _! that nothing closes takes the rest of the text
+    ("(leaf 1) _!x (leaf 2)", [("leaf", ("1",), 0), ("lone", "_!x (leaf 2)", 9)]),
 ])
 def test_token_scan(text, tokens):
     assert _scan(text) == tokens
@@ -391,6 +432,8 @@ def test_write_leaf_only():
     ("((leaf 1))", "expected node head"),
     ("(leaf 1))", "unbalanced"),
     ("(NS Cause (leaf 1) x (leaf 2))", "unexpected token 'x'"),
+    ("(NS _!x_! (leaf 1) (leaf 2))", "expected atom, got 'x'"),
+    ("(XX Cause (leaf 1) _!x", "unterminated"),
 ])
 def test_read_tree_errors(line, fragment):
     with pytest.raises(DisSyntaxError, match=fragment):

@@ -1,0 +1,191 @@
+"""Reference readers: the token-at-a-time .dis and bracket loops.
+
+``rstkit.corpus`` matches a whole field at a time and falls back to single
+tokens only where a field is malformed. These are the loops it replaced,
+which read every parenthesis, name and number as its own token. The
+differential tests in ``test_core.py`` hold the field reader to them: the
+same tree and EDUs, or the same exception, message and offset. The checks
+a constituent makes as it closes are shared (``_Frame.close``), so what
+these pin is the scan and the field logic around it.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Sequence
+
+from rstkit.core import Edu, Leaf, MalformedTree, Node, RstTree
+from rstkit.corpus import (
+    NUCLEUS,
+    ROOT,
+    SATELLITE,
+    SHORT_PATTERN,
+    SPAN_REL,
+    DisSyntaxError,
+    RelationMap,
+    _Frame,
+    normalize_edu_text,
+)
+
+# Branches in order: a text field, which may hold parentheses and newlines;
+# a _! that no later _! closes; parentheses; an atom. Whitespace matches
+# no branch, so finditer skips it between tokens.
+_TOKEN_RE = re.compile(
+    r"_!(?P<text>.*?)_!|(?P<lone>_!)|(?P<open>\()|(?P<close>\))|(?P<atom>[^\s()]+)",
+    re.DOTALL,
+)
+_TT_ERR_RE = re.compile(r"\)//TT_ERR")
+
+# (kind, value, offset); kind is "open", "close", "atom" or "text"
+Token = tuple[str, str, int]
+
+
+def scan(text: str) -> list[Token]:
+    """Tokens as (kind, value, offset); a text field's value is its inside."""
+    tokens: list[Token] = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "lone":
+            raise DisSyntaxError("unterminated _!text field", match.start())
+        tokens.append((kind, match[kind], match.start()))
+    return tokens
+
+
+class Tokens:
+    """Cursor over scanned tokens with position-carrying errors."""
+
+    def __init__(self, text: str, length: int | None = None):
+        self.tokens = scan(text)
+        self.length = len(text) if length is None else length
+        self.pos = 0
+
+    @property
+    def done(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+    def take(self, kind: str | None = None) -> Token:
+        try:
+            token = self.tokens[self.pos]
+        except IndexError:
+            raise DisSyntaxError("unexpected end of input", self.length) from None
+        if kind is not None and token[0] != kind:
+            raise DisSyntaxError(f"expected {kind}, got {token[1]!r}", token[2])
+        self.pos += 1
+        return token
+
+    def take_int(self) -> int:
+        kind, value, pos = self.take()
+        if kind != "atom" or not value.isdecimal():
+            raise DisSyntaxError("expected integer", pos)
+        return int(value)
+
+
+def parse_dis(
+    text: str, relation_map: RelationMap | None = None
+) -> tuple[RstTree, tuple[Edu, ...]]:
+    cursor = Tokens(_TT_ERR_RE.sub(")", text), len(text))
+    cursor.take("open")
+    _, role, pos = cursor.take("atom")
+    if role != ROOT:
+        raise DisSyntaxError(f"expected {ROOT}, got {role!r}", pos)
+    frames: list[_Frame] = [_Frame(role)]
+    edus: list[Edu] = []
+    root: RstTree | None = None
+    while root is None:
+        kind, value, pos = cursor.take()
+        if kind == "close":
+            frame = frames.pop()
+            side = frame.close(pos)
+            if frame.leaf is not None:
+                edus.append(side[2].edu)
+            if frames:
+                frames[-1].children.append(side)
+            else:
+                root = side[2]
+            continue
+        if kind != "open":
+            raise DisSyntaxError(f"expected ( or ), got {value!r}", pos)
+        head_kind, head, head_pos = cursor.take()
+        if head_kind != "atom":
+            raise DisSyntaxError("expected a name after (", head_pos)
+        if head in (NUCLEUS, SATELLITE):
+            frames.append(_Frame(head))
+            continue
+        if head == ROOT:
+            raise DisSyntaxError("Root below the top level", head_pos)
+        frame = frames[-1]
+        if head == "span":
+            frame.span = (cursor.take_int(), cursor.take_int())
+        elif head == "leaf":
+            frame.leaf = cursor.take_int()
+        elif head == "rel2par":
+            rel2par = cursor.take("atom")[1]
+            if relation_map is not None and rel2par != SPAN_REL:
+                rel2par = relation_map.apply(rel2par)
+            frame.rel2par = rel2par
+        elif head == "text":
+            frame.text = normalize_edu_text(cursor.take("text")[1])
+        else:
+            raise DisSyntaxError(f"unknown field {head!r}", head_pos)
+        cursor.take("close")
+    if not cursor.done:
+        raise DisSyntaxError("trailing content after tree", cursor.take()[2])
+    if root.span[0] != 1:
+        raise MalformedTree("leaf indices are not contiguous from 1")
+    return root, tuple(edus)
+
+
+def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
+    cursor = Tokens(line)
+    frames: list[tuple[str, str, list[RstTree]]] = []
+    result: RstTree | None = None
+
+    def attach(tree: RstTree, pos: int) -> None:
+        nonlocal result
+        if frames:
+            frames[-1][2].append(tree)
+        elif result is None:
+            result = tree
+        else:
+            raise DisSyntaxError("multiple top-level trees on one line", pos)
+
+    while not cursor.done:
+        kind, value, pos = cursor.take()
+        if kind == "open":
+            head_kind, head, head_pos = cursor.take()
+            if head_kind != "atom":
+                raise DisSyntaxError("expected node head after (", head_pos)
+            if head == "leaf":
+                index = cursor.take_int()
+                cursor.take("close")
+                if edus is not None:
+                    if not 1 <= index <= len(edus):
+                        raise DisSyntaxError(f"leaf {index} outside document", pos)
+                    attach(Leaf(edus[index - 1]), pos)
+                else:
+                    attach(Leaf(Edu(index, "")), pos)
+            elif head in SHORT_PATTERN:
+                relation = cursor.take("atom")[1]
+                frames.append((SHORT_PATTERN[head], relation, []))
+            else:
+                raise DisSyntaxError(f"unknown node head {head!r}", head_pos)
+        elif kind == "close":
+            if not frames:
+                raise DisSyntaxError("unbalanced )", pos)
+            pattern, relation, children = frames.pop()
+            if len(children) != 2:
+                raise DisSyntaxError(
+                    f"node needs exactly two children, got {len(children)}", pos
+                )
+            try:
+                attach(Node(children[0], children[1], pattern, relation), pos)
+            except MalformedTree as exc:
+                raise DisSyntaxError(str(exc), pos) from None
+        else:
+            raise DisSyntaxError(f"unexpected token {value!r}", pos)
+
+    if frames:
+        raise DisSyntaxError("unclosed ( in bracket line", len(line))
+    if result is None:
+        raise DisSyntaxError("empty bracket line", 0)
+    return result
