@@ -208,7 +208,9 @@ def _predictions(pred_dir: str, documents: list[Document]):
 
 
 def _make_shared_oracle(args: argparse.Namespace):
-    """Oracle shared across documents, or None when replay (per-document)."""
+    """Oracle shared across documents, or None when replay (per-document).
+    An HTTP client is wrapped in its cache by ``cmd_parse``, which reads the
+    store once the run has a manifest."""
     if args.cache_dir and args.oracle != "http":
         raise ConfigError("--cache-dir needs --oracle http")
     if args.oracle == "replay":
@@ -224,7 +226,7 @@ def _make_shared_oracle(args: argparse.Namespace):
     if not args.endpoint or not args.model:
         raise ConfigError("--oracle http needs --endpoint and --model")
     try:
-        oracle = HttpOracle(
+        return HttpOracle(
             endpoint=args.endpoint,
             model=args.model,
             max_tokens=args.max_tokens,
@@ -234,11 +236,16 @@ def _make_shared_oracle(args: argparse.Namespace):
         )
     except ValueError as exc:  # an endpoint that is not http:// or https://
         raise ConfigError(str(exc)) from None
-    # without a store the wrapper still fetches concurrently
-    return CachedOracle(oracle, args.cache_dir)
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
+    """Parse every document. Replay and scripted answers are asked one at a
+    time, a document at a time, on this thread. HTTP answers go through one
+    cache, which keeps them for the run, with or without ``--cache-dir``;
+    up to ``--workers`` documents are parsed at once, each on its own
+    thread, and each puts every round of ready queries to the cache in one
+    call.
+    """
     started = time.time()
     inventory = _fixture("inventory", args.inventory)
     policy = _policy(args)
@@ -247,17 +254,42 @@ def cmd_parse(args: argparse.Namespace) -> int:
     shared = _make_shared_oracle(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    config = _resolved_config(args)
+    config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
     # manifest rows of the documents finished so far, by document index
     rows: dict[int, dict] = {}
+    cache: CachedOracle | None = None
+
+    def write_manifest(status: str, error: Exception | None = None) -> dict:
+        doc_rows = [rows[index] for index in sorted(rows)]
+        manifest = {
+            "status": status,
+            "error": None if error is None else f"{type(error).__name__}: {error}",
+            "config": config,
+            "config_hash": config_hash,
+            "documents": doc_rows,
+            "totals": {
+                "documents": len(doc_rows),
+                "queries": sum(row["queries"] for row in doc_rows),
+                "corrected": sum(row["corrected"] for row in doc_rows),
+            },
+            "cache": cache.report() if cache is not None and args.cache_dir else None,
+            "elapsed_seconds": round(time.time() - started, 3),
+        }
+        write_text_atomic(
+            out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n"
+        )
+        return manifest
 
     def run_one(index: int) -> None:
         """Parse and write one document; record its row of the run manifest."""
         doc = documents[index]
         oracle = ReplayOracle(doc.tree) if shared is None else shared
         result = engine(doc.edus, oracle, inventory, policy)
-        write_text_atomic(out_dir / f"{doc.doc_id}.tree", write_tree(result.tree) + "\n")
+        # the trace first, so that a .tree on disk always has its trace
         write_text_atomic(out_dir / f"{doc.doc_id}.trace.jsonl", trace_to_jsonl(result.trace))
+        write_text_atomic(out_dir / f"{doc.doc_id}.tree", write_tree(result.tree) + "\n")
         # the trace, with every prompt, is dropped here, not held to the end
         rows[index] = {
             "doc_id": doc.doc_id,
@@ -267,9 +299,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
             "corrected": result.corrected_count,
         }
 
+    # a run killed before it ends leaves this manifest behind
+    write_manifest("running")
     error = None
     try:
-        if args.workers > 1:
+        if args.oracle == "http":
+            shared = cache = CachedOracle(shared, args.cache_dir)
+        if cache is not None and args.workers > 1:
             with ThreadPoolExecutor(max_workers=args.workers) as pool:
                 list(pool.map(run_one, range(len(documents))))
         else:
@@ -284,35 +320,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
         if close is not None:
             close()
 
-    doc_rows = [rows[index] for index in sorted(rows)]
-    total_queries = sum(row["queries"] for row in doc_rows)
-    total_corrected = sum(row["corrected"] for row in doc_rows)
-
-    config = _resolved_config(args)
-    manifest = {
-        "status": "ok" if error is None else "failed",
-        "error": None if error is None else f"{type(error).__name__}: {error}",
-        "config": config,
-        "config_hash": hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()
-        ).hexdigest(),
-        "documents": doc_rows,
-        "totals": {
-            "documents": len(doc_rows),
-            "queries": total_queries,
-            "corrected": total_corrected,
-        },
-        "cache": shared.stats() if args.cache_dir else None,
-        "elapsed_seconds": round(time.time() - started, 3),
-    }
-    write_text_atomic(
-        out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n"
-    )
+    totals = write_manifest("ok" if error is None else "failed", error)["totals"]
     if error is not None:
         raise error
     print(
-        f"parsed {len(doc_rows)} documents with {args.strategy}: "
-        f"{total_queries} queries, {total_corrected} corrected -> {out_dir}"
+        f"parsed {totals['documents']} documents with {args.strategy}: "
+        f"{totals['queries']} queries, {totals['corrected']} corrected -> {out_dir}"
     )
     return EXIT_OK
 

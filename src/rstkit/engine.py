@@ -119,20 +119,19 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
     """Take every decision of a parse; return the trace in serial order.
 
     The serial order is depth-first over what made each decision ready. An
-    oracle that offers ``prefetch(queries)`` is handed all ready queries of
-    a round at once, so it can answer them concurrently, and is then asked
-    for each in serial order. Any other oracle is asked one query at a
-    time, always the ready one that comes first in serial order, which is
-    exactly the order of a serial parse. Forced decisions are taken as soon
-    as they are ready and cost no round. Either way ``oracle.complete`` is
-    called once per query, from this thread, and the same answers give the
-    same trace.
+    oracle that offers ``answer_many(queries)`` is handed all ready queries
+    of a round in one call, so it can answer them concurrently. Any other
+    oracle is asked one query at a time with ``complete``, always the ready
+    one that comes first in serial order, which is exactly the order of a
+    serial parse. Forced decisions are taken as soon as they are ready and
+    cost no round. Either way the oracle is called from this thread, and
+    the same answers give the same trace.
     """
-    prefetch = getattr(oracle, "prefetch", None)
+    answer_many = getattr(oracle, "answer_many", None)
     # ready decisions, the next in serial order last
     ready = [first]
     taken: list[tuple] = []
-    # with prefetch, decisions are taken round by round; the trace is put
+    # with answer_many, decisions are taken round by round; the trace is put
     # back in serial order from what each one made ready
     unlocked_by: dict[int, tuple[int, list[Decision]]] = {}
 
@@ -144,7 +143,7 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
             decision.kind, decision.state, prompt, raw, resolved, corrected,
             query is None, note,
         ))
-        if prefetch is not None:
+        if answer_many is not None:
             unlocked_by[id(decision)] = (len(taken) - 1, unlocked)
         return unlocked
 
@@ -156,17 +155,20 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
                 ready.extend(reversed(settle(decision, None)))
                 continue
             round_.append(decision)
-            if prefetch is None:
+            if answer_many is None:
                 break
-        if prefetch is not None and round_:
-            prefetch([decision.query for decision in round_])
         unlocked = []
-        for decision in round_:
-            unlocked.extend(settle(decision, oracle.complete(decision.query)))
+        if answer_many is None:
+            for decision in round_:
+                unlocked.extend(settle(decision, oracle.complete(decision.query)))
+        elif round_:
+            raws = answer_many([decision.query for decision in round_])
+            for decision, raw in zip(round_, raws):
+                unlocked.extend(settle(decision, raw))
         ready.extend(reversed(unlocked))
 
     order = range(len(taken))
-    if prefetch is not None:
+    if answer_many is not None:
         order, stack = [], [first]
         while stack:
             index, unlocked = unlocked_by[id(stack.pop())]

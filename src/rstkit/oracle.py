@@ -15,10 +15,10 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 from urllib.parse import urlsplit
 
 from .core import RstTree, internal_nodes
@@ -35,8 +35,8 @@ logger = logging.getLogger(__name__)
 
 TOKEN_ENV_VAR = "RSTKIT_API_TOKEN"
 
-# Most inner-oracle calls one CachedOracle runs at once, over all the
-# documents that share it.
+# Most requests one HttpOracle.answer_many sends at once, each on its own
+# kept-alive connection.
 IN_FLIGHT_LIMIT = 16
 
 # Endpoint URL scheme -> the connection that speaks it.
@@ -124,9 +124,10 @@ class Oracle(Protocol):
     key on the prompt, so a model-backed oracle must answer from the prompt
     alone, never from ``query.span``, which only a gold replay reads. An
     oracle whose answers depend only on the query may also offer
-    ``prefetch(queries)``, a hint that those queries will be asked next;
-    the engines then hand it every query that is ready at once (see
-    ``engine.run_decisions``). One without it sees the serial order.
+    ``answer_many(queries)``, which returns their answers in order; the
+    engines then hand it every query that is ready at once (see
+    ``engine.run_decisions``). One without it sees the serial order, one
+    query at a time.
     """
 
     fingerprint: str
@@ -212,8 +213,10 @@ class HttpOracle:
     choices[0].text. Decoding is greedy (temperature 0) and stops at the
     first newline, since every valid answer is a single line.
 
-    Each thread keeps one connection alive across its requests; ``close``
-    closes them all. Transport errors, 429 and 5xx are retried with
+    ``answer_many`` sends its queries with ``complete``, one prompt per
+    request, on at most IN_FLIGHT_LIMIT threads at once. Each thread keeps
+    one connection alive across its requests; ``close`` closes them all and
+    stops the threads. Transport errors, 429 and 5xx are retried with
     exponential backoff, or after an integer ``Retry-After``; any other
     status, or a 200 whose body has no answer, fails at once. Proxy
     environment variables are not read.
@@ -252,6 +255,7 @@ class HttpOracle:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._connections: list[http.client.HTTPConnection] = []
+        self._pool: ThreadPoolExecutor | None = None
 
     def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
@@ -328,8 +332,43 @@ class HttpOracle:
             f"{query.kind} query failed after {attempts} attempts: {last_error}"
         )
 
+    def answer_many(self, queries: Sequence[OracleQuery]) -> list[str]:
+        """The answers to ``queries``, in order, fetched concurrently.
+
+        Every request ends before this returns, and the first failure, in
+        query order, is raised. The exception raised, or one that cuts the
+        wait short, carries in ``answered`` the answers that did arrive, by
+        query index, so that a cache can keep them.
+        """
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    IN_FLIGHT_LIMIT, thread_name_prefix="rstkit-oracle"
+                )
+            pool = self._pool
+        futures = [pool.submit(self.complete, query) for query in queries]
+        try:
+            wait(futures)
+            for future in futures:
+                if future.exception() is not None:
+                    raise future.exception()
+        except BaseException as exc:
+            exc.answered = {
+                index: future.result()
+                for index, future in enumerate(futures)
+                if future.done() and not future.cancelled()
+                and future.exception() is None
+            }
+            raise
+        return [future.result() for future in futures]
+
     def close(self) -> None:
-        """Close every thread's connection; a later request opens a new one."""
+        """Stop the fetch threads, dropping requests not yet sent, and close
+        every thread's connection; a later request opens a new one."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
         with self._lock:
             connections, self._connections = self._connections, []
             self._local = threading.local()
@@ -338,141 +377,215 @@ class HttpOracle:
 
 
 class CachedOracle:
-    """Read-through cache in front of another oracle, which it can query
-    concurrently.
+    """Read-through cache in front of another oracle.
 
-    Keys hash the question and the inner oracle's fingerprint, so changing
-    the model or decoding setup never serves stale answers. Records are
-    one JSON file per key under ``store_dir``, written atomically; with
-    ``store_dir`` None nothing is stored, and an answer is kept only until
-    it is taken.
+    Answers are kept in one table for the life of the instance, keyed by a
+    hash of the question and the inner oracle's fingerprint, so changing
+    the model or decoding setup never serves stale answers. ``complete``
+    answers one query from the table, asking the inner oracle first on a
+    miss. ``answer_many`` asks the inner oracle for a round's misses in one
+    call (its ``answer_many`` when it has one), each distinct query once,
+    then answers each query with ``complete``. The inner oracle is called
+    outside the lock, so threads that share an instance fetch different
+    queries at once; a thread that needs an answer another thread is
+    fetching waits for it, so no query is fetched twice at once. When a
+    fetch fails, the answers that did arrive (see ``HttpOracle.answer_many``)
+    are kept before the failure is raised. ``close`` closes the inner
+    oracle.
 
-    Each query's pending answer is kept in one map until the first
-    ``complete`` takes it: a stored answer, read on the calling thread, or
-    a fetch on a pool of at most IN_FLIGHT_LIMIT threads that call nothing
-    but the inner oracle's ``complete``. A ``complete`` with no
-    ``prefetch`` before it fetches on the pool too, and waits. Concurrent
-    misses on one query make one inner call and store one record.
-    ``close`` stops the pool and closes the inner oracle.
+    With a ``store_dir`` the table is also kept on disk, as append-only
+    segment files (``*.jsonl``) of one JSON record per line. Every segment
+    is read once, when the instance is made, and so are per-key ``*.json``
+    records from older versions. An instance appends what it fetches to its
+    own segment, opened only for the write; another instance sees it once
+    it is made again. Where two records of one key disagree, the first
+    segment in name order wins, then the per-key records. A segment whose
+    writer was killed may end in a torn line, which is skipped; any other
+    line that cannot be read raises StoreCorrupt.
     """
 
     def __init__(self, inner: Oracle, store_dir: str | Path | None):
         self.inner = inner
         self.store_dir = None if store_dir is None else Path(store_dir)
+        # kind -> [hits, misses]
+        self.by_kind: dict[str, list[int]] = {}
+        self.torn_lines_skipped = 0
+        self.conflicts = 0
+        # guards everything below
+        self._lock = threading.Lock()
+        # notified when a fetch ends
+        self._fetched = threading.Condition(self._lock)
+        # key -> answer
+        self._table: dict[str, str] = {}
+        # keys some thread is fetching
+        self._fetching: set[str] = set()
+        # keys fetched and not yet answered: the first answer is the miss
+        self._fresh: set[str] = set()
         if self.store_dir is not None:
             self.store_dir.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self._guard = threading.Lock()
-        # query -> (stored answer, False) or the fetch of its (answer,
-        # whether the inner oracle was asked), until the first take
-        self._pending: dict[OracleQuery, tuple[str, bool] | Future] = {}
-        self._pool: ThreadPoolExecutor | None = None
+            # named by start time first, so name order is age order
+            self._segment = self.store_dir / (
+                f"{time.time_ns():020d}-{os.getpid()}-{id(self):x}.jsonl"
+            )
+            self._read_store()
 
     @property
     def fingerprint(self) -> str:
         return self.inner.fingerprint
 
     def _key(self, query: OracleQuery) -> str:
-        material = "\x1f".join((query.kind, self.inner.fingerprint, query.prompt))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        return _record_key(query.kind, self.inner.fingerprint, query.prompt)
 
-    def _record_path(self, key: str) -> Path:
-        return self.store_dir / f"{key}.json"
-
-    def _load(self, key: str) -> str | None:
-        if self.store_dir is None:
-            return None
-        path = self._record_path(key)
+    def _keep(self, record, where: str) -> None:
+        """Add one stored record to the table; the first of a key wins."""
         try:
-            # text that is not UTF-8 raises UnicodeDecodeError, a ValueError
-            record = json.loads(path.read_text(encoding="utf-8"))
-            return str(record["raw"])
-        except FileNotFoundError:
-            return None
-        except (ValueError, KeyError, TypeError) as exc:
-            raise StoreCorrupt(f"unreadable cache record {path}: {exc}") from None
+            key = _record_key(record["kind"], record["fingerprint"], record["prompt"])
+            raw = record["raw"]
+            if not isinstance(raw, str):
+                raise TypeError(f"raw is {type(raw).__name__}, not str")
+        except (KeyError, TypeError) as exc:
+            raise StoreCorrupt(f"unreadable cache record {where}: {exc!r}") from None
+        kept = self._table.setdefault(key, raw)
+        if kept != raw:
+            self.conflicts += 1
 
-    def _fetch(self, key: str, query: OracleQuery) -> tuple[str, bool]:
-        """(answer, whether the inner oracle was asked) for a query that
-        missed the store; its record may have been written since."""
-        cached = self._load(key)
-        if cached is not None:
-            return cached, False
-        raw = self.inner.complete(query)
-        if self.store_dir is not None:
-            record = {
-                "kind": query.kind,
-                "fingerprint": self.inner.fingerprint,
-                "prompt": query.prompt,
-                "raw": raw,
-            }
-            path = self._record_path(key)
-            # unique temp name: concurrent processes may miss the same key
-            tmp = path.with_name(
-                f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-            )
-            tmp.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
-            os.replace(tmp, path)
-        return raw, True
+    def _read_store(self) -> None:
+        for path in sorted(self.store_dir.glob("*.jsonl")):
+            *lines, tail = path.read_bytes().split(b"\n")
+            if tail:
+                # a write cut short: no line of a complete record ends here
+                self.torn_lines_skipped += 1
+            for number, line in enumerate(lines, 1):
+                where = f"{path} line {number}"
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except ValueError as exc:
+                    # UnicodeDecodeError is a ValueError too
+                    raise StoreCorrupt(
+                        f"unreadable cache record {where}: {exc}"
+                    ) from None
+                self._keep(record, where)
+        for path in sorted(self.store_dir.glob("*.json")):
+            try:
+                record = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise StoreCorrupt(f"unreadable cache record {path}: {exc}") from None
+            self._keep(record, str(path))
 
-    def _entry(self, query: OracleQuery) -> tuple[str, bool] | Future:
-        """The query's pending answer, started if there is none. The store
-        is read first, so a corrupt record leaves no entry to wait on."""
-        entry = self._pending.get(query)
-        if entry is not None:
-            return entry
-        key = self._key(query)
-        cached = self._load(key)
-        with self._guard:
-            entry = self._pending.get(query)
-            if entry is None:
-                if cached is not None:
-                    entry = (cached, False)
-                else:
-                    if self._pool is None:
-                        self._pool = ThreadPoolExecutor(
-                            IN_FLIGHT_LIMIT, thread_name_prefix="rstkit-oracle"
-                        )
-                    entry = self._pool.submit(self._fetch, key, query)
-                self._pending[query] = entry
-        return entry
-
-    def prefetch(self, queries: Iterable[OracleQuery]) -> None:
-        """Read each stored query's answer on this thread and start fetching
-        the others; a hint, as each answer is still taken with ``complete``."""
+    def _fill(self, queries: Sequence[OracleQuery]) -> None:
+        """Put the answer to every one of ``queries`` in the table: fetch
+        those that no thread has or is fetching, then wait for the rest."""
+        wanted: dict[str, OracleQuery] = {}
         for query in queries:
-            self._entry(query)
+            wanted.setdefault(self._key(query), query)
+        table = self._table
+        while True:
+            with self._lock:
+                missing = [key for key in wanted if key not in table]
+                if not missing:
+                    return
+                mine = {
+                    key: wanted[key] for key in missing if key not in self._fetching
+                }
+                if not mine:
+                    # other threads are fetching the rest
+                    self._fetched.wait()
+                    continue
+                self._fetching.update(mine)
+            answered: dict[str, str] = {}
+            try:
+                self._fetch(mine, answered)
+            finally:
+                with self._lock:
+                    try:
+                        table.update(answered)
+                        self._fresh.update(answered)
+                        if self.store_dir is not None and answered:
+                            self._append(mine, answered)
+                    finally:
+                        self._fetching.difference_update(mine)
+                        self._fetched.notify_all()
+
+    def _fetch(self, asked: dict[str, OracleQuery], answered: dict[str, str]) -> None:
+        """Ask the inner oracle; put each answer in ``answered`` by key, as
+        many as arrived when it fails."""
+        answer_many = getattr(self.inner, "answer_many", None)
+        if answer_many is None:
+            for key, query in asked.items():
+                answered[key] = self.inner.complete(query)
+            return
+        keys = list(asked)
+        try:
+            answers = answer_many(list(asked.values()))
+        except BaseException as exc:
+            for index, raw in getattr(exc, "answered", {}).items():
+                answered[keys[index]] = raw
+            raise
+        answered.update(zip(keys, answers))
+
+    def _append(self, asked: dict[str, OracleQuery], answered: dict[str, str]) -> None:
+        fingerprint = self.inner.fingerprint
+        lines = "".join(
+            json.dumps(
+                {
+                    "kind": query.kind,
+                    "fingerprint": fingerprint,
+                    "prompt": query.prompt,
+                    "raw": answered[key],
+                },
+                ensure_ascii=False,
+            ) + "\n"
+            for key, query in asked.items()
+            if key in answered
+        )
+        # one write per fetch: a kill leaves at most its last line torn
+        with open(self._segment, "ab") as segment:
+            segment.write(lines.encode("utf-8"))
+
+    def answer_many(self, queries: Sequence[OracleQuery]) -> list[str]:
+        self._fill(queries)
+        return [self.complete(query) for query in queries]
 
     def complete(self, query: OracleQuery) -> str:
-        entry = self._entry(query)
-        try:
-            raw, asked = entry.result() if isinstance(entry, Future) else entry
-        finally:
-            with self._guard:
-                first = self._pending.get(query) is entry
-                if first:
-                    del self._pending[query]
-        with self._guard:
-            if first and asked:
-                self.misses += 1
-            else:
-                self.hits += 1
+        key = self._key(query)
+        # a plain read of the table is safe; _fill takes the lock
+        if key not in self._table:
+            self._fill([query])
+        with self._lock:
+            raw = self._table[key]
+            miss = key in self._fresh
+            if miss:
+                self._fresh.remove(key)
+            self.by_kind.setdefault(query.kind, [0, 0])[miss] += 1
         return raw
 
     def stats(self) -> dict[str, int]:
-        with self._guard:
-            return {"hits": self.hits, "misses": self.misses}
+        with self._lock:
+            return {
+                "hits": sum(hits for hits, _ in self.by_kind.values()),
+                "misses": sum(misses for _, misses in self.by_kind.values()),
+            }
+
+    def report(self) -> dict:
+        """What a run manifest records: ``stats``, the same per kind, and
+        what reading the store skipped or resolved."""
+        report = self.stats()
+        with self._lock:
+            report["by_kind"] = {
+                kind: {"hits": hits, "misses": misses}
+                for kind, (hits, misses) in sorted(self.by_kind.items())
+            }
+            report["torn_lines_skipped"] = self.torn_lines_skipped
+            report["conflicts"] = self.conflicts
+        return report
 
     def close(self) -> None:
-        """Stop the fetch pool, dropping fetches not yet started, and close
-        the inner oracle if it can be closed."""
-        with self._guard:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        with self._guard:
-            self._pending.clear()
+        """Close the inner oracle if it can be closed."""
         close = getattr(self.inner, "close", None)
         if close is not None:
             close()
+
+
+def _record_key(kind: str, fingerprint: str, prompt: str) -> str:
+    material = "\x1f".join((kind, fingerprint, prompt))
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()

@@ -316,7 +316,9 @@ def test_criterion_7_http_client_suite(capsys, tmp_path):
             results = list(pool.map(lambda _: cache.complete(q), range(8)))
         assert results == ["nucleus-nucleus"] * 8
         assert len(seen) == 1
-        assert len(list((tmp_path / "race").glob("*.json"))) == 1
+        # one segment, holding one record
+        (segment,) = (tmp_path / "race").glob("*.jsonl")
+        assert len(segment.read_text(encoding="utf-8").splitlines()) == 1
 
     elapsed = time.monotonic() - started
     assert elapsed < 30.0

@@ -228,6 +228,21 @@ def test_worker_count_does_not_change_outputs(tmp_path, capsys):
     assert left["totals"] == right["totals"]
 
 
+def test_replay_asks_every_query_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    import rstkit.cli
+
+    threads = set()
+
+    class Recording(rstkit.cli.ReplayOracle):
+        def complete(self, query):
+            threads.add(threading.current_thread())
+            return super().complete(query)
+
+    monkeypatch.setattr(rstkit.cli, "ReplayOracle", Recording)
+    assert run(capsys, *_parse_args(tmp_path / "run", "--workers", "4"))[0] == 0
+    assert threads == {threading.current_thread()}
+
+
 def _gold_table() -> dict[str, str]:
     inventory = builtin_inventory("rst-dt")
     relations = builtin_relation_map(MAP)
@@ -286,15 +301,24 @@ def test_corrupt_cache_record_exits_two(tmp_path, capsys):
             resolve_document_path(CORPUS, doc_id), builtin_relation_map(MAP)
         )
         first = next(gold_walk(doc, builtin_inventory("rst-dt"), "top-down"))
-        (record,) = [
-            path for path in cache.glob("*.json")
-            if json.loads(path.read_text())["prompt"] == first.prompt
+        (segment,) = cache.glob("*.jsonl")
+        lines = segment.read_text(encoding="utf-8").splitlines(keepends=True)
+        (number,) = [
+            number for number, line in enumerate(lines, 1)
+            if json.loads(line)["prompt"] == first.prompt
         ]
-        record.write_text("{broken")
+        assert number < len(lines)  # a broken last line would read as torn
+        lines[number - 1] = "{broken\n"
+        segment.write_text("".join(lines), encoding="utf-8")
         code, _, stderr = run(capsys, *argv)
     assert code == 2
-    assert stderr.startswith(f"cache error: unreadable cache record {record}")
+    assert stderr.startswith(
+        f"cache error: unreadable cache record {segment} line {number}: "
+    )
     assert stderr.count("\n") == 1
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("StoreCorrupt: ")
 
 
 def test_failed_parse_still_writes_its_manifest(tmp_path, capsys):
@@ -314,9 +338,11 @@ def test_failed_parse_still_writes_its_manifest(tmp_path, capsys):
     ]
     kept = {x.prompt for doc in done for x in gold_walk(doc, inventory, "bottom-up")}
     forgotten = {x.prompt for x in gold_walk(last, inventory, "bottom-up")} - kept
-    for path in cache.glob("*.json"):
-        if json.loads(path.read_text())["prompt"] in forgotten:
-            path.unlink()
+    (segment,) = cache.glob("*.jsonl")
+    lines = segment.read_text(encoding="utf-8").splitlines(keepends=True)
+    segment.write_text("".join(
+        line for line in lines if json.loads(line)["prompt"] not in forgotten
+    ), encoding="utf-8")
 
     out = tmp_path / "run"
     with _endpoint([(400, {"error": "bad request"})]) as (url, _requests):
@@ -335,6 +361,133 @@ def test_failed_parse_still_writes_its_manifest(tmp_path, capsys):
     ]
     assert manifest["totals"]["documents"] == len(done)
     assert not (out / f"{last.doc_id}.tree").exists()
+
+
+def test_manifest_counts_cache_answers_per_kind(tmp_path, capsys):
+    """A cold parse of the minicorpus misses every distinct prompt, a warm
+    one hits them all, and the per-kind counts add up to the totals."""
+    cache = tmp_path / "cache"
+    table = _gold_table()
+    reports = []
+    with keep_alive_endpoint(answer=table.__getitem__) as (url, server):
+        for run_name in ("cold", "warm"):
+            out = tmp_path / run_name
+            assert run(capsys, "parse", "--corpus-dir", CORPUS, "--relation-map",
+                       MAP, "--strategy", "top-down", "--oracle", "http",
+                       "--endpoint", url, "--model", "gold", "--workers", "4",
+                       "--cache-dir", str(cache), "--out", str(out))[0] == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            reports.append((manifest["cache"], manifest["totals"]["queries"]))
+        assert len(server.prompts) == len(set(server.prompts))
+    (cold, queries), (warm, warm_queries) = reports
+    assert queries == warm_queries == 911
+    assert (cold["hits"], cold["misses"]) == (0, queries)
+    assert (warm["hits"], warm["misses"]) == (queries, 0)
+    for report in (cold, warm):
+        assert set(report["by_kind"]) == {"split", "nuclearity", "relation"}
+        for field in ("hits", "misses"):
+            assert sum(kind[field] for kind in report["by_kind"].values()) == report[field]
+        assert (report["torn_lines_skipped"], report["conflicts"]) == (0, 0)
+    for kind, counts in cold["by_kind"].items():
+        assert counts["hits"] == 0
+        assert warm["by_kind"][kind] == {"hits": counts["misses"], "misses": 0}
+
+
+def _interrupting(after: int, base):
+    """A subclass of ``base`` whose answers stop with KeyboardInterrupt, as
+    at Ctrl-C, once ``after`` queries have been answered."""
+    asked = {"n": 0}
+    lock = threading.Lock()
+
+    class Interrupting(base):
+        def complete(self, query):
+            with lock:
+                asked["n"] += 1
+                if asked["n"] > after:
+                    raise KeyboardInterrupt
+            return super().complete(query)
+
+    return Interrupting
+
+
+@pytest.mark.parametrize("oracle,workers", [("replay", "1"), ("http", "1"), ("http", "3")])
+def test_interrupted_parse_leaves_a_running_manifest(
+    tmp_path, capsys, monkeypatch, oracle, workers
+):
+    import rstkit.cli
+
+    out = tmp_path / "run"
+    cache = tmp_path / "cache"
+    argv = ["parse", "--corpus-dir", CORPUS, "--relation-map", MAP,
+            "--workers", workers, "--out", str(out)]
+    if oracle == "http":
+        table = _gold_table()
+        with keep_alive_endpoint(answer=table.__getitem__) as (url, _server):
+            monkeypatch.setattr(
+                rstkit.cli, "HttpOracle", _interrupting(300, rstkit.cli.HttpOracle)
+            )
+            argv += ["--oracle", "http", "--endpoint", url, "--model", "gold",
+                     "--cache-dir", str(cache)]
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+    else:
+        monkeypatch.setattr(
+            rstkit.cli, "ReplayOracle", _interrupting(300, rstkit.cli.ReplayOracle)
+        )
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "running"
+    assert manifest["documents"] == []
+    trees = sorted(path.name[:-len(".tree")] for path in out.glob("*.tree"))
+    traces = sorted(path.name[:-len(".trace.jsonl")] for path in out.glob("*.trace.jsonl"))
+    assert 0 < len(trees) < 22
+    assert set(trees) <= set(traces)
+    assert not list(out.glob(".*.tmp"))
+    if oracle == "http":
+        # every answer fetched before the interrupt was stored whole
+        from rstkit import CachedOracle, CallableOracle
+
+        stored = CachedOracle(CallableOracle(None), cache).report()
+        assert stored["torn_lines_skipped"] == 0
+
+
+def test_parent_cache_dir_serves_every_answer(tmp_path, capsys):
+    """A store of one ``<key>.json`` record per answer, as older versions
+    wrote it, answers a whole parse with no request sent."""
+    import hashlib
+
+    replay = tmp_path / "replay"
+    assert run(capsys, *_parse_args(replay))[0] == 0
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    fingerprint = "gold|temperature=0.0|max_tokens=16|stop=nl"
+    inventory = builtin_inventory("rst-dt")
+    relations = builtin_relation_map(MAP)
+    for doc_id in load_split_manifest(MANIFEST)["dev"]:
+        doc = read_dis(resolve_document_path(CORPUS, doc_id), relations)
+        for x in gold_walk(doc, inventory, "bottom-up"):
+            key = hashlib.sha256(
+                "\x1f".join((x.kind, fingerprint, x.prompt)).encode("utf-8")
+            ).hexdigest()
+            (cache / f"{key}.json").write_text(json.dumps({
+                "kind": x.kind, "fingerprint": fingerprint,
+                "prompt": x.prompt, "raw": x.completion,
+            }, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "run"
+    with _endpoint([(400, {"error": "no request expected"})]) as (url, requests):
+        code, _, stderr = run(capsys, *_parse_args(
+            out, "--oracle", "http", "--endpoint", url, "--model", "gold",
+            "--workers", "2", "--cache-dir", str(cache),
+        ))
+    assert code == 0, stderr
+    assert requests == []
+    for path in replay.glob("doc*"):
+        assert (out / path.name).read_bytes() == path.read_bytes()
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["cache"]["misses"] == 0
+    # nothing missed, so nothing was written
+    assert not list(cache.glob("*.jsonl"))
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +1108,10 @@ def _run_under_locale(where: Path, utf8: bool) -> dict:
     for path in sorted(where.rglob("*")):
         if path.is_file() and path.name != "run_manifest.json":
             outputs[str(path.relative_to(where))] = path.read_bytes()
+    # a cache segment is named for the process that wrote it
+    outputs["cache"] = sorted(
+        outputs.pop(name) for name in list(outputs) if name.startswith("cache")
+    )
     manifest = json.loads((where / "run" / "run_manifest.json").read_text("utf-8"))
     del manifest["elapsed_seconds"]
     outputs["run_manifest.json"] = manifest
@@ -983,6 +1140,6 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     assert escaped.replace(b"\\xe9", "\u00e9".encode("utf-8")) == accented
     assert "Contrast\u00e9".encode("utf-8") in with_c["accented.csv"]
     assert "caf\u00e9".encode("utf-8") in with_utf8["export/bottom-up.action.jsonl"]
-    (record,) = [name for name in with_utf8 if name.startswith("cache")]
-    assert "caf\u00e9".encode("utf-8") in with_utf8[record]
+    (segment,) = with_utf8["cache"]
+    assert "caf\u00e9".encode("utf-8") in segment
     assert with_c == with_utf8

@@ -1,5 +1,5 @@
-"""Concurrent decisions: an oracle that offers prefetch gets every ready query
-of a round at once, and the parse comes out exactly as a serial one."""
+"""Concurrent decisions: an oracle that offers answer_many gets every ready
+query of a round at once, and the parse comes out exactly as a serial one."""
 
 from __future__ import annotations
 
@@ -88,7 +88,6 @@ def test_prefetched_parse_equals_serial_parse(
         )
         try:
             concurrent = engine(doc.edus, cache, inventory, policy)
-            assert cache._pending == {}
         finally:
             cache.close()
         assert write_tree(concurrent.tree) == write_tree(serial.tree)
@@ -106,23 +105,21 @@ def test_prefetched_parse_equals_serial_parse(
 
 
 class _RoundCounter:
-    """Answers from a gold table and counts prefetch rounds; every query it
-    is asked must belong to the round just prefetched."""
+    """Answers from a gold table and counts rounds; every query must come
+    in a round."""
 
     fingerprint = "gold-rounds"
 
     def __init__(self, table):
         self.table = table
         self.rounds = 0
-        self.round = set()
 
-    def prefetch(self, queries):
+    def answer_many(self, queries):
         self.rounds += 1
-        self.round = {query.prompt for query in queries}
+        return [self.table[query.prompt] for query in queries]
 
     def complete(self, query):
-        assert query.prompt in self.round
-        return self.table[query.prompt]
+        raise AssertionError("a batching oracle is asked in rounds")
 
 
 @pytest.mark.parametrize("strategy,queries,rounds",
@@ -166,8 +163,6 @@ def test_shared_cache_under_thread_stress(tmp_path, minicorpus, inventory):
             results = list(pool.map(
                 lambda job: job[1](job[0].edus, cache, inventory), jobs
             ))
-        # every answer started was taken
-        assert cache._pending == {}
     finally:
         sys.setswitchinterval(interval)
         cache.close()

@@ -439,6 +439,25 @@ def test_cache_miss_then_hit(tmp_path):
     assert cache.fingerprint == "inner-v1"
 
 
+def _records(store) -> list[dict]:
+    """Every record of every segment under ``store``, in name order."""
+    return [
+        json.loads(line)
+        for path in sorted(store.glob("*.jsonl"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+
+
+def _segment(*records) -> list[bytes]:
+    """One record line of each of ``records``, a (kind, fingerprint,
+    prompt, raw) tuple, as a segment writes it."""
+    fields = ("kind", "fingerprint", "prompt", "raw")
+    return [
+        json.dumps(dict(zip(fields, record)), ensure_ascii=False).encode() + b"\n"
+        for record in records
+    ]
+
+
 def test_cache_key_scheme_and_record_fields(tmp_path):
     inner, _ = _counting_inner(answer="raw answer\nwith tail")
     cache = CachedOracle(inner, tmp_path)
@@ -447,16 +466,17 @@ def test_cache_key_scheme_and_record_fields(tmp_path):
     expected_key = hashlib.sha256(
         "\x1f".join(("relation", "inner-v1", "Q?")).encode("utf-8")
     ).hexdigest()
-    path = tmp_path / f"{expected_key}.json"
-    assert path.is_file()
-    record = json.loads(path.read_text())
-    assert record == {
+    assert cache._key(q) == expected_key
+    (segment,) = tmp_path.glob("*.jsonl")
+    # one record per line: the newline inside the answer is escaped
+    assert segment.read_bytes().count(b"\n") == 1
+    assert _records(tmp_path) == [{
         "kind": "relation",
         "fingerprint": "inner-v1",
         "prompt": "Q?",
         "raw": "raw answer\nwith tail",
-    }
-    assert list(tmp_path.glob("*.tmp")) == []
+    }]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [segment.name]
 
 
 def test_cache_persists_across_instances(tmp_path):
@@ -477,65 +497,158 @@ def test_cache_fingerprint_busts_stale_answers(tmp_path):
     CachedOracle(inner_a, tmp_path).complete(q)
     assert CachedOracle(inner_b, tmp_path).complete(q) == "new"
     assert calls_b["n"] == 1
-    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert [r["fingerprint"] for r in _records(tmp_path)] == ["model-a", "model-b"]
 
 
 def test_cache_corrupt_record_raises(tmp_path):
-    inner, _ = _counting_inner()
-    cache = CachedOracle(inner, tmp_path)
+    inner, calls = _counting_inner()
+    good = _segment(("action", "inner-v1", "a", "shift"),
+                    ("action", "inner-v1", "b", "reduce"))
+    path = tmp_path / "0.jsonl"
+    for bad, match in [
+        (b"{not json at all\n", "unreadable"),
+        (b'{"kind": "action"}\n', "unreadable"),  # no raw field
+        (b'{"kind": "action", "fingerprint": "f", "prompt": "p", "raw": 1}\n',
+         "unreadable"),
+        (b'{"kind": "action", "fingerprint": "f", "prompt": "p", "raw": "caf\xe9"}\n',
+         "unreadable"),  # Latin-1, not UTF-8
+        (b"\n", "unreadable"),  # an empty line
+    ]:
+        # a bad line before the last one is never a torn write
+        path.write_bytes(good[0] + bad + good[1])
+        with pytest.raises(StoreCorrupt, match=match) as raised:
+            CachedOracle(inner, tmp_path)
+        assert f"{path} line 2" in str(raised.value)
+        # a bad last line, ended by its newline, is not torn either
+        path.write_bytes(good[0] + bad)
+        with pytest.raises(StoreCorrupt, match=match):
+            CachedOracle(inner, tmp_path)
+    # an older per-key record is read when the store is opened
+    path.unlink()
+    legacy = tmp_path / f"{'0' * 64}.json"
+    legacy.write_text("{broken")
+    with pytest.raises(StoreCorrupt, match=f"unreadable cache record {legacy}"):
+        CachedOracle(inner, tmp_path)
+    assert calls["n"] == 0
+
+
+def test_cache_corrupt_record_leaves_no_entry(tmp_path):
+    inner, calls = _counting_inner(answer="fetched")
     q = _query(prompt="poisoned")
-    cache.complete(q)
-    (record_path,) = tmp_path.glob("*.json")
-    record_path.write_text("{not json at all")
+    first = CachedOracle(inner, tmp_path)
+    assert first.complete(q) == "fetched"
+    (segment,) = tmp_path.glob("*.jsonl")
+    segment.write_bytes(b"{not json at all\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(StoreCorrupt, match="unreadable"):
-        cache.complete(q)
-    record_path.write_text(json.dumps({"kind": "action"}))  # no raw field
-    with pytest.raises(StoreCorrupt):
-        cache.complete(q)
-    record_path.write_bytes(b'{"raw": "caf\xe9"}')  # Latin-1, not UTF-8
-    with pytest.raises(StoreCorrupt, match="unreadable"):
-        cache.complete(q)
+        CachedOracle(inner, tmp_path)
+    # the failed open asked nothing and wrote nothing to the store
+    assert calls["n"] == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # an instance made before the damage keeps answering from its table
+    assert first.complete(q) == "fetched"
+    assert calls["n"] == 1
+    assert first.stats() == {"hits": 1, "misses": 1}
+    first.close()
 
 
-def test_cache_complete_without_prefetch_fetches_on_the_pool(tmp_path):
+def test_segment_torn_last_line_is_skipped_and_counted(tmp_path):
+    inner, calls = _counting_inner(answer="fetched")
+    lines = _segment(("action", "inner-v1", "kept", "shift"),
+                     ("action", "inner-v1", "torn", "reduce"))
+    # the writer was killed inside its last line, a multi-byte character
+    # cut in two among its bytes
+    torn = lines[1][:-2] + "\u00e9".encode()[:1]
+    (tmp_path / "0.jsonl").write_bytes(lines[0] + torn)
+    cache = CachedOracle(inner, tmp_path)
+    assert cache.complete(_query(prompt="kept")) == "shift"
+    assert cache.complete(_query(prompt="torn")) == "fetched"
+    assert calls["n"] == 1
+    report = cache.report()
+    assert report["torn_lines_skipped"] == 1
+    assert report["conflicts"] == 0
+    # the torn segment is left as it was; the answer went to a new one
+    assert (tmp_path / "0.jsonl").read_bytes() == lines[0] + torn
+    assert len(list(tmp_path.glob("*.jsonl"))) == 2
+
+
+def test_segments_that_disagree_resolve_by_name_order(tmp_path):
+    inner, calls = _counting_inner()
+    (tmp_path / "b.jsonl").write_bytes(b"".join(_segment(
+        ("action", "inner-v1", "p", "reduce"),
+        ("action", "inner-v1", "q", "shift"),
+    )))
+    (tmp_path / "a.jsonl").write_bytes(b"".join(_segment(
+        ("action", "inner-v1", "p", "shift"),
+    )))
+    # a per-key record of an older version comes after every segment
+    (tmp_path / f"{'0' * 64}.json").write_text(json.dumps(
+        {"kind": "action", "fingerprint": "inner-v1", "prompt": "q", "raw": "x"}
+    ))
+    cache = CachedOracle(inner, tmp_path)
+    assert cache.answer_many([_query(prompt="p"), _query(prompt="q")]) == [
+        "shift", "shift"
+    ]
+    assert calls["n"] == 0
+    assert cache.report()["conflicts"] == 2
+
+
+def test_legacy_per_key_records_are_read_once(tmp_path):
+    """A directory of one ``<key>.json`` file per answer, as older versions
+    wrote it, is read when the store is opened and never again."""
+    inner, calls = _counting_inner(answer="fetched")
+    queries = [_query(prompt=f"p{i}") for i in range(3)]
+    for query in queries[:2]:
+        key = hashlib.sha256(
+            "\x1f".join((query.kind, "inner-v1", query.prompt)).encode()
+        ).hexdigest()
+        (tmp_path / f"{key}.json").write_text(json.dumps({
+            "kind": query.kind, "fingerprint": "inner-v1",
+            "prompt": query.prompt, "raw": f"stored {query.prompt}",
+        }))
+    cache = CachedOracle(inner, tmp_path)
+    for path in tmp_path.glob("*.json"):
+        path.unlink()
+    # a record that appears after the store was opened is not looked for
+    key = cache._key(queries[2])
+    (tmp_path / f"{key}.json").write_text(json.dumps({
+        "kind": "action", "fingerprint": "inner-v1", "prompt": "p2", "raw": "late",
+    }))
+    assert cache.answer_many(queries) == ["stored p0", "stored p1", "fetched"]
+    assert calls["n"] == 1
+    assert cache.stats() == {"hits": 2, "misses": 1}
+
+
+def test_two_instances_see_each_others_records_after_reopening(tmp_path):
+    inner_a, calls_a = _counting_inner(answer="from a")
+    inner_b, calls_b = _counting_inner(answer="from b")
+    a = CachedOracle(inner_a, tmp_path)
+    b = CachedOracle(inner_b, tmp_path)
+    assert a.complete(_query(prompt="one")) == "from a"
+    assert b.complete(_query(prompt="two")) == "from b"
+    # each wrote its own segment, and neither reads the other's until made
+    # again
+    assert len(list(tmp_path.glob("*.jsonl"))) == 2
+    assert b.complete(_query(prompt="one")) == "from b"
+    a = CachedOracle(inner_a, tmp_path)
+    assert a.complete(_query(prompt="two")) == "from b"
+    assert (calls_a["n"], calls_b["n"]) == (1, 2)
+    # b's two answers to "one" disagree with a's; a's segment is older
+    assert a.complete(_query(prompt="one")) == "from a"
+    assert a.report()["conflicts"] == 1
+
+
+def test_cache_complete_asks_the_inner_oracle_on_this_thread(tmp_path):
     threads = []
 
     def answer(_query):
-        threads.append(threading.current_thread().name)
+        threads.append(threading.current_thread())
         return "x"
 
     cache = CachedOracle(CallableOracle(answer), tmp_path)
     assert cache.complete(_query(prompt="cold")) == "x"
-    assert len(threads) == 1 and threads[0].startswith("rstkit-oracle")
-    assert cache._pending == {}
+    assert threads == [threading.current_thread()]
     assert cache.stats() == {"hits": 0, "misses": 1}
-    cache.close()
-
-
-def test_cache_corrupt_record_in_prefetch_leaves_no_entry(tmp_path):
-    inner, calls = _counting_inner()
-    cache = CachedOracle(inner, tmp_path)
-    q = _query(prompt="poisoned")
-    cache.complete(q)
-    (record_path,) = tmp_path.glob("*.json")
-    record_path.write_text("{not json at all")
-    with pytest.raises(StoreCorrupt, match="unreadable"):
-        cache.prefetch([q])
-    assert cache._pending == {}
-    raised = []
-
-    def take():
-        try:
-            cache.complete(q)
-        except StoreCorrupt as exc:
-            raised.append(exc)
-
-    taker = threading.Thread(target=take, daemon=True)
-    taker.start()
-    taker.join(timeout=5)
-    assert not taker.is_alive()
-    assert len(raised) == 1
-    assert calls["n"] == 1
     cache.close()
 
 
@@ -545,9 +658,9 @@ def test_cache_concurrent_misses_write_once(tmp_path):
     q = _query(prompt="hot key")
 
     def ask(i):
-        # half the threads hint the query first, as a parse does
+        # half the threads ask in a round, as a parse does
         if i % 2:
-            cache.prefetch([q])
+            return cache.answer_many([q])[0]
         return cache.complete(q)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -555,77 +668,188 @@ def test_cache_concurrent_misses_write_once(tmp_path):
     cache.close()
     assert results == ["only"] * 8
     assert calls["n"] == 1
-    assert len(list(tmp_path.glob("*.json"))) == 1
+    assert len(_records(tmp_path)) == 1
     stats = cache.stats()
     assert stats["misses"] == 1
     assert stats["hits"] == 7
 
 
-def test_cache_prefetch_fetches_each_key_once_and_forgets_it(tmp_path):
-    inner, calls = _counting_inner(answer="x", delay=0.01)
+class _RoundInner:
+    """Answers every query with its prompt and records each round asked."""
+
+    fingerprint = "rounds"
+
+    def __init__(self):
+        self.rounds = []
+
+    def answer_many(self, queries):
+        self.rounds.append([query.prompt for query in queries])
+        return [query.prompt for query in queries]
+
+    def complete(self, query):
+        raise AssertionError("a round goes to answer_many")
+
+
+def test_cache_answer_many_fetches_each_key_once(tmp_path):
+    inner = _RoundInner()
     cache = CachedOracle(inner, tmp_path)
     queries = [_query(prompt=f"p{i % 5}") for i in range(10)]
-    cache.prefetch(queries)
-    cache.prefetch(queries)
-    assert [cache.complete(q) for q in queries] == ["x"] * 10
-    assert cache._pending == {}
-    cache.close()
-    assert calls["n"] == 5
+    assert cache.answer_many(queries) == [q.prompt for q in queries]
+    # the misses of a round go to the inner oracle in one call, once each
+    assert inner.rounds == [["p0", "p1", "p2", "p3", "p4"]]
     assert cache.stats() == {"hits": 5, "misses": 5}
-    # stored answers are read ahead on this thread, not fetched
-    cache.prefetch(queries[:5])
-    assert [cache.complete(q) for q in queries[:5]] == ["x"] * 5
-    assert calls["n"] == 5
-    assert cache._pool is None and cache._pending == {}
+    assert cache.answer_many(queries[:5]) == [q.prompt for q in queries[:5]]
+    assert len(inner.rounds) == 1
+    assert cache.report()["by_kind"] == {"action": {"hits": 10, "misses": 5}}
+    assert [r["prompt"] for r in _records(tmp_path)] == ["p0", "p1", "p2", "p3", "p4"]
+    assert cache.answer_many([]) == []
+    assert len(inner.rounds) == 1
 
 
-def test_cache_without_store_keeps_answers_until_taken():
+def test_cache_without_store_keeps_answers_for_the_run():
     inner, calls = _counting_inner(answer="x")
     cache = CachedOracle(inner, None)
-    cache.prefetch([_query(prompt="a"), _query(prompt="b")])
+    assert cache.answer_many([_query(prompt="a"), _query(prompt="b")]) == ["x", "x"]
     assert cache.complete(_query(prompt="a")) == "x"
     assert cache.complete(_query(prompt="b")) == "x"
-    assert cache._pending == {}
-    assert cache.complete(_query(prompt="a")) == "x"  # nothing stored
     cache.close()
-    assert calls["n"] == 3
+    assert calls["n"] == 2
+    assert cache.stats() == {"hits": 2, "misses": 2}
 
 
-def test_cache_prefetch_failure_reaches_complete(tmp_path):
-    def fail(_query):
-        raise OracleFailure("down")
+def test_cache_inner_failure_reaches_the_caller(tmp_path):
+    fail = {"now": True}
 
-    cache = CachedOracle(CallableOracle(fail), tmp_path)
-    cache.prefetch([_query()])
+    def answer(_query):
+        if fail["now"]:
+            raise OracleFailure("down")
+        return "up"
+
+    cache = CachedOracle(CallableOracle(answer), tmp_path)
     with pytest.raises(OracleFailure, match="down"):
-        cache.complete(_query())
-    assert cache._pending == {}
-    cache.close()
+        cache.answer_many([_query(prompt="a"), _query(prompt="b")])
     assert list(tmp_path.iterdir()) == []
+    assert cache.stats() == {"hits": 0, "misses": 0}
+    # a failure is not kept: the next round asks again
+    fail["now"] = False
+    assert cache.complete(_query(prompt="a")) == "up"
+    cache.close()
+    assert [r["prompt"] for r in _records(tmp_path)] == ["a"]
 
 
-def test_cache_prefetch_runs_at_most_the_in_flight_limit(tmp_path):
+def test_http_answer_many_runs_at_most_the_in_flight_limit():
     from rstkit.oracle import IN_FLIGHT_LIMIT
 
     lock = threading.Lock()
     running = {"now": 0, "max": 0}
 
-    def slow(query):
-        with lock:
-            running["now"] += 1
-            running["max"] = max(running["max"], running["now"])
-        time.sleep(0.01)
-        with lock:
-            running["now"] -= 1
-        return query.prompt
+    class SlowOracle(HttpOracle):
+        # answer_many sends each query through complete, so a subclass that
+        # overrides complete alone answers every query itself
+        def complete(self, query):
+            with lock:
+                running["now"] += 1
+                running["max"] = max(running["max"], running["now"])
+            time.sleep(0.01)
+            with lock:
+                running["now"] -= 1
+            return query.prompt
 
-    cache = CachedOracle(CallableOracle(slow), tmp_path)
+    oracle = SlowOracle("http://127.0.0.1:9/v1/completions", model="m")
     queries = [_query(prompt=f"p{i}") for i in range(3 * IN_FLIGHT_LIMIT)]
-    cache.prefetch(queries)
-    assert [cache.complete(q) for q in queries] == [q.prompt for q in queries]
-    cache.close()
+    assert oracle.answer_many(queries) == [q.prompt for q in queries]
+    assert oracle.answer_many(queries[:1]) == ["p0"]
+    oracle.close()
     assert 1 < running["max"] <= IN_FLIGHT_LIMIT
     assert not any(t.name.startswith("rstkit-oracle") for t in threading.enumerate())
+
+
+def test_http_answer_many_raises_the_first_failure_after_every_request():
+    finished = []
+
+    class Flaky(HttpOracle):
+        def complete(self, query):
+            time.sleep(0.01 * int(query.prompt))
+            finished.append(query.prompt)
+            if query.prompt in ("1", "3"):
+                raise OracleFailure(f"query {query.prompt}")
+            return query.prompt
+
+    oracle = Flaky("http://127.0.0.1:9/v1/completions", model="m")
+    with pytest.raises(OracleFailure, match="query 1") as raised:
+        oracle.answer_many([_query(prompt=str(i)) for i in range(5)])
+    assert sorted(finished) == ["0", "1", "2", "3", "4"]
+    # the answers that arrived, by query index
+    assert raised.value.answered == {0: "0", 2: "2", 4: "4"}
+    oracle.close()
+
+
+def test_cache_keeps_the_answers_of_a_failed_round(tmp_path):
+    class Flaky(HttpOracle):
+        def complete(self, query):
+            if query.prompt in ("1", "3"):
+                raise OracleFailure(f"query {query.prompt}")
+            return f"answer {query.prompt}"
+
+    queries = [_query(prompt=str(i)) for i in range(5)]
+    cache = CachedOracle(Flaky("http://127.0.0.1:9/v1/completions", model="m"), tmp_path)
+    with pytest.raises(OracleFailure, match="query 1"):
+        cache.answer_many(queries)
+    cache.close()
+    assert sorted((r["prompt"], r["raw"]) for r in _records(tmp_path)) == [
+        ("0", "answer 0"), ("2", "answer 2"), ("4", "answer 4"),
+    ]
+    # the failed ones are asked again; the kept ones are not, and count as
+    # the misses they were
+    asked = []
+
+    class Recording(HttpOracle):
+        def complete(self, query):
+            asked.append(query.prompt)
+            return f"answer {query.prompt}"
+
+    again = CachedOracle(Recording("http://127.0.0.1:9/v1/completions", model="m"),
+                         tmp_path)
+    assert again.answer_many(queries) == [f"answer {i}" for i in range(5)]
+    again.close()
+    assert sorted(asked) == ["1", "3"]
+    assert again.stats() == {"hits": 3, "misses": 2}
+
+    # an inner oracle with no answer_many is asked in order; what it
+    # answered before failing is kept
+    def answer(query):
+        if query.prompt == "c":
+            raise OracleFailure("down")
+        return query.prompt
+
+    cache = CachedOracle(CallableOracle(answer, fingerprint="serial"), tmp_path / "serial")
+    with pytest.raises(OracleFailure, match="down"):
+        cache.answer_many([_query(prompt=p) for p in "abcd"])
+    assert [r["prompt"] for r in _records(tmp_path / "serial")] == ["a", "b"]
+
+
+def test_cache_keeps_what_arrived_before_an_interrupted_wait(tmp_path, monkeypatch):
+    import rstkit.oracle
+
+    real_wait = rstkit.oracle.wait
+
+    def interrupted(futures):
+        # Ctrl-C once the first two requests are answered
+        real_wait(futures[:2])
+        raise KeyboardInterrupt
+
+    class Slow(HttpOracle):
+        def complete(self, query):
+            if int(query.prompt) >= 2:
+                time.sleep(0.2)
+            return f"answer {query.prompt}"
+
+    monkeypatch.setattr(rstkit.oracle, "wait", interrupted)
+    cache = CachedOracle(Slow("http://127.0.0.1:9/v1/completions", model="m"), tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        cache.answer_many([_query(prompt=str(i)) for i in range(4)])
+    cache.close()
+    assert sorted(r["prompt"] for r in _records(tmp_path)) == ["0", "1"]
 
 
 def test_cache_over_http_reuses_connections(tmp_path):
@@ -636,8 +860,7 @@ def test_cache_over_http_reuses_connections(tmp_path):
         queries = [_query(prompt=f"p{i}") for i in range(4 * IN_FLIGHT_LIMIT)]
         for start in range(0, len(queries), 8):
             batch = queries[start:start + 8]
-            cache.prefetch(batch)
-            assert [cache.complete(q) for q in batch] == [q.prompt for q in batch]
+            assert cache.answer_many(batch) == [q.prompt for q in batch]
         cache.close()
         assert sorted(server.prompts) == sorted(q.prompt for q in queries)
         assert server.opened <= 8
