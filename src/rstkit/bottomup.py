@@ -20,7 +20,7 @@ from .engine import (
     label_decision,
     run_decisions,
 )
-from .oracle import Oracle, OracleQuery, resolve_label
+from .oracle import Oracle, OracleQuery
 from .prompts import ACTION, ACTION_LABELS, EMPTY_SLOT, action_prompt, span_slot
 
 SHIFT = "shift"
@@ -75,17 +75,8 @@ def parse_bottom_up(
             span = (stack[-2][0], stack[-1][1]) if len(stack) >= 2 else None
             query = OracleQuery(ACTION, prompt, ACTION_LABELS, span)
 
-        def take(raw: str | None):
+        def advance(resolved: str) -> list[Decision]:
             nonlocal queue
-            resolved, corrected, note = legal[0], False, ""
-            if raw is not None:
-                resolved = resolve_label(raw, ACTION_LABELS)
-                if resolved is None:
-                    resolved = SHIFT if SHIFT in legal else legal[0]
-                    corrected, note = True, "unparseable"
-                elif resolved not in legal:
-                    resolved = legal[0]
-                    corrected, note = True, "illegal"
             unlocked = []
             if resolved == SHIFT:
                 queue += 1
@@ -100,9 +91,9 @@ def parse_bottom_up(
                 )
             if queue < n or len(stack) > 1:
                 unlocked.append(action())
-            return resolved, corrected, note, unlocked
+            return unlocked
 
-        return Decision(ACTION, state, query, take)
+        return Decision(ACTION, state, query, legal, legal[0], advance)
 
     trace = run_decisions(oracle, action())
     return ParseResult(tree=build_tree(edus, nodes), trace=trace)

@@ -218,9 +218,6 @@ def _make_shared_oracle(args: argparse.Namespace):
     if args.oracle == "scripted":
         if not args.script:
             raise ConfigError("--oracle scripted needs --script FILE")
-        if args.workers > 1:
-            # its answers go to whichever document asks next
-            raise ConfigError("--oracle scripted needs --workers 1")
         answers = read_utf8(args.script).splitlines()
         return ScriptedOracle(answers, cycle=args.cycle_script)
     if not args.endpoint or not args.model:

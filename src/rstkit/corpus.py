@@ -364,11 +364,6 @@ def _read_constituents(
             head_kind, head, head_pos = cursor.take()
             if head_kind != "atom":
                 raise DisSyntaxError("expected a name after (", head_pos)
-            if head in (NUCLEUS, SATELLITE):
-                frames.append(_Frame(head))
-                continue
-            if head == ROOT:
-                raise DisSyntaxError("Root below the top level", head_pos)
             frame = frames[-1]
             if head == "span":
                 frame.span = (cursor.take_int(), cursor.take_int())

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -35,7 +36,7 @@ class TraceEntry(NamedTuple):
 
     ``prompt`` and ``raw`` are None on forced moves, which never reach the
     oracle. ``corrected`` marks answers that had to be replaced with a
-    default; ``note`` says why ("unparseable", "out-of-range", "illegal").
+    default; ``note`` says why (see ``run_decisions``).
     """
 
     step: int
@@ -103,20 +104,34 @@ class Decision(NamedTuple):
     """A decision whose inputs are all in, waiting to be taken.
 
     ``query`` is None for a forced decision, taken without the oracle.
-    ``take`` receives the raw answer (None when forced) and returns the
-    resolved label, whether it was corrected and why, and the decisions the
-    answer makes ready, in serial order. A serial parse takes each of those,
-    and everything they in turn make ready, before the decisions after them.
+    ``legal`` holds the answers the decision may take now, and ``default``
+    the one it takes when forced or when the oracle's answer is unusable.
+    ``advance`` receives the resolved answer and returns the decisions it
+    makes ready, in serial order. A serial parse takes each of those, and
+    everything they in turn make ready, before the decisions after them.
     """
 
     kind: str
     state: str
     query: OracleQuery | None
-    take: Callable[[str | None], tuple[str, bool, str, list["Decision"]]]
+    legal: Sequence[str]
+    default: str
+    advance: Callable[[str], list["Decision"]]
+
+
+# an integer answer; signs and zero padding allowed
+_INTEGER_RE = re.compile(r"[+-]?\d+")
 
 
 def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
     """Take every decision of a parse; return the trace in serial order.
+
+    Here, and only here, an answer is resolved: its first line must name a
+    member of ``query.valid_labels`` (``oracle.resolve_label``) that is
+    ``legal``. Otherwise the decision takes its ``default``, and the entry
+    is marked corrected with a note: illegal (a valid label not legal now),
+    out-of-range (an integer, where the legal answers are integers) or
+    unparseable. A forced decision takes its default, uncorrected.
 
     The serial order is depth-first over what made each decision ready. An
     oracle that offers ``answer_many(queries)`` is handed all ready queries
@@ -136,12 +151,22 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
     unlocked_by: dict[int, tuple[int, list[Decision]]] = {}
 
     def settle(decision: Decision, raw: str | None) -> list[Decision]:
-        resolved, corrected, note, unlocked = decision.take(raw)
         query = decision.query
-        prompt = None if query is None else query.prompt
+        resolved, note = decision.default, ""
+        if raw is not None:
+            label = resolve_label(raw, query.valid_labels)
+            if label is None:
+                number = _INTEGER_RE.fullmatch(raw.split("\n", 1)[0].strip())
+                integral = number and decision.legal[0].isdecimal()
+                note = "out-of-range" if integral else "unparseable"
+            elif label not in decision.legal:
+                note = "illegal"
+            else:
+                resolved = label
+        unlocked = decision.advance(resolved)
         taken.append((
-            decision.kind, decision.state, prompt, raw, resolved, corrected,
-            query is None, note,
+            decision.kind, decision.state, None if query is None else query.prompt,
+            raw, resolved, bool(note), query is None, note,
         ))
         if answer_many is not None:
             unlocked_by[id(decision)] = (len(taken) - 1, unlocked)
@@ -175,13 +200,6 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
             order.append(index)
             stack.extend(reversed(unlocked))
     return tuple(TraceEntry(step, *taken[i]) for step, i in enumerate(order))
-
-
-def resolve(raw: str, labels: Sequence[str], default: str) -> tuple[str, bool]:
-    """(the member of ``labels`` that ``raw`` names, False), or
-    (``default``, True) when it names none."""
-    label = resolve_label(raw, labels)
-    return (default, True) if label is None else (label, False)
 
 
 def build_tree(
@@ -227,35 +245,24 @@ def label_decision(
     ``left`` and ``right`` are the two spans' slot texts, as prompts show
     them (see ``prompts.span_slot``). The answer makes ready the relation
     decision, whose prompt carries the nuclearity. The two labels are
-    appended to ``labels`` as they are taken. Unparseable answers fall back
-    to the inventory's defaults.
+    appended to ``labels`` as they are taken; the inventory's defaults stand
+    in for unusable answers.
     """
-    nuc_prompt = nuclearity_prompt(left, right)
 
-    def take_nuclearity(raw):
-        nuclearity, corrected = resolve(
-            raw, NUCLEARITY_PATTERNS, inventory.default_nuclearity
-        )
+    def take_relation(relation: str) -> list[Decision]:
+        labels.append(relation)
+        return []
+
+    def take_nuclearity(nuclearity: str) -> list[Decision]:
         labels.append(nuclearity)
-        rel_prompt = relation_prompt(left, right, nuclearity, inventory)
+        prompt = relation_prompt(left, right, nuclearity, inventory)
+        return [Decision(
+            RELATION, state, OracleQuery(RELATION, prompt, inventory.relations, span),
+            inventory.relations, inventory.default_relation, take_relation,
+        )]
 
-        def take_relation(raw):
-            relation, corrected = resolve(
-                raw, inventory.relations, inventory.default_relation
-            )
-            labels.append(relation)
-            return relation, corrected, "unparseable" if corrected else "", []
-
-        relation = Decision(
-            RELATION, state,
-            OracleQuery(RELATION, rel_prompt, inventory.relations, span),
-            take_relation,
-        )
-        note = "unparseable" if corrected else ""
-        return nuclearity, corrected, note, [relation]
-
+    prompt = nuclearity_prompt(left, right)
     return Decision(
-        NUCLEARITY, state,
-        OracleQuery(NUCLEARITY, nuc_prompt, NUCLEARITY_PATTERNS, span),
-        take_nuclearity,
+        NUCLEARITY, state, OracleQuery(NUCLEARITY, prompt, NUCLEARITY_PATTERNS, span),
+        NUCLEARITY_PATTERNS, inventory.default_nuclearity, take_nuclearity,
     )

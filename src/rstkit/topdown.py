@@ -8,7 +8,6 @@ in the prompt), so the same fine-tuned model works anywhere in a document.
 
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 from .core import DocumentText, Edu, LabelInventory, Leaf
@@ -21,10 +20,8 @@ from .engine import (
     label_decision,
     run_decisions,
 )
-from .oracle import Oracle, OracleQuery, resolve_label
+from .oracle import Oracle, OracleQuery
 from .prompts import SPLIT, SplitPrompts, span_slot
-
-_INTEGER_RE = re.compile(r"[+-]?\d+")
 
 
 def parse_top_down(
@@ -57,25 +54,12 @@ def parse_top_down(
 
     def split(first: int, last: int) -> Decision:
         state = f"span=({first},{last})"
+        legal = prompts.labels(first, last)
         query = None
         if not (last - first == 1 and policy.skip_forced):
-            query = OracleQuery(
-                SPLIT, prompts.render(first, last), prompts.labels(first, last),
-                (first, last),
-            )
+            query = OracleQuery(SPLIT, prompts.render(first, last), legal, (first, last))
 
-        def take(raw: str | None):
-            resolved, corrected, note = "0", False, ""
-            if raw is not None:
-                resolved = resolve_label(raw, query.valid_labels)
-                if resolved is None:
-                    first_line = raw.split("\n", 1)[0].strip()
-                    note = (
-                        "out-of-range"
-                        if _INTEGER_RE.fullmatch(first_line)
-                        else "unparseable"
-                    )
-                    resolved, corrected = "0", True
+        def advance(resolved: str) -> list[Decision]:
             mid = first + int(resolved)
             node = nodes[(first, last)] = [mid]
             unlocked = [label_decision(
@@ -89,9 +73,9 @@ def parse_top_down(
                 unlocked.append(split(first, mid))
             if last > mid + 1:
                 unlocked.append(split(mid + 1, last))
-            return resolved, corrected, note, unlocked
+            return unlocked
 
-        return Decision(SPLIT, state, query, take)
+        return Decision(SPLIT, state, query, legal, "0", advance)
 
     trace = run_decisions(oracle, split(1, n))
     return ParseResult(tree=build_tree(edus, nodes), trace=trace)

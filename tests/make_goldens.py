@@ -1,33 +1,50 @@
-"""Writes the golden prompt files under tests/goldens/.
+"""Writes the golden prompt and trace files under tests/goldens/.
 
 Run from the repository root:
 
     PYTHONPATH=src python3 tests/make_goldens.py
 
 The outputs are committed and the byte-stability tests compare against
-them, so regenerating must be a no-op unless a template deliberately
-changes. Texts come from the press_release fixture so the goldens double
-as readable documentation of each template. Each prompt is rendered the
-way a parse renders it: span slots sliced from a ``DocumentText``, split
-prompts from ``SplitPrompts``.
+them, so regenerating must be a no-op unless a template or the correction
+rule deliberately changes.
+
+Prompt texts come from the press_release fixture so the goldens double as
+readable documentation of each template. Each prompt is rendered the way a
+parse renders it: span slots sliced from a ``DocumentText``, split prompts
+from ``SplitPrompts``.
+
+Trace goldens (``traces/<strategy>-<policy>/<doc>.trace.jsonl`` and
+``.tree``) are parses of a few minicorpus documents under garbage answers
+picked by a hash of the prompt, so every correction note and forced
+entries show up in them.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 from rstkit import (
     EMPTY_SLOT,
     NN,
     NS,
+    CallableOracle,
     DocumentText,
     Edu,
+    ParsePolicy,
     SplitPrompts,
     action_prompt,
     builtin_inventory,
+    builtin_relation_map,
+    load_documents,
+    minicorpus_dir,
     nuclearity_prompt,
+    parse_bottom_up,
+    parse_top_down,
     relation_prompt,
     span_slot,
+    trace_to_jsonl,
+    write_tree,
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -79,6 +96,54 @@ def golden_prompts() -> dict[str, str]:
     }
 
 
+# answers of every kind: labels of each decision kind, numbers (signed,
+# zero-padded, past any span here), blank and multi-line text
+GARBAGE_ANSWERS = (
+    "shift", "reduce", "banana", "7", "0", "1", "-1", "nucleus-nucleus",
+    "satellite-nucleus", "Joint", "Elaboration", "", "+1", "02", "-0", "12",
+    "3\nbanana", "banana\n1", " Reduce \n", "007",
+)
+
+TRACE_DOCUMENTS = ("doc01", "doc05", "doc08")
+TRACE_ENGINES = {"bottom-up": parse_bottom_up, "top-down": parse_top_down}
+TRACE_POLICIES = {
+    "skip-forced": ParsePolicy(),
+    "query-forced": ParsePolicy(skip_forced=False),
+    "truncate-30": ParsePolicy(truncate_chars=30),
+}
+
+
+def garbage_answer(query) -> str:
+    """Any kind of answer, picked by the prompt alone: a third of the time
+    one of the query's valid labels, else one of ``GARBAGE_ANSWERS``."""
+    digest = hashlib.sha1(query.prompt.encode("utf-8")).digest()
+    if digest[0] % 3 == 0:
+        return query.valid_labels[digest[1] % len(query.valid_labels)]
+    return GARBAGE_ANSWERS[digest[1] % len(GARBAGE_ANSWERS)]
+
+
+def golden_traces() -> dict[str, str]:
+    """Path under the golden directory -> the trace or tree it must hold."""
+    corpus = minicorpus_dir()
+    docs = [
+        doc for doc in load_documents(
+            corpus, corpus / "splits.tsv",
+            relation_map=builtin_relation_map("rst-dt-coarse"),
+        )
+        if doc.doc_id in TRACE_DOCUMENTS
+    ]
+    inventory = builtin_inventory("rst-dt")
+    goldens = {}
+    for strategy, parse in TRACE_ENGINES.items():
+        for name, policy in TRACE_POLICIES.items():
+            for doc in docs:
+                result = parse(doc.edus, CallableOracle(garbage_answer), inventory, policy)
+                stem = f"traces/{strategy}-{name}/{doc.doc_id}"
+                goldens[f"{stem}.trace.jsonl"] = trace_to_jsonl(result.trace)
+                goldens[f"{stem}.tree"] = write_tree(result.tree) + "\n"
+    return goldens
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     goldens = golden_prompts()
@@ -86,7 +151,12 @@ def main() -> None:
         (GOLDEN_DIR / name).write_bytes(text.encode("utf-8"))
         print(f"--- {name}")
         print(text)
-    print(f"wrote {len(goldens)} goldens to {GOLDEN_DIR}")
+    traces = golden_traces()
+    for name, text in traces.items():
+        path = GOLDEN_DIR / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("utf-8"))
+    print(f"wrote {len(goldens)} prompt and {len(traces)} trace goldens to {GOLDEN_DIR}")
 
 
 if __name__ == "__main__":

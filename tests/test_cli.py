@@ -175,16 +175,29 @@ def test_scripted_oracle_requires_script(tmp_path, capsys):
     assert "--script" in stderr
 
 
-def test_scripted_oracle_rejects_several_workers(tmp_path, capsys):
+def test_scripted_output_does_not_depend_on_workers(tmp_path, capsys):
+    # scripted answers go to documents in corpus order whatever --workers is
     script = tmp_path / "answers.txt"
-    script.write_text("shift\n")
-    code, _, stderr = run(
-        capsys,
-        *_parse_args(tmp_path / "run", "--oracle", "scripted", "--script",
-                     str(script), "--cycle-script", "--workers", "2"),
-    )
-    assert code == 2
-    assert "--workers 1" in stderr
+    script.write_text("shift\nreduce\n2\nJoint\nbanana\nnucleus-nucleus\n0\n")
+    outputs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"run{workers}"
+        code, _, _ = run(
+            capsys,
+            *_parse_args(out, "--oracle", "scripted", "--script", str(script),
+                         "--cycle-script", "--workers", workers),
+        )
+        assert code == 0
+        files = sorted(path.name for path in out.iterdir())
+        assert len(files) == 9  # four documents' .tree and .trace.jsonl, the manifest
+        outputs.append({
+            name: (out / name).read_bytes()
+            for name in files if name != "run_manifest.json"
+        })
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["totals"]["corrected"] > 0
+        outputs[-1]["documents"] = manifest["documents"]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -870,6 +883,14 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "does not exist" in stderr
+
+
+def test_config_without_a_value_exits_two(capsys):
+    # the early look for --config leaves the error to the full parser
+    with pytest.raises(SystemExit) as caught:
+        main(["--config"])
+    assert caught.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

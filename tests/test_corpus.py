@@ -148,7 +148,10 @@ DIS_SYNTAX_ERRORS = [
     ("( Root (leaf 1) (text _!x_!) ) _!x", "unterminated", 31),
     # any Unicode decimal digit reads as a number, whole field or not
     ("( Root (span 1 1) ( Nucleus (leaf \u0661) (rel2par span) ) )",
-     "leaf 1 has no text field", 52),
+     "leaf 1 has no text field", 52),    ("( Root (span", "unexpected end of input", 12),
+    ("( Root (leaf x) (text _!a_!) )", "expected integer", 13),
+    # a bracket-format node head inside .dis text
+    ("( Root (NS Elaboration (leaf 1) ) )", "unknown field 'NS'", 8),
 ]
 
 
@@ -422,22 +425,36 @@ def test_write_leaf_only():
     assert read_tree("(leaf 1)", [Edu(1, "alone.")]) == tree
 
 
-@pytest.mark.parametrize("line,fragment", [
-    ("(NS Cause (leaf 1) (leaf 2)", "unclosed"),
-    ("(NS Cause (leaf 1))", "two children"),
-    ("(leaf 1) (leaf 2)", "multiple top-level"),
-    ("", "empty"),
-    ("(XX Cause (leaf 1) (leaf 2))", "unknown node head"),
-    ("(NS Cause (leaf 1) (leaf 3))", "adjacent"),
-    ("((leaf 1))", "expected node head"),
-    ("(leaf 1))", "unbalanced"),
-    ("(NS Cause (leaf 1) x (leaf 2))", "unexpected token 'x'"),
-    ("(NS _!x_! (leaf 1) (leaf 2))", "expected atom, got 'x'"),
-    ("(XX Cause (leaf 1) _!x", "unterminated"),
-])
+# (line, message fragment, character offset the error reports)
+READ_TREE_ERRORS = [
+    ("(NS Cause (leaf 1) (leaf 2)", "unclosed", 27),
+    ("(NS Cause (leaf 1))", "two children", 18),
+    ("(leaf 1) (leaf 2)", "multiple top-level", 9),
+    ("", "empty", 0),
+    ("(XX Cause (leaf 1) (leaf 2))", "unknown node head", 1),
+    ("(NS Cause (leaf 1) (leaf 3))", "adjacent", 27),
+    ("((leaf 1))", "expected node head", 1),
+    ("(leaf 1))", "unbalanced", 8),
+    ("(NS Cause (leaf 1) x (leaf 2))", "unexpected token 'x'", 19),
+    ("(NS _!x_! (leaf 1) (leaf 2))", "expected atom, got 'x'", 4),
+    ("(XX Cause (leaf 1) _!x", "unterminated", 19),
+    ("(NS Elab (leaf 1 2) (leaf 3))", "expected close, got '2'", 17),
+    # a .dis field head inside bracket text
+    ("(NS Elab (span 1 2) (leaf 3))", "unknown node head 'span'", 10),
+]
+
+
+@pytest.mark.parametrize("line,fragment", [case[:2] for case in READ_TREE_ERRORS])
 def test_read_tree_errors(line, fragment):
     with pytest.raises(DisSyntaxError, match=fragment):
         read_tree(line)
+
+
+@pytest.mark.parametrize("line,fragment,pos", READ_TREE_ERRORS)
+def test_read_tree_error_offsets(line, fragment, pos):
+    with pytest.raises(DisSyntaxError, match=fragment) as caught:
+        read_tree(line)
+    assert caught.value.pos == pos
 
 
 def test_read_tree_checks_leaf_range():
