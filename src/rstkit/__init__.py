@@ -50,6 +50,7 @@ from .engine import (
     ParsePolicy,
     ParseResult,
     TraceEntry,
+    resolve_label,
     trace_to_jsonl,
 )
 from .metrics import (
@@ -78,7 +79,6 @@ from .oracle import (
     ReplayOracle,
     ScriptedOracle,
     StoreCorrupt,
-    resolve_label,
 )
 from .prompts import (
     ACTION,

@@ -21,10 +21,15 @@ from .engine import (
     run_decisions,
 )
 from .oracle import Oracle, OracleQuery
-from .prompts import ACTION, ACTION_LABELS, EMPTY_SLOT, action_prompt, span_slot
-
-SHIFT = "shift"
-REDUCE = "reduce"
+from .prompts import (
+    ACTION,
+    ACTION_LABELS,
+    EMPTY_SLOT,
+    REDUCE,
+    SHIFT,
+    action_prompt,
+    span_slot,
+)
 
 
 def parse_bottom_up(

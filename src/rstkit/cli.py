@@ -61,9 +61,11 @@ from .oracle import (
     ScriptedOracle,
     StoreCorrupt,
 )
+from .prompts import REDUCE, SHIFT
 from .topdown import parse_top_down
 from .training import (
     BOTTOM_UP,
+    KINDS,
     STRATEGIES,
     example_to_json,
     export_metadata,
@@ -87,10 +89,21 @@ _VALIDATION_ERRORS = (
 )
 
 
-def write_text_atomic(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A UTF-8 text file that replaces ``path`` when the block ends without error."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    with _replacing(path) as handle:
+        handle.write(text)
 
 
 def _echo(line: str) -> None:
@@ -247,11 +260,16 @@ def cmd_parse(args: argparse.Namespace) -> int:
     inventory = _fixture("inventory", args.inventory)
     policy = _policy(args)
     documents = _documents(args, args.corpus_dir)
+    # these globals, not training.ENGINES: perfbench/tracer.py wraps them here
     engine = parse_bottom_up if args.strategy == BOTTOM_UP else parse_top_down
     shared = _make_shared_oracle(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _resolved_config(args)
+    config = {
+        key: value
+        for key, value in sorted(vars(args).items())
+        if key not in ("func", "config") and not key.startswith("_")
+    }
     config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
     # manifest rows of the documents finished so far, by document index
@@ -327,15 +345,6 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolved_config(args: argparse.Namespace) -> dict:
-    config = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("func", "config") and not key.startswith("_")
-    }
-    return {k: str(v) if isinstance(v, Path) else v for k, v in config.items()}
-
-
 # ---------------------------------------------------------------------------
 # eval
 
@@ -375,30 +384,18 @@ def cmd_export_training(args: argparse.Namespace) -> int:
     documents = _documents(args, args.corpus_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kinds = (
-        ("action", "nuclearity", "relation")
-        if args.strategy == BOTTOM_UP
-        else ("split", "nuclearity", "relation")
-    )
-    paths = {kind: out_dir / f"{args.strategy}.{kind}.jsonl" for kind in kinds}
+    counts = dict.fromkeys(KINDS[args.strategy], 0)
     # each pair is written as it comes, to a temporary file per kind; the
     # files replace their targets only once every document has been walked
-    tmps = {kind: path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            for kind, path in paths.items()}
-    counts = dict.fromkeys(kinds, 0)
-    try:
-        with contextlib.ExitStack() as stack:
-            files = {kind: stack.enter_context(open(tmp, "w", encoding="utf-8"))
-                     for kind, tmp in tmps.items()}
-            for doc in documents:
-                for example in gold_walk(doc, inventory, args.strategy, policy):
-                    files[example.kind].write(example_to_json(example) + "\n")
-                    counts[example.kind] += 1
-        for kind, tmp in tmps.items():
-            os.replace(tmp, paths[kind])
-    finally:
-        for tmp in tmps.values():
-            tmp.unlink(missing_ok=True)
+    with contextlib.ExitStack() as stack:
+        files = {}
+        for kind in counts:
+            path = out_dir / f"{args.strategy}.{kind}.jsonl"
+            files[kind] = stack.enter_context(_replacing(path))
+        for doc in documents:
+            for example in gold_walk(doc, inventory, args.strategy, policy):
+                files[example.kind].write(example_to_json(example) + "\n")
+                counts[example.kind] += 1
     meta = export_metadata(inventory, args.strategy, policy, counts)
     meta["documents"] = len(documents)
     write_text_atomic(
@@ -424,10 +421,10 @@ def cmd_derive_actions(args: argparse.Namespace) -> int:
         while stack:
             node = stack.pop()
             if isinstance(node, Node):
-                lines.append(f"reduce\t{node.nuclearity}\t{node.relation}")
+                lines.append(f"{REDUCE}\t{node.nuclearity}\t{node.relation}")
                 stack += (node.left, node.right)
             else:
-                lines.append("shift")
+                lines.append(SHIFT)
         lines.reverse()
     else:
         lines = []

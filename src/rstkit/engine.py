@@ -1,5 +1,5 @@
-"""Shared plumbing for the two parsing engines: policy, trace, result, the
-loop that puts their decisions to an oracle, and the tree they build."""
+"""Shared plumbing for the two engines: policy, trace, result, the answer
+rule, the loop that puts their decisions to an oracle, and their tree."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import NUCLEARITY_PATTERNS, Edu, LabelInventory, Leaf, Node, RstTree
-from .oracle import Oracle, OracleQuery, resolve_label
+from .oracle import Oracle, OracleQuery
 from .prompts import NUCLEARITY, RELATION, nuclearity_prompt, relation_prompt
 
 
@@ -119,15 +119,31 @@ class Decision(NamedTuple):
     advance: Callable[[str], list["Decision"]]
 
 
-# an integer answer; signs and zero padding allowed
 _INTEGER_RE = re.compile(r"[+-]?\d+")
+
+
+def resolve_label(raw: str, valid_labels: Iterable[str]) -> str | None:
+    """Map raw completion text onto a member of the valid set, or None.
+
+    Only the first line counts; matching is case-insensitive after trimming,
+    and an integer answer is read by its value ("02" and "+2" match "2",
+    "-0" matches "0"). Returns the canonical member, never the raw spelling.
+    """
+    first = raw.split("\n", 1)[0].strip()
+    if _INTEGER_RE.fullmatch(first):
+        first = str(int(first))
+    folded = first.casefold()
+    for label in valid_labels:
+        if folded == label.casefold():
+            return label
+    return None
 
 
 def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
     """Take every decision of a parse; return the trace in serial order.
 
     Here, and only here, an answer is resolved: its first line must name a
-    member of ``query.valid_labels`` (``oracle.resolve_label``) that is
+    member of ``query.valid_labels`` (``resolve_label``) that is
     ``legal``. Otherwise the decision takes its ``default``, and the entry
     is marked corrected with a note: illegal (a valid label not legal now),
     out-of-range (an integer, where the legal answers are integers) or

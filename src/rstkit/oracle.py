@@ -12,7 +12,6 @@ import http.client
 import json
 import logging
 import os
-import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -24,9 +23,10 @@ from urllib.parse import urlsplit
 from .core import RstTree, internal_nodes
 from .prompts import (
     ACTION,
-    ACTION_LABELS,
     NUCLEARITY,
     PROMPT_KINDS,
+    REDUCE,
+    SHIFT,
     SPLIT,
     PromptKind,
 )
@@ -47,10 +47,6 @@ _CONNECTIONS = {
 
 # What a kept-alive connection raises when the server has closed it.
 _STALE_CONNECTION = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
-
-_INT_RE = re.compile(r"\d+")
-
-_SHIFT, _REDUCE = ACTION_LABELS
 
 # HttpOracle decodes greedily; payloads and fingerprints carry this value.
 _TEMPERATURE = 0.0
@@ -98,23 +94,6 @@ class OracleQuery:
             raise ValueError("query needs a non-empty label set")
 
 
-def resolve_label(raw: str, valid_labels: Iterable[str]) -> str | None:
-    """Map raw completion text onto a member of the valid set, or None.
-
-    Only the first line counts; matching is case-insensitive after trimming,
-    and purely numeric answers tolerate leading zeros ("02" matches "2").
-    Returns the canonical member, never the raw spelling.
-    """
-    first = raw.split("\n", 1)[0].strip()
-    if _INT_RE.fullmatch(first):
-        first = str(int(first))
-    folded = first.casefold()
-    for label in valid_labels:
-        if folded == label.casefold():
-            return label
-    return None
-
-
 @runtime_checkable
 class Oracle(Protocol):
     """Answer source for decision queries.
@@ -154,7 +133,7 @@ class ReplayOracle:
 
     def complete(self, query: OracleQuery) -> str:
         if query.kind == ACTION:
-            return _REDUCE if query.span in self._nodes else _SHIFT
+            return REDUCE if query.span in self._nodes else SHIFT
         node = self._nodes.get(query.span)
         if node is None:
             raise KindMismatch(

@@ -20,7 +20,9 @@ PROMPT_KINDS = (ACTION, NUCLEARITY, RELATION, SPLIT)
 
 PromptKind = str
 
-ACTION_LABELS = ("shift", "reduce")
+SHIFT = "shift"
+REDUCE = "reduce"
+ACTION_LABELS = (SHIFT, REDUCE)
 
 # Rendered for a stack or queue position that holds nothing.
 EMPTY_SLOT = "None"

@@ -18,12 +18,16 @@ from .core import LabelInventory
 from .corpus import Document
 from .engine import ParsePolicy
 from .oracle import KindMismatch, ReplayOracle
-from .prompts import PromptKind
+from .prompts import ACTION, NUCLEARITY, RELATION, SPLIT, PromptKind
 from .topdown import parse_top_down
 
 BOTTOM_UP = "bottom-up"
 TOP_DOWN = "top-down"
-STRATEGIES = (BOTTOM_UP, TOP_DOWN)
+# strategy -> its engine, and the decision kinds that engine asks
+ENGINES = {BOTTOM_UP: parse_bottom_up, TOP_DOWN: parse_top_down}
+KINDS = {BOTTOM_UP: (ACTION, NUCLEARITY, RELATION),
+         TOP_DOWN: (SPLIT, NUCLEARITY, RELATION)}
+STRATEGIES = tuple(ENGINES)
 
 # Reference fine-tuning configuration for the exported pairs, recorded in
 # the export's metadata sidecar so a training run is reproducible from the
@@ -68,13 +72,9 @@ def gold_walk(
     that corrects a gold answer, as when a relation is not in the
     inventory, raises KindMismatch, so a walk cannot yield wrong pairs.
     """
-    if strategy == BOTTOM_UP:
-        parse = parse_bottom_up
-    elif strategy == TOP_DOWN:
-        parse = parse_top_down
-    else:
+    if strategy not in ENGINES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    result = parse(doc.edus, ReplayOracle(doc.tree), inventory, policy)
+    result = ENGINES[strategy](doc.edus, ReplayOracle(doc.tree), inventory, policy)
     if result.corrected_count:
         raise KindMismatch(
             f"{strategy} replay of {doc.doc_id} corrected "

@@ -39,13 +39,12 @@ from rstkit import (
     load_documents,
     minicorpus_dir,
     nuclearity_prompt,
-    parse_bottom_up,
-    parse_top_down,
     relation_prompt,
     span_slot,
     trace_to_jsonl,
     write_tree,
 )
+from rstkit.training import ENGINES
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -105,7 +104,6 @@ GARBAGE_ANSWERS = (
 )
 
 TRACE_DOCUMENTS = ("doc01", "doc05", "doc08")
-TRACE_ENGINES = {"bottom-up": parse_bottom_up, "top-down": parse_top_down}
 TRACE_POLICIES = {
     "skip-forced": ParsePolicy(),
     "query-forced": ParsePolicy(skip_forced=False),
@@ -134,7 +132,7 @@ def golden_traces() -> dict[str, str]:
     ]
     inventory = builtin_inventory("rst-dt")
     goldens = {}
-    for strategy, parse in TRACE_ENGINES.items():
+    for strategy, parse in ENGINES.items():
         for name, policy in TRACE_POLICIES.items():
             for doc in docs:
                 result = parse(doc.edus, CallableOracle(garbage_answer), inventory, policy)

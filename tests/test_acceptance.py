@@ -38,7 +38,7 @@ from rstkit import (
     score_document,
 )
 from rstkit.cli import main as cli_main
-from rstkit.training import example_to_json, gold_walk
+from rstkit.training import ENGINES, example_to_json, gold_walk
 
 from conftest import GOLDEN_DIR, check_tree, make_edus, random_tree
 from make_goldens import golden_prompts
@@ -65,8 +65,7 @@ def test_criterion_1_replay_closure(tmp_path, capsys, minicorpus, inventory):
     assert len(minicorpus) >= 20
     assert sizes[0] == 2 and sizes[-1] == 40
 
-    for strategy, engine in (("bottom-up", parse_bottom_up),
-                             ("top-down", parse_top_down)):
+    for strategy, engine in ENGINES.items():
         for doc in minicorpus:
             result = engine(doc.edus, ReplayOracle(doc.tree), inventory)
             assert result.tree == doc.tree, (strategy, doc.doc_id)

@@ -23,7 +23,7 @@ from rstkit import (
     resolve_document_path,
 )
 from rstkit.cli import main
-from rstkit.training import gold_walk
+from rstkit.training import ENGINES, gold_walk
 
 from test_core import MALFORMED_CONSTITUENTS
 from test_oracle import _endpoint, keep_alive_endpoint, wait_for
@@ -254,6 +254,33 @@ def test_replay_asks_every_query_on_the_calling_thread(tmp_path, capsys, monkeyp
     monkeypatch.setattr(rstkit.cli, "ReplayOracle", Recording)
     assert run(capsys, *_parse_args(tmp_path / "run", "--workers", "4"))[0] == 0
     assert threads == {threading.current_thread()}
+
+
+@pytest.mark.parametrize("strategy", ["bottom-up", "top-down"])
+def test_parse_calls_the_engine_through_the_cli_module_names(
+    tmp_path, capsys, monkeypatch, strategy
+):
+    # perfbench/tracer.py times the engines by wrapping these two names of
+    # rstkit.cli, so cmd_parse must look them up there at call time
+    import rstkit.cli
+
+    calls = []
+
+    def recording(name, engine):
+        def wrapper(edus, *args, **kwargs):
+            calls.append((name, len(edus)))
+            return engine(edus, *args, **kwargs)
+        return wrapper
+
+    for name in ("parse_bottom_up", "parse_top_down"):
+        monkeypatch.setattr(
+            rstkit.cli, name, recording(name, getattr(rstkit.cli, name))
+        )
+    out = tmp_path / "run"
+    assert run(capsys, *_parse_args(out, "--strategy", strategy))[0] == 0
+    wanted = ENGINES[strategy].__name__
+    rows = json.loads((out / "run_manifest.json").read_text())["documents"]
+    assert calls == [(wanted, row["edus"]) for row in rows]
 
 
 def _gold_table() -> dict[str, str]:

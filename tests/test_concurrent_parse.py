@@ -17,16 +17,12 @@ from rstkit import (
     CallableOracle,
     Document,
     ParsePolicy,
-    parse_bottom_up,
-    parse_top_down,
     trace_to_jsonl,
     write_tree,
 )
-from rstkit.training import gold_walk
+from rstkit.training import ENGINES, gold_walk
 
 from conftest import chain_tree, make_edus, random_document
-
-ENGINES = {"bottom-up": parse_bottom_up, "top-down": parse_top_down}
 
 
 def _documents() -> list[Document]:

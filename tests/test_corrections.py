@@ -29,9 +29,8 @@ from rstkit import (
     SPLIT,
     CallableOracle,
     ParsePolicy,
-    parse_bottom_up,
-    parse_top_down,
 )
+from rstkit.training import ENGINES
 
 from conftest import GOLDEN_DIR, check_tree, make_edus
 from make_goldens import golden_traces
@@ -45,8 +44,6 @@ MAX_EDUS = {
     ("top-down", False): 7 if FULL else 6,
     ("top-down", True): 7 if FULL else 6,
 }
-
-ENGINES = {"bottom-up": parse_bottom_up, "top-down": parse_top_down}
 
 UNPARSEABLE = "perhaps"
 # an integer names no label, and is no out-of-range split either

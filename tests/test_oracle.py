@@ -27,11 +27,10 @@ from rstkit import (
     ReplayOracle,
     ScriptedOracle,
     StoreCorrupt,
-    parse_bottom_up,
-    parse_top_down,
     resolve_label,
 )
 from rstkit.core import NS, SN
+from rstkit.training import ENGINES
 
 from conftest import make_edus
 
@@ -56,7 +55,7 @@ def _query(kind="action", prompt="p", labels=("shift", "reduce"), span=None):
         ("2", ("0", "1", "2"), "2"),
         ("02", ("0", "1", "2"), "2"),
         ("007", ("0", "7"), "7"),
-        ("+2", ("0", "1", "2"), None),
+        ("+2", ("0", "1", "2"), "2"),
         ("7", ("0", "1", "2"), None),
         ("2.0", ("0", "1", "2"), None),
         ("banana", ("shift", "reduce"), None),
@@ -64,6 +63,8 @@ def _query(kind="action", prompt="p", labels=("shift", "reduce"), span=None):
         ("\n\nshift", ("shift", "reduce"), None),
         ("Joint", ("Joint", "List"), "Joint"),
         ("joint", ("Joint", "List"), "Joint"),
+        ("-0", ("0", "1", "2"), "0"),
+        ("-1", ("0", "1", "2"), None),
     ],
 )
 def test_resolve_label(raw, labels, expected):
@@ -123,7 +124,7 @@ def test_replay_answers_do_not_depend_on_question_order(minicorpus, inventory,
         queries.append(query)
         return replay.complete(query)
 
-    engine = parse_bottom_up if strategy == "bottom-up" else parse_top_down
+    engine = ENGINES[strategy]
     policy = ParsePolicy(skip_forced=False)
     result = engine(doc.edus, CallableOracle(record), inventory, policy)
     asked = [entry.raw for entry in result.trace]

@@ -31,13 +31,10 @@ from rstkit import (
     Node,
     ParsePolicy,
     ReplayOracle,
-    parse_bottom_up,
-    parse_top_down,
 )
+from rstkit.training import ENGINES
 
 MAX_EDUS = int(os.environ.get("RSTKIT_TEST_SCHEDULE_MAX_EDUS", "7"))
-
-ENGINES = {"bottom-up": parse_bottom_up, "top-down": parse_top_down}
 
 _GARBAGE = ("shift", "reduce", "banana", "7", "0", "1", "-1", "nucleus-nucleus",
             "satellite-nucleus", "Joint", "Elaboration", "")

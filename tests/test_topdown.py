@@ -126,6 +126,16 @@ def test_leading_zeros_accepted_in_range(inventory):
     assert result.tree.left.span == (1, 2)
 
 
+@pytest.mark.parametrize("raw,resolved", [("+1", "1"), ("-0", "0")])
+def test_signed_integer_in_range_is_read_by_value(inventory, raw, resolved):
+    result = _three_edu_parse(raw, inventory)
+    first = result.trace[0]
+    assert first.raw == raw
+    assert first.resolved == resolved
+    assert not first.corrected and first.note == ""
+    assert result.tree.left.span == (1, 1 + int(resolved))
+
+
 def test_two_edu_span_is_forced_by_default(inventory):
     script = ["nucleus-satellite", "Elaboration"]
     result = parse_top_down(make_edus(2), ScriptedOracle(script), inventory)

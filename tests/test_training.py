@@ -14,27 +14,24 @@ from rstkit import (
     Node,
     ParsePolicy,
     ReplayOracle,
+    STRATEGIES,
     example_to_json,
     export_metadata,
     gold_walk,
     load_split_manifest,
     minicorpus_dir,
-    parse_bottom_up,
-    parse_top_down,
     read_dis,
     write_tree,
 )
 from rstkit.cli import main
+from rstkit.training import ENGINES
 
 from conftest import chain_tree, make_edus, random_document
 import random
 
-STRATEGIES = ("bottom-up", "top-down")
-
 
 def _parse(doc, oracle, inventory, strategy, policy=ParsePolicy()):
-    fn = parse_bottom_up if strategy == "bottom-up" else parse_top_down
-    return fn(doc.edus, oracle, inventory, policy)
+    return ENGINES[strategy](doc.edus, oracle, inventory, policy)
 
 
 # ---------------------------------------------------------------------------
