@@ -370,7 +370,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 level: dataclasses.asdict(score) for level, score in scores.items()
             },
         }
-        write_text_atomic(Path(args.out), json.dumps(payload, indent=2) + "\n")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_text_atomic(out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -394,7 +396,8 @@ def cmd_export_training(args: argparse.Namespace) -> int:
             files[kind] = stack.enter_context(_replacing(path))
         for doc in documents:
             for example in gold_walk(doc, inventory, args.strategy, policy):
-                files[example.kind].write(example_to_json(example) + "\n")
+                # the record and its newline in one call, not joined first
+                files[example.kind].writelines((example_to_json(example), "\n"))
                 counts[example.kind] += 1
     meta = export_metadata(inventory, args.strategy, policy, counts)
     meta["documents"] = len(documents)
@@ -467,6 +470,7 @@ def cmd_report_relations(args: argparse.Namespace) -> int:
         for col in range(len(header))
     ]
     if args.csv:
+        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)

@@ -14,6 +14,7 @@ interpreter limit near a thousand EDUs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Iterator, Sequence, Union
 
 # Nuclearity patterns, in canonical prompt spelling. The pattern is read
@@ -22,6 +23,22 @@ NN = "nucleus-nucleus"
 NS = "nucleus-satellite"
 SN = "satellite-nucleus"
 NUCLEARITY_PATTERNS = (NN, NS, SN)
+
+
+def json_string(text: str | None) -> str:
+    """``text`` as ``json.dumps(text, ensure_ascii=False)`` writes it: a
+    quoted JSON string with non-ASCII kept as is, or ``null`` for None.
+
+    The JSONL records (trace lines, training pairs, cache segment lines)
+    are written field by field with this, each by a formatter of its own.
+    """
+    if text is None:
+        return "null"
+    if text.isascii() and "\x7f" not in text:
+        # the ASCII escaper is about twice as fast, and below DEL it writes
+        # the same text
+        return encode_basestring_ascii(text)
+    return encode_basestring(text)
 
 
 class MalformedTree(ValueError):

@@ -4,12 +4,19 @@ rule, the loop that puts their decisions to an oracle, and their tree."""
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import NUCLEARITY_PATTERNS, Edu, LabelInventory, Leaf, Node, RstTree
+from .core import (
+    NUCLEARITY_PATTERNS,
+    Edu,
+    LabelInventory,
+    Leaf,
+    Node,
+    RstTree,
+    json_string,
+)
 from .oracle import Oracle, OracleQuery
 from .prompts import NUCLEARITY, RELATION, nuclearity_prompt, relation_prompt
 
@@ -78,26 +85,20 @@ def prompt_id(kind: str, prompt: str | None) -> str | None:
 
 
 def trace_to_jsonl(trace: Iterable[TraceEntry]) -> str:
-    """Line-delimited trace records; the prompt itself is reduced to an id."""
-    lines = []
-    for entry in trace:
-        lines.append(
-            json.dumps(
-                {
-                    "step": entry.step,
-                    "kind": entry.kind,
-                    "state": entry.state,
-                    "prompt_id": prompt_id(entry.kind, entry.prompt),
-                    "raw": entry.raw,
-                    "resolved": entry.resolved,
-                    "corrected": entry.corrected,
-                    "forced": entry.forced,
-                    "note": entry.note,
-                },
-                ensure_ascii=False,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Line-delimited trace records; the prompt itself is reduced to an id.
+
+    Each line is what ``json.dumps(record, ensure_ascii=False)`` writes for
+    the record ``{"step", "kind", "state", "prompt_id", "raw", "resolved",
+    "corrected", "forced", "note"}``, formatted directly.
+    """
+    q = json_string
+    return "".join([
+        f'{{"step": {int.__repr__(step)}, "kind": {q(kind)}, "state": {q(state)}, '
+        f'"prompt_id": {q(prompt_id(kind, prompt))}, "raw": {q(raw)}, '
+        f'"resolved": {q(resolved)}, "corrected": {"true" if corrected else "false"}, '
+        f'"forced": {"true" if forced else "false"}, "note": {q(note)}}}\n'
+        for step, kind, state, prompt, raw, resolved, corrected, forced, note in trace
+    ])
 
 
 class Decision(NamedTuple):

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 from urllib.parse import urlsplit
 
-from .core import RstTree, internal_nodes
+from .core import RstTree, internal_nodes, json_string
 from .prompts import (
     ACTION,
     NUCLEARITY,
@@ -505,15 +505,7 @@ class CachedOracle:
     def _append(self, asked: dict[str, OracleQuery], answered: dict[str, str]) -> None:
         fingerprint = self.inner.fingerprint
         lines = "".join(
-            json.dumps(
-                {
-                    "kind": query.kind,
-                    "fingerprint": fingerprint,
-                    "prompt": query.prompt,
-                    "raw": answered[key],
-                },
-                ensure_ascii=False,
-            ) + "\n"
+            _segment_line(query.kind, fingerprint, query.prompt, answered[key])
             for key, query in asked.items()
             if key in answered
         )
@@ -563,6 +555,17 @@ class CachedOracle:
         close = getattr(self.inner, "close", None)
         if close is not None:
             close()
+
+
+def _segment_line(kind: str, fingerprint: str, prompt: str, raw: str) -> str:
+    """One cache segment line: the record ``{"kind", "fingerprint",
+    "prompt", "raw"}`` as ``json.dumps(record, ensure_ascii=False)`` writes
+    it, then a newline."""
+    q = json_string
+    return (
+        f'{{"kind": {q(kind)}, "fingerprint": {q(fingerprint)}, '
+        f'"prompt": {q(prompt)}, "raw": {q(raw)}}}\n'
+    )
 
 
 def _record_key(kind: str, fingerprint: str, prompt: str) -> str:

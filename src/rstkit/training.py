@@ -10,11 +10,10 @@ engine alone.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator, NamedTuple
 
 from .bottomup import parse_bottom_up
-from .core import LabelInventory
+from .core import LabelInventory, json_string
 from .corpus import Document
 from .engine import ParsePolicy
 from .oracle import KindMismatch, ReplayOracle
@@ -88,15 +87,15 @@ def gold_walk(
 
 
 def example_to_json(example: TrainingExample) -> str:
-    return json.dumps(
-        {
-            "kind": example.kind,
-            "prompt": example.prompt,
-            "completion": example.completion,
-            "document_id": example.doc_id,
-            "step": example.step,
-        },
-        ensure_ascii=False,
+    """The pair as ``json.dumps(record, ensure_ascii=False)`` writes the
+    record ``{"kind", "prompt", "completion", "document_id", "step"}``,
+    formatted directly."""
+    q = json_string
+    kind, prompt, completion, doc_id, step = example
+    return (
+        f'{{"kind": {q(kind)}, "prompt": {q(prompt)}, '
+        f'"completion": {q(completion)}, "document_id": {q(doc_id)}, '
+        f'"step": {int.__repr__(step)}}}'
     )
 
 

@@ -17,11 +17,18 @@ Trace goldens (``traces/<strategy>-<policy>/<doc>.trace.jsonl`` and
 ``.tree``) are parses of a few minicorpus documents under garbage answers
 picked by a hash of the prompt, so every correction note and forced
 entries show up in them.
+
+Export goldens (``exports/<strategy>[-truncate-30]/<strategy>.<kind>.jsonl``)
+are what ``rstkit export-training`` writes for the same documents, with
+forced decisions skipped and with ``--truncate 30``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import tempfile
 from pathlib import Path
 
 from rstkit import (
@@ -44,7 +51,8 @@ from rstkit import (
     trace_to_jsonl,
     write_tree,
 )
-from rstkit.training import ENGINES
+from rstkit.cli import main as rstkit_main
+from rstkit.training import ENGINES, STRATEGIES
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -142,6 +150,39 @@ def golden_traces() -> dict[str, str]:
     return goldens
 
 
+# export golden directory suffix -> the extra export-training flags
+EXPORT_POLICIES = {"": [], "-truncate-30": ["--truncate", "30"]}
+
+
+def golden_exports() -> dict[str, str]:
+    """Path under the golden directory -> the training pairs
+    ``export-training`` writes to it."""
+    corpus = minicorpus_dir()
+    goldens = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "splits.tsv"
+        manifest.write_text(
+            "".join(f"golden\t{doc_id}\n" for doc_id in TRACE_DOCUMENTS),
+            encoding="utf-8",
+        )
+        for strategy in STRATEGIES:
+            for suffix, flags in EXPORT_POLICIES.items():
+                out = Path(tmp) / f"{strategy}{suffix}"
+                argv = [
+                    "export-training", "--corpus-dir", str(corpus),
+                    "--manifest", str(manifest), "--relation-map", "rst-dt-coarse",
+                    "--strategy", strategy, "--out", str(out), *flags,
+                ]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    status = rstkit_main(argv)
+                if status != 0:
+                    raise RuntimeError(f"export-training exited {status}: {argv}")
+                for path in sorted(out.glob("*.jsonl")):
+                    name = f"exports/{strategy}{suffix}/{path.name}"
+                    goldens[name] = path.read_bytes().decode("utf-8")
+    return goldens
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     goldens = golden_prompts()
@@ -150,11 +191,15 @@ def main() -> None:
         print(f"--- {name}")
         print(text)
     traces = golden_traces()
-    for name, text in traces.items():
+    exports = golden_exports()
+    for name, text in {**traces, **exports}.items():
         path = GOLDEN_DIR / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(text.encode("utf-8"))
-    print(f"wrote {len(goldens)} prompt and {len(traces)} trace goldens to {GOLDEN_DIR}")
+    print(
+        f"wrote {len(goldens)} prompt, {len(traces)} trace and {len(exports)} "
+        f"export goldens to {GOLDEN_DIR}"
+    )
 
 
 if __name__ == "__main__":

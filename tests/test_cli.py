@@ -105,6 +105,23 @@ def test_eval_json_payload(tmp_path, capsys):
         assert list(score) == ["precision", "recall", "f1"]
 
 
+def test_eval_and_report_create_the_parents_of_their_outputs(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(capsys, *_parse_args(out))[0] == 0
+    report = tmp_path / "new" / "dir" / "x.json"
+    code, _, err = run(capsys, *_eval_args(out, "--out", str(report)))
+    assert (code, err) == (0, "")
+    assert json.loads(report.read_text(encoding="utf-8"))["documents"] == 4
+    table = tmp_path / "other" / "dir" / "x.csv"
+    code, _, err = run(
+        capsys, "report-relations", "--gold-dir", CORPUS, "--manifest",
+        MANIFEST, "--split", "dev", "--relation-map", MAP,
+        "--pred-dir", str(out), "--csv", str(table),
+    )
+    assert (code, err) == (0, "")
+    assert table.read_text(encoding="utf-8").startswith("relation,predicted,")
+
+
 def test_eval_exclude_root_still_perfect_on_replay(tmp_path, capsys):
     out = tmp_path / "run"
     assert run(capsys, *_parse_args(out))[0] == 0

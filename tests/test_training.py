@@ -26,7 +26,8 @@ from rstkit import (
 from rstkit.cli import main
 from rstkit.training import ENGINES
 
-from conftest import chain_tree, make_edus, random_document
+from conftest import GOLDEN_DIR, chain_tree, make_edus, random_document
+from make_goldens import golden_exports
 import random
 
 
@@ -262,6 +263,20 @@ def test_export_is_bitwise_deterministic(minicorpus, inventory, strategy):
     assert len(first.splitlines()) == sum(
         len(list(gold_walk(d, inventory, strategy))) for d in docs
     )
+
+
+def test_export_goldens_are_byte_identical():
+    # what export-training writes for the trace-golden documents, with
+    # forced decisions skipped and with --truncate 30 (make_goldens.py)
+    exports = golden_exports()
+    for name, text in exports.items():
+        assert text.encode("utf-8") == (GOLDEN_DIR / name).read_bytes(), name
+    on_disk = {
+        path.relative_to(GOLDEN_DIR).as_posix()
+        for path in (GOLDEN_DIR / "exports").rglob("*") if path.is_file()
+    }
+    assert on_disk == set(exports)
+    assert len(exports) == 12
 
 
 def test_export_preserves_document_order(tmp_path):
