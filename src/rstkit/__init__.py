@@ -69,7 +69,6 @@ from .metrics import (
 )
 from .oracle import (
     CachedOracle,
-    CallableOracle,
     HttpOracle,
     KindMismatch,
     Oracle,

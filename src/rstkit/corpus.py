@@ -1,12 +1,13 @@
 """Treebank and config file I/O.
 
-Covers the parenthesized .dis constituent format, read in one pass that
-maps relation names, collects EDUs and folds each n-ary constituent into
-binary nodes as it goes; relation-name maps and label inventories
-(editable text fixtures under rstkit/data); a canonical one-line bracket
-format for predicted trees; split manifests; and ``load_documents``, which
-turns a corpus directory, manifest and split into the documents every
-command works on.
+Covers the parenthesized .dis constituent format, read in one regex scan
+that takes a whole constituent per match where it is well formed, else a
+field, else a token, and in one pass that maps relation names, collects
+EDUs and folds each n-ary constituent into binary nodes as it goes;
+relation-name maps and label inventories (editable text fixtures under
+rstkit/data); a canonical one-line bracket format for predicted trees;
+split manifests; and ``load_documents``, which turns a corpus directory,
+manifest and split into the documents every command works on.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -77,19 +79,33 @@ class Document:
 # ---------------------------------------------------------------------------
 # Field scan shared by the .dis reader and the bracket format
 
-# One match per well-formed field, or else per token. Fields: (span a b),
-# (leaf n), (rel2par name), (text _!..._!), a constituent's ( Role and a
-# bracket node's (NS Relation. Tokens: ")"; a text field, which may hold
-# parentheses and newlines; a _! that no later _! closes, which takes the
-# rest of the input with it; "("; an atom. Whitespace matches no branch,
-# so finditer skips it. A field branch matches exactly the token runs the
-# readers accept there, spaced as the token scan allows, so a malformed
-# field falls through to its tokens and fails as they do.
+# One match per well-formed constituent, or else per field, or else per
+# token. Constituents: a whole leaf, ( Nucleus|Satellite (leaf n)
+# (rel2par name) (text _!..._!) ), and a constituent's head, ( Role
+# (span a b) with the (rel2par name) that follows it, if one does. Fields:
+# (span a b), (leaf n), (rel2par name), (text _!..._!), a constituent's
+# ( Role and a bracket node's (NS Relation. Tokens: ")"; a text field,
+# which may hold parentheses and newlines; a _! that no later _! closes,
+# which takes the rest of the input with it; "("; an atom. Whitespace
+# matches no branch, so finditer skips it. A constituent branch matches
+# exactly the field runs the readers accept there, and a field branch the
+# token runs, spaced as the token scan allows, so anything else falls
+# through to fields or tokens and fails as they do. Each part of a branch
+# ends at its field's ) or, in a text, at the next _!, so a match that
+# fails never scans past the constituent it tried.
 _FIELD_RE = re.compile(
     r"""
       (?P<close>\))
     | \(\s*(?:
-        (?P<span>span\s+(?P<first>\d+)\s+(?P<last>\d+)\s*\))
+        (?P<whole_leaf>(?P<leaf_role>Nucleus|Satellite)
+          \s*\(\s*leaf\s+(?P<leaf_index>\d+)\s*\)
+          \s*\(\s*rel2par\s+(?P<leaf_rel2par>(?!_!)[^\s()]+)\s*\)
+          \s*\(\s*text\s+_!(?P<leaf_text>[^_]*(?:_(?!!)[^_]*)*)_!\s*\)
+          \s*\))
+      | (?P<head>(?P<head_role>Root|Nucleus|Satellite)
+          \s*\(\s*span\s+(?P<head_first>\d+)\s+(?P<head_last>\d+)\s*\)
+          (?:\s*\(\s*rel2par\s+(?P<head_rel2par>(?!_!)[^\s()]+)\s*\))?)
+      | (?P<span>span\s+(?P<first>\d+)\s+(?P<last>\d+)\s*\))
       | (?P<leaf>leaf\s+(?P<index>\d+)\s*\))
       | (?P<rel2par>rel2par\s+(?P<name>(?!_!)[^\s()]+)\s*\))
       | (?P<field_text>text\s+_!(?P<inside>[^_]*(?:_(?!!)[^_]*)*)_!\s*\))
@@ -112,9 +128,10 @@ _TT_ERR_RE = re.compile(r"\)//TT_ERR")
 # token's value is its inside
 Token = tuple[str, str, int]
 _TOKEN_KINDS = frozenset(("open", "close", "atom", "text"))
-_FIELD_KINDS = frozenset(
-    ("span", "leaf", "rel2par", "field_text", "constituent", "node")
-)
+_FIELD_KINDS = frozenset((
+    "whole_leaf", "head", "span", "leaf", "rel2par", "field_text",
+    "constituent", "node",
+))
 
 
 def _unterminated(match: re.Match) -> DisSyntaxError:
@@ -236,12 +253,11 @@ def _chain(parts: list[_Side]) -> _Side:
     remainder acts as Nucleus toward its left sibling iff it contains a
     nucleus, and presents its first child's rel2par as its own.
     """
-    role, rel, tree = parts[-1]
-    for lrole, lrel, ltree in reversed(parts[:-1]):
-        tree = _pair((lrole, lrel, ltree), (role, rel, tree))
-        role = NUCLEUS if NUCLEUS in (lrole, role) else SATELLITE
-        rel = lrel
-    return role, rel, tree
+    side = parts[-1]
+    for left in parts[-2::-1]:
+        role = NUCLEUS if NUCLEUS in (left[0], side[0]) else SATELLITE
+        side = role, left[1], _pair(left, side)
+    return side
 
 
 @dataclass(slots=True)
@@ -255,37 +271,38 @@ class _Frame:
 
     def close(self, pos: int) -> _Side:
         """Check the constituent and fold it into its binary subtree."""
+        role, rel2par, span, children = (
+            self.role, self.rel2par, self.span, self.children
+        )
         if self.leaf is not None:
             if self.text is None:
                 raise DisSyntaxError(f"leaf {self.leaf} has no text field", pos)
-            if self.children:
+            if children:
                 raise DisSyntaxError(f"leaf {self.leaf} has children", pos)
             span = (self.leaf, self.leaf)
-        elif self.span is None:
+        elif span is None:
             raise DisSyntaxError("constituent lacks both span and leaf", pos)
-        elif not self.children:
-            raise DisSyntaxError(f"span {self.span} has no children", pos)
-        else:
-            span = self.span
-        if self.role != ROOT and not self.rel2par:
-            raise MalformedTree(f"missing rel2par on span {span}")
-        rel2par = self.rel2par or SPAN_REL
+        elif not children:
+            raise DisSyntaxError(f"span {span} has no children", pos)
+        if not rel2par:
+            if role != ROOT:
+                raise MalformedTree(f"missing rel2par on span {span}")
+            rel2par = SPAN_REL
         if self.leaf is not None:
-            return self.role, rel2par, Leaf(Edu(self.leaf, self.text))
-        if len(self.children) > 1 and not any(
-            role == NUCLEUS for role, _, _ in self.children
-        ):
+            return role, rel2par, Leaf(Edu(self.leaf, self.text))
+        if len(children) > 1 and NUCLEUS not in [side[0] for side in children]:
             raise MalformedTree(f"constituent {span} has no nucleus child")
         start = span[0]
-        for _, _, child in self.children:
-            if child.span[0] != start:
+        for side in children:
+            first, last = side[2].span
+            if first != start:
                 raise MalformedTree(
-                    f"children of {span} not contiguous at {child.span}"
+                    f"children of {span} not contiguous at {(first, last)}"
                 )
-            start = child.span[1] + 1
+            start = last + 1
         if start != span[1] + 1:
             raise MalformedTree(f"children do not cover {span}")
-        return self.role, rel2par, _chain(self.children)[2]
+        return role, rel2par, _chain(children)[2]
 
 
 def parse_dis(
@@ -313,7 +330,9 @@ def _read_constituents(
 ) -> tuple[RstTree, tuple[Edu, ...]]:
     """Read the Root constituent and everything in it. Treebank nesting is
     as deep as the document, so the open constituents are kept on an
-    explicit frame stack."""
+    explicit frame stack. A whole leaf goes straight to its parent's
+    children; every other constituent gets a frame, which its head fills
+    as far as it is well formed and its fields fill after that."""
     mapped = {SPAN_REL: SPAN_REL}
 
     def relation(name: str) -> str:
@@ -331,11 +350,18 @@ def _read_constituents(
         _, role, pos = cursor.take("atom")
     if role != ROOT:
         raise DisSyntaxError(f"expected {ROOT}, got {role!r}", pos)
-    frames: list[_Frame] = [_Frame(role)]
+    # the first field is a head or a constituent whose role is Root: the
+    # loop below opens its frame as it opens every other
+    frames: list[_Frame] = []
     edus: list[Edu] = []
-    for field in cursor.fields:
+    for field in chain((first,), cursor.fields):
         kind = field.lastgroup
-        if kind == "close":
+        if kind == "whole_leaf":
+            rel2par = relation(field["leaf_rel2par"])
+            edu = Edu(int(field["leaf_index"]), normalize_edu_text(field["leaf_text"]))
+            edus.append(edu)
+            frames[-1].children.append((field["leaf_role"], rel2par, Leaf(edu)))
+        elif kind == "close":
             frame = frames.pop()
             side = frame.close(field.start())
             # only a leaf frame records its EDU: a one-child constituent
@@ -346,9 +372,18 @@ def _read_constituents(
                 root = side[2]
                 break
             frames[-1].children.append(side)
+        elif kind == "head":
+            role = field["head_role"]
+            if role == ROOT and frames:
+                raise DisSyntaxError(
+                    "Root below the top level", field.start("head_role")
+                )
+            name = field["head_rel2par"]
+            span = (int(field["head_first"]), int(field["head_last"]))
+            frames.append(_Frame(role, name and relation(name), span))
         elif kind == "constituent":
             role = field["role"]
-            if role == ROOT:
+            if role == ROOT and frames:
                 raise DisSyntaxError("Root below the top level", field.start("role"))
             frames.append(_Frame(role))
         elif kind == "span":
@@ -684,7 +719,8 @@ def load_documents(
 
     With a manifest: the documents of ``split``, or of every split, in
     manifest order. Without one: every ``.dis`` file in the directory,
-    sorted by name.
+    sorted by name. Two files that give one document id, such as
+    ``doc01.dis`` and ``doc01.out.dis``, raise ConfigError.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
@@ -705,7 +741,15 @@ def load_documents(
         doc_ids = sorted(p.name for p in corpus_dir.iterdir() if p.suffix == ".dis")
         if not doc_ids:
             raise ConfigError(f"no .dis files under {corpus_dir}")
-    return [
-        read_dis(resolve_document_path(corpus_dir, doc_id), relation_map)
-        for doc_id in doc_ids
-    ]
+    documents: list[Document] = []
+    paths: dict[str, Path] = {}
+    for name in doc_ids:
+        path = resolve_document_path(corpus_dir, name)
+        doc_id = _doc_id_from_path(path)
+        if doc_id in paths:
+            raise ConfigError(
+                f"{paths[doc_id]} and {path} both give document id {doc_id!r}"
+            )
+        paths[doc_id] = path
+        documents.append(read_dis(path, relation_map))
+    return documents

@@ -70,11 +70,6 @@ class ParseResult:
     def corrected_count(self) -> int:
         return sum(1 for entry in self.trace if entry.corrected)
 
-    def queries(self, kind: str) -> int:
-        return sum(
-            1 for entry in self.trace if entry.kind == kind and not entry.forced
-        )
-
 
 def prompt_id(kind: str, prompt: str | None) -> str | None:
     """Stable short identifier for a rendered prompt, for trace records."""

@@ -173,17 +173,6 @@ class ScriptedOracle:
             return answer
 
 
-class CallableOracle:
-    """Adapts a plain function (query -> raw text) to the protocol."""
-
-    def __init__(self, fn, fingerprint: str = "callable"):
-        self._fn = fn
-        self.fingerprint = fingerprint
-
-    def complete(self, query: OracleQuery) -> str:
-        return self._fn(query)
-
-
 class HttpOracle:
     """Client for a text-completion endpoint.
 

@@ -1,5 +1,5 @@
 """Shared fixtures: corpus paths, random tree builders, a tree validity
-check, hypothesis profile."""
+check, an oracle over a plain function, hypothesis profile."""
 
 from __future__ import annotations
 
@@ -37,6 +37,14 @@ _WORDS = (
     "plant", "survey", "board", "filing", "route", "quarter", "audit",
     "notice", "crew", "permit", "budget", "draft", "hearing", "market",
 )
+
+
+class FunctionOracle:
+    """An oracle that answers each query with ``fn(query)``."""
+
+    def __init__(self, fn, fingerprint: str = "callable"):
+        self.complete = fn
+        self.fingerprint = fingerprint
 
 
 def make_edus(n: int, rng: random.Random | None = None) -> tuple[Edu, ...]:

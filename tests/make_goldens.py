@@ -35,7 +35,6 @@ from rstkit import (
     EMPTY_SLOT,
     NN,
     NS,
-    CallableOracle,
     DocumentText,
     Edu,
     ParsePolicy,
@@ -53,6 +52,8 @@ from rstkit import (
 )
 from rstkit.cli import main as rstkit_main
 from rstkit.training import ENGINES, STRATEGIES
+
+from conftest import FunctionOracle
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -143,7 +144,7 @@ def golden_traces() -> dict[str, str]:
     for strategy, parse in ENGINES.items():
         for name, policy in TRACE_POLICIES.items():
             for doc in docs:
-                result = parse(doc.edus, CallableOracle(garbage_answer), inventory, policy)
+                result = parse(doc.edus, FunctionOracle(garbage_answer), inventory, policy)
                 stem = f"traces/{strategy}-{name}/{doc.doc_id}"
                 goldens[f"{stem}.trace.jsonl"] = trace_to_jsonl(result.trace)
                 goldens[f"{stem}.tree"] = write_tree(result.tree) + "\n"

@@ -25,6 +25,7 @@ from rstkit import (
 from rstkit.cli import main
 from rstkit.training import ENGINES, gold_walk
 
+from conftest import FunctionOracle
 from test_core import MALFORMED_CONSTITUENTS
 from test_oracle import _endpoint, keep_alive_endpoint, wait_for
 
@@ -503,9 +504,9 @@ def test_interrupted_parse_leaves_a_running_manifest(
     assert not list(out.glob(".*.tmp"))
     if oracle == "http":
         # every answer fetched before the interrupt was stored whole
-        from rstkit import CachedOracle, CallableOracle
+        from rstkit import CachedOracle
 
-        stored = CachedOracle(CallableOracle(None), cache).report()
+        stored = CachedOracle(FunctionOracle(None), cache).report()
         assert stored["torn_lines_skipped"] == 0
 
 
@@ -986,6 +987,29 @@ def test_unknown_relation_map_exits_two(tmp_path, capsys):
     assert "no bundled relation map" in stderr
 
 
+@pytest.mark.parametrize("command", ["parse", "eval", "export-training"])
+def test_two_files_with_one_document_id_exit_two(tmp_path, capsys, command):
+    """doc01.dis and doc01.out.dis would both be document doc01: one tree
+    would overwrite the other and the manifest would list doc01 twice."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "doc01.dis").write_text((minicorpus_dir() / "doc01.dis").read_text())
+    (corpus / "doc01.out.dis").write_text((minicorpus_dir() / "doc05.dis").read_text())
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ("eval", "--gold-dir", str(corpus), "--pred-dir", str(out))
+    else:
+        argv = (command, "--corpus-dir", str(corpus), "--out", str(out))
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        f"config error: {corpus / 'doc01.dis'} and {corpus / 'doc01.out.dis'}"
+        " both give document id 'doc01'\n"
+    )
+    assert not out.exists()
+
+
 def test_http_oracle_connection_failure_exits_three(tmp_path, capsys):
     code, _, stderr = run(
         capsys,
@@ -1122,10 +1146,10 @@ def test_config_file_not_utf8_exits_two_naming_its_path(tmp_path, capsys, kind):
 
 _CLI = "import sys; from rstkit.cli import main; sys.exit(main())"
 _STORE = """import sys
-from rstkit import CachedOracle, CallableOracle, OracleQuery
+from rstkit import CachedOracle, OracleQuery, ScriptedOracle
 query = OracleQuery("action", "Stack1: caf\\u00e9", ("shift",))
-CachedOracle(CallableOracle(lambda q: "shift \\u00e9"), sys.argv[1]).complete(query)
-assert CachedOracle(CallableOracle(None), sys.argv[1]).complete(query) == "shift \\u00e9"
+CachedOracle(ScriptedOracle(["shift \\u00e9"]), sys.argv[1]).complete(query)
+assert CachedOracle(ScriptedOracle([]), sys.argv[1]).complete(query) == "shift \\u00e9"
 """
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from rstkit import (
     CachedOracle,
-    CallableOracle,
     Document,
     ParsePolicy,
     trace_to_jsonl,
@@ -22,7 +21,7 @@ from rstkit import (
 )
 from rstkit.training import ENGINES, gold_walk
 
-from conftest import chain_tree, make_edus, random_document
+from conftest import FunctionOracle, chain_tree, make_edus, random_document
 
 
 def _documents() -> list[Document]:
@@ -78,9 +77,9 @@ def test_prefetched_parse_equals_serial_parse(
     notes = set()
     for doc in _documents():
         answer = answers(doc, strategy, policy, inventory)
-        serial = engine(doc.edus, CallableOracle(answer), inventory, policy)
+        serial = engine(doc.edus, FunctionOracle(answer), inventory, policy)
         cache = CachedOracle(
-            CallableOracle(_with_latency(answer)), tmp_path / doc.doc_id
+            FunctionOracle(_with_latency(answer)), tmp_path / doc.doc_id
         )
         try:
             concurrent = engine(doc.edus, cache, inventory, policy)
@@ -150,7 +149,7 @@ def test_shared_cache_under_thread_stress(tmp_path, minicorpus, inventory):
         time.sleep(0.0005)
         return tables[query.prompt]
 
-    cache = CachedOracle(CallableOracle(answer), tmp_path)
+    cache = CachedOracle(FunctionOracle(answer), tmp_path)
     jobs = [(doc, engine) for doc in minicorpus for engine in ENGINES.values()] * 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 import token_reader
 from rstkit import (
+    DisSyntaxError,
     DocumentText,
     Edu,
     Leaf,
@@ -29,6 +32,7 @@ from rstkit import (
     ReplayOracle,
     internal_nodes,
     leaves,
+    minicorpus_dir,
     parse_bottom_up,
     parse_dis,
     parse_top_down,
@@ -38,7 +42,7 @@ from rstkit import (
 from rstkit.cli import main as cli_main
 from rstkit.core import NN, NS, SN
 
-from conftest import check_tree, make_edus, random_tree
+from conftest import DATA_DIR, check_tree, make_edus, random_tree
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +409,28 @@ def _random_nary(rng: random.Random, lo: int, hi: int, role: str, rel):
         return (role, rel, [_random_nary(rng, lo, hi, role, rel)])
     if lo == hi:
         return _leaf(lo, role, rel)
+    return (role, rel, [
+        _random_nary(rng, a, b, crole, crel)
+        for crole, crel, a, b in _random_children(rng, lo, hi)
+    ])
+
+
+def _random_children(rng: random.Random, lo: int, hi: int):
+    """The children of a random constituent over EDUs lo..hi, in order, as
+    (role, rel2par, first, last): two to four, all nuclei sharing one
+    relation or one nucleus among satellites."""
     n_children = rng.randint(2, min(4, hi - lo + 1))
     cuts = sorted(rng.sample(range(lo, hi), n_children - 1))
     bounds = zip([lo] + [c + 1 for c in cuts], cuts + [hi])
     if rng.random() < 0.4:
         shared = rng.choice(["list", "sequence", "contrast"])
-        labels = [("Nucleus", shared)] * n_children
-    else:
-        nucleus_at = rng.randrange(n_children)
-        labels = [
-            ("Nucleus", "span") if i == nucleus_at
-            else ("Satellite", rng.choice(["cause", "evidence", "condition"]))
-            for i in range(n_children)
-        ]
-    return (role, rel, [
-        _random_nary(rng, a, b, *label) for (a, b), label in zip(bounds, labels)
-    ])
+        return [("Nucleus", shared, a, b) for a, b in bounds]
+    nucleus_at = rng.randrange(n_children)
+    return [
+        ("Nucleus", "span", a, b) if i == nucleus_at
+        else ("Satellite", rng.choice(["cause", "evidence", "condition"]), a, b)
+        for i, (a, b) in enumerate(bounds)
+    ]
 
 
 def test_binarize_matches_reference_on_random_nested_trees():
@@ -452,12 +462,35 @@ def _outcome(read, *args):
         return type(exc), str(exc), getattr(exc, "pos", None)
 
 
+# a field or bracket node with nothing nested in it: (leaf 1), (text _!a_!)
+_INNERMOST_RE = re.compile(r"\([^()]*\)")
+
+
 @st.composite
 def _edited(draw, text: str) -> str:
-    """``text`` as it is, or with one character deleted, or with one the
+    """``text`` as it is; or with one character deleted, or with one the
     readers treat specially (or a whole ``_!``) inserted or put in place of
-    one."""
-    edit = draw(st.sampled_from(("none", "insert", "delete", "replace")))
+    one; or with two adjacent fields swapped; or with one separating space
+    turned into a newline, a tab or a no-break space."""
+    edit = draw(st.sampled_from(
+        ("none", "insert", "delete", "replace", "swap", "respace")
+    ))
+    if edit == "swap":
+        fields = list(_INNERMOST_RE.finditer(text))
+        pairs = [
+            (a, b) for a, b in zip(fields, fields[1:])
+            if not text[a.end():b.start()].strip()
+        ]
+        if not pairs:
+            return text
+        a, b = pairs[draw(st.integers(min_value=0, max_value=len(pairs) - 1))]
+        return text[:a.start()] + b[0] + text[a.end():b.start()] + a[0] + text[b.end():]
+    if edit == "respace":
+        spaces = [at for at, char in enumerate(text) if char == " "]
+        if not spaces:
+            return text
+        at = spaces[draw(st.integers(min_value=0, max_value=len(spaces) - 1))]
+        return text[:at] + draw(st.sampled_from("\n\t\xa0")) + text[at + 1:]
     at = draw(st.integers(min_value=0, max_value=len(text)))
     char = draw(st.sampled_from([*"()_! 0123456789", "_!"]))
     if edit == "insert":
@@ -495,6 +528,74 @@ def test_field_reader_matches_token_reader_on_bracket_edits(case):
     line, edus = case
     expected = _outcome(token_reader.read_tree, line, edus)
     assert _outcome(read_tree, line, edus) == expected
+
+
+def _long_dis(n: int, children) -> str:
+    """.dis text over EDUs 1..n, written without recursion. ``children(lo,
+    hi)`` gives the children of the constituent over lo..hi, in order, as
+    (role, rel2par, first, last). Each text ends in a space, so a _! that
+    loses its partner shifts every later pair until the last _! is left
+    alone."""
+    pieces: list[str] = []
+    stack: list = [("Root", None, 1, n)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        role, rel, lo, hi = item
+        rel2par = [] if rel is None else [f"(rel2par {rel})"]
+        if lo == hi:
+            text = f"(text _!edu {lo}. _!)"
+            pieces += [f"( {role}", f"(leaf {lo})", *rel2par, text, ")"]
+            continue
+        pieces += [f"( {role}", f"(span {lo} {hi})", *rel2par]
+        stack.append(")")
+        stack.extend(reversed(children(lo, hi)))
+    return "\n".join(pieces)
+
+
+def _right_branching(lo: int, hi: int):
+    return [
+        ("Nucleus", "span", lo, lo),
+        ("Satellite", "elaboration-additional", lo + 1, hi),
+    ]
+
+
+def test_readers_agree_on_whole_documents(relmap):
+    """Every bundled .dis file and two 3000-EDU documents read to the same
+    tree and EDUs through both readers, with and without a relation map.
+    With the first leaf's text left open, both fail the same way.
+
+    The package's reader must also take no more than a few times the token
+    reader's CPU time on the long texts: a branch that scanned the rest of
+    the text at every leaf makes it tens of times slower."""
+    paths = sorted(minicorpus_dir().glob("*.dis")) + [DATA_DIR / "press_release.dis"]
+    chain = _long_dis(3000, _right_branching)
+    rng = random.Random(3000)
+    long_texts = [chain, _long_dis(3000, lambda lo, hi: _random_children(rng, lo, hi))]
+    spent = {token_reader.parse_dis: 0.0, parse_dis: 0.0}
+
+    def outcome(read, text, relation_map):
+        start = time.process_time()
+        result = _outcome(read, text, relation_map)
+        spent[read] += time.process_time() - start
+        return result
+
+    for text in [path.read_text(encoding="utf-8") for path in paths] + long_texts:
+        for relation_map in (None, relmap):
+            expected = outcome(token_reader.parse_dis, text, relation_map)
+            assert not isinstance(expected[0], type), expected
+            assert outcome(parse_dis, text, relation_map) == expected
+    assert len(expected[1]) == 3000
+    unterminated = chain.replace(". _!)", ". )", 1)
+    expected = outcome(token_reader.parse_dis, unterminated, None)
+    last = unterminated.rindex("_!")
+    assert expected == (
+        DisSyntaxError, f"unterminated _!text field (at offset {last})", last,
+    )
+    assert outcome(parse_dis, unterminated, None) == expected
+    assert spent[parse_dis] < 4 * spent[token_reader.parse_dis]
 
 
 # ---------------------------------------------------------------------------

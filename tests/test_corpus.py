@@ -152,6 +152,9 @@ DIS_SYNTAX_ERRORS = [
     ("( Root (leaf x) (text _!a_!) )", "expected integer", 13),
     # a bracket-format node head inside .dis text
     ("( Root (NS Elaboration (leaf 1) ) )", "unknown field 'NS'", 8),
+    # a Root whose head is whole, below the top
+    ("( Root (span 1 1) ( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span)"
+     " (text _!x_!) ) ) )", "below the top", 20),
 ]
 
 
@@ -211,6 +214,39 @@ def _scan(text):
     ]),
     # a _! that nothing closes takes the rest of the text
     ("(leaf 1) _!x (leaf 2)", [("leaf", ("1",), 0), ("lone", "_!x (leaf 2)", 9)]),
+    # a whole leaf constituent, its text with parentheses and a newline
+    ("( Nucleus (leaf 12) (rel2par cause-e) (text _!a (b)\nc_!) )", [
+        ("whole_leaf", ("Nucleus", "12", "cause-e", "a (b)\nc"), 0),
+    ]),
+    # a head takes the rel2par that follows its span, spaced as fields are
+    ("( Satellite\n(span 2 3)\t(rel2par cause-e) ( Nucleus", [
+        ("head", ("Satellite", "2", "3", "cause-e"), 0),
+        ("constituent", ("Nucleus",), 41),
+    ]),
+    # a head without one; a rel2par that is not whole stays out of the head
+    ("( Nucleus (span 1 2) ( Nucleus (leaf 1)", [
+        ("head", ("Nucleus", "1", "2"), 0), ("constituent", ("Nucleus",), 21),
+        ("leaf", ("1",), 31),
+    ]),
+    ("( Nucleus (span 1 2) (rel2par _!x_!)", [
+        ("head", ("Nucleus", "1", "2"), 0), ("open", "(", 21),
+        ("atom", "rel2par", 22), ("text", "x", 30), ("close", ")", 35),
+    ]),
+    # the Root's head
+    ("( Root (span 1 6)\n  ( Nucleus (span 1 3) (rel2par span)", [
+        ("head", ("Root", "1", "6"), 0), ("head", ("Nucleus", "1", "3", "span"), 20),
+    ]),
+    # a leaf with a field that is not whole is read field by field
+    ("( Nucleus (leaf1) (rel2par span) (text _!a_!) )", [
+        ("constituent", ("Nucleus",), 0), ("open", "(", 10), ("atom", "leaf1", 11),
+        ("close", ")", 16), ("rel2par", ("span",), 18), ("field_text", ("a",), 33),
+        ("close", ")", 46),
+    ]),
+    # a leaf whose fields are out of order is read field by field
+    ("( Satellite (leaf 2) (text _!b_!) (rel2par cause) )", [
+        ("constituent", ("Satellite",), 0), ("leaf", ("2",), 12),
+        ("field_text", ("b",), 21), ("rel2par", ("cause",), 34), ("close", ")", 50),
+    ]),
 ])
 def test_token_scan(text, tokens):
     assert _scan(text) == tokens
@@ -534,6 +570,25 @@ def test_load_documents_follows_manifest_or_directory(relmap, tmp_path):
     plain = load_documents(tmp_path)
     assert [doc.doc_id for doc in plain] == ["a", "b", "c"]
     assert plain[0].tree == read_dis(corpus / "doc01.dis").tree
+
+
+@pytest.mark.parametrize("names,manifest", [
+    (("doc01.dis", "doc01.out.dis"), None),
+    (("doc01.dis", "doc01.out.dis"), "test\tdoc01\ntest\tdoc01.out\n"),
+    # a manifest that names one file twice
+    (("doc01.dis",), "dev\tdoc01\ndev\tdoc01.dis\n"),
+], ids=["directory", "manifest", "one-file-named-twice"])
+def test_load_documents_rejects_two_files_with_one_id(tmp_path, names, manifest):
+    text = (minicorpus_dir() / "doc01.dis").read_text()
+    for name in names:
+        (tmp_path / name).write_text(text)
+    if manifest is not None:
+        (tmp_path / "splits.tsv").write_text(manifest)
+        manifest = tmp_path / "splits.tsv"
+    first, second = (tmp_path / name for name in (names * 2)[:2])
+    with pytest.raises(ConfigError) as caught:
+        load_documents(tmp_path, manifest)
+    assert str(caught.value) == f"{first} and {second} both give document id 'doc01'"
 
 
 @pytest.mark.parametrize("where,manifest,split,fragment", [

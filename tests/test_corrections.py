@@ -27,12 +27,11 @@ from rstkit import (
     NUCLEARITY,
     RELATION,
     SPLIT,
-    CallableOracle,
     ParsePolicy,
 )
 from rstkit.training import ENGINES
 
-from conftest import GOLDEN_DIR, check_tree, make_edus
+from conftest import GOLDEN_DIR, FunctionOracle, check_tree, make_edus
 from make_goldens import golden_traces
 
 FULL = os.environ.get("RSTKIT_TEST_ANY_ANSWERS_FULL") == "1"
@@ -112,7 +111,7 @@ def _every_parse(parse, n, inventory, policy, choices):
             raise _NeedMore
 
         try:
-            result = parse(edus, CallableOracle(answer), inventory, policy)
+            result = parse(edus, FunctionOracle(answer), inventory, policy)
         except _NeedMore:
             prefixes.extend(prefix + (raw,) for raw in choices(unanswered))
             continue

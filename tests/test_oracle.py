@@ -15,7 +15,6 @@ import pytest
 
 from rstkit import (
     CachedOracle,
-    CallableOracle,
     HttpOracle,
     KindMismatch,
     Leaf,
@@ -32,7 +31,7 @@ from rstkit import (
 from rstkit.core import NS, SN
 from rstkit.training import ENGINES
 
-from conftest import make_edus
+from conftest import FunctionOracle, make_edus
 
 
 def _query(kind="action", prompt="p", labels=("shift", "reduce"), span=None):
@@ -126,7 +125,7 @@ def test_replay_answers_do_not_depend_on_question_order(minicorpus, inventory,
 
     engine = ENGINES[strategy]
     policy = ParsePolicy(skip_forced=False)
-    result = engine(doc.edus, CallableOracle(record), inventory, policy)
+    result = engine(doc.edus, FunctionOracle(record), inventory, policy)
     asked = [entry.raw for entry in result.trace]
     assert len(queries) == len(asked) and result.corrected_count == 0
     fresh = ReplayOracle(doc.tree)
@@ -169,7 +168,7 @@ def test_callable_oracle_passes_query_through():
         seen.append(query)
         return "reduce"
 
-    oracle = CallableOracle(fn, fingerprint="probe")
+    oracle = FunctionOracle(fn, fingerprint="probe")
     assert oracle.fingerprint == "probe"
     q = _query(prompt="specific prompt")
     assert oracle.complete(q) == "reduce"
@@ -426,7 +425,7 @@ def _counting_inner(answer="reduce", delay=0.0, fingerprint="inner-v1"):
             time.sleep(delay)
         return answer
 
-    return CallableOracle(fn, fingerprint=fingerprint), calls
+    return FunctionOracle(fn, fingerprint=fingerprint), calls
 
 
 def test_cache_miss_then_hit(tmp_path):
@@ -646,7 +645,7 @@ def test_cache_complete_asks_the_inner_oracle_on_this_thread(tmp_path):
         threads.append(threading.current_thread())
         return "x"
 
-    cache = CachedOracle(CallableOracle(answer), tmp_path)
+    cache = CachedOracle(FunctionOracle(answer), tmp_path)
     assert cache.complete(_query(prompt="cold")) == "x"
     assert threads == [threading.current_thread()]
     assert cache.stats() == {"hits": 0, "misses": 1}
@@ -726,7 +725,7 @@ def test_cache_inner_failure_reaches_the_caller(tmp_path):
             raise OracleFailure("down")
         return "up"
 
-    cache = CachedOracle(CallableOracle(answer), tmp_path)
+    cache = CachedOracle(FunctionOracle(answer), tmp_path)
     with pytest.raises(OracleFailure, match="down"):
         cache.answer_many([_query(prompt="a"), _query(prompt="b")])
     assert list(tmp_path.iterdir()) == []
@@ -823,7 +822,7 @@ def test_cache_keeps_the_answers_of_a_failed_round(tmp_path):
             raise OracleFailure("down")
         return query.prompt
 
-    cache = CachedOracle(CallableOracle(answer, fingerprint="serial"), tmp_path / "serial")
+    cache = CachedOracle(FunctionOracle(answer, fingerprint="serial"), tmp_path / "serial")
     with pytest.raises(OracleFailure, match="down"):
         cache.answer_many([_query(prompt=p) for p in "abcd"])
     assert [r["prompt"] for r in _records(tmp_path / "serial")] == ["a", "b"]

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from rstkit import (
     NUCLEARITY,
     NUCLEARITY_PATTERNS,
-    CallableOracle,
     CachedOracle,
     OracleQuery,
     TraceEntry,
@@ -36,6 +35,8 @@ from rstkit import (
 from rstkit.core import json_string
 from rstkit.engine import prompt_id
 from rstkit.oracle import _segment_line
+
+from conftest import FunctionOracle
 
 # every ASCII code point, DEL and the JSON specials among them, the line and
 # paragraph separators, a lone surrogate and a character outside the BMP
@@ -157,7 +158,7 @@ def test_cache_store_reads_back_what_it_wrote(answers, fingerprint):
 
     with tempfile.TemporaryDirectory() as store:
         writer = CachedOracle(
-            CallableOracle(lambda query: answers[query.prompt], fingerprint),
+            FunctionOracle(lambda query: answers[query.prompt], fingerprint),
             store,
         )
         assert writer.answer_many(queries) == list(answers.values())
@@ -169,6 +170,6 @@ def test_cache_store_reads_back_what_it_wrote(answers, fingerprint):
             }) + "\n"
             for prompt, raw in answers.items()
         ).encode("utf-8")
-        reader = CachedOracle(CallableOracle(refuse, fingerprint), store)
+        reader = CachedOracle(FunctionOracle(refuse, fingerprint), store)
         assert reader.answer_many(queries) == list(answers.values())
         assert reader.stats() == {"hits": len(answers), "misses": 0}

@@ -24,7 +24,6 @@ import pytest
 from rstkit import (
     NUCLEARITY_PATTERNS,
     CachedOracle,
-    CallableOracle,
     Document,
     Edu,
     Leaf,
@@ -33,6 +32,8 @@ from rstkit import (
     ReplayOracle,
 )
 from rstkit.training import ENGINES
+
+from conftest import FunctionOracle
 
 MAX_EDUS = int(os.environ.get("RSTKIT_TEST_SCHEDULE_MAX_EDUS", "7"))
 
@@ -117,7 +118,7 @@ def test_schedule_changes_nothing_on_every_small_shape(
     serial = []
     table: dict[str, str] = {}
     for doc in docs:
-        oracle = ReplayOracle(doc.tree) if answers == "gold" else CallableOracle(_garbage)
+        oracle = ReplayOracle(doc.tree) if answers == "gold" else FunctionOracle(_garbage)
         result = parse(doc.edus, oracle, inventory, policy)
         serial.append(result)
         if answers == "gold":
@@ -135,7 +136,7 @@ def test_schedule_changes_nothing_on_every_small_shape(
     # asked a round at a time, documents on threads that share one cache,
     # as `rstkit parse` runs them over HTTP
     answer = (lambda query: table[query.prompt]) if answers == "gold" else _garbage
-    cache = CachedOracle(CallableOracle(answer), None)
+    cache = CachedOracle(FunctionOracle(answer), None)
     with ThreadPoolExecutor(max_workers=3) as pool:
         results = list(pool.map(
             lambda doc: parse(doc.edus, cache, inventory, policy), docs

@@ -1,20 +1,23 @@
 """Reference readers: the token-at-a-time .dis and bracket loops.
 
-``rstkit.corpus`` matches a whole field at a time and falls back to single
-tokens only where a field is malformed. These are the loops it replaced,
-which read every parenthesis, name and number as its own token. The
-differential tests in ``test_core.py`` hold the field reader to them: the
-same tree and EDUs, or the same exception, message and offset. The checks
-a constituent makes as it closes are shared (``_Frame.close``), so what
-these pin is the scan and the field logic around it.
+``rstkit.corpus`` matches a whole constituent at a time where it is well
+formed, else a whole field, and falls back to single tokens only where a
+field is malformed. These are the loops it replaced, which read every
+parenthesis, name and number as its own token. The differential tests in
+``test_core.py`` hold the package's readers to them: the same tree and
+EDUs, or the same exception, message and offset. The checks a constituent
+makes as it closes, and the fold into binary nodes, are a frozen copy of
+the package's before it read whole constituents (``_Frame.close``,
+``_chain``, ``_pair``), so the package's own close is held to them too.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from rstkit.core import Edu, Leaf, MalformedTree, Node, RstTree
+from rstkit.core import NN, NS, SN, Edu, Leaf, MalformedTree, Node, RstTree
 from rstkit.corpus import (
     NUCLEUS,
     ROOT,
@@ -23,7 +26,6 @@ from rstkit.corpus import (
     SPAN_REL,
     DisSyntaxError,
     RelationMap,
-    _Frame,
     normalize_edu_text,
 )
 
@@ -38,6 +40,79 @@ _TT_ERR_RE = re.compile(r"\)//TT_ERR")
 
 # (kind, value, offset); kind is "open", "close", "atom" or "text"
 Token = tuple[str, str, int]
+
+
+# A constituent as its parent sees it: (role, rel2par, binary subtree).
+_Side = tuple[str, str, RstTree]
+
+
+def _pair(left: _Side, right: _Side) -> Node:
+    lrole, lrel, ltree = left
+    rrole, rrel, rtree = right
+    if lrole == NUCLEUS and rrole == SATELLITE:
+        return Node(ltree, rtree, NS, rrel)
+    if lrole == SATELLITE and rrole == NUCLEUS:
+        return Node(ltree, rtree, SN, lrel)
+    if lrole == SATELLITE and rrole == SATELLITE:
+        return Node(ltree, rtree, NS, rrel)
+    relation = lrel if lrel != SPAN_REL else rrel
+    if relation == SPAN_REL:
+        raise MalformedTree(
+            f"two span-marked nuclei under one constituent at {ltree.span}"
+        )
+    return Node(ltree, rtree, NN, relation)
+
+
+def _chain(parts: list[_Side]) -> _Side:
+    role, rel, tree = parts[-1]
+    for lrole, lrel, ltree in reversed(parts[:-1]):
+        tree = _pair((lrole, lrel, ltree), (role, rel, tree))
+        role = NUCLEUS if NUCLEUS in (lrole, role) else SATELLITE
+        rel = lrel
+    return role, rel, tree
+
+
+@dataclass(slots=True)
+class _Frame:
+    role: str
+    rel2par: str | None = None
+    span: tuple[int, int] | None = None
+    leaf: int | None = None
+    text: str | None = None
+    children: list[_Side] = field(default_factory=list)
+
+    def close(self, pos: int) -> _Side:
+        if self.leaf is not None:
+            if self.text is None:
+                raise DisSyntaxError(f"leaf {self.leaf} has no text field", pos)
+            if self.children:
+                raise DisSyntaxError(f"leaf {self.leaf} has children", pos)
+            span = (self.leaf, self.leaf)
+        elif self.span is None:
+            raise DisSyntaxError("constituent lacks both span and leaf", pos)
+        elif not self.children:
+            raise DisSyntaxError(f"span {self.span} has no children", pos)
+        else:
+            span = self.span
+        if self.role != ROOT and not self.rel2par:
+            raise MalformedTree(f"missing rel2par on span {span}")
+        rel2par = self.rel2par or SPAN_REL
+        if self.leaf is not None:
+            return self.role, rel2par, Leaf(Edu(self.leaf, self.text))
+        if len(self.children) > 1 and not any(
+            role == NUCLEUS for role, _, _ in self.children
+        ):
+            raise MalformedTree(f"constituent {span} has no nucleus child")
+        start = span[0]
+        for _, _, child in self.children:
+            if child.span[0] != start:
+                raise MalformedTree(
+                    f"children of {span} not contiguous at {child.span}"
+                )
+            start = child.span[1] + 1
+        if start != span[1] + 1:
+            raise MalformedTree(f"children do not cover {span}")
+        return self.role, rel2par, _chain(self.children)[2]
 
 
 def scan(text: str) -> list[Token]:
