@@ -27,7 +27,6 @@ from .corpus import (
     DisSyntaxError,
     Document,
     MissingDocument,
-    OverlappingSplits,
     RelationMap,
     UnknownRelation,
     builtin_inventory,
@@ -35,14 +34,11 @@ from .corpus import (
     load_documents,
     load_inventory,
     load_relation_map,
-    load_split_manifest,
     minicorpus_dir,
-    normalize_relation,
     normalize_edu_text,
     parse_dis,
     read_dis,
     read_tree,
-    resolve_document_path,
     write_tree,
 )
 from .engine import (
@@ -54,17 +50,13 @@ from .engine import (
     trace_to_jsonl,
 )
 from .metrics import (
-    LEVELS,
     EmptyCorpus,
     LevelScore,
     ParsevalCounts,
-    RelationRow,
     SegmentationMismatch,
-    extract_tuples,
     micro_f1,
     micro_scores,
     per_relation_rows,
-    round1,
     score_document,
 )
 from .oracle import (

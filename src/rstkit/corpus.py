@@ -1,13 +1,14 @@
 """Treebank and config file I/O.
 
 Covers the parenthesized .dis constituent format, read in one regex scan
-that takes a whole constituent per match where it is well formed, else a
-field, else a token, and in one pass that maps relation names, collects
-EDUs and folds each n-ary constituent into binary nodes as it goes;
-relation-name maps and label inventories (editable text fixtures under
-rstkit/data); a canonical one-line bracket format for predicted trees;
-split manifests; and ``load_documents``, which turns a corpus directory,
-manifest and split into the documents every command works on.
+that takes a whole leaf or a constituent's head per match where it is well
+formed, else a (leaf n) field or a constituent's role, else a token, and
+in one pass that maps relation names, collects EDUs and folds each n-ary
+constituent into binary nodes as it goes; relation-name maps and label
+inventories (editable text fixtures under rstkit/data); a canonical
+one-line bracket format for predicted trees; split manifests; and
+``load_documents``, which turns a corpus directory, manifest and split
+into the documents every command works on.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class ConfigError(ValueError):
     answers file, or a flag."""
 
 
-class OverlappingSplits(ConfigError):
-    """A document id is claimed by more than one split."""
-
-
 class MissingDocument(FileNotFoundError):
     """A split manifest names a document the corpus directory lacks."""
 
@@ -83,16 +80,17 @@ class Document:
 # token. Constituents: a whole leaf, ( Nucleus|Satellite (leaf n)
 # (rel2par name) (text _!..._!) ), and a constituent's head, ( Role
 # (span a b) with the (rel2par name) that follows it, if one does. Fields:
-# (span a b), (leaf n), (rel2par name), (text _!..._!), a constituent's
-# ( Role and a bracket node's (NS Relation. Tokens: ")"; a text field,
-# which may hold parentheses and newlines; a _! that no later _! closes,
-# which takes the rest of the input with it; "("; an atom. Whitespace
-# matches no branch, so finditer skips it. A constituent branch matches
-# exactly the field runs the readers accept there, and a field branch the
-# token runs, spaced as the token scan allows, so anything else falls
-# through to fields or tokens and fails as they do. Each part of a branch
-# ends at its field's ) or, in a text, at the next _!, so a match that
-# fails never scans past the constituent it tried.
+# (leaf n), which the bracket format writes, a constituent's ( Role and a
+# bracket node's (NS Relation. Tokens: ")"; a text field, which may hold
+# parentheses and newlines; a _! that no later _! closes, which takes the
+# rest of the input with it; "("; an atom. Whitespace matches no branch,
+# so finditer skips it. A constituent branch matches exactly the field
+# runs the readers accept there, and a field branch the token runs, spaced
+# as the token scan allows, so anything else, such as a leaf's fields out
+# of order, falls through to fields or tokens and is read or rejected as
+# they are. Each part of a branch ends at its field's ) or, in a text, at
+# the next _!, so a match that fails never scans past the constituent it
+# tried.
 _FIELD_RE = re.compile(
     r"""
       (?P<close>\))
@@ -105,10 +103,7 @@ _FIELD_RE = re.compile(
       | (?P<head>(?P<head_role>Root|Nucleus|Satellite)
           \s*\(\s*span\s+(?P<head_first>\d+)\s+(?P<head_last>\d+)\s*\)
           (?:\s*\(\s*rel2par\s+(?P<head_rel2par>(?!_!)[^\s()]+)\s*\))?)
-      | (?P<span>span\s+(?P<first>\d+)\s+(?P<last>\d+)\s*\))
       | (?P<leaf>leaf\s+(?P<index>\d+)\s*\))
-      | (?P<rel2par>rel2par\s+(?P<name>(?!_!)[^\s()]+)\s*\))
-      | (?P<field_text>text\s+_!(?P<inside>[^_]*(?:_(?!!)[^_]*)*)_!\s*\))
       | (?P<constituent>(?P<role>Root|Nucleus|Satellite)(?![^\s()]))
       | (?P<node>(?P<pattern>NS|SN|NN)\s+(?P<relation>(?!_!)[^\s()]+))
     )
@@ -128,10 +123,7 @@ _TT_ERR_RE = re.compile(r"\)//TT_ERR")
 # token's value is its inside
 Token = tuple[str, str, int]
 _TOKEN_KINDS = frozenset(("open", "close", "atom", "text"))
-_FIELD_KINDS = frozenset((
-    "whole_leaf", "head", "span", "leaf", "rel2par", "field_text",
-    "constituent", "node",
-))
+_FIELD_KINDS = frozenset(("whole_leaf", "head", "leaf", "constituent", "node"))
 
 
 def _unterminated(match: re.Match) -> DisSyntaxError:
@@ -386,14 +378,8 @@ def _read_constituents(
             if role == ROOT and frames:
                 raise DisSyntaxError("Root below the top level", field.start("role"))
             frames.append(_Frame(role))
-        elif kind == "span":
-            frames[-1].span = (int(field["first"]), int(field["last"]))
         elif kind == "leaf":
             frames[-1].leaf = int(field["index"])
-        elif kind == "rel2par":
-            frames[-1].rel2par = relation(field["name"])
-        elif kind == "field_text":
-            frames[-1].text = normalize_edu_text(field["inside"])
         elif kind == "open":
             # a ( that starts no whole field: read it token by token
             head_kind, head, head_pos = cursor.take()
@@ -683,7 +669,7 @@ def load_split_manifest(path: str | Path) -> dict[str, list[str]]:
             raise ConfigError(f"{path}:{lineno}: expected 'split<TAB>doc_id'")
         name, doc_id = cells
         if doc_id in owner and owner[doc_id] != name:
-            raise OverlappingSplits(
+            raise ConfigError(
                 f"{path}:{lineno}: {doc_id!r} already in split {owner[doc_id]!r}"
             )
         if doc_id not in owner:

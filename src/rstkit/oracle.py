@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .core import RstTree, internal_nodes, json_string
@@ -94,7 +94,6 @@ class OracleQuery:
             raise ValueError("query needs a non-empty label set")
 
 
-@runtime_checkable
 class Oracle(Protocol):
     """Answer source for decision queries.
 
@@ -186,7 +185,7 @@ class HttpOracle:
     one connection alive across its requests; ``close`` closes them all and
     stops the threads. Transport errors, 429 and 5xx are retried with
     exponential backoff, or after an integer ``Retry-After``; any other
-    status, or a 200 whose body has no answer, fails at once. Proxy
+    status, or a 200 whose body has no string answer, fails at once. Proxy
     environment variables are not read.
     """
 
@@ -287,7 +286,10 @@ class HttpOracle:
                 continue
             if status == 200:
                 try:
-                    return str(json.loads(data)["choices"][0]["text"])
+                    answer = json.loads(data)["choices"][0]["text"]
+                    if not isinstance(answer, str):
+                        raise TypeError(f"choices[0].text is {answer!r}, not a string")
+                    return answer
                 except (ValueError, LookupError, TypeError) as exc:
                     last_error = f"malformed response body: {exc}"
                     break

@@ -69,15 +69,19 @@ def gold_walk(
     each query it puts becomes a pair whose completion is the gold answer.
     Relation prompts carry the gold nuclearity (teacher forcing). A replay
     that corrects a gold answer, as when a relation is not in the
-    inventory, raises KindMismatch, so a walk cannot yield wrong pairs.
+    inventory, raises KindMismatch naming the first one, so a walk cannot
+    yield wrong pairs.
     """
     if strategy not in ENGINES:
         raise ValueError(f"unknown strategy {strategy!r}")
     result = ENGINES[strategy](doc.edus, ReplayOracle(doc.tree), inventory, policy)
     if result.corrected_count:
+        first = next(entry for entry in result.trace if entry.corrected)
         raise KindMismatch(
             f"{strategy} replay of {doc.doc_id} corrected "
-            f"{result.corrected_count} gold answers"
+            f"{result.corrected_count} gold answers, the first a {first.kind} "
+            f"{first.raw!r} at step {first.step} ({first.note}) under "
+            f"inventory {inventory.id!r}"
         )
     for entry in result.trace:
         if entry.prompt is not None:

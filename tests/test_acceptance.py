@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from rstkit import (
-    LEVELS,
     CachedOracle,
     HttpOracle,
     Leaf,
@@ -38,6 +37,7 @@ from rstkit import (
     score_document,
 )
 from rstkit.cli import main as cli_main
+from rstkit.metrics import LEVELS
 from rstkit.training import ENGINES, example_to_json, gold_walk
 
 from conftest import GOLDEN_DIR, check_tree, make_edus, random_tree

@@ -16,13 +16,12 @@ import pytest
 from rstkit import (
     builtin_inventory,
     builtin_relation_map,
-    load_split_manifest,
     minicorpus_dir,
     read_dis,
     read_tree,
-    resolve_document_path,
 )
 from rstkit.cli import main
+from rstkit.corpus import load_split_manifest, resolve_document_path
 from rstkit.training import ENGINES, gold_walk
 
 from conftest import FunctionOracle
@@ -599,6 +598,23 @@ def test_export_bottom_up_files(tmp_path, capsys):
         "bottom-up.action.jsonl", "bottom-up.nuclearity.jsonl",
         "bottom-up.relation.jsonl", "bottom-up.meta.json",
     }
+
+
+def test_export_without_relation_map_names_the_first_corrected_answer(
+    tmp_path, capsys
+):
+    # doc02's gold relations are fine-grained names that rst-dt lacks
+    argv = ("export-training", "--corpus-dir", CORPUS, "--manifest", MANIFEST)
+    code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "a"))
+    assert code == 4
+    assert stderr == (
+        "error: bottom-up replay of doc02 corrected 2 gold answers, the first"
+        " a relation 'antithesis' at step 5 (unparseable) under inventory"
+        " 'rst-dt'\n"
+    )
+    assert not any((tmp_path / "a").iterdir())
+    code, _, _ = run(capsys, *argv, "--relation-map", MAP, "--out", str(tmp_path / "b"))
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from rstkit import (
     MalformedTree,
     MissingDocument,
     Node,
-    OverlappingSplits,
     RelationMap,
     UnknownRelation,
     builtin_inventory,
@@ -27,20 +26,26 @@ from rstkit import (
     load_documents,
     load_inventory,
     load_relation_map,
-    load_split_manifest,
     minicorpus_dir,
     normalize_edu_text,
-    normalize_relation,
     parse_dis,
     read_dis,
     read_tree,
-    resolve_document_path,
     write_tree,
 )
 from rstkit.core import NN, NS, SN
-from rstkit.corpus import _FIELD_RE
+from rstkit.corpus import (
+    _FIELD_RE,
+    _TT_ERR_RE,
+    load_split_manifest,
+    normalize_relation,
+    resolve_document_path,
+)
 
-from conftest import make_edus, random_tree
+from conftest import DATA_DIR, make_edus, random_tree
+from test_core import (
+    _long_dis, _random_children, _random_nary, _right_branching, to_dis,
+)
 
 PRESS_TEXTS = (
     "Westinghouse Electric Corp. said",
@@ -188,9 +193,15 @@ def _scan(text):
 
 @pytest.mark.parametrize("text,tokens", [
     # a text field keeps parentheses and newlines, and only its inside
-    ("(text _!a (b)\nc) _!)", [("field_text", ("a (b)\nc) ",), 0)]),
+    ("(text _!a (b)\nc) _!)", [
+        ("open", "(", 0), ("atom", "text", 1), ("text", "a (b)\nc) ", 6),
+        ("close", ")", 19),
+    ]),
     # _! inside an atom opens no text field
-    ("(rel2par a_!b) x_!", [("rel2par", ("a_!b",), 0), ("atom", "x_!", 15)]),
+    ("(rel2par a_!b) x_!", [
+        ("open", "(", 0), ("atom", "rel2par", 1), ("atom", "a_!b", 9),
+        ("close", ")", 13), ("atom", "x_!", 15),
+    ]),
     # the scan itself leaves tool noise as an atom; parse_dis drops it first
     (")//TT_ERR", [("close", ")", 0), ("atom", "//TT_ERR", 1)]),
     ("_!_! ( _!x_!_!y_!", [
@@ -236,20 +247,47 @@ def _scan(text):
     ("( Root (span 1 6)\n  ( Nucleus (span 1 3) (rel2par span)", [
         ("head", ("Root", "1", "6"), 0), ("head", ("Nucleus", "1", "3", "span"), 20),
     ]),
-    # a leaf with a field that is not whole is read field by field
+    # a leaf with a field that is not whole is read token by token
     ("( Nucleus (leaf1) (rel2par span) (text _!a_!) )", [
         ("constituent", ("Nucleus",), 0), ("open", "(", 10), ("atom", "leaf1", 11),
-        ("close", ")", 16), ("rel2par", ("span",), 18), ("field_text", ("a",), 33),
+        ("close", ")", 16), ("open", "(", 18), ("atom", "rel2par", 19),
+        ("atom", "span", 27), ("close", ")", 31), ("open", "(", 33),
+        ("atom", "text", 34), ("text", "a", 39), ("close", ")", 44),
         ("close", ")", 46),
     ]),
-    # a leaf whose fields are out of order is read field by field
+    # a leaf whose fields are out of order is read token by token after
+    # its (leaf n)
     ("( Satellite (leaf 2) (text _!b_!) (rel2par cause) )", [
         ("constituent", ("Satellite",), 0), ("leaf", ("2",), 12),
-        ("field_text", ("b",), 21), ("rel2par", ("cause",), 34), ("close", ")", 50),
+        ("open", "(", 21), ("atom", "text", 22), ("text", "b", 27),
+        ("close", ")", 32), ("open", "(", 34), ("atom", "rel2par", 35),
+        ("atom", "cause", 43), ("close", ")", 48), ("close", ")", 50),
     ]),
 ])
 def test_token_scan(text, tokens):
     assert _scan(text) == tokens
+
+
+def test_canonical_dis_scans_as_whole_constituents():
+    """Every bundled .dis file, with its tool noise taken out as parse_dis
+    takes it out, and the long and random documents that ``test_core``
+    reads through both readers scan as whole leaves, heads and closing
+    parentheses only, so none of them reaches the token arm."""
+    paths = sorted(minicorpus_dir().glob("*.dis")) + sorted(DATA_DIR.glob("*.dis"))
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    rng = random.Random(3000)
+    texts += [
+        _long_dis(3000, _right_branching),
+        _long_dis(3000, lambda lo, hi: _random_children(rng, lo, hi)),
+    ]
+    rng = random.Random(20118)
+    texts += [
+        to_dis(_random_nary(rng, 1, rng.randint(2, 14), "Root", None))
+        for _ in range(200)
+    ]
+    for text in texts:
+        kinds = {m.lastgroup for m in _FIELD_RE.finditer(_TT_ERR_RE.sub(")", text))}
+        assert kinds <= {"whole_leaf", "head", "close"}, text[:200]
 
 
 def test_errors_after_tt_err_noise_keep_their_offsets():
@@ -522,7 +560,7 @@ def test_manifest_count_directive_enforced(tmp_path):
 def test_manifest_rejects_overlap(tmp_path):
     path = tmp_path / "splits.tsv"
     path.write_text("train\ta\ndev\ta\n")
-    with pytest.raises(OverlappingSplits, match="'a'"):
+    with pytest.raises(ConfigError, match="'a' already in split 'train'"):
         load_split_manifest(path)
     # a repeat inside the same split is tolerated, once
     path.write_text("train\ta\ntrain\ta\n")

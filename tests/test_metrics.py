@@ -7,20 +7,17 @@ import random
 import pytest
 
 from rstkit import (
-    LEVELS,
     EmptyCorpus,
     Leaf,
     Node,
     ParsevalCounts,
-    RelationRow,
     SegmentationMismatch,
-    extract_tuples,
     micro_f1,
     micro_scores,
     per_relation_rows,
-    round1,
     score_document,
 )
+from rstkit.metrics import LEVELS, RelationRow, extract_tuples, round1
 
 from conftest import make_edus, random_tree
 

@@ -280,8 +280,10 @@ def test_http_fails_after_retry_budget():
     assert len(requests_seen) == 3
 
 
-@pytest.mark.parametrize("body", [b"this is not json", {"nochoices": True}],
-                         ids=["not-json", "no-choices"])
+@pytest.mark.parametrize("body", [
+    b"this is not json", {"nochoices": True},
+    {"choices": [{"text": None}]}, {"choices": [{"text": 7}]},
+], ids=["not-json", "no-choices", "null-text", "number-text"])
 def test_http_malformed_body_fails_at_once(body):
     with _endpoint([(200, body), _ok("ok")]) as (url, requests_seen):
         oracle = HttpOracle(url, model="m", retries=2, backoff=30.0)

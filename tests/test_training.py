@@ -18,12 +18,12 @@ from rstkit import (
     example_to_json,
     export_metadata,
     gold_walk,
-    load_split_manifest,
     minicorpus_dir,
     read_dis,
     write_tree,
 )
 from rstkit.cli import main
+from rstkit.corpus import load_split_manifest
 from rstkit.training import ENGINES
 
 from conftest import GOLDEN_DIR, chain_tree, make_edus, random_document

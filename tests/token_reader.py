@@ -1,14 +1,16 @@
 """Reference readers: the token-at-a-time .dis and bracket loops.
 
-``rstkit.corpus`` matches a whole constituent at a time where it is well
-formed, else a whole field, and falls back to single tokens only where a
-field is malformed. These are the loops it replaced, which read every
-parenthesis, name and number as its own token. The differential tests in
-``test_core.py`` hold the package's readers to them: the same tree and
-EDUs, or the same exception, message and offset. The checks a constituent
-makes as it closes, and the fold into binary nodes, are a frozen copy of
-the package's before it read whole constituents (``_Frame.close``,
-``_chain``, ``_pair``), so the package's own close is held to them too.
+``rstkit.corpus`` matches a whole leaf or a constituent's head at a time
+where it is well formed, else a ``(leaf n)`` field, a constituent's role
+or a bracket node's head, and reads anything else, such as fields out of
+order or a field that is not whole, as single tokens. These are the loops
+it replaced, which read every parenthesis, name and number as its own
+token. The differential tests in ``test_core.py`` hold the package's
+readers to them: the same tree and EDUs, or the same exception, message
+and offset. The checks a constituent makes as it closes, and the fold
+into binary nodes, are a frozen copy of the package's before it read
+whole constituents (``_Frame.close``, ``_chain``, ``_pair``), so the
+package's own close is held to them too.
 """
 
 from __future__ import annotations
