@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -99,6 +100,20 @@ def _replacing(path: Path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def _made_dir(path: Path):
+    """Directory ``path``, made with its parents if missing; when the block
+    fails, what this made is removed again."""
+    made = next((p for p in reversed((path, *path.parents)) if not p.exists()), None)
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield path
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -244,7 +259,7 @@ def _make_shared_oracle(args: argparse.Namespace):
             retries=args.retries,
             backoff=args.backoff,
         )
-    except ValueError as exc:  # an endpoint that is not http:// or https://
+    except ValueError as exc:  # an endpoint no request can reach
         raise ConfigError(str(exc)) from None
 
 
@@ -384,26 +399,25 @@ def cmd_export_training(args: argparse.Namespace) -> int:
     inventory = _fixture("inventory", args.inventory)
     policy = _policy(args)
     documents = _documents(args, args.corpus_dir)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    counts = dict.fromkeys(KINDS[args.strategy], 0)
-    # each pair is written as it comes, to a temporary file per kind; the
-    # files replace their targets only once every document has been walked
-    with contextlib.ExitStack() as stack:
-        files = {}
-        for kind in counts:
-            path = out_dir / f"{args.strategy}.{kind}.jsonl"
-            files[kind] = stack.enter_context(_replacing(path))
-        for doc in documents:
-            for example in gold_walk(doc, inventory, args.strategy, policy):
-                # the record and its newline in one call, not joined first
-                files[example.kind].writelines((example_to_json(example), "\n"))
-                counts[example.kind] += 1
-    meta = export_metadata(inventory, args.strategy, policy, counts)
-    meta["documents"] = len(documents)
-    write_text_atomic(
-        out_dir / f"{args.strategy}.meta.json", json.dumps(meta, indent=2) + "\n"
-    )
+    with _made_dir(Path(args.out)) as out_dir:
+        counts = dict.fromkeys(KINDS[args.strategy], 0)
+        # each pair is written as it comes, to a temporary file per kind; the
+        # files replace their targets only once every document has been walked
+        with contextlib.ExitStack() as stack:
+            files = {}
+            for kind in counts:
+                path = out_dir / f"{args.strategy}.{kind}.jsonl"
+                files[kind] = stack.enter_context(_replacing(path))
+            for doc in documents:
+                for example in gold_walk(doc, inventory, args.strategy, policy):
+                    # the record and its newline in one call, not joined first
+                    files[example.kind].writelines((example_to_json(example), "\n"))
+                    counts[example.kind] += 1
+        meta = export_metadata(inventory, args.strategy, policy, counts)
+        meta["documents"] = len(documents)
+        write_text_atomic(
+            out_dir / f"{args.strategy}.meta.json", json.dumps(meta, indent=2) + "\n"
+        )
     summary = ", ".join(f"{kind}={count}" for kind, count in counts.items())
     print(f"exported {summary} from {len(documents)} documents -> {out_dir}")
     return EXIT_OK

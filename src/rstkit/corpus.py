@@ -118,6 +118,8 @@ _FIELD_RE = re.compile(
 _HEAD_RE = re.compile(r"\(\s*([^\s()]+)")
 # Two WSJ training files carry stray tool output after closing parens.
 _TT_ERR_RE = re.compile(r"\)//TT_ERR")
+# what a relation in a .tree line cannot hold
+_UNWRITABLE_RE = re.compile(r"[\s()]")
 
 # (kind, value, offset): kind is "open", "close", "atom" or "text"; a text
 # token's value is its inside
@@ -508,10 +510,15 @@ def load_inventory(path: str | Path) -> LabelInventory:
             if len(cells) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected '!key<TAB>value'")
             directives[cells[0][1:]] = cells[1]
-        elif len(cells) == 1:
-            relations.append(cells[0])
-        else:
+        elif len(cells) != 1:
             raise ConfigError(f"{path}:{lineno}: one relation name per line")
+        elif _UNWRITABLE_RE.search(cells[0]):
+            raise ConfigError(
+                f"{path}:{lineno}: relation {cells[0]!r} has whitespace or a "
+                "parenthesis, which a .tree line cannot hold"
+            )
+        else:
+            relations.append(cells[0])
     try:
         return LabelInventory(
             id=directives["id"],
@@ -560,7 +567,7 @@ def write_tree(tree: RstTree) -> str:
             pieces.append(f"(leaf {item.edu.index})")
         else:
             assert isinstance(item, Node)
-            if re.search(r"[\s()]", item.relation):
+            if _UNWRITABLE_RE.search(item.relation):
                 raise ValueError(
                     f"relation {item.relation!r} not writable in bracket form"
                 )

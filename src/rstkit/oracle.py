@@ -12,6 +12,7 @@ import http.client
 import json
 import logging
 import os
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -181,9 +182,11 @@ class HttpOracle:
     first newline, since every valid answer is a single line.
 
     ``answer_many`` sends its queries with ``complete``, one prompt per
-    request, on at most IN_FLIGHT_LIMIT threads at once. Each thread keeps
-    one connection alive across its requests; ``close`` closes them all and
-    stops the threads. Transport errors, 429 and 5xx are retried with
+    request, on at most IN_FLIGHT_LIMIT threads at once. A request takes a
+    kept-alive connection from one idle pool, or opens one, and puts it
+    back when it ends: no more are opened than requests were ever in flight
+    at once. ``close`` ends the oracle: it stops the threads and closes the
+    idle connections. Transport errors, 429 and 5xx are retried with
     exponential backoff, or after an integer ``Retry-After``; any other
     status, or a 200 whose body has no string answer, fails at once. Proxy
     environment variables are not read.
@@ -202,10 +205,20 @@ class HttpOracle:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         url = urlsplit(endpoint)
+        if "@" in url.netloc:  # not echoed: it may hold a password
+            raise ValueError(
+                f"endpoint must not hold a user or password; use {TOKEN_ENV_VAR}"
+            )
         if url.scheme not in _CONNECTIONS:
             raise ValueError(
                 f"endpoint must be an http:// or https:// URL, not {endpoint!r}"
             )
+        try:
+            if not url.hostname:
+                raise ValueError("no host")
+            url.port  # raises when the port is not a number in 0-65535
+        except ValueError as exc:
+            raise ValueError(f"endpoint {endpoint!r} is unusable: {exc}") from None
         self.endpoint = endpoint
         self.model = model
         self.max_tokens = max_tokens
@@ -219,28 +232,24 @@ class HttpOracle:
         self._connection_class = _CONNECTIONS[url.scheme]
         self._netloc = url.netloc
         self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._connections: list[http.client.HTTPConnection] = []
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._connection_class(self._netloc, timeout=self.timeout)
-            with self._lock:
-                self._connections.append(conn)
-            self._local.conn = conn
-        return conn
+        self._idle: queue.SimpleQueue[http.client.HTTPConnection] = queue.SimpleQueue()
+        # its threads start only when answer_many first needs them
+        self._pool = ThreadPoolExecutor(
+            IN_FLIGHT_LIMIT, thread_name_prefix="rstkit-oracle"
+        )
 
     def _post(self, body: bytes, headers: dict) -> tuple[int, bytes, str | None]:
-        """(status, body, Retry-After) of one request on this thread's
-        connection.
+        """(status, body, Retry-After) of one request, on an idle connection
+        or a new one, which goes back to the idle pool after, closed if the
+        request failed.
 
         A kept-alive connection that the server has closed fails on first
         use; it is opened again and the request sent once more.
         """
-        conn = self._connection()
+        try:
+            conn = self._idle.get_nowait()
+        except queue.Empty:
+            conn = self._connection_class(self._netloc, timeout=self.timeout)
         reused = conn.sock is not None
         try:
             try:
@@ -253,9 +262,11 @@ class HttpOracle:
                 conn.request("POST", self._target, body, headers)
                 response = conn.getresponse()
             data = response.read()
-        except (OSError, http.client.HTTPException):
+        except BaseException:
             conn.close()
             raise
+        finally:
+            self._idle.put(conn)
         return response.status, data, response.getheader("Retry-After")
 
     def complete(self, query: OracleQuery) -> str:
@@ -310,18 +321,11 @@ class HttpOracle:
         wait short, carries in ``answered`` the answers that did arrive, by
         query index, so that a cache can keep them.
         """
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    IN_FLIGHT_LIMIT, thread_name_prefix="rstkit-oracle"
-                )
-            pool = self._pool
-        futures = [pool.submit(self.complete, query) for query in queries]
+        futures = [self._pool.submit(self.complete, query) for query in queries]
         try:
             wait(futures)
-            for future in futures:
-                if future.exception() is not None:
-                    raise future.exception()
+            # result() raises a failed request's exception
+            return [future.result() for future in futures]
         except BaseException as exc:
             exc.answered = {
                 index: future.result()
@@ -330,20 +334,13 @@ class HttpOracle:
                 and future.exception() is None
             }
             raise
-        return [future.result() for future in futures]
 
     def close(self) -> None:
-        """Stop the fetch threads, dropping requests not yet sent, and close
-        every thread's connection; a later request opens a new one."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        with self._lock:
-            connections, self._connections = self._connections, []
-            self._local = threading.local()
-        for conn in connections:
-            conn.close()
+        """End the oracle: stop the fetch threads, dropping requests not yet
+        sent, and close every idle connection."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
+        while not self._idle.empty():
+            self._idle.get().close()
 
 
 class CachedOracle:
@@ -365,13 +362,13 @@ class CachedOracle:
 
     With a ``store_dir`` the table is also kept on disk, as append-only
     segment files (``*.jsonl``) of one JSON record per line. Every segment
-    is read once, when the instance is made, and so are per-key ``*.json``
-    records from older versions. An instance appends what it fetches to its
-    own segment, opened only for the write; another instance sees it once
-    it is made again. Where two records of one key disagree, the first
-    segment in name order wins, then the per-key records. A segment whose
-    writer was killed may end in a torn line, which is skipped; any other
-    line that cannot be read raises StoreCorrupt.
+    is read once, when the instance is made; any other file in the
+    directory is ignored. An instance appends what it fetches to its own
+    segment, opened only for the write; another instance sees it once it is
+    made again. Where two records of one key disagree, the first segment in
+    name order wins. A segment whose writer was killed may end in a torn
+    line, which is skipped; any other line that cannot be read raises
+    StoreCorrupt.
     """
 
     def __init__(self, inner: Oracle, store_dir: str | Path | None):
@@ -406,19 +403,6 @@ class CachedOracle:
     def _key(self, query: OracleQuery) -> str:
         return _record_key(query.kind, self.inner.fingerprint, query.prompt)
 
-    def _keep(self, record, where: str) -> None:
-        """Add one stored record to the table; the first of a key wins."""
-        try:
-            key = _record_key(record["kind"], record["fingerprint"], record["prompt"])
-            raw = record["raw"]
-            if not isinstance(raw, str):
-                raise TypeError(f"raw is {type(raw).__name__}, not str")
-        except (KeyError, TypeError) as exc:
-            raise StoreCorrupt(f"unreadable cache record {where}: {exc!r}") from None
-        kept = self._table.setdefault(key, raw)
-        if kept != raw:
-            self.conflicts += 1
-
     def _read_store(self) -> None:
         for path in sorted(self.store_dir.glob("*.jsonl")):
             *lines, tail = path.read_bytes().split(b"\n")
@@ -426,21 +410,22 @@ class CachedOracle:
                 # a write cut short: no line of a complete record ends here
                 self.torn_lines_skipped += 1
             for number, line in enumerate(lines, 1):
-                where = f"{path} line {number}"
                 try:
-                    record = json.loads(line.decode("utf-8"))
-                except ValueError as exc:
                     # UnicodeDecodeError is a ValueError too
+                    record = json.loads(line.decode("utf-8"))
+                    raw = record["raw"]
+                    if not isinstance(raw, str):
+                        raise TypeError(f"raw is {type(raw).__name__}, not str")
+                    key = _record_key(
+                        record["kind"], record["fingerprint"], record["prompt"]
+                    )
+                except (ValueError, KeyError, TypeError) as exc:
                     raise StoreCorrupt(
-                        f"unreadable cache record {where}: {exc}"
+                        f"unreadable cache record {path} line {number}: {exc!r}"
                     ) from None
-                self._keep(record, where)
-        for path in sorted(self.store_dir.glob("*.json")):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except ValueError as exc:
-                raise StoreCorrupt(f"unreadable cache record {path}: {exc}") from None
-            self._keep(record, str(path))
+                # the first record of a key wins
+                if self._table.setdefault(key, raw) != raw:
+                    self.conflicts += 1
 
     def _fill(self, queries: Sequence[OracleQuery]) -> None:
         """Put the answer to every one of ``queries`` in the table: fetch

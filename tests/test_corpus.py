@@ -450,6 +450,14 @@ def test_load_inventory_requires_directives(tmp_path):
     ("!id\ttiny\n!default_relation\talpha\nalpha\nalpha\n", "must be unique"),
     ("!id\ttiny\n!default_relation\talpha\n!default_nuclearity\tsideways\nalpha\n",
      "default nuclearity 'sideways' unknown"),
+
+    # a .tree line cannot hold these labels
+    ("!id\ttiny\n!default_relation\talpha\nalpha\nElab oration\n",
+     "4: relation 'Elab oration' has whitespace or a parenthesis"),
+    ("!id\ttiny\n!default_relation\tElab oration\nElab oration\n",
+     "3: relation 'Elab oration' has whitespace"),
+    ("!id\ttiny\n!default_relation\talpha\nalpha\ncause(x)\n",
+     "4: relation 'cause(x)' has whitespace or a parenthesis"),
 ])
 def test_load_inventory_errors(tmp_path, content, fragment):
     path = tmp_path / "tiny.inv"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -374,7 +375,7 @@ def wait_for(condition, seconds=5.0):
     return condition()
 
 
-def test_http_reuses_one_connection_per_thread():
+def test_http_reuses_an_idle_connection():
     with keep_alive_endpoint() as (url, server):
         oracle = HttpOracle(url, model="m", retries=0)
         for i in range(5):
@@ -382,6 +383,35 @@ def test_http_reuses_one_connection_per_thread():
         assert server.opened == 1
         oracle.close()
         assert wait_for(lambda: server.closed == 1)
+
+
+def test_http_shares_idle_connections_between_threads():
+    """Callers on several threads at once, each sending rounds and single
+    queries, with thread switches forced often: every answer is its own
+    echoed prompt, which two requests on one connection at once would
+    mix up, and no more connections open than requests can be in flight."""
+    from rstkit.oracle import IN_FLIGHT_LIMIT
+
+    callers = 4
+
+    def ask(caller):
+        queries = [_query(prompt=f"c{caller}-{i}") for i in range(3 * IN_FLIGHT_LIMIT)]
+        answers = oracle.answer_many(queries)
+        answers += [oracle.complete(query) for query in queries[:5]]
+        return answers == [q.prompt for q in queries + queries[:5]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with keep_alive_endpoint() as (url, server):
+            oracle = HttpOracle(url, model="m", retries=0, timeout=10.0)
+            with ThreadPoolExecutor(callers) as pool:
+                assert all(pool.map(ask, range(callers), timeout=60))
+            oracle.close()
+            assert server.opened <= IN_FLIGHT_LIMIT + callers
+            assert wait_for(lambda: server.closed == server.opened)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_http_reopens_a_connection_the_server_closed():
@@ -525,12 +555,6 @@ def test_cache_corrupt_record_raises(tmp_path):
         path.write_bytes(good[0] + bad)
         with pytest.raises(StoreCorrupt, match=match):
             CachedOracle(inner, tmp_path)
-    # an older per-key record is read when the store is opened
-    path.unlink()
-    legacy = tmp_path / f"{'0' * 64}.json"
-    legacy.write_text("{broken")
-    with pytest.raises(StoreCorrupt, match=f"unreadable cache record {legacy}"):
-        CachedOracle(inner, tmp_path)
     assert calls["n"] == 0
 
 
@@ -583,42 +607,39 @@ def test_segments_that_disagree_resolve_by_name_order(tmp_path):
     (tmp_path / "a.jsonl").write_bytes(b"".join(_segment(
         ("action", "inner-v1", "p", "shift"),
     )))
-    # a per-key record of an older version comes after every segment
-    (tmp_path / f"{'0' * 64}.json").write_text(json.dumps(
-        {"kind": "action", "fingerprint": "inner-v1", "prompt": "q", "raw": "x"}
-    ))
     cache = CachedOracle(inner, tmp_path)
     assert cache.answer_many([_query(prompt="p"), _query(prompt="q")]) == [
         "shift", "shift"
     ]
     assert calls["n"] == 0
-    assert cache.report()["conflicts"] == 2
+    assert cache.report()["conflicts"] == 1
 
 
-def test_legacy_per_key_records_are_read_once(tmp_path):
-    """A directory of one ``<key>.json`` file per answer, as older versions
-    wrote it, is read when the store is opened and never again."""
+def test_store_reads_only_segments(tmp_path):
+    """Only ``*.jsonl`` segments are read: a stale run manifest, a config
+    file and a ``<key>.json`` record, as versions before segments wrote
+    one per answer, are left alone and answer nothing."""
     inner, calls = _counting_inner(answer="fetched")
-    queries = [_query(prompt=f"p{i}") for i in range(3)]
-    for query in queries[:2]:
-        key = hashlib.sha256(
-            "\x1f".join((query.kind, "inner-v1", query.prompt)).encode()
-        ).hexdigest()
-        (tmp_path / f"{key}.json").write_text(json.dumps({
-            "kind": query.kind, "fingerprint": "inner-v1",
-            "prompt": query.prompt, "raw": f"stored {query.prompt}",
-        }))
+    queries = [_query(prompt=f"p{i}") for i in range(2)]
+    (tmp_path / "0.jsonl").write_bytes(b"".join(_segment(
+        ("action", "inner-v1", "p0", "stored"),
+    )))
+    others = {
+        "run_manifest.json": json.dumps({"status": "ok", "documents": []}),
+        "config.json": "{not json at all",
+        f"{CachedOracle(inner, None)._key(queries[1])}.json": json.dumps({
+            "kind": "action", "fingerprint": "inner-v1", "prompt": "p1",
+            "raw": "per-key",
+        }),
+    }
+    for name, text in others.items():
+        (tmp_path / name).write_text(text)
     cache = CachedOracle(inner, tmp_path)
-    for path in tmp_path.glob("*.json"):
-        path.unlink()
-    # a record that appears after the store was opened is not looked for
-    key = cache._key(queries[2])
-    (tmp_path / f"{key}.json").write_text(json.dumps({
-        "kind": "action", "fingerprint": "inner-v1", "prompt": "p2", "raw": "late",
-    }))
-    assert cache.answer_many(queries) == ["stored p0", "stored p1", "fetched"]
+    assert cache.answer_many(queries) == ["stored", "fetched"]
     assert calls["n"] == 1
-    assert cache.stats() == {"hits": 2, "misses": 1}
+    assert cache.report()["conflicts"] == 0
+    for name, text in others.items():
+        assert (tmp_path / name).read_text() == text
 
 
 def test_two_instances_see_each_others_records_after_reopening(tmp_path):
