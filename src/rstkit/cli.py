@@ -68,6 +68,7 @@ from .training import (
     BOTTOM_UP,
     KINDS,
     STRATEGIES,
+    describe_corrections,
     example_to_json,
     export_metadata,
     gold_walk,
@@ -289,6 +290,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
     # manifest rows of the documents finished so far, by document index
     rows: dict[int, dict] = {}
+    # what each replay that corrected an answer corrected, in document
+    # order; with a gold replay, a correction means the inventory lacks a
+    # gold label
+    corrections: list[str] = []
     cache: CachedOracle | None = None
 
     def write_manifest(status: str, error: Exception | None = None) -> dict:
@@ -317,6 +322,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
         doc = documents[index]
         oracle = ReplayOracle(doc.tree) if shared is None else shared
         result = engine(doc.edus, oracle, inventory, policy)
+        if shared is None and result.corrected_count:
+            corrections.append(
+                describe_corrections(args.strategy, doc.doc_id, result, inventory)
+            )
         # the trace first, so that a .tree on disk always has its trace
         write_text_atomic(out_dir / f"{doc.doc_id}.trace.jsonl", trace_to_jsonl(result.trace))
         write_text_atomic(out_dir / f"{doc.doc_id}.tree", write_tree(result.tree) + "\n")
@@ -357,6 +366,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
         f"parsed {totals['documents']} documents with {args.strategy}: "
         f"{totals['queries']} queries, {totals['corrected']} corrected -> {out_dir}"
     )
+    if corrections:
+        print(f"warning: {corrections[0]}", file=sys.stderr)
     return EXIT_OK
 
 

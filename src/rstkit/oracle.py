@@ -8,11 +8,13 @@ state machines knowing the difference.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
 import queue
+import re
+import socket
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -40,14 +42,30 @@ TOKEN_ENV_VAR = "RSTKIT_API_TOKEN"
 # kept-alive connection.
 IN_FLIGHT_LIMIT = 16
 
-# Endpoint URL scheme -> the connection that speaks it.
-_CONNECTIONS = {
-    "http": http.client.HTTPConnection,
-    "https": http.client.HTTPSConnection,
-}
+# Endpoint URL scheme -> the port it defaults to.
+_DEFAULT_PORTS = {"http": 80, "https": 443}
 
 # What a kept-alive connection raises when the server has closed it.
 _STALE_CONNECTION = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
+
+# Most bytes one recv asks for: a completions response fits many times
+# over, and each fetch thread's buffer stays as small as http.client's.
+_RECV_SIZE = 8192
+
+# Most bytes of a response head, or of a chunk line, before giving up on it.
+_MAX_HEAD = 65536
+
+# The blank line that ends a response head; a bare LF ends a line too.
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+
+# HTTP/1.<minor> <status> [reason]
+_STATUS_LINE = re.compile(r"HTTP/1\.([01]) +([0-9]{3})(?: .*)?")
+
+# A chunk's size, in hex digits.
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+
+# What no request target or header value may hold.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 # HttpOracle decodes greedily; payloads and fingerprints carry this value.
 _TEMPERATURE = 0.0
@@ -173,6 +191,11 @@ class ScriptedOracle:
             return answer
 
 
+class ResponseError(Exception):
+    """A response that does not read as HTTP/1.x, or that stops short of
+    the end its framing gives."""
+
+
 class HttpOracle:
     """Client for a text-completion endpoint.
 
@@ -181,15 +204,21 @@ class HttpOracle:
     choices[0].text. Decoding is greedy (temperature 0) and stops at the
     first newline, since every valid answer is a single line.
 
+    The client speaks HTTP/1.1 itself, as ``_post`` describes: one write
+    per request, the response read from one buffer, its body framed by
+    ``Content-Length``, by chunked coding or by the server closing the
+    connection. An ``https`` endpoint is reached over TLS, verified against
+    the default trust store (which honours ``SSL_CERT_FILE``).
+
     ``answer_many`` sends its queries with ``complete``, one prompt per
     request, on at most IN_FLIGHT_LIMIT threads at once. A request takes a
     kept-alive connection from one idle pool, or opens one, and puts it
     back when it ends: no more are opened than requests were ever in flight
     at once. ``close`` ends the oracle: it stops the threads and closes the
-    idle connections. Transport errors, 429 and 5xx are retried with
-    exponential backoff, or after an integer ``Retry-After``; any other
-    status, or a 200 whose body has no string answer, fails at once. Proxy
-    environment variables are not read.
+    idle connections. Transport errors, malformed responses, 429 and 5xx
+    are retried with exponential backoff, or after an integer
+    ``Retry-After``; any other status, or a 200 whose body has no string
+    answer, fails at once. Proxy environment variables are not read.
     """
 
     def __init__(
@@ -209,14 +238,22 @@ class HttpOracle:
             raise ValueError(
                 f"endpoint must not hold a user or password; use {TOKEN_ENV_VAR}"
             )
-        if url.scheme not in _CONNECTIONS:
+        if url.scheme not in _DEFAULT_PORTS:
             raise ValueError(
                 f"endpoint must be an http:// or https:// URL, not {endpoint!r}"
             )
         try:
             if not url.hostname:
                 raise ValueError("no host")
-            url.port  # raises when the port is not a number in 0-65535
+            # raises when the port is not a number in 0-65535
+            port = url.port if url.port is not None else _DEFAULT_PORTS[url.scheme]
+            target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+            if " " in target or _CONTROL.search(target):
+                raise ValueError("its path holds a space or a control character")
+            head = (
+                f"POST {target} HTTP/1.1\r\n".encode("ascii")
+                + b"Host: " + url.netloc.encode("idna") + b"\r\n"
+            )
         except ValueError as exc:
             raise ValueError(f"endpoint {endpoint!r} is unusable: {exc}") from None
         self.endpoint = endpoint
@@ -229,45 +266,86 @@ class HttpOracle:
         self.fingerprint = (
             f"{model}|temperature={_TEMPERATURE}|max_tokens={max_tokens}|stop=nl"
         )
-        self._connection_class = _CONNECTIONS[url.scheme]
-        self._netloc = url.netloc
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._idle: queue.SimpleQueue[http.client.HTTPConnection] = queue.SimpleQueue()
+        head += b"Content-Type: application/json\r\nAccept-Encoding: identity\r\n"
+        if self.api_token:
+            if _CONTROL.search(self.api_token):
+                raise ValueError("the API token holds a control character")
+            head += f"Authorization: Bearer {self.api_token}\r\n".encode("latin-1")
+        # every request: this, its body's length, a blank line and the body
+        self._head = head + b"Content-Length: "
+        self._address = (url.hostname, port)
+        self._tls = None
+        if url.scheme == "https":
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+        self._idle: queue.SimpleQueue[socket.socket] = queue.SimpleQueue()
         # its threads start only when answer_many first needs them
         self._pool = ThreadPoolExecutor(
             IN_FLIGHT_LIMIT, thread_name_prefix="rstkit-oracle"
         )
 
-    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes, str | None]:
-        """(status, body, Retry-After) of one request, on an idle connection
-        or a new one, which goes back to the idle pool after, closed if the
-        request failed.
-
-        A kept-alive connection that the server has closed fails on first
-        use; it is opened again and the request sent once more.
-        """
+    def _connect(self) -> socket.socket:
+        """A new connection to the endpoint: no Nagle delay, TLS for https."""
+        sock = socket.create_connection(self._address, self.timeout)
         try:
-            conn = self._idle.get_nowait()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
+    def _post(self, body: bytes) -> tuple[int, bytes, str | None]:
+        """(status, body, Retry-After) of one POST of ``body``, sent with
+        one write on an idle connection or a new one.
+
+        The connection goes back to the idle pool after, unless the request
+        failed or the response ends the connection: an HTTP/1.0 response,
+        ``Connection: close``, a body that only the server closing the
+        connection ends, or bytes past the response. A kept-alive
+        connection that the server has closed fails on send, or gives EOF
+        or a reset before the first response byte; it is opened again and
+        the request sent once more. Any later failure raises: OSError from
+        the socket, or ResponseError.
+        """
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
+        try:
+            sock = self._idle.get_nowait()
         except queue.Empty:
-            conn = self._connection_class(self._netloc, timeout=self.timeout)
-        reused = conn.sock is not None
+            pass
+        else:
+            response = self._exchange(sock, request, reused=True)
+            if response is not None:
+                return response
+        return self._exchange(self._connect(), request, reused=False)
+
+    def _exchange(
+        self, sock: socket.socket, request: bytes, reused: bool
+    ) -> tuple[int, bytes, str | None] | None:
+        """``request`` and its response on ``sock``, which is then put back
+        in the idle pool or closed; None when ``reused`` and the server had
+        closed the connection before it answered."""
+        reusable = False
         try:
             try:
-                conn.request("POST", self._target, body, headers)
-                response = conn.getresponse()
+                sock.sendall(request)
+                first = sock.recv(_RECV_SIZE)
+                if not first:
+                    raise ConnectionResetError(
+                        "the server closed the connection without a response"
+                    )
             except _STALE_CONNECTION:
-                if not reused:
-                    raise
-                conn.close()
-                conn.request("POST", self._target, body, headers)
-                response = conn.getresponse()
-            data = response.read()
-        except BaseException:
-            conn.close()
-            raise
+                if reused:
+                    return None
+                raise
+            status, data, retry_after, reusable = _Reader(sock, first).response()
+            return status, data, retry_after
         finally:
-            self._idle.put(conn)
-        return response.status, data, response.getheader("Retry-After")
+            if reusable:
+                self._idle.put(sock)
+            else:
+                sock.close()
 
     def complete(self, query: OracleQuery) -> str:
         payload = {
@@ -278,9 +356,6 @@ class HttpOracle:
             "stop": ["\n"],
         }
         body = json.dumps(payload).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.api_token:
-            headers["Authorization"] = f"Bearer {self.api_token}"
         last_error = "no attempt made"
         attempts = 0
         delay = self.backoff
@@ -291,8 +366,8 @@ class HttpOracle:
                 delay = self.backoff * (2 ** attempts)
             attempts += 1
             try:
-                status, data, retry_after = self._post(body, headers)
-            except (OSError, http.client.HTTPException) as exc:
+                status, data, retry_after = self._post(body)
+            except (OSError, ResponseError) as exc:
                 last_error = f"request failed: {exc!r}"
                 continue
             if status == 200:
@@ -341,6 +416,106 @@ class HttpOracle:
         self._pool.shutdown(wait=True, cancel_futures=True)
         while not self._idle.empty():
             self._idle.get().close()
+
+
+class _Reader:
+    """One HTTP/1.x response as it arrives on a socket: the bytes received
+    so far, in one buffer, and how far they have been read."""
+
+    def __init__(self, sock: socket.socket, data: bytes):
+        self.sock = sock
+        self.data = bytearray(data)
+        self.pos = 0
+
+    def _receive(self) -> None:
+        more = self.sock.recv(_RECV_SIZE)
+        if not more:
+            raise ResponseError("the connection closed inside the response")
+        self.data += more
+
+    def response(self) -> tuple[int, bytes, str | None, bool]:
+        """(status, body, Retry-After, whether the connection can carry
+        another request) of the response: its head read up to the blank
+        line that ends it, then its body as the head frames it."""
+        while (end := _HEAD_END.search(self.data)) is None:
+            if len(self.data) > _MAX_HEAD:
+                raise ResponseError("response head too long")
+            self._receive()
+        status_line, *lines = self.data[:end.start()].decode("latin-1").split("\n")
+        status_line = status_line.rstrip("\r")
+        self.pos = end.end()
+        match = _STATUS_LINE.fullmatch(status_line)
+        if match is None:
+            raise ResponseError(f"bad status line {status_line[:80]!r}")
+        status = int(match[2])
+        fields: dict[str, str] = {}
+        for line in lines:
+            name, colon, value = line.partition(":")
+            if not colon:
+                raise ResponseError(f"bad header line {line[:80]!r}")
+            fields.setdefault(name.strip().lower(), value.strip())
+        # HTTP/1.1 keeps a connection open unless the response says otherwise
+        connection = fields.get("connection", "").lower()
+        reusable = match[1] == "1" and "close" not in connection
+        coding = fields.get("transfer-encoding")
+        length = fields.get("content-length")
+        if status in (204, 304):
+            body = b""
+        elif coding is not None and coding.lower().endswith("chunked"):
+            body = self.chunked()
+        elif coding is None and length is not None:
+            if not length.isdecimal():
+                raise ResponseError(f"bad Content-Length {length[:80]!r}")
+            body = self.take(int(length))
+        else:
+            # framed by the server closing the connection
+            body, reusable = self.rest(), False
+        # bytes past the response mean the server does not frame as it says
+        reusable = reusable and self.pos == len(self.data)
+        return status, body, fields.get("retry-after"), reusable
+
+    def line(self) -> bytes:
+        """The next line, without its line end."""
+        while (end := self.data.find(b"\n", self.pos)) < 0:
+            if len(self.data) - self.pos > _MAX_HEAD:
+                raise ResponseError("response line too long")
+            self._receive()
+        line = bytes(self.data[self.pos:end]).rstrip(b"\r")
+        self.pos = end + 1
+        return line
+
+    def take(self, size: int) -> bytes:
+        """The next ``size`` bytes."""
+        while len(self.data) - self.pos < size:
+            self._receive()
+        taken = bytes(self.data[self.pos:self.pos + size])
+        self.pos += size
+        return taken
+
+    def chunked(self) -> bytes:
+        """A chunked body, without chunk extensions or trailer fields."""
+        body = bytearray()
+        while True:
+            line = self.line()
+            size = line.partition(b";")[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise ResponseError(f"bad chunk size line {line[:80]!r}")
+            if not int(size, 16):
+                break
+            body += self.take(int(size, 16))
+            if self.line():
+                raise ResponseError("chunk longer than its size")
+        while self.line():  # trailer fields, up to a blank line
+            pass
+        return bytes(body)
+
+    def rest(self) -> bytes:
+        """Everything up to the server closing the connection."""
+        while more := self.sock.recv(_RECV_SIZE):
+            self.data += more
+        rest = bytes(self.data[self.pos:])
+        self.pos = len(self.data)
+        return rest
 
 
 class CachedOracle:

@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple
 from .bottomup import parse_bottom_up
 from .core import LabelInventory, json_string
 from .corpus import Document
-from .engine import ParsePolicy
+from .engine import ParsePolicy, ParseResult
 from .oracle import KindMismatch, ReplayOracle
 from .prompts import ACTION, NUCLEARITY, RELATION, SPLIT, PromptKind
 from .topdown import parse_top_down
@@ -76,18 +76,25 @@ def gold_walk(
         raise ValueError(f"unknown strategy {strategy!r}")
     result = ENGINES[strategy](doc.edus, ReplayOracle(doc.tree), inventory, policy)
     if result.corrected_count:
-        first = next(entry for entry in result.trace if entry.corrected)
-        raise KindMismatch(
-            f"{strategy} replay of {doc.doc_id} corrected "
-            f"{result.corrected_count} gold answers, the first a {first.kind} "
-            f"{first.raw!r} at step {first.step} ({first.note}) under "
-            f"inventory {inventory.id!r}"
-        )
+        raise KindMismatch(describe_corrections(strategy, doc.doc_id, result, inventory))
     for entry in result.trace:
         if entry.prompt is not None:
             yield TrainingExample(
                 entry.kind, entry.prompt, entry.raw, doc.doc_id, entry.step
             )
+
+
+def describe_corrections(
+    strategy: str, doc_id: str, result: ParseResult, inventory: LabelInventory
+) -> str:
+    """How many gold answers a replay parse corrected, and the first one."""
+    first = next(entry for entry in result.trace if entry.corrected)
+    return (
+        f"{strategy} replay of {doc_id} corrected "
+        f"{result.corrected_count} gold answers, the first a {first.kind} "
+        f"{first.raw!r} at step {first.step} ({first.note}) under "
+        f"inventory {inventory.id!r}"
+    )
 
 
 def example_to_json(example: TrainingExample) -> str:

@@ -5,9 +5,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
+import socket
+import ssl
+import struct
+import subprocess
 import sys
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -347,10 +353,13 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
 
 
 @contextmanager
-def keep_alive_endpoint(drop=False, answer=lambda prompt: prompt):
-    """A keep-alive endpoint, echoing by default; yields (url, server) with
-    the prompts it saw and its opened/closed connection counts."""
+def keep_alive_endpoint(drop=False, answer=lambda prompt: prompt, tls=None):
+    """A keep-alive endpoint, echoing by default, over TLS with the server
+    context ``tls``; yields (url, server) with the prompts it saw and its
+    opened/closed connection counts."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
     server.daemon_threads = True
     server.lock = threading.Lock()
     server.opened = server.closed = 0
@@ -362,7 +371,8 @@ def keep_alive_endpoint(drop=False, answer=lambda prompt: prompt):
     )
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_port}/v1/completions", server
+        scheme = "http" if tls is None else "https"
+        yield f"{scheme}://127.0.0.1:{server.server_port}/v1/completions", server
     finally:
         server.shutdown()
         server.server_close()
@@ -427,6 +437,197 @@ def test_http_reopens_a_connection_the_server_closed():
     assert server.opened == 3
 
 
+@contextmanager
+def raw_endpoint(script):
+    """A TCP endpoint that reads each request and answers it with the
+    bytes of ``script[n]`` for the n-th request in all (later ones repeat
+    the last entry), each ``(response, then)``: ``then`` is "keep" (read
+    the next request on the connection), "close", or "reset" (after 50 ms,
+    so the client has read the response so far). Yields (url, server),
+    with its opened-connection and request counts."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    server = types.SimpleNamespace(opened=0, requests=0, lock=threading.Lock())
+    stop = threading.Event()
+    conns, threads = [], []
+
+    def serve(conn):
+        with conn, conn.makefile("rb") as stream:
+            while True:
+                head = [stream.readline()]
+                while head[-1] not in (b"\r\n", b""):
+                    head.append(stream.readline())
+                if head[-1] == b"":
+                    return
+                length = next(int(line.split(b":")[1]) for line in head
+                              if line.lower().startswith(b"content-length:"))
+                stream.read(length)
+                with server.lock:
+                    response, then = script[min(server.requests, len(script) - 1)]
+                    server.requests += 1
+                conn.sendall(response)
+                if then == "close":
+                    return
+                if then == "reset":
+                    time.sleep(0.05)
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                    struct.pack("ii", 1, 0))
+                    return
+
+    def accept():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(None)
+            server.opened += 1
+            conns.append(conn)
+            threads.append(threading.Thread(target=serve, args=(conn,), daemon=True))
+            threads[-1].start()
+
+    acceptor = threading.Thread(target=accept, daemon=True)
+    acceptor.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/v1/completions", server
+    finally:
+        stop.set()
+        acceptor.join(5)
+        listener.close()
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # closed by its thread
+        for thread in threads:
+            thread.join(5)
+        assert not acceptor.is_alive() and not any(t.is_alive() for t in threads)
+
+
+def _answer_body(text):
+    return json.dumps({"choices": [{"text": text}]}).encode()
+
+
+def _sized(text, status_line=b"HTTP/1.1 200 OK", fields=b""):
+    body = _answer_body(text)
+    return b"%s\r\n%sContent-Length: %d\r\n\r\n%s" % (status_line, fields, len(body), body)
+
+
+def _chunked(text):
+    body = _answer_body(text)
+    half = len(body) // 2
+    return (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"%x;name=value\r\n%s\r\n%X\r\n%s\r\n0\r\nX-Checksum: none\r\n\r\n"
+        % (half, body[:half], len(body) - half, body[half:])
+    )
+
+
+# id -> (script, retries, the answer to each query, or the OracleFailure it
+# raises, requests, connections opened)
+FRAMING_CASES = {
+    "chunked-extension-trailer": (
+        [(_chunked("a"), "keep"), (_chunked("b"), "keep")], 0, ["a", "b"], 2, 1,
+    ),
+    "close-framed": (
+        [(b"HTTP/1.1 200 OK\r\n\r\n" + _answer_body("a"), "close"),
+         (b"HTTP/1.1 200 OK\r\n\r\n" + _answer_body("b"), "close")],
+        0, ["a", "b"], 2, 2,
+    ),
+    # the endpoint would answer again on the same connection: the client
+    # must not ask it to
+    "http-1.0": (
+        [(_sized("a", b"HTTP/1.0 200 OK"), "keep"),
+         (_sized("b", b"HTTP/1.0 200 OK"), "keep")], 0, ["a", "b"], 2, 2,
+    ),
+    "connection-close": (
+        [(_sized("a", fields=b"Connection: close\r\n"), "keep"),
+         (_sized("b", fields=b"Connection: close\r\n"), "keep")],
+        0, ["a", "b"], 2, 2,
+    ),
+    "body-cut-short": (
+        [(b'HTTP/1.1 200 OK\r\nContent-Length: 500\r\n\r\n{"choices"', "close")],
+        2, [OracleFailure("3 attempts: request failed: ResponseError('the "
+                          "connection closed inside the response')")], 3, 3,
+    ),
+    "garbage-status-line": (
+        [(b"HTTP/1.1 two hundred\r\nContent-Length: 0\r\n\r\n", "keep")],
+        2, [OracleFailure("3 attempts: request failed: ResponseError(\"bad "
+                          "status line 'HTTP/1.1 two hundred'\")")], 3, 3,
+    ),
+    # a reset before the first response byte on a reused connection is a
+    # stale connection: reopened, and the request sent again for free
+    "reset-before-the-response": (
+        [(_sized("a"), "keep"), (b"", "reset"), (_sized("b"), "keep")],
+        0, ["a", "b"], 3, 2,
+    ),
+    # after the status line it is a failed attempt
+    "reset-after-the-status-line": (
+        [(_sized("a"), "keep"), (b"HTTP/1.1 200 OK\r\n", "reset"),
+         (_sized("b"), "keep")],
+        0, ["a", OracleFailure("1 attempts: request failed: ConnectionResetError")],
+        2, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("script, retries, outcomes, requests, opened",
+                         FRAMING_CASES.values(), ids=FRAMING_CASES)
+def test_http_response_framing(script, retries, outcomes, requests, opened):
+    with raw_endpoint(script) as (url, server):
+        oracle = HttpOracle(url, model="m", retries=retries, backoff=0.01,
+                            timeout=10.0)
+        try:
+            for prompt, outcome in zip("ab", outcomes):
+                if isinstance(outcome, OracleFailure):
+                    with pytest.raises(OracleFailure) as failure:
+                        oracle.complete(_query(prompt=prompt))
+                    assert str(outcome) in str(failure.value)
+                else:
+                    assert oracle.complete(_query(prompt=prompt)) == outcome
+        finally:
+            oracle.close()
+        assert (server.requests, server.opened) == (requests, opened)
+
+
+def _self_signed(where, name, subject_alt_name):
+    """(certificate, key) files of a throwaway self-signed certificate."""
+    cert, key = where / f"{name}.pem", where / f"{name}.key"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt",
+         "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1",
+         "-subj", "/CN=rstkit test", "-addext", f"subjectAltName={subject_alt_name}",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True, timeout=60,
+    )
+    return cert, key
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl CLI")
+def test_http_over_tls(tmp_path, monkeypatch):
+    """An https endpoint is verified against the default trust store, here
+    through SSL_CERT_FILE, and its one connection is kept alive; a
+    certificate for another name fails."""
+    for name, alt_name in (("ours", "IP:127.0.0.1"), ("theirs", "DNS:other.example")):
+        cert, key = _self_signed(tmp_path, name, alt_name)
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(cert, key)
+        with keep_alive_endpoint(tls=context) as (url, server):
+            oracle = HttpOracle(url, model="m", retries=0, timeout=10.0)
+            try:
+                if name == "ours":
+                    answers = [oracle.complete(_query(prompt=f"p{i}")) for i in range(3)]
+                    assert answers == ["p0", "p1", "p2"]
+                    assert server.opened == 1
+                else:
+                    with pytest.raises(OracleFailure, match="CERTIFICATE_VERIFY_FAILED"):
+                        oracle.complete(_query())
+                    assert server.prompts == []
+            finally:
+                oracle.close()
+
+
 def test_http_connection_refused_is_oracle_failure():
     # 127.0.0.1:9 is the discard port; nothing listens there
     oracle = HttpOracle("http://127.0.0.1:9/v1/completions", model="m",
@@ -438,6 +639,17 @@ def test_http_connection_refused_is_oracle_failure():
 def test_http_negative_retries_rejected():
     with pytest.raises(ValueError):
         HttpOracle("http://x", model="m", retries=-1)
+
+
+@pytest.mark.parametrize("endpoint, token, message", [
+    ("http://x/v1/a b", None, "its path holds a space or a control character"),
+    ("http://x/v1/a\x01b", None, "its path holds a space or a control character"),
+    ("http://x/v1", "abc\r\nX-Injected: 1", "the API token holds a control character"),
+], ids=["path-space", "path-control", "token"])
+def test_http_request_head_that_cannot_be_sent_is_refused(endpoint, token, message):
+    with pytest.raises(ValueError, match=message) as refused:
+        HttpOracle(endpoint, model="m", api_token=token)
+    assert "X-Injected" not in str(refused.value)
 
 
 # ---------------------------------------------------------------------------
