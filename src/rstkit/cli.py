@@ -399,6 +399,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_text_atomic(out, json.dumps(payload, indent=2) + "\n")
+    if total.matched_span and not total.matched_relation:
+        gold: set[str] = set()
+        predicted: set[str] = set()
+        for doc, tree in _predictions(args.pred_dir, documents):
+            gold.update(node.relation for node in internal_nodes(doc.tree))
+            predicted.update(node.relation for node in internal_nodes(tree))
+        if not gold & predicted:
+            print(
+                f"warning: the gold and predicted trees share no relation"
+                f" (gold {min(gold)!r}, predicted {min(predicted)!r}); parse"
+                f" and eval the corpus with the same --relation-map",
+                file=sys.stderr,
+            )
     return EXIT_OK
 
 

@@ -38,8 +38,8 @@ logger = logging.getLogger(__name__)
 
 TOKEN_ENV_VAR = "RSTKIT_API_TOKEN"
 
-# Most requests one HttpOracle.answer_many sends at once, each on its own
-# kept-alive connection.
+# Most requests one round of CachedOracle misses sends at once: the first on
+# the calling thread, the rest on the cache's own threads.
 IN_FLIGHT_LIMIT = 16
 
 # Endpoint URL scheme -> the port it defaults to.
@@ -210,12 +210,11 @@ class HttpOracle:
     connection. An ``https`` endpoint is reached over TLS, verified against
     the default trust store (which honours ``SSL_CERT_FILE``).
 
-    ``answer_many`` sends its queries with ``complete``, one prompt per
-    request, on at most IN_FLIGHT_LIMIT threads at once. A request takes a
-    kept-alive connection from one idle pool, or opens one, and puts it
-    back when it ends: no more are opened than requests were ever in flight
-    at once. ``close`` ends the oracle: it stops the threads and closes the
-    idle connections. Transport errors, malformed responses, 429 and 5xx
+    ``complete`` blocks until its answer is in, and many threads may call
+    it at once. A request takes a kept-alive connection from one idle pool,
+    or opens one, and puts it back when it ends: no more are opened than
+    requests were ever in flight at once. ``close`` closes the idle
+    connections. Transport errors, malformed responses, 429 and 5xx
     are retried with exponential backoff, or after an integer
     ``Retry-After``; any other status, or a 200 whose body has no string
     answer, fails at once. Proxy environment variables are not read.
@@ -279,10 +278,6 @@ class HttpOracle:
             self._tls = ssl.create_default_context()
             self._tls.set_alpn_protocols(["http/1.1"])
         self._idle: queue.SimpleQueue[socket.socket] = queue.SimpleQueue()
-        # its threads start only when answer_many first needs them
-        self._pool = ThreadPoolExecutor(
-            IN_FLIGHT_LIMIT, thread_name_prefix="rstkit-oracle"
-        )
 
     def _connect(self) -> socket.socket:
         """A new connection to the endpoint: no Nagle delay, TLS for https."""
@@ -388,32 +383,8 @@ class HttpOracle:
             f"{query.kind} query failed after {attempts} attempts: {last_error}"
         )
 
-    def answer_many(self, queries: Sequence[OracleQuery]) -> list[str]:
-        """The answers to ``queries``, in order, fetched concurrently.
-
-        Every request ends before this returns, and the first failure, in
-        query order, is raised. The exception raised, or one that cuts the
-        wait short, carries in ``answered`` the answers that did arrive, by
-        query index, so that a cache can keep them.
-        """
-        futures = [self._pool.submit(self.complete, query) for query in queries]
-        try:
-            wait(futures)
-            # result() raises a failed request's exception
-            return [future.result() for future in futures]
-        except BaseException as exc:
-            exc.answered = {
-                index: future.result()
-                for index, future in enumerate(futures)
-                if future.done() and not future.cancelled()
-                and future.exception() is None
-            }
-            raise
-
     def close(self) -> None:
-        """End the oracle: stop the fetch threads, dropping requests not yet
-        sent, and close every idle connection."""
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        """Close every idle connection."""
         while not self._idle.empty():
             self._idle.get().close()
 
@@ -436,18 +407,28 @@ class _Reader:
     def response(self) -> tuple[int, bytes, str | None, bool]:
         """(status, body, Retry-After, whether the connection can carry
         another request) of the response: its head read up to the blank
-        line that ends it, then its body as the head frames it."""
-        while (end := _HEAD_END.search(self.data)) is None:
-            if len(self.data) > _MAX_HEAD:
-                raise ResponseError("response head too long")
-            self._receive()
-        status_line, *lines = self.data[:end.start()].decode("latin-1").split("\n")
-        status_line = status_line.rstrip("\r")
-        self.pos = end.end()
-        match = _STATUS_LINE.fullmatch(status_line)
-        if match is None:
-            raise ResponseError(f"bad status line {status_line[:80]!r}")
-        status = int(match[2])
+        line that ends it, then its body as the head frames it. Interim
+        1xx heads before it, such as ``100 Continue``, are skipped, and
+        count towards the head's size limit; a ``101`` answers no request
+        this client sends."""
+        while True:
+            while (end := _HEAD_END.search(self.data, self.pos)) is None:
+                if len(self.data) > _MAX_HEAD:
+                    raise ResponseError("response head too long")
+                self._receive()
+            head = self.data[self.pos:end.start()].decode("latin-1")
+            status_line, *lines = head.split("\n")
+            status_line = status_line.rstrip("\r")
+            self.pos = end.end()
+            match = _STATUS_LINE.fullmatch(status_line)
+            if match is None:
+                raise ResponseError(f"bad status line {status_line[:80]!r}")
+            status = int(match[2])
+            if status == 101:
+                raise ResponseError("switching protocols, though no request asks to")
+            if not 100 <= status < 200:
+                break
+            # an interim response, such as 100 Continue: the final one follows
         fields: dict[str, str] = {}
         for line in lines:
             name, colon, value = line.partition(":")
@@ -525,15 +506,18 @@ class CachedOracle:
     hash of the question and the inner oracle's fingerprint, so changing
     the model or decoding setup never serves stale answers. ``complete``
     answers one query from the table, asking the inner oracle first on a
-    miss. ``answer_many`` asks the inner oracle for a round's misses in one
-    call (its ``answer_many`` when it has one), each distinct query once,
-    then answers each query with ``complete``. The inner oracle is called
-    outside the lock, so threads that share an instance fetch different
-    queries at once; a thread that needs an answer another thread is
-    fetching waits for it, so no query is fetched twice at once. When a
-    fetch fails, the answers that did arrive (see ``HttpOracle.answer_many``)
-    are kept before the failure is raised. ``close`` closes the inner
-    oracle.
+    miss. ``answer_many`` answers each query with ``complete``, the first of
+    which fetches the misses of the whole round, each distinct query once.
+    A fetch asks the inner oracle's ``complete``: the first miss on the
+    calling thread, the others at once on the instance's own
+    IN_FLIGHT_LIMIT - 1 threads, which start when first needed. The inner
+    oracle is called outside the lock, so threads that share an instance
+    fetch different queries at once; a thread that needs an answer another
+    thread is fetching waits for it, so no query is fetched twice at once.
+    A fetch waits for every request it sent, keeps the answers that did
+    arrive, also when a request fails or the wait is cut short, and then
+    raises the first failure in query order. ``close`` stops the threads
+    and closes the inner oracle.
 
     With a ``store_dir`` the table is also kept on disk, as append-only
     segment files (``*.jsonl``) of one JSON record per line. Every segment
@@ -563,6 +547,10 @@ class CachedOracle:
         self._fetching: set[str] = set()
         # keys fetched and not yet answered: the first answer is the miss
         self._fresh: set[str] = set()
+        # asks a fetch's misses after the first
+        self._pool = ThreadPoolExecutor(
+            IN_FLIGHT_LIMIT - 1, thread_name_prefix="rstkit-oracle"
+        )
         if self.store_dir is not None:
             self.store_dir.mkdir(parents=True, exist_ok=True)
             # named by start time first, so name order is age order
@@ -637,21 +625,27 @@ class CachedOracle:
                         self._fetched.notify_all()
 
     def _fetch(self, asked: dict[str, OracleQuery], answered: dict[str, str]) -> None:
-        """Ask the inner oracle; put each answer in ``answered`` by key, as
-        many as arrived when it fails."""
-        answer_many = getattr(self.inner, "answer_many", None)
-        if answer_many is None:
-            for key, query in asked.items():
-                answered[key] = self.inner.complete(query)
-            return
-        keys = list(asked)
+        """Ask the inner oracle, the first query on this thread and the rest
+        on the pool; put each answer in ``answered`` by key, as many as
+        arrived when a request fails or the wait is cut short."""
+        (first_key, first), *rest = asked.items()
+        futures = {
+            key: self._pool.submit(self.inner.complete, query) for key, query in rest
+        }
         try:
-            answers = answer_many(list(asked.values()))
-        except BaseException as exc:
-            for index, raw in getattr(exc, "answered", {}).items():
-                answered[keys[index]] = raw
-            raise
-        answered.update(zip(keys, answers))
+            answered[first_key] = self.inner.complete(first)
+        finally:
+            try:
+                wait(futures.values())
+            finally:
+                answered.update(
+                    (key, future.result())
+                    for key, future in futures.items()
+                    if future.done() and not future.cancelled()
+                    and future.exception() is None
+                )
+        for future in futures.values():
+            future.result()  # raises the first failure in query order
 
     def _append(self, asked: dict[str, OracleQuery], answered: dict[str, str]) -> None:
         fingerprint = self.inner.fingerprint
@@ -665,14 +659,21 @@ class CachedOracle:
             segment.write(lines.encode("utf-8"))
 
     def answer_many(self, queries: Sequence[OracleQuery]) -> list[str]:
-        self._fill(queries)
-        return [self.complete(query) for query in queries]
+        if not queries:
+            return []
+        first, *rest = queries
+        # the first complete fetches the round's misses, so the request asked
+        # on this thread runs inside a complete call (perfbench/tracer.py
+        # books the inner oracle's calls by the call they run in)
+        return [self.complete(first, rest), *map(self.complete, rest)]
 
-    def complete(self, query: OracleQuery) -> str:
+    def complete(self, query: OracleQuery, others: Sequence[OracleQuery] = ()) -> str:
+        """The answer to ``query``; the misses among ``others``, the rest
+        of its round, are fetched at the same time as its own."""
         key = self._key(query)
         # a plain read of the table is safe; _fill takes the lock
-        if key not in self._table:
-            self._fill([query])
+        if others or key not in self._table:
+            self._fill([query, *others])
         with self._lock:
             raw = self._table[key]
             miss = key in self._fresh
@@ -702,7 +703,9 @@ class CachedOracle:
         return report
 
     def close(self) -> None:
-        """Close the inner oracle if it can be closed."""
+        """Stop the fetch threads, dropping requests not yet sent, then close
+        the inner oracle if it can be closed."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
         close = getattr(self.inner, "close", None)
         if close is not None:
             close()

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from rstkit import (
+    CachedOracle,
+    OracleQuery,
     builtin_inventory,
     builtin_relation_map,
     minicorpus_dir,
@@ -503,10 +505,69 @@ def test_interrupted_parse_leaves_a_running_manifest(
     assert not list(out.glob(".*.tmp"))
     if oracle == "http":
         # every answer fetched before the interrupt was stored whole
-        from rstkit import CachedOracle
-
         stored = CachedOracle(FunctionOracle(None), cache).report()
         assert stored["torn_lines_skipped"] == 0
+
+
+def test_endpoint_that_starts_failing_keeps_every_answer(tmp_path, capsys):
+    """An endpoint that answers 400 after its first ``k`` answers, under
+    three document threads, each fanning its rounds out on the cache's
+    fetch threads: exit 3, a manifest that lists only documents written
+    whole, every answer that arrived in the store, and no fetch thread
+    left behind."""
+    k = 150
+    table = _gold_table()
+    answered = {}
+    lock = threading.Lock()
+
+    def answer(prompt):
+        with lock:
+            if len(answered) == k:
+                return None
+            answered[prompt] = table[prompt]
+            return answered[prompt]
+
+    out = tmp_path / "run"
+    cache = tmp_path / "cache"
+    with keep_alive_endpoint(answer=answer) as (url, server):
+        code, _, stderr = run(
+            capsys, "parse", "--corpus-dir", CORPUS, "--relation-map", MAP,
+            "--oracle", "http", "--endpoint", url, "--model", "gold",
+            "--workers", "3", "--cache-dir", str(cache), "--out", str(out),
+        )
+        assert not any(t.name.startswith("rstkit-oracle")
+                       for t in threading.enumerate())
+        assert wait_for(lambda: server.closed == server.opened)
+    assert code == 3
+    assert "HTTP 400" in stderr
+    assert len(server.prompts) > k
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "HTTP 400" in manifest["error"]
+    listed = [row["doc_id"] for row in manifest["documents"]]
+    assert 0 < len(listed) < 22
+    trees = {path.name[:-len(".tree")] for path in out.glob("*.tree")}
+    traces = {path.name[:-len(".trace.jsonl")] for path in out.glob("*.trace.jsonl")}
+    assert set(listed) <= trees <= traces
+    # a new cache over the store answers every 200 with no request
+    kinds = {}
+    inventory = builtin_inventory("rst-dt")
+    relations = builtin_relation_map(MAP)
+    for path in minicorpus_dir().glob("*.dis"):
+        for example in gold_walk(read_dis(path, relations), inventory, "bottom-up"):
+            kinds[example.prompt] = example.kind
+
+    def no_request(query):
+        raise AssertionError(f"asked {query.prompt!r}")
+
+    stored = CachedOracle(
+        FunctionOracle(no_request, "gold|temperature=0.0|max_tokens=16|stop=nl"), cache
+    )
+    for prompt, raw in answered.items():
+        query = OracleQuery(kind=kinds[prompt], prompt=prompt, valid_labels=(raw,))
+        assert stored.complete(query) == raw
+    assert stored.report()["misses"] == 0
+    assert stored.report()["torn_lines_skipped"] == 0
 
 
 def test_cache_dir_ignores_files_that_are_not_segments(tmp_path, capsys):
@@ -661,6 +722,33 @@ def test_replay_parse_without_relation_map_warns_of_the_first_correction(
     code, _, stderr = run(capsys, *argv, "--relation-map", MAP,
                           "--out", str(tmp_path / "b"))
     assert (code, stderr) == (0, "")
+
+
+def test_eval_without_relation_map_warns_of_disjoint_relations(tmp_path, capsys):
+    # the replay parse keeps the spans and nuclearity but no gold relation,
+    # since rst-dt lacks the treebank's fine-grained names
+    out = tmp_path / "run"
+    assert run(capsys, "parse", "--corpus-dir", CORPUS, "--out", str(out))[0] == 0
+    argv = ("eval", "--gold-dir", CORPUS, "--pred-dir", str(out))
+    report = tmp_path / "scores.json"
+    code, stdout, stderr = run(capsys, *argv, "--out", str(report))
+    assert code == 0
+    assert stdout.splitlines()[1:] == [
+        "span\t100.0\t100.0\t100.0",
+        "nuclearity\t100.0\t100.0\t100.0",
+        "relation\t0.0\t0.0\t0.0",
+        "full\t0.0\t0.0\t0.0",
+    ]
+    assert stderr == (
+        "warning: the gold and predicted trees share no relation (gold"
+        " 'Circumstance', predicted 'Attribution'); parse and eval the corpus"
+        " with the same --relation-map\n"
+    )
+    assert json.loads(report.read_text())["counts"]["matched_relation"] == 0
+    # with the map, the gold relations are the inventory's: some match
+    code, stdout, stderr = run(capsys, *argv, "--relation-map", MAP)
+    assert (code, stderr) == (0, "")
+    assert "relation\t34.2\t34.2\t34.2" in stdout
 
 
 # ---------------------------------------------------------------------------

@@ -319,9 +319,9 @@ def test_http_429_waits_for_retry_after():
 
 
 class _KeepAliveHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 answers by ``server.answer(prompt)``; counts connections, and
-    with ``server.drop`` closes each connection after one response without
-    announcing it."""
+    """HTTP/1.1 answers by ``server.answer(prompt)``, a 400 where it gives
+    None; counts connections, and with ``server.drop`` closes each
+    connection after one response without announcing it."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -341,8 +341,12 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.prompts.append(body["prompt"])
         answer = self.server.answer(body["prompt"])
-        data = json.dumps({"choices": [{"text": answer}]}).encode()
-        self.send_response(200)
+        if answer is None:
+            data = json.dumps({"error": "refused"}).encode()
+            self.send_response(400)
+        else:
+            data = json.dumps({"choices": [{"text": answer}]}).encode()
+            self.send_response(200)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -396,17 +400,19 @@ def test_http_reuses_an_idle_connection():
 
 
 def test_http_shares_idle_connections_between_threads():
-    """Callers on several threads at once, each sending rounds and single
-    queries, with thread switches forced often: every answer is its own
-    echoed prompt, which two requests on one connection at once would
-    mix up, and no more connections open than requests can be in flight."""
+    """Callers on several threads at once, each sending rounds through a
+    cache and single queries straight to the client, with thread switches
+    forced often: every answer is its own echoed prompt, which two requests
+    on one connection at once would mix up, and no more connections open
+    than requests can be in flight (each caller's own, and the cache's
+    IN_FLIGHT_LIMIT - 1 fetch threads)."""
     from rstkit.oracle import IN_FLIGHT_LIMIT
 
     callers = 4
 
     def ask(caller):
         queries = [_query(prompt=f"c{caller}-{i}") for i in range(3 * IN_FLIGHT_LIMIT)]
-        answers = oracle.answer_many(queries)
+        answers = cache.answer_many(queries)
         answers += [oracle.complete(query) for query in queries[:5]]
         return answers == [q.prompt for q in queries + queries[:5]]
 
@@ -415,10 +421,12 @@ def test_http_shares_idle_connections_between_threads():
     try:
         with keep_alive_endpoint() as (url, server):
             oracle = HttpOracle(url, model="m", retries=0, timeout=10.0)
+            cache = CachedOracle(oracle, None)
             with ThreadPoolExecutor(callers) as pool:
                 assert all(pool.map(ask, range(callers), timeout=60))
-            oracle.close()
-            assert server.opened <= IN_FLIGHT_LIMIT + callers
+            cache.close()
+            assert len(server.prompts) == callers * (3 * IN_FLIGHT_LIMIT + 5)
+            assert server.opened <= IN_FLIGHT_LIMIT - 1 + callers
             assert wait_for(lambda: server.closed == server.opened)
     finally:
         sys.setswitchinterval(interval)
@@ -567,6 +575,21 @@ FRAMING_CASES = {
          (_sized("b"), "keep")],
         0, ["a", OracleFailure("1 attempts: request failed: ConnectionResetError")],
         2, 1,
+    ),
+    # interim heads are skipped, and the final response keeps the
+    # connection alive
+    "interim-100-and-103": (
+        [(b"HTTP/1.1 100 Continue\r\n\r\n"
+          b"HTTP/1.1 103 Early Hints\r\nLink: </hint>; rel=preload\r\n\r\n"
+          + _sized("a"), "keep"),
+         (b"HTTP/1.1 100 Continue\r\n\r\n" + _sized("b"), "keep")],
+        0, ["a", "b"], 2, 1,
+    ),
+    "switching-protocols": (
+        [(b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\n"
+          b"Connection: Upgrade\r\n\r\n", "keep")],
+        1, [OracleFailure("2 attempts: request failed: ResponseError('switching "
+                          "protocols, though no request asks to')")], 2, 2,
     ),
 }
 
@@ -909,36 +932,33 @@ def test_cache_concurrent_misses_write_once(tmp_path):
     assert stats["hits"] == 7
 
 
-class _RoundInner:
-    """Answers every query with its prompt and records each round asked."""
-
-    fingerprint = "rounds"
-
-    def __init__(self):
-        self.rounds = []
-
-    def answer_many(self, queries):
-        self.rounds.append([query.prompt for query in queries])
-        return [query.prompt for query in queries]
-
-    def complete(self, query):
-        raise AssertionError("a round goes to answer_many")
-
-
 def test_cache_answer_many_fetches_each_key_once(tmp_path):
-    inner = _RoundInner()
-    cache = CachedOracle(inner, tmp_path)
+    # prompt -> the thread that asked it
+    asked = {}
+    lock = threading.Lock()
+
+    def answer(query):
+        with lock:
+            assert query.prompt not in asked
+            asked[query.prompt] = threading.current_thread()
+        return query.prompt
+
+    cache = CachedOracle(FunctionOracle(answer, fingerprint="rounds"), tmp_path)
     queries = [_query(prompt=f"p{i % 5}") for i in range(10)]
     assert cache.answer_many(queries) == [q.prompt for q in queries]
-    # the misses of a round go to the inner oracle in one call, once each
-    assert inner.rounds == [["p0", "p1", "p2", "p3", "p4"]]
+    # each miss of a round is asked once: the first on this thread, the
+    # others on the cache's fetch threads
+    assert sorted(asked) == ["p0", "p1", "p2", "p3", "p4"]
+    assert asked.pop("p0") is threading.current_thread()
+    assert all(t.name.startswith("rstkit-oracle") for t in asked.values())
     assert cache.stats() == {"hits": 5, "misses": 5}
     assert cache.answer_many(queries[:5]) == [q.prompt for q in queries[:5]]
-    assert len(inner.rounds) == 1
     assert cache.report()["by_kind"] == {"action": {"hits": 10, "misses": 5}}
+    # one write per fetch, in query order
     assert [r["prompt"] for r in _records(tmp_path)] == ["p0", "p1", "p2", "p3", "p4"]
     assert cache.answer_many([]) == []
-    assert len(inner.rounds) == 1
+    assert len(asked) == 4
+    cache.close()
 
 
 def test_cache_without_store_keeps_answers_for_the_run():
@@ -972,14 +992,14 @@ def test_cache_inner_failure_reaches_the_caller(tmp_path):
     assert [r["prompt"] for r in _records(tmp_path)] == ["a"]
 
 
-def test_http_answer_many_runs_at_most_the_in_flight_limit():
+def test_cache_round_runs_at_most_the_in_flight_limit():
     from rstkit.oracle import IN_FLIGHT_LIMIT
 
     lock = threading.Lock()
     running = {"now": 0, "max": 0}
 
     class SlowOracle(HttpOracle):
-        # answer_many sends each query through complete, so a subclass that
+        # the cache asks each miss through complete, so a subclass that
         # overrides complete alone answers every query itself
         def complete(self, query):
             with lock:
@@ -990,33 +1010,37 @@ def test_http_answer_many_runs_at_most_the_in_flight_limit():
                 running["now"] -= 1
             return query.prompt
 
-    oracle = SlowOracle("http://127.0.0.1:9/v1/completions", model="m")
+    cache = CachedOracle(SlowOracle("http://127.0.0.1:9/v1/completions", model="m"),
+                         None)
     queries = [_query(prompt=f"p{i}") for i in range(3 * IN_FLIGHT_LIMIT)]
-    assert oracle.answer_many(queries) == [q.prompt for q in queries]
-    assert oracle.answer_many(queries[:1]) == ["p0"]
-    oracle.close()
+    assert cache.answer_many(queries) == [q.prompt for q in queries]
+    assert cache.answer_many(queries[:1]) == ["p0"]
+    assert cache.answer_many([_query(prompt="one more")]) == ["one more"]
+    cache.close()
     assert 1 < running["max"] <= IN_FLIGHT_LIMIT
     assert not any(t.name.startswith("rstkit-oracle") for t in threading.enumerate())
 
 
-def test_http_answer_many_raises_the_first_failure_after_every_request():
+def test_cache_round_raises_the_first_failure_after_every_request(tmp_path):
     finished = []
 
     class Flaky(HttpOracle):
         def complete(self, query):
-            time.sleep(0.01 * int(query.prompt))
+            # the later a query, the sooner it ends: query 3 fails first
+            time.sleep(0.02 * (5 - int(query.prompt)))
             finished.append(query.prompt)
             if query.prompt in ("1", "3"):
                 raise OracleFailure(f"query {query.prompt}")
             return query.prompt
 
-    oracle = Flaky("http://127.0.0.1:9/v1/completions", model="m")
-    with pytest.raises(OracleFailure, match="query 1") as raised:
-        oracle.answer_many([_query(prompt=str(i)) for i in range(5)])
+    cache = CachedOracle(Flaky("http://127.0.0.1:9/v1/completions", model="m"),
+                         tmp_path)
+    with pytest.raises(OracleFailure, match="query 1"):
+        cache.answer_many([_query(prompt=str(i)) for i in range(5)])
     assert sorted(finished) == ["0", "1", "2", "3", "4"]
-    # the answers that arrived, by query index
-    assert raised.value.answered == {0: "0", 2: "2", 4: "4"}
-    oracle.close()
+    # the answers that arrived
+    assert [r["prompt"] for r in _records(tmp_path)] == ["0", "2", "4"]
+    cache.close()
 
 
 def test_cache_keeps_the_answers_of_a_failed_round(tmp_path):
@@ -1050,17 +1074,18 @@ def test_cache_keeps_the_answers_of_a_failed_round(tmp_path):
     assert sorted(asked) == ["1", "3"]
     assert again.stats() == {"hits": 3, "misses": 2}
 
-    # an inner oracle with no answer_many is asked in order; what it
-    # answered before failing is kept
+    # any inner oracle is asked concurrently; the answers that arrived
+    # around a failure, before and after it, are kept
     def answer(query):
         if query.prompt == "c":
             raise OracleFailure("down")
         return query.prompt
 
-    cache = CachedOracle(FunctionOracle(answer, fingerprint="serial"), tmp_path / "serial")
+    cache = CachedOracle(FunctionOracle(answer, fingerprint="plain"), tmp_path / "plain")
     with pytest.raises(OracleFailure, match="down"):
         cache.answer_many([_query(prompt=p) for p in "abcd"])
-    assert [r["prompt"] for r in _records(tmp_path / "serial")] == ["a", "b"]
+    cache.close()
+    assert [r["prompt"] for r in _records(tmp_path / "plain")] == ["a", "b", "d"]
 
 
 def test_cache_keeps_what_arrived_before_an_interrupted_wait(tmp_path, monkeypatch):
@@ -1069,8 +1094,9 @@ def test_cache_keeps_what_arrived_before_an_interrupted_wait(tmp_path, monkeypat
     real_wait = rstkit.oracle.wait
 
     def interrupted(futures):
-        # Ctrl-C once the first two requests are answered
-        real_wait(futures[:2])
+        # Ctrl-C once the first two requests are answered: the first was
+        # asked on this thread, the second is the first on the pool
+        real_wait(list(futures)[:1])
         raise KeyboardInterrupt
 
     class Slow(HttpOracle):
