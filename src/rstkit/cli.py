@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bottomup import parse_bottom_up
-from .core import MalformedTree, Node, internal_nodes
+from .core import LabelInventory, MalformedTree, internal_nodes
 from .corpus import (
     ConfigError,
     DisSyntaxError,
@@ -62,10 +62,11 @@ from .oracle import (
     ScriptedOracle,
     StoreCorrupt,
 )
-from .prompts import REDUCE, SHIFT
+from .prompts import ACTION, SPLIT
 from .topdown import parse_top_down
 from .training import (
     BOTTOM_UP,
+    ENGINES,
     KINDS,
     STRATEGIES,
     describe_corrections,
@@ -452,29 +453,26 @@ def cmd_export_training(args: argparse.Namespace) -> int:
 
 
 def cmd_derive_actions(args: argparse.Namespace) -> int:
-    """Print the gold tree's decisions: bottom-up, its actions in post-order;
-    top-down, its splits in pre-order, k relative to the span."""
-    relation_map = _fixture("relation map", args.relation_map)
-    tree = read_dis(args.file, relation_map).tree
-    if args.strategy == BOTTOM_UP:
-        # post-order is the reverse of a pre-order that visits right first
-        lines, stack = [], [tree]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Node):
-                lines.append(f"{REDUCE}\t{node.nuclearity}\t{node.relation}")
-                stack += (node.left, node.right)
-            else:
-                lines.append(SHIFT)
-        lines.reverse()
-    else:
-        lines = []
-        for node in internal_nodes(tree):
-            first, last = node.span
-            k = node.left.span[1] - first
-            lines.append(f"{first}\t{last}\t{k}\t{node.nuclearity}\t{node.relation}")
-    for line in lines:
-        _echo(line)
+    """Print the gold derivation, a replay parse that asks every decision: a
+    row per action, or per split as its span's first and last EDU and its k,
+    then the node's nuclearity and relation, each as the gold tree answers."""
+    doc = read_dis(args.file, _fixture("relation map", args.relation_map))
+    # the tree's own relations, so that no gold answer is corrected; a one-EDU
+    # tree has none, and is asked for none
+    relations = [*dict.fromkeys(n.relation for n in internal_nodes(doc.tree))] or ["none"]
+    inventory = LabelInventory(doc.doc_id, tuple(relations), relations[0])
+    policy = ParsePolicy(skip_forced=False)
+    result = ENGINES[args.strategy](doc.edus, ReplayOracle(doc.tree), inventory, policy)
+    rows: list[str] = []
+    for entry in result.trace:
+        if entry.kind == ACTION:
+            rows.append(entry.raw)
+        elif entry.kind == SPLIT:  # its state is "span=(first,last)"
+            rows.append(entry.state[6:-1].replace(",", "\t") + "\t" + entry.raw)
+        else:
+            rows[-1] += "\t" + entry.raw
+    for row in rows:
+        _echo(row)
     return EXIT_OK
 
 

@@ -24,6 +24,12 @@ NS = "nucleus-satellite"
 SN = "satellite-nucleus"
 NUCLEARITY_PATTERNS = (NN, NS, SN)
 
+# Most digits a number read from text may have. int() refuses longer digit
+# strings than the interpreter's limit (sys.set_int_max_str_digits), which
+# is never below 640, so a reader that keeps to this bound works alike
+# under any limit. No index, count or length comes near it.
+MAX_DIGITS = 640
+
 
 def json_string(text: str | None) -> str:
     """``text`` as ``json.dumps(text, ensure_ascii=False)`` writes it: a

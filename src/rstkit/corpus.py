@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import (
+    MAX_DIGITS,
     NN,
     NS,
     SN,
@@ -90,20 +91,22 @@ class Document:
 # of order, falls through to fields or tokens and is read or rejected as
 # they are. Each part of a branch ends at its field's ) or, in a text, at
 # the next _!, so a match that fails never scans past the constituent it
-# tried.
+# tried. A number longer than _NUMBER allows is read as a token, and
+# rejected there.
+_NUMBER = rf"\d{{1,{MAX_DIGITS}}}"
 _FIELD_RE = re.compile(
-    r"""
+    rf"""
       (?P<close>\))
     | \(\s*(?:
         (?P<whole_leaf>(?P<leaf_role>Nucleus|Satellite)
-          \s*\(\s*leaf\s+(?P<leaf_index>\d+)\s*\)
+          \s*\(\s*leaf\s+(?P<leaf_index>{_NUMBER})\s*\)
           \s*\(\s*rel2par\s+(?P<leaf_rel2par>(?!_!)[^\s()]+)\s*\)
           \s*\(\s*text\s+_!(?P<leaf_text>[^_]*(?:_(?!!)[^_]*)*)_!\s*\)
           \s*\))
       | (?P<head>(?P<head_role>Root|Nucleus|Satellite)
-          \s*\(\s*span\s+(?P<head_first>\d+)\s+(?P<head_last>\d+)\s*\)
+          \s*\(\s*span\s+(?P<head_first>{_NUMBER})\s+(?P<head_last>{_NUMBER})\s*\)
           (?:\s*\(\s*rel2par\s+(?P<head_rel2par>(?!_!)[^\s()]+)\s*\))?)
-      | (?P<leaf>leaf\s+(?P<index>\d+)\s*\))
+      | (?P<leaf>leaf\s+(?P<index>{_NUMBER})\s*\))
       | (?P<constituent>(?P<role>Root|Nucleus|Satellite)(?![^\s()]))
       | (?P<node>(?P<pattern>NS|SN|NN)\s+(?P<relation>(?!_!)[^\s()]+))
     )
@@ -188,6 +191,8 @@ class _Tokens:
         kind, value, pos = self.take()
         if kind != "atom" or not value.isdecimal():
             raise DisSyntaxError("expected integer", pos)
+        if len(value) > MAX_DIGITS:
+            raise DisSyntaxError(f"integer of {len(value)} digits", pos)
         return int(value)
 
 
@@ -666,7 +671,7 @@ def load_split_manifest(path: str | Path) -> dict[str, list[str]]:
     owner: dict[str, str] = {}
     for lineno, cells in _config_rows(path):
         if cells[0] == "!count":
-            if len(cells) != 3 or not re.fullmatch(r"\d+", cells[2]):
+            if len(cells) != 3 or not re.fullmatch(_NUMBER, cells[2]):
                 raise ConfigError(
                     f"{path}:{lineno}: expected '!count<TAB>split<TAB>N'"
                 )

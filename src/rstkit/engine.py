@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
+    MAX_DIGITS,
     NUCLEARITY_PATTERNS,
     Edu,
     LabelInventory,
@@ -123,10 +124,12 @@ def resolve_label(raw: str, valid_labels: Iterable[str]) -> str | None:
 
     Only the first line counts; matching is case-insensitive after trimming,
     and an integer answer is read by its value ("02" and "+2" match "2",
-    "-0" matches "0"). Returns the canonical member, never the raw spelling.
+    "-0" matches "0"), unless it is longer than MAX_DIGITS, sign and zero
+    padding included: such an answer is compared as written. Returns the
+    canonical member, never the raw spelling.
     """
     first = raw.split("\n", 1)[0].strip()
-    if _INTEGER_RE.fullmatch(first):
+    if _INTEGER_RE.fullmatch(first) and len(first) <= MAX_DIGITS:
         first = str(int(first))
     folded = first.casefold()
     for label in valid_labels:

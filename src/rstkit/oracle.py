@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .core import RstTree, internal_nodes, json_string
+from .core import MAX_DIGITS, RstTree, internal_nodes, json_string
 from .prompts import (
     ACTION,
     NUCLEARITY,
@@ -58,11 +58,14 @@ _MAX_HEAD = 65536
 # The blank line that ends a response head; a bare LF ends a line too.
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 
-# HTTP/1.<minor> <status> [reason]
-_STATUS_LINE = re.compile(r"HTTP/1\.([01]) +([0-9]{3})(?: .*)?")
+# HTTP/1.<minor> <status> [reason]; a status starts with its class, 1 to 9
+_STATUS_LINE = re.compile(r"HTTP/1\.([01]) +([1-9][0-9]{2})(?: .*)?")
 
 # A chunk's size, in hex digits.
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+
+# A Content-Length, or a Retry-After in seconds.
+_DIGITS = re.compile(r"[0-9]+")
 
 # What no request target or header value may hold.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
@@ -215,9 +218,12 @@ class HttpOracle:
     or opens one, and puts it back when it ends: no more are opened than
     requests were ever in flight at once. ``close`` closes the idle
     connections. Transport errors, malformed responses, 429 and 5xx
-    are retried with exponential backoff, or after an integer
-    ``Retry-After``; any other status, or a 200 whose body has no string
-    answer, fails at once. Proxy environment variables are not read.
+    are retried with exponential backoff, or after a ``Retry-After`` in
+    seconds; a Retry-After longer than any wait can be
+    (``threading.TIMEOUT_MAX``) fails the query, and one that is not ASCII
+    digits, such as an HTTP-date, is not read. Any other status, or a 200
+    whose body has no string answer, fails at once. Proxy environment
+    variables are not read.
     """
 
     def __init__(
@@ -377,8 +383,12 @@ class HttpOracle:
             last_error = f"HTTP {status}: {data[:200].decode('utf-8', 'replace')}"
             if status != 429 and status < 500:
                 break  # cannot succeed on retry
-            if retry_after is not None and retry_after.strip().isdigit():
-                delay = int(retry_after)
+            if retry_after is not None and _DIGITS.fullmatch(retry_after):
+                # float() reads any number of digits; too many read as inf
+                delay = float(retry_after)
+                if delay > threading.TIMEOUT_MAX:
+                    last_error += f"; cannot wait Retry-After {retry_after[:80]!r} s"
+                    break
         raise OracleFailure(
             f"{query.kind} query failed after {attempts} attempts: {last_error}"
         )
@@ -445,7 +455,7 @@ class _Reader:
         elif coding is not None and coding.lower().endswith("chunked"):
             body = self.chunked()
         elif coding is None and length is not None:
-            if not length.isdecimal():
+            if not _DIGITS.fullmatch(length) or len(length) > MAX_DIGITS:
                 raise ResponseError(f"bad Content-Length {length[:80]!r}")
             body = self.take(int(length))
         else:
@@ -682,25 +692,20 @@ class CachedOracle:
             self.by_kind.setdefault(query.kind, [0, 0])[miss] += 1
         return raw
 
-    def stats(self) -> dict[str, int]:
+    def report(self) -> dict:
+        """What a run manifest records: hits and misses, in all and per
+        kind, and what reading the store skipped or resolved."""
         with self._lock:
             return {
                 "hits": sum(hits for hits, _ in self.by_kind.values()),
                 "misses": sum(misses for _, misses in self.by_kind.values()),
+                "by_kind": {
+                    kind: {"hits": hits, "misses": misses}
+                    for kind, (hits, misses) in sorted(self.by_kind.items())
+                },
+                "torn_lines_skipped": self.torn_lines_skipped,
+                "conflicts": self.conflicts,
             }
-
-    def report(self) -> dict:
-        """What a run manifest records: ``stats``, the same per kind, and
-        what reading the store skipped or resolved."""
-        report = self.stats()
-        with self._lock:
-            report["by_kind"] = {
-                kind: {"hits": hits, "misses": misses}
-                for kind, (hits, misses) in sorted(self.by_kind.items())
-            }
-            report["torn_lines_skipped"] = self.torn_lines_skipped
-            report["conflicts"] = self.conflicts
-        return report
 
     def close(self) -> None:
         """Stop the fetch threads, dropping requests not yet sent, then close

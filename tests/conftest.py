@@ -4,6 +4,7 @@ check, an oracle over a plain function, hypothesis profile."""
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,35 @@ def chain_tree(edus, right_heavy: bool = True):
         for leaf in leels[1:]:
             tree = Node(tree, leaf, "nucleus-satellite", "Elaboration")
     return tree
+
+
+# digits of a number that int() refuses under the interpreter's default
+# limit (sys.get_int_max_str_digits, 4300 since Python 3.10.7)
+LONG_DIGITS = 5000
+
+
+@pytest.fixture(params=["default", "unlimited", "least"])
+def int_digit_limit(request):
+    """Runs the test under each digit limit int() can have: the default,
+    none at all, and the least the interpreter allows. An interpreter older
+    than the limit runs it once, as it is."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        if request.param != "default":
+            pytest.skip("this interpreter sets int() no digit limit")
+        yield None
+        return
+    before = sys.get_int_max_str_digits()
+    limit = {
+        "default": sys.int_info.default_max_str_digits,
+        "unlimited": 0,
+        "least": sys.int_info.str_digits_check_threshold,
+    }[request.param]
+    assert LONG_DIGITS > sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield limit
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.fixture(scope="session")

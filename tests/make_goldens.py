@@ -21,6 +21,10 @@ entries show up in them.
 Export goldens (``exports/<strategy>[-truncate-30]/<strategy>.<kind>.jsonl``)
 are what ``rstkit export-training`` writes for the same documents, with
 forced decisions skipped and with ``--truncate 30``.
+
+Derivation goldens (``derivations/<doc>.<strategy>.txt``) are what ``rstkit
+derive-actions`` prints for a minicorpus document with relations mapped and
+for the press_release fixture with its relations as written.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from rstkit import (
 from rstkit.cli import main as rstkit_main
 from rstkit.training import ENGINES, STRATEGIES
 
-from conftest import FunctionOracle
+from conftest import DATA_DIR, FunctionOracle
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -184,6 +188,28 @@ def golden_exports() -> dict[str, str]:
     return goldens
 
 
+# derivation golden name -> the .dis file and the extra derive-actions flags
+DERIVATIONS = {
+    "doc05": (minicorpus_dir() / "doc05.dis", ["--relation-map", "rst-dt-coarse"]),
+    "press_release": (DATA_DIR / "press_release.dis", []),
+}
+
+
+def golden_derivations() -> dict[str, str]:
+    """Path under the golden directory -> what ``derive-actions`` prints."""
+    goldens = {}
+    for name, (path, flags) in DERIVATIONS.items():
+        for strategy in STRATEGIES:
+            argv = ["derive-actions", "--file", str(path), "--strategy", strategy, *flags]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = rstkit_main(argv)
+            if status != 0:
+                raise RuntimeError(f"derive-actions exited {status}: {argv}")
+            goldens[f"derivations/{name}.{strategy}.txt"] = out.getvalue()
+    return goldens
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     goldens = golden_prompts()
@@ -193,13 +219,14 @@ def main() -> None:
         print(text)
     traces = golden_traces()
     exports = golden_exports()
-    for name, text in {**traces, **exports}.items():
+    derivations = golden_derivations()
+    for name, text in {**traces, **exports, **derivations}.items():
         path = GOLDEN_DIR / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(text.encode("utf-8"))
     print(
-        f"wrote {len(goldens)} prompt, {len(traces)} trace and {len(exports)} "
-        f"export goldens to {GOLDEN_DIR}"
+        f"wrote {len(goldens)} prompt, {len(traces)} trace, {len(exports)} export "
+        f"and {len(derivations)} derivation goldens to {GOLDEN_DIR}"
     )
 
 

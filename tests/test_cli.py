@@ -26,7 +26,8 @@ from rstkit.cli import main
 from rstkit.corpus import load_split_manifest, resolve_document_path
 from rstkit.training import ENGINES, gold_walk
 
-from conftest import FunctionOracle
+from conftest import GOLDEN_DIR, LONG_DIGITS, FunctionOracle
+from make_goldens import golden_derivations
 from test_core import MALFORMED_CONSTITUENTS
 from test_oracle import _endpoint, keep_alive_endpoint, wait_for
 
@@ -787,6 +788,77 @@ def test_derive_actions_top_down_counts(capsys):
     assert first_row[0] == "1" and first_row[1] == "6"
     k = int(first_row[2])
     assert 0 <= k <= 4
+
+
+def test_derive_actions_goldens_are_byte_identical():
+    # doc05 with relations mapped and press_release as written, both
+    # strategies (make_goldens.py)
+    derivations = golden_derivations()
+    for name, text in derivations.items():
+        assert text.encode("utf-8") == (GOLDEN_DIR / name).read_bytes(), name
+    on_disk = {
+        path.relative_to(GOLDEN_DIR).as_posix()
+        for path in (GOLDEN_DIR / "derivations").glob("*") if path.is_file()
+    }
+    assert on_disk == set(derivations)
+    assert len(derivations) == 4
+
+
+# ---------------------------------------------------------------------------
+# Numbers too long for int()
+
+
+def test_dis_number_too_long_for_int_exits_four(tmp_path, capsys, int_digit_limit):
+    number = "7" * LONG_DIGITS
+    dis = (minicorpus_dir() / "doc01.dis").read_text()
+    for field in ("(leaf 2)", "(span 1 2)"):
+        assert field in dis
+        path = tmp_path / "long.dis"
+        text = dis.replace(field, field.replace("2", number, 1), 1)
+        path.write_text(text)
+        code, stdout, stderr = run(capsys, "derive-actions", "--file", str(path))
+        pos = text.index(number)
+        assert (code, stdout) == (4, "")
+        assert stderr == f"error: integer of {LONG_DIGITS} digits (at offset {pos})\n"
+
+
+def test_tree_number_too_long_for_int_exits_four(tmp_path, capsys, int_digit_limit):
+    out = tmp_path / "run"
+    assert run(capsys, *_parse_args(out))[0] == 0
+    tree = next(out.glob("*.tree"))
+    tree.write_text(tree.read_text().replace("(leaf 1)", f"(leaf {'7' * LONG_DIGITS})"))
+    code, _, stderr = run(capsys, *_eval_args(out))
+    assert code == 4
+    assert f"error: integer of {LONG_DIGITS} digits (at offset " in stderr
+
+
+def test_manifest_count_too_long_for_int_exits_two(tmp_path, capsys, int_digit_limit):
+    manifest = tmp_path / "splits.tsv"
+    manifest.write_text(f"!count\tdev\t{'7' * LONG_DIGITS}\ndev\tdoc01\n")
+    code, _, stderr = run(
+        capsys, "parse", "--corpus-dir", CORPUS, "--manifest", str(manifest),
+        "--relation-map", MAP, "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "expected '!count<TAB>split<TAB>N'" in stderr
+
+
+def test_scripted_answer_too_long_for_int_is_corrected(tmp_path, capsys, int_digit_limit):
+    # a split answered with a number no int() limit matters to is out of
+    # range; the parse still gives a valid tree
+    script = tmp_path / "answers.txt"
+    script.write_text("7" * LONG_DIGITS + "\n")
+    out = tmp_path / "run"
+    code, _, stderr = run(
+        capsys, *_parse_args(out, "--strategy", "top-down", "--oracle", "scripted",
+                             "--script", str(script), "--cycle-script"),
+    )
+    assert (code, stderr) == (0, "")
+    for trace in out.glob("*.trace.jsonl"):
+        first = json.loads(trace.read_text().split("\n", 1)[0])
+        assert (first["kind"], first["note"]) == ("split", "out-of-range")
+        read_tree((out / trace.name.replace(".trace.jsonl", ".tree")).read_text().strip())
+    assert run(capsys, *_eval_args(out))[0] == 0
 
 
 # ---------------------------------------------------------------------------

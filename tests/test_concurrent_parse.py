@@ -164,6 +164,6 @@ def test_shared_cache_under_thread_stress(tmp_path, minicorpus, inventory):
     for (doc, _), result in zip(jobs, results):
         assert write_tree(result.tree) == write_tree(doc.tree)
     assert set(fetched.values()) == {1}
-    stats = cache.stats()
+    stats = cache.report()
     assert stats["misses"] == len(fetched)
     assert stats["hits"] + stats["misses"] == sum(r.query_count for r in results)

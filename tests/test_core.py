@@ -42,7 +42,7 @@ from rstkit import (
 from rstkit.cli import main as cli_main
 from rstkit.core import NN, NS, SN
 
-from conftest import DATA_DIR, check_tree, make_edus, random_tree
+from conftest import DATA_DIR, LONG_DIGITS, check_tree, make_edus, random_tree
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +598,24 @@ def test_readers_agree_on_whole_documents(relmap):
     assert spent[parse_dis] < 4 * spent[token_reader.parse_dis]
 
 
+def test_readers_reject_numbers_too_long_for_int_alike(int_digit_limit):
+    # a number longer than int() reads under the default digit limit is
+    # malformed input under every limit, in both readers, at its offset
+    number = "9" * LONG_DIGITS
+    dis = to_dis(_root([_leaf(1, "Nucleus", "span"), _leaf(2, "Satellite", "cause")]))
+    cases = [
+        (parse_dis, token_reader.parse_dis, dis.replace("(leaf 2)", f"(leaf {number})")),
+        (parse_dis, token_reader.parse_dis, dis.replace("(span 1 2)", f"(span {number} 2)")),
+        (read_tree, token_reader.read_tree, f"(NS cause (leaf 1) (leaf {number}))"),
+        (read_tree, token_reader.read_tree, f"(NS cause (leaf 1) ( leaf {number} ))"),
+    ]
+    for read, reference, text in cases:
+        pos = text.index(number)
+        expected = (DisSyntaxError, f"integer of {LONG_DIGITS} digits (at offset {pos})", pos)
+        assert _outcome(reference, text) == expected
+        assert _outcome(read, text) == expected
+
+
 # ---------------------------------------------------------------------------
 # Gold derivations: replay parses that ask every decision, and derive-actions
 
@@ -666,3 +684,54 @@ def test_action_sequence_is_postorder(tmp_path, capsys):
         ["shift"], ["shift"], ["reduce", NS, "cause"],
         ["shift"], ["reduce", NS, "cause"],
     ]
+
+
+def _constituents(tree, role="Root", rel2par=None):
+    """The (role, rel2par, body) constituent ``to_dis`` writes as text that
+    ``parse_dis`` reads back as the binary ``tree``."""
+    if isinstance(tree, Leaf):
+        return (role, rel2par, tree.edu.index)
+    nucleus, satellite = ("Nucleus", "span"), ("Satellite", tree.relation)
+    left, right = {
+        NS: (nucleus, satellite),
+        SN: (satellite, nucleus),
+        NN: (("Nucleus", tree.relation),) * 2,
+    }[tree.nuclearity]
+    return (role, rel2par, [_constituents(tree.left, *left),
+                            _constituents(tree.right, *right)])
+
+
+def _walk_rows(tree, strategy) -> list[list[str]]:
+    """The rows derive-actions printed when it walked the gold tree itself:
+    bottom-up, the actions in post-order; top-down, the splits in pre-order,
+    k relative to the span. The engines' replay parses must give the same."""
+    if strategy == "top-down":
+        return [
+            [str(node.span[0]), str(node.span[1]),
+             str(node.left.span[1] - node.span[0]), node.nuclearity, node.relation]
+            for node in internal_nodes(tree)
+        ]
+    # post-order is the reverse of a pre-order that visits right first
+    rows, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Node):
+            rows.append(["reduce", node.nuclearity, node.relation])
+            stack += (node.left, node.right)
+        else:
+            rows.append(["shift"])
+    return rows[::-1]
+
+
+@pytest.mark.parametrize("strategy", ["bottom-up", "top-down"])
+def test_derive_actions_rows_equal_the_tree_walk(tmp_path, capsys, strategy):
+    # relations that differ only in case, or read as one integer, print as
+    # the tree spells them, though the answer rule resolves them alike
+    relations = ("Elaboration", "list", "List", "02", "2")
+    rng = random.Random(33)
+    for _ in range(60):
+        n = rng.randint(1, 24)
+        tree = random_tree(rng, [_edu(i) for i in range(1, n + 1)], relations)
+        assert read(_constituents(tree)) == tree
+        rows = _derive_actions(tmp_path, capsys, _constituents(tree), strategy)
+        assert rows == _walk_rows(tree, strategy)

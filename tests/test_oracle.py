@@ -4,6 +4,8 @@ and the persistent cache."""
 from __future__ import annotations
 
 import hashlib
+import http.client
+import io
 import json
 import shutil
 import socket
@@ -19,6 +21,7 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rstkit import (
     CachedOracle,
@@ -35,10 +38,11 @@ from rstkit import (
     StoreCorrupt,
     resolve_label,
 )
-from rstkit.core import NS, SN
+from rstkit.core import MAX_DIGITS, NS, SN
+from rstkit.oracle import ResponseError, _Reader
 from rstkit.training import ENGINES
 
-from conftest import FunctionOracle, make_edus
+from conftest import LONG_DIGITS, FunctionOracle, make_edus
 
 
 def _query(kind="action", prompt="p", labels=("shift", "reduce"), span=None):
@@ -75,6 +79,19 @@ def _query(kind="action", prompt="p", labels=("shift", "reduce"), span=None):
 )
 def test_resolve_label(raw, labels, expected):
     assert resolve_label(raw, labels) == expected
+
+
+def test_resolve_label_reads_long_integers_alike_under_any_digit_limit(
+    int_digit_limit,
+):
+    labels = ("0", "1", "2")
+    # an integer longer than int() reads under every limit is left as
+    # written, zero padding and all
+    assert resolve_label("0" * (MAX_DIGITS - 1) + "2", labels) == "2"
+    assert resolve_label("0" * MAX_DIGITS + "2", labels) is None
+    assert resolve_label("0" * LONG_DIGITS + "2", labels) is None
+    assert resolve_label("-" + "0" * LONG_DIGITS, labels) is None
+    assert resolve_label("1" * LONG_DIGITS, labels) is None
 
 
 def test_resolve_label_returns_canonical_spelling():
@@ -591,6 +608,31 @@ FRAMING_CASES = {
         1, [OracleFailure("2 attempts: request failed: ResponseError('switching "
                           "protocols, though no request asks to')")], 2, 2,
     ),
+    # a Retry-After that is not ASCII digits is not read, as an HTTP-date
+    # is not: the retry waits the backoff
+    "retry-after-superscript-two": (
+        [(_sized("x", b"HTTP/1.1 503 Busy", b"Retry-After: \xb2\r\n"), "keep"),
+         (_sized("a"), "keep")], 1, ["a"], 2, 1,
+    ),
+    # a wait longer than any the clock can make fails the query at once
+    "retry-after-past-the-clock": (
+        [(_sized("x", b"HTTP/1.1 503 Busy", b"Retry-After: 99999999999999999999\r\n"),
+          "keep")],
+        3, [OracleFailure("1 attempts: HTTP 503: {\"choices\": [{\"text\": \"x\"}]}; "
+                          "cannot wait Retry-After '99999999999999999999' s")], 1, 1,
+    ),
+    "retry-after-too-long-for-int": (
+        [(_sized("x", b"HTTP/1.1 503 Busy", b"Retry-After: %s\r\n" % (b"9" * LONG_DIGITS)),
+          "keep")],
+        3, [OracleFailure("; cannot wait Retry-After '%s' s" % ("9" * 80))], 1, 1,
+    ),
+    # a Content-Length too long for int() is a malformed response, retried
+    "content-length-too-long-for-int": (
+        [(b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n{}" % (b"9" * LONG_DIGITS),
+          "keep")],
+        1, [OracleFailure("2 attempts: request failed: ResponseError(\"bad "
+                          "Content-Length '%s'\")" % ("9" * 80))], 2, 2,
+    ),
 }
 
 
@@ -611,6 +653,190 @@ def test_http_response_framing(script, retries, outcomes, requests, opened):
         finally:
             oracle.close()
         assert (server.requests, server.opened) == (requests, opened)
+
+
+# ---------------------------------------------------------------------------
+# The response reader against http.client
+
+# Where _Reader and http.client part ways on purpose: name -> whether
+# _Reader rejects such a response (else it reads the body the response
+# means). Any other response must read the same in both.
+KNOWN_DIVERGENCES = {
+    # the last coding is chunked, so the body is chunked (RFC 9112 6.3);
+    # http.client de-chunks only a coding of exactly "chunked"
+    "gzip, chunked": False,
+    # http.client reads a chunk size with int(size, 16), which takes 0x
+    "0x chunk size": True,
+    # http.client reads +5 as 5, and -1 or 0x5 as no length at all
+    "+5, -1 or 0x5 length": True,
+    # http.client's header parser ends the fields at a line with no colon,
+    # and joins a folded line to the one before
+    "colon-less header line": True,
+    "obs-folded header line": True,
+    # a 204 or 304 has no body (RFC 9110 6.4.1); http.client reads chunks
+    "chunked 204 or 304": False,
+    # every 1xx is interim (RFC 9110 15.2); http.client skips only a 100
+    "interim 1xx other than 100": False,
+}
+
+
+class _Feed(io.RawIOBase):
+    """A socket whose ``recv`` returns ``data`` in pieces of the given
+    sizes, taken in turn, then EOF; ``makefile`` gives http.client the same
+    pieces."""
+
+    def __init__(self, data: bytes, sizes: list[int]):
+        self.data, self.sizes, self.pos, self.calls = data, sizes, 0, 0
+
+    def recv(self, limit: int) -> bytes:
+        size = min(limit, self.sizes[self.calls % len(self.sizes)])
+        self.calls += 1
+        piece = self.data[self.pos:self.pos + size]
+        self.pos += len(piece)
+        return piece
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        piece = self.recv(len(buffer))
+        buffer[:len(piece)] = piece
+        return len(piece)
+
+    def makefile(self, mode: str):
+        return io.BufferedReader(self)
+
+
+def _read_rstkit(data: bytes, sizes: list[int]):
+    """(status, body, reusable, bytes received past the response), or the
+    ResponseError _Reader raises."""
+    feed = _Feed(data, sizes)
+    reader = _Reader(feed, feed.recv(8192))
+    try:
+        status, body, _, reusable = reader.response()
+    except ResponseError as exc:
+        return exc.args
+    return status, body, reusable, len(reader.data) - reader.pos
+
+
+def _read_stdlib(data: bytes, sizes: list[int]):
+    """(status, body) as http.client reads them, or None when it fails."""
+    response = http.client.HTTPResponse(_Feed(data, sizes), method="POST")
+    try:
+        response.begin()
+        return response.status, response.read()
+    except http.client.HTTPException:
+        return None
+
+
+@st.composite
+def _responses(draw):
+    """(response bytes, the status and body it means or None when it
+    means nothing readable, whether it lets the connection be reused, the
+    known divergence it carries or None)."""
+    quirk = draw(st.sampled_from([None] * 7 + list(KNOWN_DIVERGENCES)))
+
+    def eol() -> bytes:
+        return draw(st.sampled_from([b"\r\n", b"\n"]))
+
+    interim = draw(st.lists(st.just(100), max_size=2))
+    if quirk == "interim 1xx other than 100":
+        interim.insert(draw(st.integers(0, len(interim))), draw(st.sampled_from([102, 103])))
+    head = b"".join(b"HTTP/1.1 %d Interim" % code + eol() + eol() for code in interim)
+    minor = draw(st.sampled_from([0, 1]))
+    if quirk == "chunked 204 or 304":
+        status = draw(st.sampled_from([204, 304]))
+    elif quirk == "+5, -1 or 0x5 length":
+        status = 200  # no 204 or 304 reads its length
+    else:
+        status = draw(st.sampled_from([200, 201, 204, 304, 404, 429, 503, 799])
+                      | st.integers(0, 99))
+    reason = draw(st.sampled_from([b" OK", b"", b" ", b"  Two words"]))
+    head += b"HTTP/1.%d %03d%s" % (minor, status, reason) + eol()
+
+    framing = draw(st.sampled_from(["length", "chunked", "close"]))
+    if quirk in ("gzip, chunked", "0x chunk size", "chunked 204 or 304"):
+        framing = "chunked"
+    elif quirk == "+5, -1 or 0x5 length":
+        framing = "length"
+    bodiless = status in (204, 304)
+    if bodiless and framing == "chunked":
+        quirk = "chunked 204 or 304"
+    body = draw(st.binary(max_size=40))
+    fields = draw(st.lists(st.sampled_from([
+        b"Content-Type: application/json", b"Server:rstkit-test", b"X-Empty:",
+        b"Retry-After: 5", b"X-Colon: a:b", b"X-Latin: caf\xe9 \xb2",
+    ]), max_size=4))
+    connection = draw(st.sampled_from([None, b"close", b"keep-alive", b"Close"]))
+    if connection is not None:
+        fields.append(b"Connection: " + connection)
+    if framing == "length":
+        length = b"%d" % len(body)
+        if quirk == "+5, -1 or 0x5 length":
+            length = draw(st.sampled_from([b"+" + length, b"-1", b"0x%x" % len(body)]))
+        fields.append(b"Content-Length:" + draw(st.sampled_from([b" ", b"", b"  "])) + length)
+        payload = body
+    elif framing == "chunked":
+        coding = b"gzip, chunked" if quirk == "gzip, chunked" else draw(
+            st.sampled_from([b"chunked", b"Chunked"]))
+        fields.append(b"Transfer-Encoding: " + coding)
+        if draw(st.booleans()):  # chunked framing wins over a length
+            fields.append(b"Content-Length: %d" % (len(body) + 3))
+        payload, rest = b"", body
+        while True:
+            size = min(draw(st.integers(1, 16)), len(rest))
+            spelled = draw(st.sampled_from([b"%x", b"%X", b"00%x"])) % size
+            if quirk == "0x chunk size" and not payload:
+                spelled = b"0x" + spelled
+            extension = draw(st.sampled_from([b"", b";name=value", b" ; a"]))
+            payload += spelled + extension + eol()
+            if not size:
+                break
+            payload += rest[:size] + b"\r\n"
+            rest = rest[size:]
+        payload += b"".join(
+            b"X-Trailer: %d" % i + eol() for i in range(draw(st.integers(0, 2)))
+        ) + eol()
+    else:
+        payload = body
+    fields = draw(st.permutations(fields))
+    if quirk == "colon-less header line":
+        fields.insert(draw(st.integers(0, len(fields))), b"no colon here")
+    elif quirk == "obs-folded header line":
+        fields.insert(draw(st.integers(0, len(fields))), b"X-Folded: first")
+        fields.insert(fields.index(b"X-Folded: first") + 1, b"\t folded on")
+    head += b"".join(field + eol() for field in fields) + eol()
+
+    if status < 100:
+        meant = None
+    else:
+        meant = (status, b"" if bodiless else body)
+    keep_alive = (
+        minor == 1 and b"close" not in (connection or b"").lower()
+        and (bodiless or framing != "close")
+    )
+    # bytes past a framed response: the start of another one, or junk
+    extra = draw(st.binary(max_size=6)) if framing != "close" else b""
+    return head + payload + extra, meant, keep_alive, quirk
+
+
+@given(_responses(), st.lists(st.integers(1, 64), min_size=1, max_size=8))
+def test_http_reader_matches_http_client(response, sizes):
+    data, meant, keep_alive, quirk = response
+    # in random pieces, in one recv of the whole response, in 1-byte recvs
+    reads = [_read_rstkit(data, pieces) for pieces in (sizes, [len(data)], [1])]
+    if meant is None or quirk is not None and KNOWN_DIVERGENCES[quirk]:
+        # the same ResponseError message each way
+        assert len(reads[0]) == 1 and reads[0] == reads[1] == reads[2], reads
+    else:
+        for status, body, reusable, past in reads:
+            assert (status, body) == meant
+            # reusable only when the response ends where the bytes received do
+            assert reusable == (keep_alive and not past)
+        # 1-byte recvs never take a byte past the response
+        assert reads[2][3] == 0
+    if quirk is None:
+        assert _read_stdlib(data, sizes) == meant
 
 
 def _self_signed(where, name, subject_alt_name):
@@ -695,6 +921,12 @@ def _counting_inner(answer="reduce", delay=0.0, fingerprint="inner-v1"):
     return FunctionOracle(fn, fingerprint=fingerprint), calls
 
 
+def _counts(cache) -> dict[str, int]:
+    """The hits and misses a cache reports."""
+    report = cache.report()
+    return {"hits": report["hits"], "misses": report["misses"]}
+
+
 def test_cache_miss_then_hit(tmp_path):
     inner, calls = _counting_inner()
     cache = CachedOracle(inner, tmp_path)
@@ -702,7 +934,7 @@ def test_cache_miss_then_hit(tmp_path):
     assert cache.complete(q) == "reduce"
     assert cache.complete(q) == "reduce"
     assert calls["n"] == 1
-    assert cache.stats() == {"hits": 1, "misses": 1}
+    assert _counts(cache) == {"hits": 1, "misses": 1}
     assert cache.fingerprint == "inner-v1"
 
 
@@ -754,7 +986,7 @@ def test_cache_persists_across_instances(tmp_path):
     cache2 = CachedOracle(inner2, tmp_path)
     assert cache2.complete(_query(prompt="shared")) == "first"
     assert calls2["n"] == 0
-    assert cache2.stats() == {"hits": 1, "misses": 0}
+    assert _counts(cache2) == {"hits": 1, "misses": 0}
 
 
 def test_cache_fingerprint_busts_stale_answers(tmp_path):
@@ -809,7 +1041,7 @@ def test_cache_corrupt_record_leaves_no_entry(tmp_path):
     # an instance made before the damage keeps answering from its table
     assert first.complete(q) == "fetched"
     assert calls["n"] == 1
-    assert first.stats() == {"hits": 1, "misses": 1}
+    assert _counts(first) == {"hits": 1, "misses": 1}
     first.close()
 
 
@@ -906,7 +1138,7 @@ def test_cache_complete_asks_the_inner_oracle_on_this_thread(tmp_path):
     cache = CachedOracle(FunctionOracle(answer), tmp_path)
     assert cache.complete(_query(prompt="cold")) == "x"
     assert threads == [threading.current_thread()]
-    assert cache.stats() == {"hits": 0, "misses": 1}
+    assert _counts(cache) == {"hits": 0, "misses": 1}
     cache.close()
 
 
@@ -927,7 +1159,7 @@ def test_cache_concurrent_misses_write_once(tmp_path):
     assert results == ["only"] * 8
     assert calls["n"] == 1
     assert len(_records(tmp_path)) == 1
-    stats = cache.stats()
+    stats = _counts(cache)
     assert stats["misses"] == 1
     assert stats["hits"] == 7
 
@@ -951,7 +1183,7 @@ def test_cache_answer_many_fetches_each_key_once(tmp_path):
     assert sorted(asked) == ["p0", "p1", "p2", "p3", "p4"]
     assert asked.pop("p0") is threading.current_thread()
     assert all(t.name.startswith("rstkit-oracle") for t in asked.values())
-    assert cache.stats() == {"hits": 5, "misses": 5}
+    assert _counts(cache) == {"hits": 5, "misses": 5}
     assert cache.answer_many(queries[:5]) == [q.prompt for q in queries[:5]]
     assert cache.report()["by_kind"] == {"action": {"hits": 10, "misses": 5}}
     # one write per fetch, in query order
@@ -969,7 +1201,7 @@ def test_cache_without_store_keeps_answers_for_the_run():
     assert cache.complete(_query(prompt="b")) == "x"
     cache.close()
     assert calls["n"] == 2
-    assert cache.stats() == {"hits": 2, "misses": 2}
+    assert _counts(cache) == {"hits": 2, "misses": 2}
 
 
 def test_cache_inner_failure_reaches_the_caller(tmp_path):
@@ -984,7 +1216,7 @@ def test_cache_inner_failure_reaches_the_caller(tmp_path):
     with pytest.raises(OracleFailure, match="down"):
         cache.answer_many([_query(prompt="a"), _query(prompt="b")])
     assert list(tmp_path.iterdir()) == []
-    assert cache.stats() == {"hits": 0, "misses": 0}
+    assert _counts(cache) == {"hits": 0, "misses": 0}
     # a failure is not kept: the next round asks again
     fail["now"] = False
     assert cache.complete(_query(prompt="a")) == "up"
@@ -1072,7 +1304,7 @@ def test_cache_keeps_the_answers_of_a_failed_round(tmp_path):
     assert again.answer_many(queries) == [f"answer {i}" for i in range(5)]
     again.close()
     assert sorted(asked) == ["1", "3"]
-    assert again.stats() == {"hits": 3, "misses": 2}
+    assert _counts(again) == {"hits": 3, "misses": 2}
 
     # any inner oracle is asked concurrently; the answers that arrived
     # around a failure, before and after it, are kept

@@ -172,4 +172,5 @@ def test_cache_store_reads_back_what_it_wrote(answers, fingerprint):
         ).encode("utf-8")
         reader = CachedOracle(FunctionOracle(refuse, fingerprint), store)
         assert reader.answer_many(queries) == list(answers.values())
-        assert reader.stats() == {"hits": len(answers), "misses": 0}
+        report = reader.report()
+        assert (report["hits"], report["misses"]) == (len(answers), 0)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from rstkit.core import NN, NS, SN, Edu, Leaf, MalformedTree, Node, RstTree
+from rstkit.core import MAX_DIGITS, NN, NS, SN, Edu, Leaf, MalformedTree, Node, RstTree
 from rstkit.corpus import (
     NUCLEUS,
     ROOT,
@@ -154,6 +154,8 @@ class Tokens:
         kind, value, pos = self.take()
         if kind != "atom" or not value.isdecimal():
             raise DisSyntaxError("expected integer", pos)
+        if len(value) > MAX_DIGITS:
+            raise DisSyntaxError(f"integer of {len(value)} digits", pos)
         return int(value)
 
 
