@@ -62,13 +62,14 @@ from .oracle import (
     ScriptedOracle,
     StoreCorrupt,
 )
-from .prompts import ACTION, SPLIT
-from .topdown import parse_top_down
+from .prompts import ACTION, SPLIT, SplitPrompts
+from .topdown import parse_top_down, split_span
 from .training import (
     BOTTOM_UP,
     ENGINES,
     KINDS,
     STRATEGIES,
+    TOP_DOWN,
     describe_corrections,
     example_to_json,
     export_metadata,
@@ -434,9 +435,19 @@ def cmd_export_training(args: argparse.Namespace) -> int:
                 path = out_dir / f"{args.strategy}.{kind}.jsonl"
                 files[kind] = stack.enter_context(_replacing(path))
             for doc in documents:
+                # a split prompt shows every EDU of its span, so its lines
+                # are escaped once per document, not once per prompt
+                escaped = None
+                if args.strategy == TOP_DOWN:
+                    texts = [edu.text for edu in doc.edus]
+                    escaped = SplitPrompts(texts, policy.truncate_chars).escaped()
                 for example in gold_walk(doc, inventory, args.strategy, policy):
+                    prompt = None
+                    if example.kind == SPLIT:
+                        prompt = escaped.render(*split_span(example.state))
                     # the record and its newline in one call, not joined first
-                    files[example.kind].writelines((example_to_json(example), "\n"))
+                    record = example_to_json(example, prompt)
+                    files[example.kind].writelines((record, "\n"))
                     counts[example.kind] += 1
         meta = export_metadata(inventory, args.strategy, policy, counts)
         meta["documents"] = len(documents)
@@ -467,8 +478,9 @@ def cmd_derive_actions(args: argparse.Namespace) -> int:
     for entry in result.trace:
         if entry.kind == ACTION:
             rows.append(entry.raw)
-        elif entry.kind == SPLIT:  # its state is "span=(first,last)"
-            rows.append(entry.state[6:-1].replace(",", "\t") + "\t" + entry.raw)
+        elif entry.kind == SPLIT:
+            first, last = split_span(entry.state)
+            rows.append(f"{first}\t{last}\t{entry.raw}")
         else:
             rows[-1] += "\t" + entry.raw
     for row in rows:

@@ -160,9 +160,11 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
     answer_many = getattr(oracle, "answer_many", None)
     # ready decisions, the next in serial order last
     ready = [first]
-    taken: list[tuple] = []
-    # with answer_many, decisions are taken round by round; the trace is put
-    # back in serial order from what each one made ready
+    # one at a time, decisions are taken in serial order, and each entry is
+    # made as its decision is taken; with answer_many, they are taken round
+    # by round, and the trace is put back in serial order at the end from
+    # what each one made ready
+    taken: list = []
     unlocked_by: dict[int, tuple[int, list[Decision]]] = {}
 
     def settle(decision: Decision, raw: str | None) -> list[Decision]:
@@ -179,12 +181,18 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
             else:
                 resolved = label
         unlocked = decision.advance(resolved)
-        taken.append((
-            decision.kind, decision.state, None if query is None else query.prompt,
-            raw, resolved, bool(note), query is None, note,
-        ))
-        if answer_many is not None:
-            unlocked_by[id(decision)] = (len(taken) - 1, unlocked)
+        prompt = None if query is None else query.prompt
+        if answer_many is None:
+            taken.append(TraceEntry(
+                len(taken), decision.kind, decision.state, prompt, raw, resolved,
+                bool(note), query is None, note,
+            ))
+        else:
+            unlocked_by[id(decision)] = (len(taken), unlocked)
+            taken.append((
+                decision.kind, decision.state, prompt, raw, resolved,
+                bool(note), query is None, note,
+            ))
         return unlocked
 
     while ready:
@@ -207,13 +215,13 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
                 unlocked.extend(settle(decision, raw))
         ready.extend(reversed(unlocked))
 
-    order = range(len(taken))
-    if answer_many is not None:
-        order, stack = [], [first]
-        while stack:
-            index, unlocked = unlocked_by[id(stack.pop())]
-            order.append(index)
-            stack.extend(reversed(unlocked))
+    if answer_many is None:
+        return tuple(taken)
+    order, stack = [], [first]
+    while stack:
+        index, unlocked = unlocked_by[id(stack.pop())]
+        order.append(index)
+        stack.extend(reversed(unlocked))
     return tuple(TraceEntry(step, *taken[i]) for step, i in enumerate(order))
 
 

@@ -219,11 +219,11 @@ class HttpOracle:
     requests were ever in flight at once. ``close`` closes the idle
     connections. Transport errors, malformed responses, 429 and 5xx
     are retried with exponential backoff, or after a ``Retry-After`` in
-    seconds; a Retry-After longer than any wait can be
-    (``threading.TIMEOUT_MAX``) fails the query, and one that is not ASCII
-    digits, such as an HTTP-date, is not read. Any other status, or a 200
-    whose body has no string answer, fails at once. Proxy environment
-    variables are not read.
+    seconds; a Retry-After longer than ``timeout`` (or than any wait can
+    be, ``threading.TIMEOUT_MAX``) fails the query at once, unslept, and
+    one that is not ASCII digits, such as an HTTP-date, is not read. Any
+    other status, or a 200 whose body has no string answer, fails at once.
+    Proxy environment variables are not read.
     """
 
     def __init__(
@@ -386,7 +386,7 @@ class HttpOracle:
             if retry_after is not None and _DIGITS.fullmatch(retry_after):
                 # float() reads any number of digits; too many read as inf
                 delay = float(retry_after)
-                if delay > threading.TIMEOUT_MAX:
+                if delay > min(self.timeout, threading.TIMEOUT_MAX):
                     last_error += f"; cannot wait Retry-After {retry_after[:80]!r} s"
                     break
         raise OracleFailure(

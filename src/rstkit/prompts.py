@@ -7,9 +7,10 @@ sensitive to drift here, so the exact bytes are pinned by golden tests.
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
-from .core import NUCLEARITY_PATTERNS, DocumentText, LabelInventory
+from .core import NUCLEARITY_PATTERNS, DocumentText, LabelInventory, json_string
 
 # Prompt kinds; also the "kind" field of training records and trace entries.
 ACTION = "action"
@@ -105,12 +106,32 @@ class SplitPrompts:
     """
 
     def __init__(self, edu_texts: Sequence[str], truncate: int | None = None):
+        self._head = "Input:"
         self._lines = [
             truncate_text(text, truncate) if text else EMPTY_SLOT
             for text in edu_texts
         ]
         self._prefixes = [f"\n{offset}: " for offset in range(len(edu_texts))]
+        # formatted with the last answer
+        self._cue = "\nSplit point (0 - {}):"
         self._answers = tuple(map(str, range(len(edu_texts) - 1)))
+
+    def escaped(self) -> "SplitPrompts":
+        """A twin whose prompts come out JSON-escaped, without their quotes:
+        ``'"' + twin.render(f, l) + '"' == json_string(self.render(f, l))``.
+
+        JSON escapes each character on its own, so a join of escaped parts
+        is the escaped join: each part is escaped once here, and a prompt
+        still costs one join.
+        """
+        def body(text: str) -> str:
+            return json_string(text)[1:-1]
+
+        twin = copy.copy(self)
+        twin._head, twin._cue = body(self._head), body(self._cue)
+        twin._lines = list(map(body, self._lines))
+        twin._prefixes = list(map(body, self._prefixes))
+        return twin
 
     def render(self, first: int, last: int) -> str:
         """The prompt for EDUs first..last (1-based, inclusive), renumbered
@@ -119,10 +140,10 @@ class SplitPrompts:
         if m < 2:
             raise ValueError("split prompts need at least two EDUs")
         parts = [""] * (2 * m + 2)
-        parts[0] = "Input:"
+        parts[0] = self._head
         parts[1 : 2 * m : 2] = self._prefixes[:m]
         parts[2 : 2 * m + 1 : 2] = self._lines[first - 1 : last]
-        parts[-1] = f"\nSplit point (0 - {m - 2}):"
+        parts[-1] = self._cue.format(m - 2)
         return "".join(parts)
 
     def labels(self, first: int, last: int) -> tuple[str, ...]:

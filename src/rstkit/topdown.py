@@ -24,6 +24,13 @@ from .oracle import Oracle, OracleQuery
 from .prompts import SPLIT, SplitPrompts, span_slot
 
 
+def split_span(state: str) -> tuple[int, int]:
+    """The span (first, last) of a split decision, read from the state its
+    trace entry records, ``span=(first,last)``."""
+    first, last = state[6:-1].split(",")
+    return int(first), int(last)
+
+
 def parse_top_down(
     edus: Sequence[Edu],
     oracle: Oracle,
@@ -53,7 +60,7 @@ def parse_top_down(
     nodes: dict[tuple[int, int], list] = {}
 
     def split(first: int, last: int) -> Decision:
-        state = f"span=({first},{last})"
+        state = f"span=({first},{last})"  # read back by split_span
         legal = prompts.labels(first, last)
         query = None
         if not (last - first == 1 and policy.skip_forced):

@@ -48,13 +48,16 @@ FINE_TUNING_DEFAULTS = {
 
 
 class TrainingExample(NamedTuple):
-    """One supervised pair; ``step`` matches the engine's trace numbering."""
+    """One supervised pair; ``step`` and ``state`` are those of its entry in
+    the engine's trace (a split's state names its span, see
+    ``topdown.split_span``)."""
 
     kind: PromptKind
     prompt: str
     completion: str
     doc_id: str
     step: int
+    state: str = ""
 
 
 def gold_walk(
@@ -80,7 +83,8 @@ def gold_walk(
     for entry in result.trace:
         if entry.prompt is not None:
             yield TrainingExample(
-                entry.kind, entry.prompt, entry.raw, doc.doc_id, entry.step
+                entry.kind, entry.prompt, entry.raw, doc.doc_id, entry.step,
+                entry.state,
             )
 
 
@@ -97,14 +101,22 @@ def describe_corrections(
     )
 
 
-def example_to_json(example: TrainingExample) -> str:
+def example_to_json(
+    example: TrainingExample, escaped_prompt: str | None = None
+) -> str:
     """The pair as ``json.dumps(record, ensure_ascii=False)`` writes the
     record ``{"kind", "prompt", "completion", "document_id", "step"}``,
-    formatted directly."""
+    formatted directly.
+
+    ``escaped_prompt``, when given, is the prompt already escaped as
+    ``json_string`` escapes it, without the quotes (as
+    ``SplitPrompts.escaped`` renders it), and is written in its place.
+    """
     q = json_string
-    kind, prompt, completion, doc_id, step = example
+    kind, prompt, completion, doc_id, step, _ = example
+    prompt = q(prompt) if escaped_prompt is None else f'"{escaped_prompt}"'
     return (
-        f'{{"kind": {q(kind)}, "prompt": {q(prompt)}, '
+        f'{{"kind": {q(kind)}, "prompt": {prompt}, '
         f'"completion": {q(completion)}, "document_id": {q(doc_id)}, '
         f'"step": {int.__repr__(step)}}}'
     )

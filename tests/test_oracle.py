@@ -23,6 +23,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import given, strategies as st
 
+import rstkit.oracle
 from rstkit import (
     CachedOracle,
     HttpOracle,
@@ -653,6 +654,34 @@ def test_http_response_framing(script, retries, outcomes, requests, opened):
         finally:
             oracle.close()
         assert (server.requests, server.opened) == (requests, opened)
+
+
+@pytest.mark.parametrize("retry_after, slept", [
+    (b"9000000000", []),
+    (b"1", [1.0]),
+], ids=["past-the-timeout", "one-second"])
+def test_http_retry_after_is_bounded_by_the_timeout(monkeypatch, retry_after, slept):
+    # a Retry-After longer than the client's timeout fails the query at
+    # once, and is not slept; a shorter one is waited out
+    waits = []
+    monkeypatch.setattr(rstkit.oracle, "time", types.SimpleNamespace(sleep=waits.append))
+    busy = _sized("x", b"HTTP/1.1 503 Busy", b"Retry-After: %s\r\n" % retry_after)
+    with raw_endpoint([(busy, "keep"), (_sized("a"), "keep")]) as (url, server):
+        oracle = HttpOracle(url, model="m", retries=1, backoff=30.0, timeout=60.0)
+        try:
+            if slept:
+                assert oracle.complete(_query()) == "a"
+            else:
+                with pytest.raises(OracleFailure) as failure:
+                    oracle.complete(_query())
+                assert str(failure.value).endswith(
+                    "1 attempts: HTTP 503: {\"choices\": [{\"text\": \"x\"}]}; "
+                    "cannot wait Retry-After '9000000000' s"
+                )
+        finally:
+            oracle.close()
+    assert waits == slept
+    assert server.requests == 1 + len(slept)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The JSONL records rstkit writes, against ``json.dumps``.
 
 Trace lines (``engine.trace_to_jsonl``), training pairs
-(``training.example_to_json``) and cache segment lines
+(``training.example_to_json``, with split prompts from
+``SplitPrompts.escaped``) and cache segment lines
 (``oracle._segment_line``) are each written by a formatter of their own.
 Each must give exactly what ``json.dumps(record, ensure_ascii=False)``
 gives, for strings drawn from all of Unicode: control characters, quotes,
@@ -27,6 +28,7 @@ from rstkit import (
     NUCLEARITY_PATTERNS,
     CachedOracle,
     OracleQuery,
+    SplitPrompts,
     TraceEntry,
     TrainingExample,
     example_to_json,
@@ -133,6 +135,21 @@ def test_training_pairs_are_json_dumps(pair):
         "document_id": pair.doc_id,
         "step": pair.step,
     })
+
+
+@example([EVERY_KIND_OF_CHARACTER, "", '"\\\x7f\u2028', EVERY_KIND_OF_CHARACTER], 3)
+@example(["", ""], None)
+@given(
+    st.lists(TEXT, min_size=2, max_size=7),
+    st.none() | st.integers(0, 6) | st.integers(min_value=7),
+)
+def test_escaped_split_prompts_are_json_strings(texts, budget):
+    prompts = SplitPrompts(texts, budget)
+    escaped = prompts.escaped()
+    for first in range(1, len(texts)):
+        for last in range(first + 1, len(texts) + 1):
+            rendered = prompts.render(first, last)
+            assert '"' + escaped.render(first, last) + '"' == json_string(rendered)
 
 
 @example(*[EVERY_KIND_OF_CHARACTER] * 4)

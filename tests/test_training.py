@@ -9,7 +9,9 @@ import pytest
 
 from rstkit import (
     FINE_TUNING_DEFAULTS,
+    SPLIT,
     Document,
+    Edu,
     KindMismatch,
     Node,
     ParsePolicy,
@@ -22,11 +24,12 @@ from rstkit import (
     read_dis,
     write_tree,
 )
+from rstkit import cli
 from rstkit.cli import main
 from rstkit.corpus import load_split_manifest
-from rstkit.training import ENGINES
+from rstkit.training import ENGINES, KINDS
 
-from conftest import GOLDEN_DIR, chain_tree, make_edus, random_document
+from conftest import GOLDEN_DIR, chain_tree, make_edus, random_document, random_tree
 from make_goldens import golden_exports
 import random
 
@@ -170,9 +173,10 @@ def test_relation_prompts_are_teacher_forced(minicorpus, inventory):
             previous = x
 
 
-def _chain_dis(n: int, right_heavy: bool) -> str:
+def _chain_dis(n: int, right_heavy: bool, texts=None) -> str:
     """A fully right- or left-branching n-EDU treebank file with short EDU
-    texts, one constituent a line, written without recursion."""
+    texts, or ``texts``, one constituent a line, written without
+    recursion."""
     lines = []
     stack: list = [(1, n, "Root", "")]
     while stack:
@@ -182,7 +186,8 @@ def _chain_dis(n: int, right_heavy: bool) -> str:
             continue
         lo, hi, role, rel2par = item
         if lo == hi:
-            lines.append(f"( {role} (leaf {lo}){rel2par} (text _!edu {lo}._!) )")
+            text = f"edu {lo}." if texts is None else texts[lo - 1]
+            lines.append(f"( {role} (leaf {lo}){rel2par} (text _!{text}_!) )")
             continue
         lines.append(f"( {role} (span {lo} {hi}){rel2par}")
         mid = lo if right_heavy else hi - 1
@@ -263,6 +268,68 @@ def test_export_is_bitwise_deterministic(minicorpus, inventory, strategy):
     assert len(first.splitlines()) == sum(
         len(list(gold_walk(d, inventory, strategy))) for d in docs
     )
+
+
+# EDU texts with every C0 control, DEL, the JSON specials, the line and
+# paragraph separators, other non-ASCII characters, and empty EDUs
+SPECIAL_EDU_TEXTS = (
+    "".join(map(chr, range(0x20))),
+    'a "quoted" word and a back\\slash',
+    "",
+    "DEL \x7f, line \u2028 and paragraph \u2029 separators",
+    "non-ASCII: café, naïve, 日本語, \U0001F600",
+    "plain ASCII text that runs well past thirty characters",
+    '\\"\x00\x1b\x7f\u2028é' * 6,
+    "",
+)
+
+
+@pytest.mark.parametrize("truncate", [None, 0, 3, 30])
+def test_top_down_export_is_json_dumps_of_each_pair(
+    tmp_path, monkeypatch, capsys, relmap, inventory, truncate
+):
+    # split pairs are written from EDU lines escaped one at a time; each line
+    # must still be what json.dumps writes for the walk's pair. One document
+    # is read from a .dis file, which turns whitespace controls and the
+    # separators into spaces; the other holds the texts as they are.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    n = len(SPECIAL_EDU_TEXTS)
+    (corpus / "special.dis").write_text(
+        _chain_dis(n, True, SPECIAL_EDU_TEXTS), encoding="utf-8"
+    )
+    edus = tuple(Edu(i, text) for i, text in enumerate(SPECIAL_EDU_TEXTS, 1))
+    unread = Document("unread", edus, random_tree(random.Random(7), edus))
+    read_documents = cli.load_documents
+    monkeypatch.setattr(
+        cli, "load_documents", lambda *args: [*read_documents(*args), unread]
+    )
+    argv = ["export-training", "--corpus-dir", str(corpus), "--relation-map",
+            "rst-dt-coarse", "--strategy", "top-down", "--out", str(tmp_path / "out")]
+    if truncate is not None:
+        argv += ["--truncate", str(truncate)]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    documents = cli.load_documents(corpus, None, None, relmap)
+    read = documents[0].edus
+    assert "\x00" in read[0].text and '"' in read[1].text and read[2].text == ""
+    expected = {kind: [] for kind in KINDS["top-down"]}
+    policy = ParsePolicy(truncate_chars=truncate)
+    for doc in documents:
+        for pair in gold_walk(doc, inventory, "top-down", policy):
+            expected[pair.kind].append(json.dumps({
+                "kind": pair.kind,
+                "prompt": pair.prompt,
+                "completion": pair.completion,
+                "document_id": pair.doc_id,
+                "step": pair.step,
+            }, ensure_ascii=False))
+    assert expected[SPLIT]
+    for kind, lines in expected.items():
+        path = tmp_path / "out" / f"top-down.{kind}.jsonl"
+        # split on "\n" alone: a record holds U+2028 unescaped
+        assert path.read_text(encoding="utf-8").split("\n") == lines + [""]
 
 
 def test_export_goldens_are_byte_identical():
