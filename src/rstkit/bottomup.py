@@ -100,5 +100,10 @@ def parse_bottom_up(
 
         return Decision(ACTION, state, query, legal, legal[0], advance)
 
-    trace = run_decisions(oracle, action())
+    try:
+        trace = run_decisions(oracle, action())
+    finally:
+        # action's closure holds the cell that holds action; emptying it
+        # lets reference counting free the parse, not the cyclic collector
+        action = None
     return ParseResult(tree=build_tree(edus, nodes), trace=trace)

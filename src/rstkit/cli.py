@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -80,6 +81,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 EXIT_VALIDATION = 4
+
+# The collector's generation-0 threshold while a command runs. A command
+# makes many short-lived objects and few cycles, so the default (700)
+# collects hundreds of times a run for little; main puts the caller's
+# thresholds back when the command ends.
+GC_THRESHOLD = 10_000
 
 _VALIDATION_ERRORS = (
     MalformedTree,
@@ -650,12 +657,26 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         sub.set_defaults(**{k: v for k, v in config.items() if k in taken[name]})
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` read by a parser made for it.
+
+    A parser's objects refer to each other, so only the cyclic collector
+    frees one. Dropped here, before the command runs, it is still young
+    and goes at the next young-generation collection. A parser held
+    through a command would be promoted, and would then wait for a full
+    collection, which a raised ``GC_THRESHOLD`` makes rare.
+    """
+    parser = build_parser()
+    _apply_config_file(parser, argv)
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    thresholds = gc.get_threshold()
+    gc.set_threshold(GC_THRESHOLD, *thresholds[1:])
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         _check_options(args)
         return args.func(args)
     except UnknownRelation as exc:
@@ -674,6 +695,8 @@ def main(argv: list[str] | None = None) -> int:
     except StoreCorrupt as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ class MalformedTree(ValueError):
     """A tree violates role, span, or adjacency constraints."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edu:
     """Elementary discourse unit: 1-based document index plus its text."""
 
@@ -63,7 +63,7 @@ class Edu:
             raise MalformedTree(f"EDU index must be 1-based, got {self.index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     edu: Edu
 
@@ -72,7 +72,7 @@ class Leaf:
         return (self.edu.index, self.edu.index)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Node:
     """Binary constituent over two adjacent spans.
 

@@ -158,12 +158,12 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
     the same answers give the same trace.
     """
     answer_many = getattr(oracle, "answer_many", None)
+    if answer_many is None:
+        return _run_serial(oracle.complete, first)
     # ready decisions, the next in serial order last
     ready = [first]
-    # one at a time, decisions are taken in serial order, and each entry is
-    # made as its decision is taken; with answer_many, they are taken round
-    # by round, and the trace is put back in serial order at the end from
-    # what each one made ready
+    # decisions are taken round by round, and the trace is put back in
+    # serial order at the end from what each one made ready
     taken: list = []
     unlocked_by: dict[int, tuple[int, list[Decision]]] = {}
 
@@ -171,28 +171,13 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
         query = decision.query
         resolved, note = decision.default, ""
         if raw is not None:
-            label = resolve_label(raw, query.valid_labels)
-            if label is None:
-                number = _INTEGER_RE.fullmatch(raw.split("\n", 1)[0].strip())
-                integral = number and decision.legal[0].isdecimal()
-                note = "out-of-range" if integral else "unparseable"
-            elif label not in decision.legal:
-                note = "illegal"
-            else:
-                resolved = label
+            resolved, note = _resolve(decision, raw)
         unlocked = decision.advance(resolved)
-        prompt = None if query is None else query.prompt
-        if answer_many is None:
-            taken.append(TraceEntry(
-                len(taken), decision.kind, decision.state, prompt, raw, resolved,
-                bool(note), query is None, note,
-            ))
-        else:
-            unlocked_by[id(decision)] = (len(taken), unlocked)
-            taken.append((
-                decision.kind, decision.state, prompt, raw, resolved,
-                bool(note), query is None, note,
-            ))
+        unlocked_by[id(decision)] = (len(taken), unlocked)
+        taken.append((
+            decision.kind, decision.state, None if query is None else query.prompt,
+            raw, resolved, bool(note), query is None, note,
+        ))
         return unlocked
 
     while ready:
@@ -201,28 +186,57 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
             decision = ready.pop()
             if decision.query is None:
                 ready.extend(reversed(settle(decision, None)))
-                continue
-            round_.append(decision)
-            if answer_many is None:
-                break
+            else:
+                round_.append(decision)
         unlocked = []
-        if answer_many is None:
-            for decision in round_:
-                unlocked.extend(settle(decision, oracle.complete(decision.query)))
-        elif round_:
+        if round_:
             raws = answer_many([decision.query for decision in round_])
             for decision, raw in zip(round_, raws):
                 unlocked.extend(settle(decision, raw))
         ready.extend(reversed(unlocked))
 
-    if answer_many is None:
-        return tuple(taken)
     order, stack = [], [first]
     while stack:
         index, unlocked = unlocked_by[id(stack.pop())]
         order.append(index)
         stack.extend(reversed(unlocked))
     return tuple(TraceEntry(step, *taken[i]) for step, i in enumerate(order))
+
+
+def _run_serial(
+    complete: Callable[[OracleQuery], str], first: Decision
+) -> tuple[TraceEntry, ...]:
+    """``run_decisions`` for an oracle asked one query at a time: take the
+    next decision in serial order, ask it and settle it."""
+    ready = [first]
+    trace: list[TraceEntry] = []
+    while ready:
+        decision = ready.pop()
+        query = decision.query
+        if query is None:
+            prompt, raw, resolved, note = None, None, decision.default, ""
+        else:
+            prompt, raw = query.prompt, complete(query)
+            resolved, note = _resolve(decision, raw)
+        ready.extend(reversed(decision.advance(resolved)))
+        trace.append(TraceEntry(
+            len(trace), decision.kind, decision.state, prompt, raw, resolved,
+            bool(note), query is None, note,
+        ))
+    return tuple(trace)
+
+
+def _resolve(decision: Decision, raw: str) -> tuple[str, str]:
+    """The answer ``decision`` takes for the oracle's ``raw`` answer, and
+    the note of its correction ("" when there is none)."""
+    label = resolve_label(raw, decision.query.valid_labels)
+    if label is None:
+        number = _INTEGER_RE.fullmatch(raw.split("\n", 1)[0].strip())
+        integral = number and decision.legal[0].isdecimal()
+        return decision.default, "out-of-range" if integral else "unparseable"
+    if label not in decision.legal:
+        return decision.default, "illegal"
+    return label, ""
 
 
 def build_tree(

@@ -92,7 +92,7 @@ class StoreCorrupt(RuntimeError):
     """A cache record exists but cannot be decoded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleQuery:
     """One decision put to an oracle.
 

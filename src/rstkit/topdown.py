@@ -84,5 +84,10 @@ def parse_top_down(
 
         return Decision(SPLIT, state, query, legal, "0", advance)
 
-    trace = run_decisions(oracle, split(1, n))
+    try:
+        trace = run_decisions(oracle, split(1, n))
+    finally:
+        # split's closure holds the cell that holds split; emptying it lets
+        # reference counting free the parse, not the cyclic collector
+        split = None
     return ParseResult(tree=build_tree(edus, nodes), trace=trace)

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from rstkit import (
     NUCLEARITY_PATTERNS,
@@ -136,6 +136,16 @@ def int_digit_limit(request):
         yield limit
     finally:
         sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def unicode_tables():
+    """Hypothesis builds its Unicode tables when a strategy first needs them
+    and keeps them under .hypothesis/. In a checkout without that directory
+    the build (about 2 s for the UTF-8 codec) would fall in a test's first
+    draws and fail its too_slow health check, so it is done here, once a
+    session, before the first test."""
+    st.characters(codec="utf-8").validate()
 
 
 @pytest.fixture(scope="session")

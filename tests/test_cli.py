@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import codecs
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from rstkit import (
     read_dis,
     read_tree,
 )
+from rstkit import cli
 from rstkit.cli import main
 from rstkit.corpus import load_split_manifest, resolve_document_path
 from rstkit.training import ENGINES, gold_walk
@@ -1265,6 +1268,85 @@ def test_unknown_relation_map_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "no bundled relation map" in stderr
+
+
+@pytest.mark.parametrize("case", [
+    "exit-0", "bad-strategy-flag", "bad-strategy-config", "malformed-dis", "raises",
+])
+def test_main_puts_back_the_callers_gc_thresholds(tmp_path, capsys, monkeypatch, case):
+    """A command runs with the collector's young generation raised to
+    GC_THRESHOLD; however it ends, the caller's thresholds come back."""
+    corpus = CORPUS
+    if case == "malformed-dis":
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "broken.dis").write_text("( Root (span 1 2)\n")
+    argv = ["parse", "--corpus-dir", str(corpus), "--out", str(tmp_path / "run")]
+    if case == "exit-0":
+        argv += ["--manifest", MANIFEST, "--split", "dev", "--relation-map", MAP]
+    elif case == "bad-strategy-flag":
+        argv += ["--strategy", "sideways"]
+    elif case == "bad-strategy-config":
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"strategy": "sideways"}))
+        argv = ["--config", str(config), *argv]
+    seen = []
+    command = cli.cmd_parse
+
+    def recording(args):
+        seen.append(gc.get_threshold())
+        if case == "raises":
+            raise RuntimeError("the command broke")
+        return command(args)
+
+    monkeypatch.setattr(cli, "cmd_parse", recording)
+    caller = (321, 7, 5)  # not the interpreter's defaults
+    before = gc.get_threshold()
+    gc.set_threshold(*caller)
+    try:
+        if case == "raises":
+            with pytest.raises(RuntimeError, match="broke"):
+                main(argv)
+            code = None
+        elif case == "bad-strategy-flag":
+            with pytest.raises(SystemExit) as caught:
+                main(argv)
+            code = caught.value.code
+        else:
+            code = main(argv)
+        after = gc.get_threshold()
+    finally:
+        gc.set_threshold(*before)
+    capsys.readouterr()
+    assert after == caller
+    assert code == {"exit-0": 0, "malformed-dis": 4, "raises": None}.get(case, 2)
+    # the command itself ran under the raised threshold, when it ran at all
+    ran = case in ("exit-0", "malformed-dis", "raises")
+    assert seen == ([(cli.GC_THRESHOLD, 7, 5)] if ran else [])
+
+
+def test_main_holds_no_parser_while_the_command_runs(tmp_path, monkeypatch):
+    # a parser is cyclic garbage once dropped; held through a command it
+    # would be promoted and wait for a rare full collection
+    made = []
+    build = cli.build_parser
+
+    def building():
+        parser = build()
+        made.append(weakref.ref(parser))
+        return parser
+
+    freed = []
+
+    def command(args):
+        gc.collect()
+        freed.append(made[0]() is None)
+        return 0
+
+    monkeypatch.setattr(cli, "build_parser", building)
+    monkeypatch.setattr(cli, "cmd_parse", command)
+    assert main(["parse", "--corpus-dir", CORPUS, "--out", str(tmp_path / "run")]) == 0
+    assert freed == [True]
 
 
 @pytest.mark.parametrize("command", ["parse", "eval", "export-training"])

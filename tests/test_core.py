@@ -10,7 +10,11 @@ ones in ``token_reader.py``.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import gc
 import itertools
+import pickle
 import random
 import re
 import sys
@@ -21,15 +25,21 @@ from hypothesis import given, strategies as st
 
 import token_reader
 from rstkit import (
+    NUCLEARITY,
+    NUCLEARITY_PATTERNS,
     DisSyntaxError,
+    Document,
     DocumentText,
     Edu,
     Leaf,
     MalformedTree,
     Node,
+    OracleQuery,
     ParsePolicy,
     RelationMap,
+    ReplayExhausted,
     ReplayOracle,
+    ScriptedOracle,
     internal_nodes,
     leaves,
     minicorpus_dir,
@@ -41,6 +51,7 @@ from rstkit import (
 )
 from rstkit.cli import main as cli_main
 from rstkit.core import NN, NS, SN
+from rstkit.training import ENGINES, gold_walk
 
 from conftest import DATA_DIR, LONG_DIGITS, check_tree, make_edus, random_tree
 
@@ -196,6 +207,71 @@ def test_node_equality_against_other_types():
     assert node != Leaf(e[0])
     assert Leaf(e[0]) != node
     assert node != "(NS Cause (leaf 1) (leaf 2))"
+
+
+def _records():
+    """One of each slotted record: name -> (record, a field, another value)."""
+    e = make_edus(2)
+    query = OracleQuery(NUCLEARITY, "p", NUCLEARITY_PATTERNS, (1, 2))
+    return {
+        "edu": (e[0], "text", "other words."),
+        "leaf": (Leaf(e[0]), "edu", e[1]),
+        "node": (Node(Leaf(e[0]), Leaf(e[1]), NS, "Elaboration"), "relation", "Cause"),
+        "query": (query, "prompt", "q"),
+    }
+
+
+@pytest.mark.parametrize("name", ["edu", "leaf", "node", "query"])
+def test_records_are_slotted_and_frozen(name):
+    record, field, value = _records()[name]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "extra", 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, field)
+    # a name that is no field is refused too; on some Python versions the
+    # frozen check of a slotted dataclass raises TypeError for it
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        record.extra = 1
+    assert not hasattr(record, "extra")
+    changed = dataclasses.replace(record, **{field: value})
+    assert getattr(changed, field) == value and changed != record
+    same = dataclasses.replace(record)
+    assert same == record and hash(same) == hash(record) and same is not record
+    for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert copied == record and hash(copied) == hash(record)
+        assert getattr(copied, field) == getattr(record, field)
+
+
+def test_replaced_records_are_checked_again():
+    e = make_edus(3)
+    node = Node(Leaf(e[0]), Leaf(e[1]), NS, "Elaboration")
+    right = Node(Leaf(e[1]), Leaf(e[2]), NN, "Joint")
+    assert dataclasses.replace(node, right=right).span == (1, 3)
+    assert dataclasses.replace(Leaf(e[0]), edu=e[2]).span == (3, 3)
+    with pytest.raises(MalformedTree, match="adjacent"):
+        dataclasses.replace(node, right=Leaf(e[2]))
+    with pytest.raises(MalformedTree, match="nuclearity"):
+        dataclasses.replace(node, nuclearity="NS")
+    with pytest.raises(MalformedTree, match="1-based"):
+        dataclasses.replace(e[0], index=0)
+    query = _records()["query"][0]
+    with pytest.raises(ValueError, match="kind"):
+        dataclasses.replace(query, kind="essay")
+    with pytest.raises(ValueError, match="label set"):
+        dataclasses.replace(query, valid_labels=())
+
+
+def test_query_equality_and_hash_ignore_the_span():
+    query = _records()["query"][0]
+    for span in (None, (2, 5)):
+        other = dataclasses.replace(query, span=span)
+        assert other.span == span
+        assert other == query and hash(other) == hash(query)
+    assert dataclasses.replace(query, prompt="q") != query
+    assert len({query, dataclasses.replace(query, span=None)}) == 1
 
 
 def test_leaves_and_tree_text_order():
@@ -735,3 +811,48 @@ def test_derive_actions_rows_equal_the_tree_walk(tmp_path, capsys, strategy):
         assert read(_constituents(tree)) == tree
         rows = _derive_actions(tmp_path, capsys, _constituents(tree), strategy)
         assert rows == _walk_rows(tree, strategy)
+
+
+# ---------------------------------------------------------------------------
+# Parses free their own tables by reference counting
+
+
+def test_parses_leave_no_garbage_cycles(inventory):
+    # a parse's node table, prompts and oracle index must not wait for the
+    # cyclic collector: with it off, nothing a parse made is left for it
+    edus = make_edus(9)
+    tree = random_tree(random.Random(5), edus)
+    doc = Document("doc", edus, tree)
+    garbage = ["banana", "1", "shift", "reduce", "0", "nucleus-nucleus", "Joint"]
+    oracles = {
+        "replay": (lambda: ReplayOracle(tree), ParsePolicy()),
+        "scripted": (
+            lambda: ScriptedOracle(garbage, cycle=True), ParsePolicy(skip_forced=False)
+        ),
+        # the script runs out mid-parse, which raises
+        "exhausted": (
+            lambda: ScriptedOracle(["0", "shift"]), ParsePolicy(truncate_chars=4)
+        ),
+    }
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for strategy, engine in ENGINES.items():
+            for oracle, (make_oracle, policy) in oracles.items():
+                try:
+                    result = engine(edus, make_oracle(), inventory, policy)
+                except ReplayExhausted:
+                    assert oracle == "exhausted"
+                else:
+                    assert oracle != "exhausted"
+                    check_tree(result.tree, len(edus))
+                    del result
+                assert gc.collect() == 0, (strategy, oracle)
+            pairs = list(gold_walk(doc, inventory, strategy))
+            assert pairs
+            del pairs
+            assert gc.collect() == 0, (strategy, "gold walk")
+    finally:
+        if enabled:
+            gc.enable()
