@@ -132,8 +132,8 @@ def write_text_atomic(path: Path, text: str) -> None:
 
 
 def _echo(line: str) -> None:
-    """Print a line; what stdout's encoding cannot hold prints as
-    backslash escapes."""
+    """Print a line to stdout, as every command does; what stdout's encoding
+    cannot hold prints as backslash escapes."""
     encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
     print(line.encode(encoding, "backslashreplace").decode(encoding))
 
@@ -142,8 +142,14 @@ def _echo(line: str) -> None:
 # Shared option handling
 
 
-def _add_corpus_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--corpus-dir", required=True, help="directory of .dis files")
+def _add_corpus_options(sub: argparse.ArgumentParser, **pred_dir) -> None:
+    """The options that choose a corpus's documents: from --corpus-dir, or
+    given ``pred_dir`` (the keywords of a --pred-dir), from --gold-dir."""
+    if pred_dir:
+        sub.add_argument("--gold-dir", required=True, help="directory of gold .dis files")
+        sub.add_argument("--pred-dir", **pred_dir)
+    else:
+        sub.add_argument("--corpus-dir", required=True, help="directory of .dis files")
     sub.add_argument("--manifest", help="split manifest (split<TAB>doc_id rows)")
     sub.add_argument("--split", help="only this split from the manifest")
     sub.add_argument(
@@ -170,6 +176,7 @@ def _add_policy_options(sub: argparse.ArgumentParser) -> None:
         metavar="CHARS",
         help="center-elide span texts beyond this many characters",
     )
+    sub.add_argument("--strategy", choices=STRATEGIES, default=BOTTOM_UP)
 
 
 # fixture kind -> (loader of a file, loader of a bundled name)
@@ -193,32 +200,43 @@ def _fixture(kind: str, spec: str | None):
         raise ConfigError(f"no bundled {kind} or file named {spec!r}") from None
 
 
-_ORACLES = ("replay", "scripted", "http")
-
-# A config file's values skip argparse's type and choices checks, and bool
-# is an int too, so these options are checked here: dest -> (accepted
-# types, test, what the flag takes). A --truncate of None means no
-# truncation.
-_CHECKED_OPTIONS = {
-    "strategy": ((str,), STRATEGIES.__contains__, "one of " + ", ".join(STRATEGIES)),
-    "oracle": ((str,), _ORACLES.__contains__, "one of " + ", ".join(_ORACLES)),
-    "truncate": ((int,), lambda v: v >= 0, "a character count of 0 or more"),
-    "workers": ((int,), lambda v: v >= 1, "an integer of 1 or more"),
-    "retries": ((int,), lambda v: v >= 0, "an integer of 0 or more"),
-    "max_tokens": ((int,), lambda v: v >= 1, "an integer of 1 or more"),
-    "timeout": ((int, float), lambda v: 0 < v < math.inf, "a number above 0"),
-    "backoff": ((int, float), lambda v: 0 <= v < math.inf, "a number of 0 or more"),
+# The bounds argparse cannot declare: dest -> (test, what the flag takes).
+_BOUNDS = {
+    "truncate": (lambda v: v >= 0, "a character count of 0 or more"),
+    "workers": (lambda v: v >= 1, "an integer of 1 or more"),
+    "retries": (lambda v: v >= 0, "an integer of 0 or more"),
+    "max_tokens": (lambda v: v >= 1, "an integer of 1 or more"),
+    "timeout": (lambda v: 0 < v < math.inf, "a number above 0"),
+    "backoff": (lambda v: 0 <= v < math.inf, "a number of 0 or more"),
 }
 
 
-def _check_options(args: argparse.Namespace) -> None:
-    for dest, (types, test, takes) in _CHECKED_OPTIONS.items():
-        value = getattr(args, dest, None)
-        if value is None and (dest == "truncate" or not hasattr(args, dest)):
+def _check_options(
+    sub: argparse.ArgumentParser, declared: dict, args: argparse.Namespace
+) -> None:
+    """Check each option of command ``sub``, from a flag or a config file, by
+    the rule its flag declares; None passes where its ``declared`` default is."""
+    for action in sub._actions:
+        if not hasattr(args, action.dest):
+            continue  # --help
+        value = getattr(args, action.dest)
+        if value is None and declared[action.dest] is None:
             continue
-        if type(value) not in types or not test(value):
-            flag = "--" + dest.replace("_", "-")
-            raise ConfigError(f"{flag} takes {takes}, not {value!r}")
+        if action.nargs == 0:
+            ok, takes = type(value) is bool, "true or false"
+        elif action.choices:
+            ok, takes = value in action.choices, "one of " + ", ".join(action.choices)
+        elif action.type is int:
+            ok, takes = type(value) is int, "an integer"  # a bool is an int too
+        elif action.type is float:
+            ok, takes = type(value) in (int, float), "a number"
+        else:
+            ok, takes = type(value) is str, "a string"
+        if action.dest in _BOUNDS:
+            test, takes = _BOUNDS[action.dest]
+            ok = ok and test(value)
+        if not ok:
+            raise ConfigError(f"{action.option_strings[0]} takes {takes}, not {value!r}")
 
 
 def _documents(args: argparse.Namespace, corpus_dir: str) -> list[Document]:
@@ -364,14 +382,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
         error = exc
     finally:
         # no connection or fetch thread outlives the command
-        close = getattr(shared, "close", None)
-        if close is not None:
-            close()
+        if hasattr(shared, "close"):
+            shared.close()
 
     totals = write_manifest("ok" if error is None else "failed", error)["totals"]
     if error is not None:
         raise error
-    print(
+    _echo(
         f"parsed {totals['documents']} documents with {args.strategy}: "
         f"{totals['queries']} queries, {totals['corrected']} corrected -> {out_dir}"
     )
@@ -386,20 +403,18 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     documents = _documents(args, args.gold_dir)
-    include_root = not args.exclude_root
-    total = ParsevalCounts()
-    per_doc = {}
-    for doc, predicted in _predictions(args.pred_dir, documents):
-        counts = score_document(predicted, doc.tree, include_root)
-        per_doc[doc.doc_id] = counts
-        total = total + counts
+    pairs = list(_predictions(args.pred_dir, documents))
+    total = sum(
+        (score_document(tree, doc.tree, not args.exclude_root) for doc, tree in pairs),
+        ParsevalCounts(),
+    )
     scores = micro_scores(total)
-    print("level\tprecision\trecall\tf1")
+    _echo("level\tprecision\trecall\tf1")
     for level, score in scores.items():
-        print(level, *dataclasses.astuple(score), sep="\t")
+        _echo("\t".join(map(str, (level, *dataclasses.astuple(score)))))
     if args.out:
         payload = {
-            "documents": len(per_doc),
+            "documents": len(documents),
             "counts": dataclasses.asdict(total),
             "scores": {
                 level: dataclasses.asdict(score) for level, score in scores.items()
@@ -409,11 +424,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         write_text_atomic(out, json.dumps(payload, indent=2) + "\n")
     if total.matched_span and not total.matched_relation:
-        gold: set[str] = set()
-        predicted: set[str] = set()
-        for doc, tree in _predictions(args.pred_dir, documents):
-            gold.update(node.relation for node in internal_nodes(doc.tree))
-            predicted.update(node.relation for node in internal_nodes(tree))
+        gold = {node.relation for doc, _ in pairs for node in internal_nodes(doc.tree)}
+        predicted = {node.relation for _, tree in pairs for node in internal_nodes(tree)}
         if not gold & predicted:
             print(
                 f"warning: the gold and predicted trees share no relation"
@@ -462,7 +474,7 @@ def cmd_export_training(args: argparse.Namespace) -> int:
             out_dir / f"{args.strategy}.meta.json", json.dumps(meta, indent=2) + "\n"
         )
     summary = ", ".join(f"{kind}={count}" for kind, count in counts.items())
-    print(f"exported {summary} from {len(documents)} documents -> {out_dir}")
+    _echo(f"exported {summary} from {len(documents)} documents -> {out_dir}")
     return EXIT_OK
 
 
@@ -501,29 +513,19 @@ def cmd_derive_actions(args: argparse.Namespace) -> int:
 
 def cmd_report_relations(args: argparse.Namespace) -> int:
     documents = _documents(args, args.gold_dir)
-    include_root = not args.exclude_root
     inventory = _fixture("inventory", args.inventory)
     seed = inventory.relations if inventory else ()
 
     if args.pred_dir:
-        pairs = [
-            (predicted, doc.tree)
-            for doc, predicted in _predictions(args.pred_dir, documents)
-        ]
+        pairs = [(pred, doc.tree) for doc, pred in _predictions(args.pred_dir, documents)]
         header = ("relation", "predicted", "gold", "matched", "f1")
     else:
         # the gold trees scored against themselves: the gold column alone
         pairs = [(doc.tree, doc.tree) for doc in documents]
         header = ("relation", "gold")
-    rows = per_relation_rows(pairs, seed, include_root)
+    rows = per_relation_rows(pairs, seed, not args.exclude_root)
     table = [tuple(getattr(row, name) for name in header) for row in rows]
-
-    widths = [
-        max(len(str(header[col])), *(len(str(row[col])) for row in table))
-        if table
-        else len(str(header[col]))
-        for col in range(len(header))
-    ]
+    widths = [max(len(str(cell)) for cell in column) for column in zip(header, *table)]
     if args.csv:
         Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
@@ -552,8 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("parse", help="parse documents to trees and traces")
     _add_corpus_options(sub)
     _add_policy_options(sub)
-    sub.add_argument("--strategy", choices=STRATEGIES, default=BOTTOM_UP)
-    sub.add_argument("--oracle", choices=_ORACLES, default="replay")
+    sub.add_argument("--oracle", choices=("replay", "scripted", "http"), default="replay")
     sub.add_argument("--script", help="answers file for --oracle scripted")
     sub.add_argument(
         "--cycle-script", action="store_true",
@@ -571,11 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_parse)
 
     sub = commands.add_parser("eval", help="score predictions against gold trees")
-    sub.add_argument("--gold-dir", required=True, help="directory of gold .dis files")
-    sub.add_argument("--pred-dir", required=True, help="directory of .tree files")
-    sub.add_argument("--manifest")
-    sub.add_argument("--split")
-    sub.add_argument("--relation-map")
+    _add_corpus_options(sub, required=True, help="directory of .tree files")
     sub.add_argument(
         "--exclude-root", action="store_true",
         help="drop the whole-document tuple from both sides",
@@ -588,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_corpus_options(sub)
     _add_policy_options(sub)
-    sub.add_argument("--strategy", choices=STRATEGIES, default=BOTTOM_UP)
     sub.add_argument("--out", required=True, help="output directory")
     sub.set_defaults(func=cmd_export_training)
 
@@ -603,11 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser(
         "report-relations", help="per-relation frequencies and F1"
     )
-    sub.add_argument("--gold-dir", required=True, help="directory of gold .dis files")
-    sub.add_argument("--pred-dir", help="directory of .tree files (optional)")
-    sub.add_argument("--manifest")
-    sub.add_argument("--split")
-    sub.add_argument("--relation-map")
+    _add_corpus_options(sub, help="directory of .tree files (optional)")
     sub.add_argument("--inventory", default=None)
     sub.add_argument("--exclude-root", action="store_true")
     sub.add_argument("--csv", help="also write the table as CSV here")
@@ -628,7 +620,7 @@ def _config_path(argv: list[str]) -> str | None:
         return None  # the full parser reports it
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+def _apply_config_file(commands: dict, argv: list[str]) -> None:
     """Preload each key of the --config file into the commands that take it."""
     path = _config_path(argv)
     if path is None:
@@ -642,10 +634,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    (commands,) = [
-        action.choices for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
     taken = {
         name: {action.dest for action in sub._actions} - {"help"}
         for name, sub in commands.items()
@@ -658,17 +646,29 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``argv`` read by a parser made for it.
+    """``argv`` read by a parser made for it, each option checked.
 
     A parser's objects refer to each other, so only the cyclic collector
-    frees one. Dropped here, before the command runs, it is still young
-    and goes at the next young-generation collection. A parser held
-    through a command would be promoted, and would then wait for a full
-    collection, which a raised ``GC_THRESHOLD`` makes rare.
+    frees one. Neither the parser nor a subparser outlives this call, so
+    they are still young when dropped and go at the next young-generation
+    collection. One held through a command would be promoted, and would
+    then wait for a full collection, which a raised ``GC_THRESHOLD`` makes
+    rare.
     """
     parser = build_parser()
-    _apply_config_file(parser, argv)
-    return parser.parse_args(argv)
+    (commands,) = [
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    # the defaults the flags declare, before a config file replaces them
+    declared = {
+        name: {action.dest: action.default for action in sub._actions}
+        for name, sub in commands.items()
+    }
+    _apply_config_file(commands, argv)
+    args = parser.parse_args(argv)
+    _check_options(commands[args.command], declared[args.command], args)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -677,7 +677,6 @@ def main(argv: list[str] | None = None) -> int:
     gc.set_threshold(GC_THRESHOLD, *thresholds[1:])
     try:
         args = _parse_args(argv)
-        _check_options(args)
         return args.func(args)
     except UnknownRelation as exc:
         # only a command given a relation map can meet an unknown relation

@@ -8,6 +8,7 @@ state machines knowing the difference.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -178,20 +179,15 @@ class ScriptedOracle:
     fingerprint = "scripted"
 
     def __init__(self, answers: Iterable[str], cycle: bool = False):
-        self._answers = list(answers)
-        self._cycle = cycle
-        self._next = 0
+        self._answers = itertools.cycle(answers) if cycle else iter(answers)
         self._lock = threading.Lock()
 
     def complete(self, query: OracleQuery) -> str:
         with self._lock:
-            if self._next >= len(self._answers):
-                if not self._cycle or not self._answers:
-                    raise ReplayExhausted(f"no answer left for {query.kind} query")
-                self._next = 0
-            answer = self._answers[self._next]
-            self._next += 1
-            return answer
+            answer = next(self._answers, None)
+        if answer is None:
+            raise ReplayExhausted(f"no answer left for {query.kind} query")
+        return answer
 
 
 class ResponseError(Exception):

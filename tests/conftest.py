@@ -1,5 +1,6 @@
 """Shared fixtures: corpus paths, random tree builders, a tree validity
-check, an oracle over a plain function, hypothesis profile."""
+check, an oracle over a plain function, hypothesis profiles and the deep
+switch."""
 
 from __future__ import annotations
 
@@ -29,6 +30,15 @@ from rstkit import (
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.register_profile("deep", derandomize=True, max_examples=2000)
 settings.load_profile("ci")
+
+
+def deep() -> bool:
+    """Whether pytest runs with --hypothesis-profile=deep, which also takes
+    the bounded-exhaustive checks to their larger bounds. pytest loads the
+    profile after this file is imported, so a test module asks this when
+    it is imported itself."""
+    return settings.get_current_profile_name() == "deep"
+
 
 TESTS_DIR = Path(__file__).resolve().parent
 DATA_DIR = TESTS_DIR / "data"

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import codecs
 import csv
 import gc
+import io
 import json
 import os
 import subprocess
@@ -905,6 +907,20 @@ def test_report_relations_with_predictions_and_csv(tmp_path, capsys):
             assert f1 == "100.0"
 
 
+def test_report_relations_without_an_internal_node_prints_the_header(tmp_path, capsys):
+    # one-EDU documents have no relation, so the table has no row
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "alone.dis").write_text("( Root (leaf 1) (text _!alone._!) )\n")
+    csv_path = tmp_path / "table.csv"
+    code, stdout, _ = run(
+        capsys, "report-relations", "--gold-dir", str(corpus), "--csv", str(csv_path)
+    )
+    assert code == 0
+    assert stdout == "relation  gold\n"
+    assert csv_path.read_bytes() == b"relation,gold\r\n"
+
+
 @pytest.mark.parametrize("exclude_root", [(), ("--exclude-root",)])
 def test_gold_relation_table_is_gold_column_of_prediction_table(
     tmp_path, capsys, exclude_root
@@ -1121,6 +1137,50 @@ def test_bad_choice_in_config_exits_two(tmp_path, capsys, command, dest, choices
     assert stderr == f"config error: --{dest} takes one of {choices}, not 'sideways'\n"
     assert stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+# (command, config, the error it exits 2 with, or None for a run that
+# succeeds): each option is checked by what its flag declares, a switch
+# taking true or false, an option without a type a string, and None only
+# where the flag's default is None
+CONFIG_VALUES = [
+    ("parse", {"inventory": 3}, "--inventory takes a string, not 3"),
+    ("parse", {"inventory": None}, "--inventory takes a string, not None"),
+    ("parse", {"manifest": True}, "--manifest takes a string, not True"),
+    ("parse", {"query_forced": "no"}, "--query-forced takes true or false, not 'no'"),
+    ("parse", {"cycle_script": 1}, "--cycle-script takes true or false, not 1"),
+    ("parse", {"workers": None}, "--workers takes an integer of 1 or more, not None"),
+    ("export-training", {"relation_map": ["rst-dt-coarse"]},
+     "--relation-map takes a string, not ['rst-dt-coarse']"),
+    ("eval", {"exclude_root": "false"}, "--exclude-root takes true or false, not 'false'"),
+    ("eval", {"out": 1}, "--out takes a string, not 1"),
+    ("report-relations", {"exclude_root": "false"},
+     "--exclude-root takes true or false, not 'false'"),
+    ("derive-actions", {"relation_map": 7}, "--relation-map takes a string, not 7"),
+    ("parse", {"truncate": None, "script": None, "query_forced": False}, None),
+    ("report-relations", {"inventory": None, "pred_dir": None}, None),
+]
+
+
+@pytest.mark.parametrize("command,config,error", CONFIG_VALUES)
+def test_config_value_is_checked_by_its_flags_rule(tmp_path, capsys, command, config, error):
+    out = tmp_path / "out"
+    argv = {
+        "parse": ("parse", "--corpus-dir", CORPUS, "--relation-map", MAP, "--out", str(out)),
+        "export-training": ("export-training", "--corpus-dir", CORPUS, "--out", str(out)),
+        "eval": ("eval", "--gold-dir", CORPUS, "--pred-dir", str(tmp_path / "pred")),
+        "report-relations": ("report-relations", "--gold-dir", CORPUS, "--manifest",
+                             MANIFEST, "--split", "dev"),
+        "derive-actions": ("derive-actions", "--file", str(Path(CORPUS) / "doc05.dis")),
+    }[command]
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    code, stdout, stderr = run(capsys, "--config", str(config_path), *argv)
+    if error is None:
+        assert (code, stderr) == (0, "")
+        return
+    assert (code, stdout, stderr) == (2, "", f"config error: {error}\n")
+    assert list(tmp_path.iterdir()) == [config_path]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -1347,6 +1407,33 @@ def test_main_holds_no_parser_while_the_command_runs(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cmd_parse", command)
     assert main(["parse", "--corpus-dir", CORPUS, "--out", str(tmp_path / "run")]) == 0
     assert freed == [True]
+
+
+def test_no_parser_or_subparser_outlives_parse_args(tmp_path, monkeypatch):
+    # the check of the options runs inside _parse_args, so the chosen
+    # subparser is dropped with the rest, however the config set it
+    made = []
+    build = cli.build_parser
+
+    def building():
+        parser = build()
+        (commands,) = [
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        made.extend(weakref.ref(p) for p in (parser, *commands.values()))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", building)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"strategy": "top-down", "workers": 2}))
+    args = cli._parse_args(
+        ["--config", str(config), "parse", "--corpus-dir", CORPUS, "--out", "run"]
+    )
+    gc.collect()
+    assert (args.command, args.strategy, args.workers) == ("parse", "top-down", 2)
+    assert len(made) == 6
+    assert [ref() for ref in made] == [None] * 6
 
 
 @pytest.mark.parametrize("command", ["parse", "eval", "export-training"])
@@ -1594,3 +1681,18 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     (segment,) = with_utf8["cache"]
     assert "caf\u00e9".encode("utf-8") in segment
     assert with_c == with_utf8
+
+
+@pytest.mark.parametrize("command", ["parse", "export-training"])
+def test_out_path_stdout_cannot_encode_prints_as_escapes(tmp_path, monkeypatch, command):
+    # every command prints through one writer, so an --out path that an
+    # ASCII stdout cannot hold costs an escape, not the exit code
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    out = tmp_path / "out\u00e9"
+    code = main([command, "--corpus-dir", CORPUS, "--manifest", MANIFEST,
+                 "--split", "dev", "--relation-map", MAP, "--out", str(out)])
+    stdout.flush()
+    assert code == 0
+    assert stdout.buffer.getvalue().decode("ascii").endswith(f" -> {tmp_path}/out\\xe9\n")
+    assert out.is_dir()

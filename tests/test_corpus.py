@@ -42,6 +42,7 @@ from rstkit.corpus import (
     resolve_document_path,
 )
 
+import token_reader
 from conftest import DATA_DIR, make_edus, random_tree
 from test_core import (
     _long_dis, _random_children, _random_nary, _right_branching, to_dis,
@@ -523,6 +524,11 @@ READ_TREE_ERRORS = [
     ("(NS Elab (leaf 1 2) (leaf 3))", "expected close, got '2'", 17),
     # a .dis field head inside bracket text
     ("(NS Elab (span 1 2) (leaf 3))", "unknown node head 'span'", 10),
+    # a .dis constituent inside bracket text: a whole leaf, and a head
+    ("(NS Elab ( Nucleus (leaf 1) (rel2par span) (text _!a_!) ) (leaf 2))",
+     "unknown node head 'Nucleus'", 11),
+    ("(NS Elab ( Satellite (span 1 2) (rel2par span) (leaf 3))",
+     "unknown node head 'Satellite'", 11),
 ]
 
 
@@ -537,6 +543,16 @@ def test_read_tree_error_offsets(line, fragment, pos):
     with pytest.raises(DisSyntaxError, match=fragment) as caught:
         read_tree(line)
     assert caught.value.pos == pos
+
+
+@pytest.mark.parametrize("line", [case[0] for case in READ_TREE_ERRORS])
+def test_read_tree_errors_match_the_token_reader(line):
+    outcomes = []
+    for read in (read_tree, token_reader.read_tree):
+        with pytest.raises(DisSyntaxError) as caught:
+            read(line)
+        outcomes.append((str(caught.value), caught.value.pos))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_read_tree_checks_leaf_range():

@@ -8,15 +8,13 @@ Any answers, bounded-exhaustive: for every small document size, every
 sequence of action or split answers the parse can be asked, drawn from the
 valid answers and from unusable ones, must build a valid tree with the
 exact decision counts, and every entry must resolve as the rule table
-below says. Tier-1 stops at a smaller bound; with the environment variable
-RSTKIT_TEST_ANY_ANSWERS_FULL=1 the check runs to the full bound (actions
-for n <= 5 with forced decisions asked and n <= 6 with them skipped,
-splits for n <= 7).
+below says. Tier-1 stops at a smaller bound; with --hypothesis-profile=deep
+the check runs to the full bound (actions for n <= 5 with forced decisions
+asked and n <= 6 with them skipped, splits for n <= 7).
 """
 
 from __future__ import annotations
 
-import os
 import re
 from collections import Counter
 
@@ -31,10 +29,10 @@ from rstkit import (
 )
 from rstkit.training import ENGINES
 
-from conftest import GOLDEN_DIR, FunctionOracle, check_tree, make_edus
+from conftest import GOLDEN_DIR, FunctionOracle, check_tree, deep, make_edus
 from make_goldens import golden_traces
 
-FULL = os.environ.get("RSTKIT_TEST_ANY_ANSWERS_FULL") == "1"
+FULL = deep()
 
 # (engine, skip_forced) -> the largest document size to enumerate
 MAX_EDUS = {

@@ -539,11 +539,13 @@ def _sized(text, status_line=b"HTTP/1.1 200 OK", fields=b""):
     return b"%s\r\n%sContent-Length: %d\r\n\r\n%s" % (status_line, fields, len(body), body)
 
 
+_CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+
+
 def _chunked(text):
     body = _answer_body(text)
     half = len(body) // 2
-    return (
-        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    return _CHUNKED_HEAD + (
         b"%x;name=value\r\n%s\r\n%X\r\n%s\r\n0\r\nX-Checksum: none\r\n\r\n"
         % (half, body[:half], len(body) - half, body[half:])
     )
@@ -559,6 +561,31 @@ FRAMING_CASES = {
         [(b"HTTP/1.1 200 OK\r\n\r\n" + _answer_body("a"), "close"),
          (b"HTTP/1.1 200 OK\r\n\r\n" + _answer_body("b"), "close")],
         0, ["a", "b"], 2, 2,
+    ),
+    # a body longer than one read, padded with JSON whitespace
+    "close-framed-over-several-reads": (
+        [(b"HTTP/1.1 200 OK\r\n\r\n" + _answer_body("a") + b" " * 20000, "close")],
+        0, ["a"], 1, 1,
+    ),
+    "head-too-long": (
+        [(b"HTTP/1.1 200 OK\r\nX-Padding: " + b"x" * 70000, "close")],
+        0, [OracleFailure("1 attempts: request failed: ResponseError('response "
+                          "head too long')")], 1, 1,
+    ),
+    "chunk-size-line-too-long": (
+        [(_CHUNKED_HEAD + b"1" * 70000, "close")],
+        0, [OracleFailure("1 attempts: request failed: ResponseError('response "
+                          "line too long')")], 1, 1,
+    ),
+    "chunk-size-not-hex": (
+        [(_CHUNKED_HEAD + b"zz\r\nab\r\n0\r\n\r\n", "keep")],
+        0, [OracleFailure("1 attempts: request failed: ResponseError(\"bad chunk "
+                          "size line b'zz'\")")], 1, 1,
+    ),
+    "chunk-longer-than-its-size": (
+        [(_CHUNKED_HEAD + b"2\r\nabc\r\n0\r\n\r\n", "keep")],
+        0, [OracleFailure("1 attempts: request failed: ResponseError('chunk "
+                          "longer than its size')")], 1, 1,
     ),
     # the endpoint would answer again on the same connection: the client
     # must not ask it to
@@ -586,6 +613,12 @@ FRAMING_CASES = {
     "reset-before-the-response": (
         [(_sized("a"), "keep"), (b"", "reset"), (_sized("b"), "keep")],
         0, ["a", "b"], 3, 2,
+    ),
+    # on a new connection it is a failed attempt
+    "reset-before-the-response-on-a-new-connection": (
+        [(b"", "reset"), (_sized("b"), "keep")],
+        0, [OracleFailure("1 attempts: request failed: ConnectionResetError"), "b"],
+        2, 2,
     ),
     # after the status line it is a failed attempt
     "reset-after-the-status-line": (

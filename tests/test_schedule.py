@@ -6,22 +6,22 @@ round at a time through one cache that documents on three threads share,
 each parse must give the trace and tree of a serial parse, for gold answers
 and for answers drawn from a hash of the prompt. A gold parse must rebuild
 its tree, and every tree built from garbage answers with forced decisions
-skipped must replay to itself with no correction.
+skipped must replay to itself with no correction. Each gold parse asked a
+round at a time must take as many rounds as its closed form gives.
 
-The environment variable RSTKIT_TEST_SCHEDULE_MAX_EDUS raises the bound
-(8 EDUs: 626 shapes; 10 EDUs: 6918 shapes).
+With --hypothesis-profile=deep the bound is 10 EDUs (6918 shapes).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import pytest
 
 from rstkit import (
+    ACTION,
     NUCLEARITY_PATTERNS,
     CachedOracle,
     Document,
@@ -33,9 +33,9 @@ from rstkit import (
 )
 from rstkit.training import ENGINES
 
-from conftest import FunctionOracle
+from conftest import FunctionOracle, deep
 
-MAX_EDUS = int(os.environ.get("RSTKIT_TEST_SCHEDULE_MAX_EDUS", "7"))
+MAX_EDUS = 10 if deep() else 7
 
 _GARBAGE = ("shift", "reduce", "banana", "7", "0", "1", "-1", "nucleus-nucleus",
             "satellite-nucleus", "Joint", "Elaboration", "")
@@ -144,3 +144,43 @@ def test_schedule_changes_nothing_on_every_small_shape(
     for doc, expected, result in zip(docs, serial, results):
         assert result.trace == expected.trace, doc.doc_id
         assert result.tree == expected.tree, doc.doc_id
+
+
+class _RoundCounter:
+    """Answers each round of a parse in one call from a gold replay, and
+    counts the rounds."""
+
+    def __init__(self, tree):
+        self.replay = ReplayOracle(tree)
+        self.rounds = 0
+
+    def answer_many(self, queries):
+        self.rounds += 1
+        return [self.replay.complete(query) for query in queries]
+
+
+def _depth(tree) -> int:
+    """The internal nodes on the tree's longest root-to-leaf path."""
+    return 0 if isinstance(tree, Leaf) else 1 + max(_depth(tree.left), _depth(tree.right))
+
+
+@pytest.mark.parametrize("policy", [ParsePolicy(), ParsePolicy(skip_forced=False)],
+                         ids=["skip-forced", "query-forced"])
+def test_gold_rounds_follow_the_closed_forms(shape_documents, inventory, policy):
+    """Bottom-up, each round asks one action, and the last reduce's
+    nuclearity and relation take two rounds more: queried actions + 2.
+    Top-down, each round asks the splits of one tree level, and the deepest
+    node's nuclearity and relation take two rounds more, its split a round
+    only where forced splits are asked: depth + 1, or depth + 2. A one-EDU
+    document has no label to ask, so its rounds are its queried actions."""
+    for doc in shape_documents:
+        bottom_up, top_down = _RoundCounter(doc.tree), _RoundCounter(doc.tree)
+        result = ENGINES["bottom-up"](doc.edus, bottom_up, inventory, policy)
+        assert result.tree == doc.tree
+        actions = sum(entry.kind == ACTION and not entry.forced for entry in result.trace)
+        assert ENGINES["top-down"](doc.edus, top_down, inventory, policy).tree == doc.tree
+        if len(doc.edus) == 1:
+            expected = (actions, 0)
+        else:
+            expected = (actions + 2, _depth(doc.tree) + (1 if policy.skip_forced else 2))
+        assert (bottom_up.rounds, top_down.rounds) == expected, doc.doc_id
