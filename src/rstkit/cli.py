@@ -25,6 +25,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 from .bottomup import parse_bottom_up
 from .core import LabelInventory, MalformedTree, internal_nodes
@@ -634,15 +635,40 @@ def _apply_config_file(commands: dict, argv: list[str]) -> None:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    taken = {
-        name: {action.dest for action in sub._actions} - {"help"}
-        for name, sub in commands.items()
-    }
-    unknown = set(config).difference(*taken.values())
+    taken = {action.dest for sub in commands.values() for action in sub._actions}
+    unknown = set(config) - (taken - {"help"})
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for name, sub in commands.items():
-        sub.set_defaults(**{k: v for k, v in config.items() if k in taken[name]})
+    for sub in commands.values():
+        sub.set_defaults(**{
+            action.dest: _config_value(action, config[action.dest])
+            for action in sub._actions if action.dest in config
+        })
+
+
+class _Unreadable(NamedTuple):
+    """A config string its flag's type cannot read, shown as written."""
+
+    text: str
+
+    def __repr__(self) -> str:
+        return repr(self.text)
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value for ``action``'s flag: a string read by the flag's
+    type, as argparse reads the flag's text, else the value as given.
+
+    Left to argparse, a string it cannot read would end in its usage text;
+    read here, it is held as ``_Unreadable``, which ``_check_options``
+    refuses by the flag's rule.
+    """
+    if action.type is None or not isinstance(value, str):
+        return value
+    try:
+        return action.type(value)
+    except (TypeError, ValueError):
+        return _Unreadable(value)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:

@@ -51,16 +51,32 @@ class MalformedTree(ValueError):
     """A tree violates role, span, or adjacency constraints."""
 
 
+def slot_setters(cls: type, *names: str) -> tuple:
+    """The ``__set__`` of each named slot of ``cls``: a slotted frozen
+    dataclass's ``__init__`` stores its fields through them."""
+    return tuple(cls.__dict__[name].__set__ for name in names)
+
+
 @dataclass(frozen=True, slots=True)
 class Edu:
-    """Elementary discourse unit: 1-based document index plus its text."""
+    """Elementary discourse unit: 1-based document index plus its text.
+
+    Like ``Node`` and ``oracle.OracleQuery``, it checks its fields in its
+    own ``__init__`` (``dataclasses.replace`` runs it too) and stores each
+    through its slot, not through the frozen ``__setattr__``.
+    """
 
     index: int
     text: str
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise MalformedTree(f"EDU index must be 1-based, got {self.index}")
+    def __init__(self, index: int, text: str) -> None:
+        if index < 1:
+            raise MalformedTree(f"EDU index must be 1-based, got {index}")
+        _set_edu_index(self, index)
+        _set_edu_text(self, text)
+
+
+_set_edu_index, _set_edu_text = slot_setters(Edu, "index", "text")
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +94,8 @@ class Node:
 
     Equality compares whole trees, walking them with a stack rather than
     recursing; the hash covers only this node's span and labels, which equal
-    trees share.
+    trees share. ``__init__`` checks the labels and that the children are
+    adjacent, and stores each field, ``span`` too, through its slot.
     """
 
     left: "RstTree"
@@ -87,17 +104,23 @@ class Node:
     relation: str
     span: tuple[int, int] = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.nuclearity not in NUCLEARITY_PATTERNS:
-            raise MalformedTree(f"unknown nuclearity pattern {self.nuclearity!r}")
-        if not self.relation:
+    def __init__(
+        self, left: "RstTree", right: "RstTree", nuclearity: str, relation: str
+    ) -> None:
+        if nuclearity not in NUCLEARITY_PATTERNS:
+            raise MalformedTree(f"unknown nuclearity pattern {nuclearity!r}")
+        if not relation:
             raise MalformedTree("internal node needs a relation label")
-        lspan, rspan = self.left.span, self.right.span
+        lspan, rspan = left.span, right.span
         if lspan[1] + 1 != rspan[0]:
             raise MalformedTree(
                 f"children must cover adjacent spans, got {lspan} then {rspan}"
             )
-        object.__setattr__(self, "span", (lspan[0], rspan[1]))
+        _set_node_left(self, left)
+        _set_node_right(self, right)
+        _set_node_nuclearity(self, nuclearity)
+        _set_node_relation(self, relation)
+        _set_node_span(self, (lspan[0], rspan[1]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
@@ -120,6 +143,9 @@ class Node:
     def __hash__(self) -> int:
         return hash((self.span, self.nuclearity, self.relation))
 
+
+(_set_node_left, _set_node_right, _set_node_nuclearity, _set_node_relation,
+ _set_node_span) = slot_setters(Node, "left", "right", "nuclearity", "relation", "span")
 
 RstTree = Union[Leaf, Node]
 

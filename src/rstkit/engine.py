@@ -19,7 +19,7 @@ from .core import (
     json_string,
 )
 from .oracle import Oracle, OracleQuery
-from .prompts import NUCLEARITY, RELATION, nuclearity_prompt, relation_prompt
+from .prompts import NUCLEARITY, RELATION, SPLIT, nuclearity_prompt, relation_prompt
 
 
 class EmptyDocument(ValueError):
@@ -127,6 +127,10 @@ def resolve_label(raw: str, valid_labels: Iterable[str]) -> str | None:
     "-0" matches "0"), unless it is longer than MAX_DIGITS, sign and zero
     padding included: such an answer is compared as written. Returns the
     canonical member, never the raw spelling.
+
+    This is the answer rule, and a scan of the set. The engines call it
+    only for a spelling that is no label: an exact label resolves by a
+    lookup of what this returns for it (see ``_resolve``).
     """
     first = raw.split("\n", 1)[0].strip()
     if _INTEGER_RE.fullmatch(first) and len(first) <= MAX_DIGITS:
@@ -146,7 +150,9 @@ def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:
     ``legal``. Otherwise the decision takes its ``default``, and the entry
     is marked corrected with a note: illegal (a valid label not legal now),
     out-of-range (an integer, where the legal answers are integers) or
-    unparseable. A forced decision takes its default, uncorrected.
+    unparseable. A forced decision takes its default, uncorrected. An
+    answer spelled exactly as a label resolves by one lookup, at a cost
+    that does not grow with the label set (``_resolve``).
 
     The serial order is depth-first over what made each decision ready. An
     oracle that offers ``answer_many(queries)`` is handed all ready queries
@@ -226,15 +232,50 @@ def _run_serial(
     return tuple(trace)
 
 
+# label set -> {label: resolve_label(label, labels)}, compiled the first
+# time a decision over the set is resolved. The engines reuse a few sets:
+# ACTION_LABELS, NUCLEARITY_PATTERNS and each inventory's relations. A
+# split's set is never compiled (see ``_resolve``). Threads that compile a
+# set at once compile the same table, so either may be kept.
+_LABEL_TABLES: dict[tuple[str, ...], dict[str, str | None]] = {}
+
+
 def _resolve(decision: Decision, raw: str) -> tuple[str, str]:
     """The answer ``decision`` takes for the oracle's ``raw`` answer, and
-    the note of its correction ("" when there is none)."""
-    label = resolve_label(raw, decision.query.valid_labels)
+    the note of its correction ("" when there is none).
+
+    An answer spelled exactly as a label costs the same whatever the size
+    of the set: one table lookup, or for a split, whose labels are
+    "0".."m-2" (``SplitPrompts.labels``), a read by value with a bound
+    check. Any other spelling goes to ``resolve_label``, which both ways
+    agree with. A decision whose legal answers are its label set itself,
+    as all but an action's are, skips the legal test, a scan of the set.
+    """
+    labels = decision.query.valid_labels
+    label = None
+    if decision.kind == SPLIT:
+        # an ASCII decimal without zero padding that is the kth label is
+        # what the rule reads, as no character but a digit casefolds to one
+        if (
+            raw.isdigit() and raw.isascii() and len(raw) <= len(labels[-1])
+            and (raw[0] != "0" or len(raw) == 1)
+        ):
+            k = int(raw)
+            if k < len(labels) and labels[k] == raw:
+                label = labels[k]
+    else:
+        table = _LABEL_TABLES.get(labels)
+        if table is None:
+            table = {spelling: resolve_label(spelling, labels) for spelling in labels}
+            _LABEL_TABLES[labels] = table
+        label = table.get(raw)
+    if label is None:
+        label = resolve_label(raw, labels)
     if label is None:
         number = _INTEGER_RE.fullmatch(raw.split("\n", 1)[0].strip())
         integral = number and decision.legal[0].isdecimal()
         return decision.default, "out-of-range" if integral else "unparseable"
-    if label not in decision.legal:
+    if decision.legal is not labels and label not in decision.legal:
         return decision.default, "illegal"
     return label, ""
 

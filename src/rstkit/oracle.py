@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .core import MAX_DIGITS, RstTree, internal_nodes, json_string
+from .core import MAX_DIGITS, RstTree, internal_nodes, json_string, slot_setters
 from .prompts import (
     ACTION,
     NUCLEARITY,
@@ -102,7 +102,8 @@ class OracleQuery:
     correction itself. ``span`` is the EDU span the decision is about: the
     node a reduce would build (None with fewer than two items stacked), the
     span a split divides, or the node being labeled. It takes no part in
-    equality or hashing.
+    equality or hashing. ``__init__`` checks the kind and the label set and
+    stores each field through its slot, as ``core.Edu`` does.
     """
 
     kind: PromptKind
@@ -110,11 +111,26 @@ class OracleQuery:
     valid_labels: tuple[str, ...]
     span: tuple[int, int] | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.kind not in PROMPT_KINDS:
-            raise ValueError(f"unknown prompt kind {self.kind!r}")
-        if not self.valid_labels:
+    def __init__(
+        self,
+        kind: PromptKind,
+        prompt: str,
+        valid_labels: tuple[str, ...],
+        span: tuple[int, int] | None = None,
+    ) -> None:
+        if kind not in PROMPT_KINDS:
+            raise ValueError(f"unknown prompt kind {kind!r}")
+        if not valid_labels:
             raise ValueError("query needs a non-empty label set")
+        _set_query_kind(self, kind)
+        _set_query_prompt(self, prompt)
+        _set_query_valid_labels(self, valid_labels)
+        _set_query_span(self, span)
+
+
+_set_query_kind, _set_query_prompt, _set_query_valid_labels, _set_query_span = (
+    slot_setters(OracleQuery, "kind", "prompt", "valid_labels", "span")
+)
 
 
 class Oracle(Protocol):

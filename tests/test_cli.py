@@ -1159,6 +1159,13 @@ CONFIG_VALUES = [
     ("derive-actions", {"relation_map": 7}, "--relation-map takes a string, not 7"),
     ("parse", {"truncate": None, "script": None, "query_forced": False}, None),
     ("report-relations", {"inventory": None, "pred_dir": None}, None),
+    # a string for a number option is read as the flag's text would be
+    ("parse", {"workers": "x"}, "--workers takes an integer of 1 or more, not 'x'"),
+    ("parse", {"timeout": "abc"}, "--timeout takes a number above 0, not 'abc'"),
+    ("parse", {"truncate": "1.5"},
+     "--truncate takes a character count of 0 or more, not '1.5'"),
+    ("parse", {"max_tokens": ""}, "--max-tokens takes an integer of 1 or more, not ''"),
+    ("parse", {"workers": "3", "timeout": "2.5", "truncate": " 40 "}, None),
 ]
 
 

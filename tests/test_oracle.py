@@ -7,6 +7,7 @@ import hashlib
 import http.client
 import io
 import json
+import re
 import shutil
 import socket
 import ssl
@@ -21,8 +22,9 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import rstkit.engine
 import rstkit.oracle
 from rstkit import (
     CachedOracle,
@@ -37,13 +39,16 @@ from rstkit import (
     ReplayOracle,
     ScriptedOracle,
     StoreCorrupt,
+    builtin_inventory,
     resolve_label,
 )
-from rstkit.core import MAX_DIGITS, NS, SN
+from rstkit.core import MAX_DIGITS, NS, NUCLEARITY_PATTERNS, SN
+from rstkit.engine import Decision, _resolve
 from rstkit.oracle import ResponseError, _Reader
+from rstkit.prompts import ACTION_LABELS, PROMPT_KINDS, SPLIT
 from rstkit.training import ENGINES
 
-from conftest import LONG_DIGITS, FunctionOracle, make_edus
+from conftest import LONG_DIGITS, FunctionOracle, chain_tree, make_edus
 
 
 def _query(kind="action", prompt="p", labels=("shift", "reduce"), span=None):
@@ -98,6 +103,139 @@ def test_resolve_label_reads_long_integers_alike_under_any_digit_limit(
 def test_resolve_label_returns_canonical_spelling():
     got = resolve_label("ELABORATION", ("Elaboration", "Joint"))
     assert got == "Elaboration"
+
+
+# ---------------------------------------------------------------------------
+# The answer rule by lookup
+
+
+def _resolve_by_the_rule(decision, raw):
+    """What a decision takes for ``raw`` by ``resolve_label`` over its valid
+    labels alone, then the legal and note rule of ``run_decisions``."""
+    label = resolve_label(raw, decision.query.valid_labels)
+    if label is None:
+        number = re.fullmatch(r"[+-]?\d+", raw.split("\n", 1)[0].strip())
+        integral = number and decision.legal[0].isdecimal()
+        return decision.default, "out-of-range" if integral else "unparseable"
+    if label not in decision.legal:
+        return decision.default, "illegal"
+    return label, ""
+
+
+def _decision(kind, labels, legal=None):
+    legal = labels if legal is None else legal
+    query = OracleQuery(kind, "p", labels)
+    return Decision(kind, "s", query, legal, legal[0], lambda resolved: [])
+
+
+# label sets that are no split's: relation sets as derive-actions builds
+# them from a tree's own relations, and a set whose labels are not all
+# read by value
+_OTHER_LABEL_SETS = (
+    ("list", "List"),
+    ("02", "2"),
+    ("0", "01"),
+    ("1", "0"),
+    ACTION_LABELS,
+    NUCLEARITY_PATTERNS,
+    builtin_inventory("rst-dt").relations,
+)
+
+# other digits that int() reads, and that \d matches
+_DIGITS = {
+    script: str.maketrans("0123456789", digits)
+    for script, digits in (
+        ("arabic-indic", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"),
+        ("fullwidth", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"),
+    )
+}
+
+# ways to spell an answer after a label of the set
+_SPELLINGS = (
+    lambda s: s,
+    str.upper,
+    str.lower,
+    str.swapcase,
+    lambda s: "0" + s,
+    lambda s: "+" + s,
+    lambda s: "-" + s,
+    lambda s: "0" * MAX_DIGITS + s,
+    lambda s: f" {s}\t",
+    lambda s: s + "\nand a reason",
+    lambda s: "\n" + s,
+    lambda s: s.translate(_DIGITS["arabic-indic"]),
+    lambda s: s.translate(_DIGITS["fullwidth"]),
+)
+
+
+@st.composite
+def _decisions_and_answers(draw):
+    """A decision over a split set of 1 to 2000 labels or another set, and
+    a raw answer: a label spelled some way, an integer or junk."""
+    if draw(st.booleans()):
+        labels = tuple(map(str, range(draw(st.integers(1, 2000)))))
+        kind = SPLIT
+    else:
+        labels = draw(st.sampled_from(_OTHER_LABEL_SETS))
+        kind = draw(st.sampled_from(PROMPT_KINDS))
+    legal = None
+    if draw(st.booleans()):
+        first = draw(st.integers(0, len(labels) - 1))
+        legal = list(labels[first : draw(st.integers(first + 1, len(labels)))])
+    index = draw(st.integers(0, len(labels) - 1) | st.sampled_from([0, len(labels) - 1]))
+    raw = labels[index]
+    for spell in draw(st.lists(st.sampled_from(_SPELLINGS), max_size=2)):
+        raw = spell(raw)
+    raw = draw(st.just(raw) | st.integers(-3, 2003).map(str) | st.text(max_size=6))
+    return _decision(kind, labels, legal), raw
+
+
+# answers that are legal as written but resolve to another label, which a
+# shortcut taking any legal answer as it is would let through
+@example((_decision("relation", ("list", "List")), "List"))
+@example((_decision("relation", ("02", "2")), "02"))
+@example((_decision(SPLIT, ("0", "01")), "01"))
+@given(_decisions_and_answers())
+def test_answer_rule_by_lookup_equals_resolve_label(decision_and_raw):
+    decision, raw = decision_and_raw
+    assert _resolve(decision, raw) == _resolve_by_the_rule(decision, raw)
+
+
+@pytest.mark.parametrize("raw,labels,expected", [
+    ("List", ("list", "List"), "list"),
+    ("list", ("list", "List"), "list"),
+    ("02", ("02", "2"), "2"),
+    ("2", ("02", "2"), "2"),
+])
+def test_an_answer_spelled_as_a_label_resolves_to_its_canonical_label(
+    raw, labels, expected
+):
+    assert _resolve(_decision("relation", labels), raw) == (expected, "")
+
+
+@pytest.mark.parametrize("strategy", ["bottom-up", "top-down"])
+@pytest.mark.parametrize("right_heavy", [False, True], ids=["left-chain", "right-chain"])
+def test_gold_replay_resolves_every_answer_without_the_scan(
+    monkeypatch, strategy, right_heavy
+):
+    """Each gold answer is spelled as a label, so none reaches the scan
+    over the label set, however long the chain: a split answer k of a
+    left-branching chain costs what a 0 of a right-branching one does,
+    and no split's set is compiled into a table."""
+    inventory = builtin_inventory("rst-dt")
+    parse = ENGINES[strategy]
+    # a three-EDU parse compiles the tables of the sets the engine reuses
+    parse(make_edus(3), ReplayOracle(chain_tree(make_edus(3))), inventory)
+    edus = make_edus(301)
+    tree = chain_tree(edus, right_heavy)
+    scans = []
+    with monkeypatch.context() as patch:
+        patch.setattr(rstkit.engine, "resolve_label", lambda raw, labels: scans.append(raw))
+        result = parse(edus, ReplayOracle(tree), inventory)
+    assert scans == []
+    gold = parse(edus, ReplayOracle(tree), inventory)
+    assert result.tree == gold.tree == tree
+    assert result.trace == gold.trace and gold.corrected_count == 0
 
 
 # ---------------------------------------------------------------------------
