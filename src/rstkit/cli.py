@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: parse, eval, export-training, derive-actions, report-relations.
-A JSON config file can preload any flag (flags win); `parse` leaves a run
-manifest next to its outputs so a run can be audited and reproduced.
+A JSON config file sets any option the command line leaves unset; `parse`
+leaves a run manifest next to its outputs so a run can be audited and
+reproduced.
 
 Exit codes: 0 success, 2 configuration or I/O problems (an unreadable
 cache record among them), 3 oracle transport failure, 4 validation failure
@@ -25,7 +26,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import NamedTuple
 
 from .bottomup import parse_bottom_up
 from .core import LabelInventory, MalformedTree, internal_nodes
@@ -212,14 +212,23 @@ _BOUNDS = {
 }
 
 
-def _check_options(
-    sub: argparse.ArgumentParser, declared: dict, args: argparse.Namespace
+def _settle_options(
+    sub: argparse.ArgumentParser, declared: dict, config: dict, args: argparse.Namespace
 ) -> None:
-    """Check each option of command ``sub``, from a flag or a config file, by
-    the rule its flag declares; None passes where its ``declared`` default is."""
+    """Set each option of command ``sub`` that no flag gave: from ``config``,
+    a string read by the flag's type as argparse reads the flag's text, else
+    the flag's ``declared`` default. Then check each option by the rule its
+    flag declares; None passes where the declared default is None."""
     for action in sub._actions:
-        if not hasattr(args, action.dest):
+        if declared[action.dest] is argparse.SUPPRESS:
             continue  # --help
+        if not hasattr(args, action.dest):
+            value = config.get(action.dest, declared[action.dest])
+            if action.type is not None and isinstance(value, str):
+                # a string the type cannot read stays one, and is refused below
+                with contextlib.suppress(TypeError, ValueError):
+                    value = action.type(value)
+            setattr(args, action.dest, value)
         value = getattr(args, action.dest)
         if value is None and declared[action.dest] is None:
             continue
@@ -312,7 +321,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     config = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in ("func", "config") and not key.startswith("_")
+        if key not in ("func", "config")
     }
     config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
@@ -609,23 +618,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_path(argv: list[str]) -> str | None:
-    """The --config value before the command, however argparse would
-    accept it spelled: ``--config PATH``, ``--config=PATH`` or a prefix."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    pre.add_argument("command", nargs=argparse.REMAINDER)
-    try:
-        return pre.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:
-        return None  # the full parser reports it
-
-
-def _apply_config_file(commands: dict, argv: list[str]) -> None:
-    """Preload each key of the --config file into the commands that take it."""
-    path = _config_path(argv)
+def _config_file(path: str | None, commands: dict) -> dict:
+    """The options of the --config file, each a key some command takes."""
     if path is None:
-        return
+        return {}
     path = Path(path)
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
@@ -639,40 +635,17 @@ def _apply_config_file(commands: dict, argv: list[str]) -> None:
     unknown = set(config) - (taken - {"help"})
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for sub in commands.values():
-        sub.set_defaults(**{
-            action.dest: _config_value(action, config[action.dest])
-            for action in sub._actions if action.dest in config
-        })
-
-
-class _Unreadable(NamedTuple):
-    """A config string its flag's type cannot read, shown as written."""
-
-    text: str
-
-    def __repr__(self) -> str:
-        return repr(self.text)
-
-
-def _config_value(action: argparse.Action, value):
-    """A config value for ``action``'s flag: a string read by the flag's
-    type, as argparse reads the flag's text, else the value as given.
-
-    Left to argparse, a string it cannot read would end in its usage text;
-    read here, it is held as ``_Unreadable``, which ``_check_options``
-    refuses by the flag's rule.
-    """
-    if action.type is None or not isinstance(value, str):
-        return value
-    try:
-        return action.type(value)
-    except (TypeError, ValueError):
-        return _Unreadable(value)
+    return config
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``argv`` read by a parser made for it, each option checked.
+    """``argv`` read by a parser made for it, then the --config file, each
+    option checked.
+
+    argparse reads the command line alone, with every option of a command
+    unset unless a flag gives it; the config file fills only the options
+    left unset, so a fault on the command line is reported before any
+    fault in the config file.
 
     A parser's objects refer to each other, so only the cyclic collector
     frees one. Neither the parser nor a subparser outlives this call, so
@@ -686,14 +659,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         action.choices for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    # the defaults the flags declare, before a config file replaces them
-    declared = {
-        name: {action.dest: action.default for action in sub._actions}
-        for name, sub in commands.items()
-    }
-    _apply_config_file(commands, argv)
+    declared = {}
+    for name, sub in commands.items():
+        declared[name] = {action.dest: action.default for action in sub._actions}
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
     args = parser.parse_args(argv)
-    _check_options(commands[args.command], declared[args.command], args)
+    config = _config_file(args.config, commands)
+    _settle_options(commands[args.command], declared[args.command], config, args)
     return args
 
 

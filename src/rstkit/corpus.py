@@ -32,6 +32,7 @@ from .core import (
     Node,
     RstTree,
 )
+from .engine import resolve_label
 
 PATTERN_SHORT = {NN: "NN", NS: "NS", SN: "SN"}
 SHORT_PATTERN = {v: k for k, v in PATTERN_SHORT.items()}
@@ -525,7 +526,7 @@ def load_inventory(path: str | Path) -> LabelInventory:
         else:
             relations.append(cells[0])
     try:
-        return LabelInventory(
+        inventory = LabelInventory(
             id=directives["id"],
             relations=tuple(relations),
             default_relation=directives["default_relation"],
@@ -535,6 +536,18 @@ def load_inventory(path: str | Path) -> LabelInventory:
         raise ConfigError(f"{path}: missing directive !{exc.args[0]}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    # an answer naming one label must not resolve to another, nor to none
+    for label in relations:
+        read = resolve_label(label, relations)
+        if read is None:
+            raise ConfigError(
+                f"{path}: relation {label!r} reads as no relation of the set"
+            )
+        if read != label:
+            raise ConfigError(
+                f"{path}: relations {read!r} and {label!r} read as one answer"
+            )
+    return inventory
 
 
 def _data_path(filename: str) -> Path:
@@ -603,19 +616,17 @@ def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
         else:
             raise DisSyntaxError("multiple top-level trees on one line", pos)
 
-    def leaf(index: int, pos: int) -> None:
-        if edus is None:
-            attach(Leaf(Edu(index, "")), pos)
-        elif 1 <= index <= len(edus):
-            attach(Leaf(edus[index - 1]), pos)
-        else:
-            raise DisSyntaxError(f"leaf {index} outside document", pos)
-
     with _Tokens(line) as cursor:
         for field in cursor.fields:
             kind = field.lastgroup
             if kind == "leaf":
-                leaf(int(field["index"]), field.start())
+                index, pos = int(field["index"]), field.start()
+                if edus is None:
+                    attach(Leaf(Edu(index, "")), pos)
+                elif 1 <= index <= len(edus):
+                    attach(Leaf(edus[index - 1]), pos)
+                else:
+                    raise DisSyntaxError(f"leaf {index} outside document", pos)
             elif kind == "node":
                 pattern = SHORT_PATTERN[field["pattern"]]
                 frames.append((pattern, field["relation"], []))
@@ -633,18 +644,18 @@ def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
                 except MalformedTree as exc:
                     raise DisSyntaxError(str(exc), pos) from None
             elif kind == "open":
-                # a ( that starts no whole node: read it token by token
+                # a ( that starts no whole node: read token by token, for the
+                # error. A (leaf n) or (NS Relation whose tokens all read
+                # would have matched whole, so its checks here always raise
                 head_kind, head, head_pos = cursor.take()
                 if head_kind != "atom":
                     raise DisSyntaxError("expected node head after (", head_pos)
                 if head == "leaf":
-                    index = cursor.take_int()
+                    cursor.take_int()
                     cursor.take("close")
-                    leaf(index, field.start())
                 elif head in SHORT_PATTERN:
-                    frames.append((SHORT_PATTERN[head], cursor.take("atom")[1], []))
-                else:
-                    raise DisSyntaxError(f"unknown node head {head!r}", head_pos)
+                    cursor.take("atom")
+                raise DisSyntaxError(f"unknown node head {head!r}", head_pos)
             elif kind in _FIELD_KINDS:
                 head, head_pos = _head(field)
                 raise DisSyntaxError(f"unknown node head {head!r}", head_pos)

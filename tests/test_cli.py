@@ -1271,6 +1271,44 @@ def test_inventory_label_a_tree_line_cannot_hold_exits_two(tmp_path, capsys, com
     assert not out.exists()
 
 
+# five EDUs whose relations are List, 2, list and 02: labels the answer rule
+# reads as two
+ALIKE_LABELS_DIS = """( Root (span 1 5)
+  ( Nucleus (span 1 2) (rel2par span)
+    ( Nucleus (leaf 1) (rel2par List) (text _!one_!) )
+    ( Nucleus (leaf 2) (rel2par List) (text _!two_!) ) )
+  ( Satellite (span 3 5) (rel2par 02)
+    ( Nucleus (leaf 3) (rel2par span) (text _!three_!) )
+    ( Satellite (span 4 5) (rel2par list)
+      ( Nucleus (leaf 4) (rel2par 2) (text _!four_!) )
+      ( Nucleus (leaf 5) (rel2par 2) (text _!five_!) ) ) ) )
+"""
+
+
+@pytest.mark.parametrize("command", ["parse", "export-training"])
+def test_inventory_whose_labels_read_alike_exits_two(tmp_path, capsys, command):
+    # a gold replay would write list and 2 for List and 02, uncorrected
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "alike.dis").write_text(ALIKE_LABELS_DIS)
+    inventory = tmp_path / "alike.inv"
+    inventory.write_text("!id\talike\n!default_relation\tlist\nlist\nList\n02\n2\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        capsys, command, "--corpus-dir", str(corpus), "--inventory", str(inventory),
+        "--out", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"config error: {inventory}: relations 'list' and 'List' read as one answer\n"
+    )
+    assert not out.exists()
+    # derive-actions asks over the tree's own relations, and prints them as spelled
+    code, stdout, _ = run(capsys, "derive-actions", "--file", str(corpus / "alike.dis"))
+    assert code == 0
+    assert {row.split("\t")[-1] for row in stdout.splitlines()} >= {"List", "02", "list", "2"}
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "--config", str(tmp_path / "absent.json"), "parse",
@@ -1281,11 +1319,148 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
 
 
 def test_config_without_a_value_exits_two(capsys):
-    # the early look for --config leaves the error to the full parser
     with pytest.raises(SystemExit) as caught:
         main(["--config"])
     assert caught.value.code == 2
     assert "--config: expected one argument" in capsys.readouterr().err
+
+
+def _commands():
+    (commands,) = [
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return commands
+
+
+# a valid value, other than its flag's default, for each option that a
+# config file can give (a required option comes from the command line)
+OPTION_VALUES = {
+    "manifest": MANIFEST, "split": "dev", "relation_map": MAP,
+    "inventory": "instr-dt", "query_forced": True, "truncate": 40,
+    "strategy": "top-down", "oracle": "http", "script": "answers.txt",
+    "cycle_script": True, "endpoint": "http://127.0.0.1:9/v1/completions",
+    "model": "m", "max_tokens": 8, "timeout": 2.5, "retries": 0, "backoff": 0.5,
+    "cache_dir": "cache", "workers": 2, "exclude_root": True, "out": "scores.json",
+    "pred_dir": "pred", "csv": "table.csv",
+}
+REQUIRED = {
+    "parse": ("--corpus-dir", CORPUS, "--out", "run"),
+    "eval": ("--gold-dir", CORPUS, "--pred-dir", "pred"),
+    "export-training": ("--corpus-dir", CORPUS, "--out", "run"),
+    "derive-actions": ("--file", "doc.dis"),
+    "report-relations": ("--gold-dir", CORPUS),
+}
+# (command, option, flag, value) for each option a config file can give
+CONFIGURABLE = [
+    (name, action.dest, action.option_strings[0], OPTION_VALUES[action.dest])
+    for name, sub in _commands().items()
+    for action in sub._actions
+    if action.option_strings != ["-h", "--help"] and not action.required
+]
+
+
+def _flag_and_configs(flag, value):
+    """The flag's argv for ``value``, and the config values that give it: the
+    JSON value, and for a number the flag's own text too."""
+    if value is True:
+        return [flag], [True]
+    if isinstance(value, (int, float)):
+        return [flag, str(value)], [value, str(value)]
+    return [flag, value], [value]
+
+
+def _typed(args):
+    """The options of ``args``, each with its type: 2 and 2.0 are not one."""
+    return {key: (type(value), value) for key, value in vars(args).items() if key != "config"}
+
+
+@pytest.mark.parametrize(
+    "command,dest,flag,value", CONFIGURABLE, ids=[f"{c}-{d}" for c, d, _, _ in CONFIGURABLE]
+)
+def test_an_option_from_the_config_file_equals_it_from_its_flag(
+    tmp_path, command, dest, flag, value
+):
+    flag_argv, config_values = _flag_and_configs(flag, value)
+    assert getattr(cli._parse_args([command, *REQUIRED[command]]), dest) != value
+    from_flag = cli._parse_args([command, *REQUIRED[command], *flag_argv])
+    assert getattr(from_flag, dest) == value
+    for config_value in config_values:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({dest: config_value}))
+        from_config = cli._parse_args(["--config", str(config), command, *REQUIRED[command]])
+        assert _typed(from_config) == _typed(from_flag)
+
+
+@pytest.mark.parametrize("dest,flag,value", [
+    pytest.param(dest, flag, value, id=dest)
+    for command, dest, flag, value in CONFIGURABLE if command == "parse"
+])
+def test_an_option_from_the_config_file_gives_its_flags_config_hash(
+    tmp_path, capsys, monkeypatch, dest, flag, value
+):
+    # no document and no oracle: every option's run writes its manifest
+    monkeypatch.setattr(cli, "_documents", lambda args, corpus_dir: [])
+    monkeypatch.setattr(cli, "_make_shared_oracle", lambda args: None)
+    monkeypatch.chdir(tmp_path)
+    flag_argv, config_values = _flag_and_configs(flag, value)
+    manifest = tmp_path / "run" / "run_manifest.json"
+    assert run(capsys, "parse", *REQUIRED["parse"], *flag_argv)[0] == 0
+    from_flag = json.loads(manifest.read_text())
+    for config_value in config_values:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({dest: config_value}))
+        assert run(capsys, "--config", str(config), "parse", *REQUIRED["parse"])[0] == 0
+        from_config = json.loads(manifest.read_text())
+        assert from_config["config"] == from_flag["config"]
+        assert from_config["config_hash"] == from_flag["config_hash"]
+
+
+# a fault the command line holds and one the config file holds
+ARGV_FAULTS = {
+    "required": ((), "the following arguments are required: --corpus-dir"),
+    "choice": (("--strategy", "sideways"), "argument --strategy: invalid choice"),
+    "type": (("--workers", "x"), "argument --workers: invalid int value: 'x'"),
+}
+CONFIG_FAULTS = {
+    "absent": None,
+    "json": "not json {",
+    "object": "[1, 2]",
+    "key": '{"frobnicate": 1}',
+    "value": '{"workers": 0}',
+}
+
+
+@pytest.mark.parametrize("config_fault", CONFIG_FAULTS)
+@pytest.mark.parametrize("argv_fault", ARGV_FAULTS)
+def test_a_fault_on_the_command_line_is_reported_before_one_in_the_config_file(
+    tmp_path, capsys, argv_fault, config_fault
+):
+    flags, message = ARGV_FAULTS[argv_fault]
+    config = tmp_path / "run.json"
+    if CONFIG_FAULTS[config_fault] is not None:
+        config.write_text(CONFIG_FAULTS[config_fault])
+    out = tmp_path / "out"
+    required = () if argv_fault == "required" else ("--corpus-dir", CORPUS)
+    with pytest.raises(SystemExit) as caught:
+        main(["--config", str(config), "parse", *required, "--out", str(out), *flags])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rstkit parse ")
+    assert message in captured.err
+    assert "config error" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [(), *([name] for name in REQUIRED)])
+def test_help_shows_no_suppressed_default(capsys, command):
+    with pytest.raises(SystemExit) as caught:
+        main([*command, "--help"])
+    assert caught.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: rstkit ")
+    assert "SUPPRESS" not in text
 
 
 # ---------------------------------------------------------------------------

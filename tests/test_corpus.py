@@ -33,7 +33,7 @@ from rstkit import (
     read_tree,
     write_tree,
 )
-from rstkit.core import NN, NS, SN
+from rstkit.core import NN, NS, NUCLEARITY_PATTERNS, SN
 from rstkit.corpus import (
     _FIELD_RE,
     _TT_ERR_RE,
@@ -41,6 +41,8 @@ from rstkit.corpus import (
     normalize_relation,
     resolve_document_path,
 )
+from rstkit.engine import resolve_label
+from rstkit.prompts import ACTION_LABELS
 
 import token_reader
 from conftest import DATA_DIR, make_edus, random_tree
@@ -430,6 +432,21 @@ def test_builtin_inventories():
     assert instr.relations[0] == "preparation:act"
 
 
+def test_every_label_set_the_engines_ask_reads_each_label_as_itself():
+    # a split set of m labels, "0".."m-1", is a prefix of the 2000-label set,
+    # and the rule returns the first label that matches, so that set stands
+    # for every split set up to its size
+    label_sets = [
+        ACTION_LABELS,
+        NUCLEARITY_PATTERNS,
+        tuple(map(str, range(2000))),
+        builtin_inventory("rst-dt").relations,
+        builtin_inventory("instr-dt").relations,
+    ]
+    for labels in label_sets:
+        assert [resolve_label(label, labels) for label in labels] == list(labels)
+
+
 def test_load_inventory_requires_directives(tmp_path):
     path = tmp_path / "tiny.inv"
     path.write_text("alpha\nbeta\n")
@@ -459,10 +476,24 @@ def test_load_inventory_requires_directives(tmp_path):
      "3: relation 'Elab oration' has whitespace"),
     ("!id\ttiny\n!default_relation\talpha\nalpha\ncause(x)\n",
      "4: relation 'cause(x)' has whitespace or a parenthesis"),
+
+    # labels the answer rule reads as one, or as none of the set
+    ("!id\ttiny\n!default_relation\tlist\nlist\nList\n02\n2\n",
+     "relations 'list' and 'List' read as one answer"),
+    ("!id\ttiny\n!default_relation\tlist\nlist\n2\n02\n",
+     "relations '2' and '02' read as one answer"),
+    ("!id\ttiny\n!default_relation\tx\nx\n+2\n2\n",
+     "relations '2' and '+2' read as one answer"),
+    ("!id\ttiny\n!default_relation\tStraße\nStraße\nSTRASSE\n",
+     "relations 'Straße' and 'STRASSE' read as one answer"),
+    ("!id\ttiny\n!default_relation\tlist\nlist\n02\n",
+     "relation '02' reads as no relation of the set"),
+    ("!id\ttiny\n!default_relation\tlist\nlist\n-0\n",
+     "relation '-0' reads as no relation of the set"),
 ])
 def test_load_inventory_errors(tmp_path, content, fragment):
     path = tmp_path / "tiny.inv"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(ConfigError) as caught:
         load_inventory(path)
     assert str(caught.value).startswith(str(path))
