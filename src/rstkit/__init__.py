@@ -21,6 +21,7 @@ from .core import (
     RstTree,
     internal_nodes,
     leaves,
+    resolve_label,
 )
 from .corpus import (
     ConfigError,
@@ -46,7 +47,6 @@ from .engine import (
     ParsePolicy,
     ParseResult,
     TraceEntry,
-    resolve_label,
     trace_to_jsonl,
 )
 from .metrics import (

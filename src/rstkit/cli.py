@@ -218,7 +218,8 @@ def _settle_options(
     """Set each option of command ``sub`` that no flag gave: from ``config``,
     a string read by the flag's type as argparse reads the flag's text, else
     the flag's ``declared`` default. Then check each option by the rule its
-    flag declares; None passes where the declared default is None."""
+    flag declares; None passes where the declared default is None, and ""
+    nowhere: commands would read it as unset or as the working directory."""
     for action in sub._actions:
         if declared[action.dest] is argparse.SUPPRESS:
             continue  # --help
@@ -240,6 +241,8 @@ def _settle_options(
             ok, takes = type(value) is int, "an integer"  # a bool is an int too
         elif action.type is float:
             ok, takes = type(value) in (int, float), "a number"
+        elif value == "":
+            ok, takes = False, "a non-empty string"
         else:
             ok, takes = type(value) is str, "a string"
         if action.dest in _BOUNDS:
@@ -495,12 +498,10 @@ def cmd_export_training(args: argparse.Namespace) -> int:
 def cmd_derive_actions(args: argparse.Namespace) -> int:
     """Print the gold derivation, a replay parse that asks every decision: a
     row per action, or per split as its span's first and last EDU and its k,
-    then the node's nuclearity and relation, each as the gold tree answers."""
+    then the node's nuclearity and relation, each as the gold tree spells it
+    (``entry.raw``), whatever the one-label placeholder inventory offers."""
     doc = read_dis(args.file, _fixture("relation map", args.relation_map))
-    # the tree's own relations, so that no gold answer is corrected; a one-EDU
-    # tree has none, and is asked for none
-    relations = [*dict.fromkeys(n.relation for n in internal_nodes(doc.tree))] or ["none"]
-    inventory = LabelInventory(doc.doc_id, tuple(relations), relations[0])
+    inventory = LabelInventory(doc.doc_id, ("none",), "none")
     policy = ParsePolicy(skip_forced=False)
     result = ENGINES[args.strategy](doc.edus, ReplayOracle(doc.tree), inventory, policy)
     rows: list[str] = []
@@ -643,9 +644,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     option checked.
 
     argparse reads the command line alone, with every option of a command
-    unset unless a flag gives it; the config file fills only the options
-    left unset, so a fault on the command line is reported before any
-    fault in the config file.
+    unset unless a flag gives it; --config is checked, and its file fills
+    only the options left unset, so a fault on the command line is
+    reported before any fault in the config file.
 
     A parser's objects refer to each other, so only the cyclic collector
     frees one. Neither the parser nor a subparser outlives this call, so
@@ -665,6 +666,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         for action in sub._actions:
             action.default = argparse.SUPPRESS
     args = parser.parse_args(argv)
+    _settle_options(parser, {a.dest: a.default for a in parser._actions}, {}, args)
     config = _config_file(args.config, commands)
     _settle_options(commands[args.command], declared[args.command], config, args)
     return args

@@ -13,9 +13,10 @@ interpreter limit near a thousand EDUs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring, encode_basestring_ascii
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 # Nuclearity patterns, in canonical prompt spelling. The pattern is read
 # left-to-right: NS means the left child is the nucleus.
@@ -200,12 +201,39 @@ class DocumentText:
             pos += 1
 
 
+_INTEGER_RE = re.compile(r"[+-]?\d+")
+
+
+def resolve_label(raw: str, valid_labels: Iterable[str]) -> str | None:
+    """Map raw completion text onto a member of the valid set, or None.
+
+    Only the first line counts; matching is case-insensitive after trimming,
+    and an integer answer is read by its value ("02" and "+2" match "2",
+    "-0" matches "0"), unless it is longer than MAX_DIGITS, sign and zero
+    padding included: such an answer is compared as written. Returns the
+    canonical member, never the raw spelling.
+
+    This is the answer rule, and a scan of the set. The engines call it
+    only for a spelling that is no label: an exact label resolves by a
+    lookup of what this returns for it (see ``engine._resolve``).
+    """
+    first = raw.split("\n", 1)[0].strip()
+    if _INTEGER_RE.fullmatch(first) and len(first) <= MAX_DIGITS:
+        first = str(int(first))
+    folded = first.casefold()
+    for label in valid_labels:
+        if folded == label.casefold():
+            return label
+    return None
+
+
 @dataclass(frozen=True)
 class LabelInventory:
     """Closed, ordered set of relation labels for one corpus convention.
 
     The order is meaningful: relation prompts list the options in inventory
     order. Defaults are the labels substituted for unusable oracle output.
+    Each label must read as itself by ``resolve_label``, not as another or none.
     """
 
     id: str
@@ -226,3 +254,9 @@ class LabelInventory:
             raise ValueError(
                 f"default nuclearity {self.default_nuclearity!r} unknown"
             )
+        for label in self.relations:
+            read = resolve_label(label, self.relations)
+            if read is None:
+                raise ValueError(f"relation {label!r} reads as no relation of the set")
+            if read != label:
+                raise ValueError(f"relations {read!r} and {label!r} read as one answer")

@@ -32,7 +32,6 @@ from .core import (
     Node,
     RstTree,
 )
-from .engine import resolve_label
 
 PATTERN_SHORT = {NN: "NN", NS: "NS", SN: "SN"}
 SHORT_PATTERN = {v: k for k, v in PATTERN_SHORT.items()}
@@ -508,6 +507,8 @@ def load_relation_map(path: str | Path) -> RelationMap:
 
 
 def load_inventory(path: str | Path) -> LabelInventory:
+    """The inventory a file holds. A set ``LabelInventory`` refuses, as one
+    whose labels the answer rule reads alike, is a ``ConfigError``."""
     path = Path(path)
     directives: dict[str, str] = {}
     relations: list[str] = []
@@ -526,7 +527,7 @@ def load_inventory(path: str | Path) -> LabelInventory:
         else:
             relations.append(cells[0])
     try:
-        inventory = LabelInventory(
+        return LabelInventory(
             id=directives["id"],
             relations=tuple(relations),
             default_relation=directives["default_relation"],
@@ -536,18 +537,6 @@ def load_inventory(path: str | Path) -> LabelInventory:
         raise ConfigError(f"{path}: missing directive !{exc.args[0]}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    # an answer naming one label must not resolve to another, nor to none
-    for label in relations:
-        read = resolve_label(label, relations)
-        if read is None:
-            raise ConfigError(
-                f"{path}: relation {label!r} reads as no relation of the set"
-            )
-        if read != label:
-            raise ConfigError(
-                f"{path}: relations {read!r} and {label!r} read as one answer"
-            )
-    return inventory
 
 
 def _data_path(filename: str) -> Path:

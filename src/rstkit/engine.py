@@ -1,15 +1,14 @@
-"""Shared plumbing for the two engines: policy, trace, result, the answer
-rule, the loop that puts their decisions to an oracle, and their tree."""
+"""Shared plumbing for the two engines: policy, trace, result, the loop that
+puts their decisions to an oracle and resolves the answers, and their tree."""
 
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
-    MAX_DIGITS,
+    _INTEGER_RE,
     NUCLEARITY_PATTERNS,
     Edu,
     LabelInventory,
@@ -17,6 +16,7 @@ from .core import (
     Node,
     RstTree,
     json_string,
+    resolve_label,
 )
 from .oracle import Oracle, OracleQuery
 from .prompts import NUCLEARITY, RELATION, SPLIT, nuclearity_prompt, relation_prompt
@@ -114,32 +114,6 @@ class Decision(NamedTuple):
     legal: Sequence[str]
     default: str
     advance: Callable[[str], list["Decision"]]
-
-
-_INTEGER_RE = re.compile(r"[+-]?\d+")
-
-
-def resolve_label(raw: str, valid_labels: Iterable[str]) -> str | None:
-    """Map raw completion text onto a member of the valid set, or None.
-
-    Only the first line counts; matching is case-insensitive after trimming,
-    and an integer answer is read by its value ("02" and "+2" match "2",
-    "-0" matches "0"), unless it is longer than MAX_DIGITS, sign and zero
-    padding included: such an answer is compared as written. Returns the
-    canonical member, never the raw spelling.
-
-    This is the answer rule, and a scan of the set. The engines call it
-    only for a spelling that is no label: an exact label resolves by a
-    lookup of what this returns for it (see ``_resolve``).
-    """
-    first = raw.split("\n", 1)[0].strip()
-    if _INTEGER_RE.fullmatch(first) and len(first) <= MAX_DIGITS:
-        first = str(int(first))
-    folded = first.casefold()
-    for label in valid_labels:
-        if folded == label.casefold():
-            return label
-    return None
 
 
 def run_decisions(oracle: Oracle, first: Decision) -> tuple[TraceEntry, ...]:

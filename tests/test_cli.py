@@ -1303,7 +1303,7 @@ def test_inventory_whose_labels_read_alike_exits_two(tmp_path, capsys, command):
         f"config error: {inventory}: relations 'list' and 'List' read as one answer\n"
     )
     assert not out.exists()
-    # derive-actions asks over the tree's own relations, and prints them as spelled
+    # derive-actions prints the gold answers as the tree spells them
     code, stdout, _ = run(capsys, "derive-actions", "--file", str(corpus / "alike.dis"))
     assert code == 0
     assert {row.split("\t")[-1] for row in stdout.splitlines()} >= {"List", "02", "list", "2"}
@@ -1461,6 +1461,46 @@ def test_help_shows_no_suppressed_default(capsys, command):
     text = capsys.readouterr().out
     assert text.startswith("usage: rstkit ")
     assert "SUPPRESS" not in text
+
+
+# (source, command, flag, dest) for each option that takes a string, from
+# its flag and, unless the flag is required, from a config file
+EMPTY_VALUES = [
+    pytest.param(source, name, action.option_strings[0], action.dest,
+                 id=f"{source}-{name}-{action.dest}")
+    for source in ("flag", "config")
+    for name, sub in _commands().items()
+    for action in sub._actions
+    if action.nargs != 0 and action.type is None and not action.choices
+    and not (source == "config" and action.required)
+]
+
+
+@pytest.mark.parametrize("source,command,flag,dest", EMPTY_VALUES)
+def test_an_empty_string_option_exits_two(
+    tmp_path, capsys, monkeypatch, source, command, flag, dest
+):
+    # "" reads as unset to some commands and as the working directory to
+    # others, so it is refused before anything is read or written
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *REQUIRED[command]]
+    if source == "flag":
+        argv += [flag, ""]
+    else:
+        Path("run.json").write_text(json.dumps({dest: ""}))
+        argv = ["--config", "run.json", *argv]
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"config error: {flag} takes a non-empty string, not ''\n"
+    assert os.listdir() == ([] if source == "flag" else ["run.json"])
+
+
+def test_an_empty_config_path_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, "--config", "", "parse", *REQUIRED["parse"])
+    assert (code, stdout) == (2, "")
+    assert stderr == "config error: --config takes a non-empty string, not ''\n"
+    assert os.listdir() == []
 
 
 # ---------------------------------------------------------------------------

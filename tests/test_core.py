@@ -27,10 +27,12 @@ import token_reader
 from rstkit import (
     NUCLEARITY,
     NUCLEARITY_PATTERNS,
+    ConfigError,
     DisSyntaxError,
     Document,
     DocumentText,
     Edu,
+    LabelInventory,
     Leaf,
     MalformedTree,
     Node,
@@ -42,6 +44,7 @@ from rstkit import (
     ScriptedOracle,
     internal_nodes,
     leaves,
+    load_inventory,
     minicorpus_dir,
     parse_bottom_up,
     parse_dis,
@@ -161,6 +164,34 @@ def test_node_span_is_union_of_children():
     assert inner.span == (1, 2)
     root = Node(inner, Leaf(e[2]), SN, "Background")
     assert root.span == (1, 3)
+
+
+# label sets built in code that the answer rule cannot tell apart, and what
+# each is refused with: load_inventory's wording, without the file's path
+ALIKE_LABEL_SETS = [
+    (("list", "List"), "relations 'list' and 'List' read as one answer"),
+    (("02", "2"), "relations '2' and '02' read as one answer"),
+    (("02",), "relation '02' reads as no relation of the set"),
+]
+
+
+@pytest.mark.parametrize(
+    "relations,message", ALIKE_LABEL_SETS, ids=["case", "zero-padded", "alone"]
+)
+def test_inventory_whose_labels_read_alike_is_refused_where_it_is_made(
+    tmp_path, relations, message
+):
+    # a gold replay over such a set would rewrite List as list and 02 as 2
+    with pytest.raises(ValueError) as caught:
+        LabelInventory("alike", relations, relations[0])
+    assert str(caught.value) == message
+    path = tmp_path / "alike.inv"
+    path.write_text(f"!id\talike\n!default_relation\t{relations[0]}\n" + "".join(
+        f"{label}\n" for label in relations
+    ))
+    with pytest.raises(ConfigError) as caught:
+        load_inventory(path)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def _chain(n, right_heavy, deepest_relation="Elaboration", deepest_text=None):

@@ -41,7 +41,7 @@ from rstkit.corpus import (
     normalize_relation,
     resolve_document_path,
 )
-from rstkit.engine import resolve_label
+from rstkit.core import resolve_label
 from rstkit.prompts import ACTION_LABELS
 
 import token_reader

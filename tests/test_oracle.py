@@ -128,9 +128,9 @@ def _decision(kind, labels, legal=None):
     return Decision(kind, "s", query, legal, legal[0], lambda resolved: [])
 
 
-# label sets that are no split's: relation sets as derive-actions builds
-# them from a tree's own relations, and a set whose labels are not all
-# read by value
+# label sets that are no split's: sets whose labels the rule reads alike,
+# which LabelInventory refuses but _resolve can still be handed, and a set
+# whose labels are not all read by value
 _OTHER_LABEL_SETS = (
     ("list", "List"),
     ("02", "2"),
