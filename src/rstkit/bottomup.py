@@ -16,7 +16,6 @@ from .engine import (
     EmptyDocument,
     ParsePolicy,
     ParseResult,
-    build_tree,
     label_decision,
     run_decisions,
 )
@@ -106,4 +105,4 @@ def parse_bottom_up(
         # action's closure holds the cell that holds action; emptying it
         # lets reference counting free the parse, not the cyclic collector
         action = None
-    return ParseResult(tree=build_tree(edus, nodes), trace=trace)
+    return ParseResult(trace, edus, nodes)

@@ -468,17 +468,17 @@ def cmd_export_training(args: argparse.Namespace) -> int:
                 files[kind] = stack.enter_context(_replacing(path))
             for doc in documents:
                 # a split prompt shows every EDU of its span, so its lines
-                # are escaped once per document, not once per prompt
-                escaped = None
+                # are escaped once per document, not once per prompt, and the
+                # walk renders each split prompt once, escaped
+                split_prompts = None
                 if args.strategy == TOP_DOWN:
                     texts = [edu.text for edu in doc.edus]
-                    escaped = SplitPrompts(texts, policy.truncate_chars).escaped()
-                for example in gold_walk(doc, inventory, args.strategy, policy):
-                    prompt = None
-                    if example.kind == SPLIT:
-                        prompt = escaped.render(*split_span(example.state))
+                    split_prompts = SplitPrompts(texts, policy.truncate_chars).escaped()
+                walk = gold_walk(doc, inventory, args.strategy, policy, split_prompts)
+                for example in walk:
+                    escaped = example.prompt if example.kind == SPLIT else None
                     # the record and its newline in one call, not joined first
-                    record = example_to_json(example, prompt)
+                    record = example_to_json(example, escaped)
                     files[example.kind].writelines((record, "\n"))
                     counts[example.kind] += 1
         meta = export_metadata(inventory, args.strategy, policy, counts)

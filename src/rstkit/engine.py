@@ -4,7 +4,8 @@ puts their decisions to an oracle and resolves the answers, and their tree."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -60,8 +61,22 @@ class TraceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class ParseResult:
-    tree: RstTree
+    """A parse's trace, and the tree its decisions built.
+
+    ``edus`` and ``nodes`` are what ``build_tree`` reads: the document's
+    EDUs and the internal nodes, span -> [last EDU of its left half,
+    nuclearity, relation]. ``tree`` is built from them the first time it is
+    read and kept, so a caller that reads only the trace, as a gold walk
+    does, builds no tree.
+    """
+
     trace: tuple[TraceEntry, ...]
+    edus: Sequence[Edu] = field(repr=False, hash=False)
+    nodes: dict[tuple[int, int], list] = field(repr=False, hash=False)
+
+    @cached_property
+    def tree(self) -> RstTree:
+        return build_tree(self.edus, self.nodes)
 
     @property
     def query_count(self) -> int:

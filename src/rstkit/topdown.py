@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import DocumentText, Edu, LabelInventory, Leaf
+from .core import DocumentText, Edu, LabelInventory
 from .engine import (
     Decision,
     EmptyDocument,
     ParsePolicy,
     ParseResult,
-    build_tree,
     label_decision,
     run_decisions,
 )
@@ -36,6 +35,7 @@ def parse_top_down(
     oracle: Oracle,
     inventory: LabelInventory,
     policy: ParsePolicy = ParsePolicy(),
+    split_prompts: SplitPrompts | None = None,
 ) -> ParseResult:
     """Parse a document by splitting spans from the top.
 
@@ -46,25 +46,36 @@ def parse_top_down(
     A span's split needs only its parent's split, and its labels only its
     own split, so sibling spans are asked alongside each other (see
     ``run_decisions``); the trace stays in pre-order.
+
+    ``split_prompts`` renders the split prompts, and must be made from
+    ``edus``'s texts under ``policy.truncate_chars``. By default the plain
+    ``SplitPrompts`` of the document is made here. A caller that writes the
+    prompts as JSON passes its ``escaped()`` twin, and each split query's
+    prompt then comes already escaped, without its quotes. Only an oracle
+    that answers by span, as ``ReplayOracle`` does, can be asked such a
+    query.
     """
     if not edus:
         raise EmptyDocument("cannot parse a document with no EDUs")
     n = len(edus)
+    # the internal nodes, as build_tree reads them
+    nodes: dict[tuple[int, int], list] = {}
     if n == 1:
-        return ParseResult(tree=Leaf(edus[0]), trace=())
+        return ParseResult((), edus, nodes)
 
     doc = DocumentText(edus)
     budget = policy.truncate_chars
-    prompts = SplitPrompts([edu.text for edu in edus], budget)
-    # the internal nodes, as build_tree reads them
-    nodes: dict[tuple[int, int], list] = {}
+    if split_prompts is None:
+        split_prompts = SplitPrompts([edu.text for edu in edus], budget)
 
     def split(first: int, last: int) -> Decision:
         state = f"span=({first},{last})"  # read back by split_span
-        legal = prompts.labels(first, last)
+        legal = split_prompts.labels(first, last)
         query = None
         if not (last - first == 1 and policy.skip_forced):
-            query = OracleQuery(SPLIT, prompts.render(first, last), legal, (first, last))
+            query = OracleQuery(
+                SPLIT, split_prompts.render(first, last), legal, (first, last)
+            )
 
         def advance(resolved: str) -> list[Decision]:
             mid = first + int(resolved)
@@ -90,4 +101,4 @@ def parse_top_down(
         # split's closure holds the cell that holds split; emptying it lets
         # reference counting free the parse, not the cyclic collector
         split = None
-    return ParseResult(tree=build_tree(edus, nodes), trace=trace)
+    return ParseResult(trace, edus, nodes)

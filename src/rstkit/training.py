@@ -17,7 +17,7 @@ from .core import LabelInventory, json_string
 from .corpus import Document
 from .engine import ParsePolicy, ParseResult
 from .oracle import KindMismatch, ReplayOracle
-from .prompts import ACTION, NUCLEARITY, RELATION, SPLIT, PromptKind
+from .prompts import ACTION, NUCLEARITY, RELATION, SPLIT, PromptKind, SplitPrompts
 from .topdown import parse_top_down
 
 BOTTOM_UP = "bottom-up"
@@ -65,6 +65,7 @@ def gold_walk(
     inventory: LabelInventory,
     strategy: str,
     policy: ParsePolicy = ParsePolicy(),
+    split_prompts: SplitPrompts | None = None,
 ) -> Iterator[TrainingExample]:
     """Training pairs of a gold parse, in engine order.
 
@@ -73,11 +74,24 @@ def gold_walk(
     Relation prompts carry the gold nuclearity (teacher forcing). A replay
     that corrects a gold answer, as when a relation is not in the
     inventory, raises KindMismatch naming the first one, so a walk cannot
-    yield wrong pairs.
+    yield wrong pairs. The walk reads the parse's trace alone, so it builds
+    no tree (``ParseResult.tree``).
+
+    ``split_prompts``, top-down only, is handed to ``parse_top_down`` to
+    render the split prompts: made from ``doc``'s EDU texts under
+    ``policy.truncate_chars``. Given ``SplitPrompts.escaped()``, a split
+    pair's prompt is the plain prompt JSON-escaped, without its quotes, as
+    ``example_to_json`` takes it; the other pairs' prompts stay plain.
     """
     if strategy not in ENGINES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    result = ENGINES[strategy](doc.edus, ReplayOracle(doc.tree), inventory, policy)
+    if split_prompts is not None and strategy != TOP_DOWN:
+        raise ValueError(f"a {strategy} parse renders no split prompts")
+    oracle = ReplayOracle(doc.tree)
+    if split_prompts is None:
+        result = ENGINES[strategy](doc.edus, oracle, inventory, policy)
+    else:
+        result = parse_top_down(doc.edus, oracle, inventory, policy, split_prompts)
     if result.corrected_count:
         raise KindMismatch(describe_corrections(strategy, doc.doc_id, result, inventory))
     for entry in result.trace:

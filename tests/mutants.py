@@ -94,6 +94,32 @@ MUTANTS = (
         ("tests/test_core.py::test_parses_leave_no_garbage_cycles",),
     ),
     Mutant(
+        "top-down ignores the split prompts it is given and renders its own",
+        "src/rstkit/topdown.py",
+        "    if split_prompts is None:\n",
+        "    if True:\n",
+        tuple(
+            "tests/test_training.py::"
+            f"test_top_down_export_renders_each_split_prompt_once[flags{case}]"
+            for case in range(3)
+        ),
+    ),
+    Mutant(
+        "the engines build the tree as they return",
+        "src/rstkit/engine.py",
+        "    @cached_property\n    def tree(self) -> RstTree:\n",
+        "    def __post_init__(self):\n        self.tree\n\n"
+        "    @cached_property\n    def tree(self) -> RstTree:\n",
+        ("tests/test_training.py::test_only_a_read_of_the_tree_builds_it",),
+    ),
+    Mutant(
+        "each read of a parse's tree builds it again",
+        "src/rstkit/engine.py",
+        "    @cached_property\n",
+        "    @property\n",
+        ("tests/test_training.py::test_only_a_read_of_the_tree_builds_it",),
+    ),
+    Mutant(
         "main puts the caller's collector thresholds back only on success",
         "src/rstkit/cli.py",
         "        args = _parse_args(argv)\n        return args.func(args)\n",

@@ -17,6 +17,7 @@ from rstkit import (
     ParsePolicy,
     ReplayOracle,
     STRATEGIES,
+    SplitPrompts,
     example_to_json,
     export_metadata,
     gold_walk,
@@ -24,7 +25,7 @@ from rstkit import (
     read_dis,
     write_tree,
 )
-from rstkit import cli
+from rstkit import cli, engine
 from rstkit.cli import main
 from rstkit.corpus import load_split_manifest
 from rstkit.training import ENGINES, KINDS
@@ -362,6 +363,86 @@ def test_export_preserves_document_order(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Work done: what a walk and an export make
+
+
+@pytest.mark.parametrize("flags", [[], ["--query-forced"], ["--truncate", "30"]])
+def test_top_down_export_renders_each_split_prompt_once(
+    tmp_path, monkeypatch, capsys, flags
+):
+    # the walk renders each split prompt from the export's escaped twin, and
+    # the export writes that render as it is (a span's prompt is rendered
+    # when its parent's split is taken, so not in the order it is written)
+    rendered = []
+    render = SplitPrompts.render
+
+    def counted(self, first, last):
+        rendered.append(render(self, first, last))
+        return rendered[-1]
+
+    monkeypatch.setattr(SplitPrompts, "render", counted)
+    out = tmp_path / "out"
+    assert main([
+        "export-training", "--corpus-dir", str(minicorpus_dir()), "--relation-map",
+        "rst-dt-coarse", "--strategy", "top-down", "--out", str(out), *flags,
+    ]) == 0
+    capsys.readouterr()
+    lines = (out / "top-down.split.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines
+    head = '{"kind": "split", "prompt": "'
+    assert all(line.startswith(head) for line in lines)
+    written = [line[len(head):].split('", "completion": ', 1)[0] for line in lines]
+    assert sorted(rendered) == sorted(written)
+
+
+def test_only_a_read_of_the_tree_builds_it(
+    tmp_path, monkeypatch, capsys, minicorpus, inventory
+):
+    built = []
+    build_tree = engine.build_tree
+
+    def counted(edus, nodes):
+        built.append(len(edus))
+        return build_tree(edus, nodes)
+
+    monkeypatch.setattr(engine, "build_tree", counted)
+    corpus = ["--corpus-dir", str(minicorpus_dir()), "--relation-map", "rst-dt-coarse"]
+    for strategy in STRATEGIES:
+        for doc in minicorpus:
+            assert list(gold_walk(doc, inventory, strategy))
+        assert main([
+            "export-training", *corpus, "--strategy", strategy,
+            "--out", str(tmp_path / f"export-{strategy}"),
+        ]) == 0
+        for path in sorted(minicorpus_dir().glob("*.dis")):
+            assert main([
+                "derive-actions", "--file", str(path), "--relation-map",
+                "rst-dt-coarse", "--strategy", strategy,
+            ]) == 0
+    capsys.readouterr()
+    assert built == []
+
+    sizes = sorted(len(doc.edus) for doc in minicorpus)
+    assert sizes[0] >= 2
+    for strategy in STRATEGIES:
+        assert main(["parse", *corpus, "--strategy", strategy,
+                     "--out", str(tmp_path / strategy)]) == 0
+        assert sorted(built) == sizes
+        built.clear()
+    capsys.readouterr()
+
+    doc = minicorpus[0]
+    for strategy in STRATEGIES:
+        result = _parse(doc, ReplayOracle(doc.tree), inventory, strategy)
+        assert built == []
+        tree = result.tree
+        assert tree == doc.tree
+        assert result.tree is tree
+        assert built == [len(doc.edus)]
+        built.clear()
+
+
+# ---------------------------------------------------------------------------
 # Metadata sidecar
 
 
@@ -403,3 +484,10 @@ def test_unknown_strategy_rejected(inventory):
     with pytest.raises(ValueError, match="strategy"):
         list(gold_walk(doc, inventory, "sideways"))
 
+
+
+def test_split_prompts_are_for_top_down_walks_only(inventory):
+    doc = random_document(random.Random(1), 3)
+    prompts = SplitPrompts([edu.text for edu in doc.edus]).escaped()
+    with pytest.raises(ValueError, match="bottom-up parse renders no split prompts"):
+        list(gold_walk(doc, inventory, "bottom-up", ParsePolicy(), prompts))
