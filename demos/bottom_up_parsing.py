@@ -33,7 +33,7 @@ def main():
     print(f"document {doc.doc_id}: {len(doc.edus)} EDUs")
     print()
 
-    result = parse_bottom_up(doc.edus, ReplayOracle(doc.tree), inventory)
+    result = parse_bottom_up(doc.edus, ReplayOracle(doc.nodes), inventory)
     print("replay oracle reproduces the gold tree:")
     print(" ", write_tree(result.tree))
     print(f"  matches gold: {result.tree == doc.tree}, "

@@ -14,6 +14,7 @@ from rstkit import (
     load_documents,
     micro_f1,
     minicorpus_dir,
+    node_table,
     per_relation_rows,
     score_document,
 )
@@ -37,18 +38,21 @@ def show(title, scores):
 
 
 def main():
+    # the gold side is a node table: a document holds one, and a tree
+    # gives its own through node_table
+    gold = node_table(three("left"))
     show("bracketing error (left chain predicted as right chain)",
-         micro_f1(score_document(three("right"), three("left"))))
+         micro_f1(score_document(three("right"), gold)))
     print()
     show("relation flip on the inner node only",
-         micro_f1(score_document(three("left", "Background"), three("left"))))
+         micro_f1(score_document(three("left", "Background"), gold)))
     print()
 
     corpus = minicorpus_dir()
     relmap = builtin_relation_map("rst-dt-coarse")
     docs = load_documents(corpus, corpus / "splits.tsv", "test", relmap)
     # micro averaging pools the documents' counts before scoring
-    counts = sum((score_document(d.tree, d.tree) for d in docs), ParsevalCounts())
+    counts = sum((score_document(d.tree, d.nodes) for d in docs), ParsevalCounts())
     show(f"self-evaluation over the {len(docs)}-document test split",
          micro_f1(counts))
     print()

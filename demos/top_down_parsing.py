@@ -30,7 +30,7 @@ def main():
     print(prompts.render(1, len(doc.edus)))
     print()
 
-    result = parse_top_down(doc.edus, ReplayOracle(doc.tree), inventory)
+    result = parse_top_down(doc.edus, ReplayOracle(doc.nodes), inventory)
     print("replay closure:", result.tree == doc.tree)
     splits = [e for e in result.trace if e.kind == "split"]
     print(f"{len(splits)} splits for {len(doc.edus)} EDUs "

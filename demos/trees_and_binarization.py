@@ -9,6 +9,7 @@ from rstkit import (
     LabelInventory,
     ParsePolicy,
     ReplayOracle,
+    node_table,
     parse_bottom_up,
     parse_dis,
     parse_top_down,
@@ -33,22 +34,24 @@ def main():
     print(f"{len(edus)} EDUs, binarized:", write_tree(tree))
     print()
 
-    # the replay answers each decision from the tree by the span it is
-    # about; the policy asks even the decisions that have one legal answer
+    # the replay answers each decision from the tree's node table by the
+    # span it is about; the policy asks even the decisions that have one
+    # legal answer
     inventory = LabelInventory(
         "demo", ("elaboration", "evaluation", "purpose"), "elaboration"
     )
     every = ParsePolicy(skip_forced=False)
+    nodes = node_table(tree)
 
     print("shift-reduce derivation (post-order, 2n-1 actions):")
-    result = parse_bottom_up(edus, ReplayOracle(tree), inventory, every)
+    result = parse_bottom_up(edus, ReplayOracle(nodes), inventory, every)
     for entry in result.trace:
         if entry.kind == "action":
             print(f"  {entry.state:<16} {entry.resolved}")
     print()
 
     print("split derivation (pre-order, n-1 steps, k is 0-based):")
-    result = parse_top_down(edus, ReplayOracle(tree), inventory, every)
+    result = parse_top_down(edus, ReplayOracle(nodes), inventory, every)
     for entry in result.trace:
         if entry.kind == "split":
             print(f"  {entry.state:<16} k={entry.resolved}")

@@ -18,9 +18,12 @@ from .core import (
     Leaf,
     MalformedTree,
     Node,
+    NodeTable,
     RstTree,
+    build_tree,
     internal_nodes,
     leaves,
+    node_table,
     resolve_label,
 )
 from .corpus import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import DocumentText, Edu, LabelInventory
+from .core import DocumentText, Edu, LabelInventory, NodeTable
 from .engine import (
     Decision,
     EmptyDocument,
@@ -57,7 +57,7 @@ def parse_bottom_up(
     # for it
     stack: list[tuple[int, int, str]] = []
     # the internal nodes, as build_tree reads them
-    nodes: dict[tuple[int, int], list] = {}
+    nodes: NodeTable = {}
     queue = 0  # EDUs shifted so far; EDU queue + 1 heads the queue
 
     def action() -> Decision:

@@ -360,7 +360,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     def run_one(index: int) -> None:
         """Parse and write one document; record its row of the run manifest."""
         doc = documents[index]
-        oracle = ReplayOracle(doc.tree) if shared is None else shared
+        oracle = ReplayOracle(doc.nodes) if shared is None else shared
         result = engine(doc.edus, oracle, inventory, policy)
         if shared is None and result.corrected_count:
             corrections.append(
@@ -418,7 +418,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     documents = _documents(args, args.gold_dir)
     pairs = list(_predictions(args.pred_dir, documents))
     total = sum(
-        (score_document(tree, doc.tree, not args.exclude_root) for doc, tree in pairs),
+        (score_document(tree, doc.nodes, not args.exclude_root) for doc, tree in pairs),
         ParsevalCounts(),
     )
     scores = micro_scores(total)
@@ -437,7 +437,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         write_text_atomic(out, json.dumps(payload, indent=2) + "\n")
     if total.matched_span and not total.matched_relation:
-        gold = {node.relation for doc, _ in pairs for node in internal_nodes(doc.tree)}
+        gold = {relation for doc, _ in pairs for _, _, relation in doc.nodes.values()}
         predicted = {node.relation for _, tree in pairs for node in internal_nodes(tree)}
         if not gold & predicted:
             print(
@@ -503,7 +503,7 @@ def cmd_derive_actions(args: argparse.Namespace) -> int:
     doc = read_dis(args.file, _fixture("relation map", args.relation_map))
     inventory = LabelInventory(doc.doc_id, ("none",), "none")
     policy = ParsePolicy(skip_forced=False)
-    result = ENGINES[args.strategy](doc.edus, ReplayOracle(doc.tree), inventory, policy)
+    result = ENGINES[args.strategy](doc.edus, ReplayOracle(doc.nodes), inventory, policy)
     rows: list[str] = []
     for entry in result.trace:
         if entry.kind == ACTION:

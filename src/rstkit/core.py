@@ -4,7 +4,9 @@ A document is a sequence of elementary discourse units (EDUs). Its analysis
 is a binary constituency tree: every internal node joins two adjacent spans,
 carries a nuclearity pattern (which side is more central) and a rhetorical
 relation. Treebank files store n-ary constituents; ``rstkit.corpus`` folds
-each into a right-heavy chain of binary nodes as it reads.
+each into a right-heavy chain of binary nodes as it reads, into a node
+table (``NodeTable``), from which ``build_tree`` makes the tree of objects
+when one is read.
 
 All tree walks here are iterative. Right-heavy binary trees over long
 documents are as deep as the document is long, and recursion would hit the
@@ -174,6 +176,49 @@ def internal_nodes(tree: RstTree) -> Iterator[Node]:
             yield node
             stack.append(node.right)
             stack.append(node.left)
+
+
+# A binary tree over EDUs 1..n as a table of its n-1 internal nodes:
+# span -> [last EDU of its left half, nuclearity, relation]. The reader
+# folds a gold document into one, and the engines fill one as they decide.
+NodeTable = dict[tuple[int, int], list]
+
+
+def build_tree(edus: Sequence[Edu], nodes: NodeTable) -> RstTree:
+    """The tree over all of ``edus`` from the table of its internal nodes,
+    the inverse of ``node_table``.
+
+    Built with an explicit work stack: right-heavy trees over long
+    documents nest as deep as the document is long.
+    """
+    # work items: ("span", i, j) expands a span;
+    # ("make", i, j) joins the two finished subtrees below it.
+    work: list[tuple] = [("span", 1, len(edus))]
+    out: list[RstTree] = []
+    while work:
+        item, first, last = work.pop()
+        if item == "make":
+            right = out.pop()
+            _, nuclearity, relation = nodes[(first, last)]
+            out[-1] = Node(out[-1], right, nuclearity, relation)
+        elif first == last:
+            out.append(Leaf(edus[first - 1]))
+        else:
+            mid = nodes[(first, last)][0]
+            work.append(("make", first, last))
+            work.append(("span", mid + 1, last))
+            work.append(("span", first, mid))
+    return out[0]
+
+
+def node_table(tree: RstTree) -> NodeTable:
+    """The table of ``tree``'s internal nodes, the inverse of
+    ``build_tree`` for a tree over EDUs 1..n: what a caller that holds only
+    a tree hands ``ReplayOracle``, a ``Document`` or ``score_document``."""
+    return {
+        node.span: [node.left.span[1], node.nuclearity, node.relation]
+        for node in internal_nodes(tree)
+    }
 
 
 class DocumentText:

@@ -4,7 +4,9 @@ Covers the parenthesized .dis constituent format, read in one regex scan
 that takes a whole leaf or a constituent's head per match where it is well
 formed, else a (leaf n) field or a constituent's role, else a token, and
 in one pass that maps relation names, collects EDUs and folds each n-ary
-constituent into binary nodes as it goes; relation-name maps and label
+constituent into the binary nodes of a node table as it goes (a document
+holds that table, and builds its tree only when the tree is read);
+relation-name maps and label
 inventories (editable text fixtures under rstkit/data); a canonical
 one-line bracket format for predicted trees; split manifests; and
 ``load_documents``, which turns a corpus directory, manifest and split
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -30,7 +33,9 @@ from .core import (
     Leaf,
     MalformedTree,
     Node,
+    NodeTable,
     RstTree,
+    build_tree,
 )
 
 PATTERN_SHORT = {NN: "NN", NS: "NS", SN: "SN"}
@@ -67,11 +72,22 @@ class MissingDocument(FileNotFoundError):
 @dataclass(frozen=True)
 class Document:
     """A document ready for parsing or scoring: its EDUs, whose indices run
-    1..len(edus) in order, and its gold binary tree."""
+    1..len(edus) in order, and the node table of its gold binary tree
+    (``core.NodeTable``), the shape a parse's ``ParseResult.nodes`` has.
+
+    Replays (``ReplayOracle``) and scoring (``score_document``) read the
+    table. ``tree`` is built from it the first time it is read and kept, so
+    a command that only replays or scores a document builds no gold tree. A
+    caller that holds a tree passes ``core.node_table(tree)``.
+    """
 
     doc_id: str
     edus: tuple[Edu, ...]
-    tree: RstTree
+    nodes: NodeTable = field(repr=False, hash=False)
+
+    @cached_property
+    def tree(self) -> RstTree:
+        return build_tree(self.edus, self.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +229,13 @@ SATELLITE = "Satellite"
 # placeholder, not a relation; the pair's relation comes from the satellite.
 SPAN_REL = "span"
 
-# A constituent as its parent sees it: (role, rel2par, binary subtree).
-_Side = tuple[str, str, RstTree]
+# A constituent as its parent sees it: (role, rel2par, first EDU, last EDU).
+_Side = tuple[str, str, int, int]
 
 
-def _pair(left: _Side, right: _Side) -> Node:
-    """Join two sides of a constituent into one binary node.
+def _pair(left: _Side, right: _Side, nodes: NodeTable) -> None:
+    """Join two adjacent sides of a constituent into one binary node, an
+    entry of ``nodes`` over both.
 
     Mono-nuclear pairs take the satellite side's relation; nucleus-nucleus
     pairs take whichever side carries a real relation (the shared
@@ -226,25 +243,27 @@ def _pair(left: _Side, right: _Side) -> Node:
     the tail of a satellite-only chain; it leans on the left side, which
     sits nearer the nucleus.
     """
-    lrole, lrel, ltree = left
-    rrole, rrel, rtree = right
+    lrole, lrel, first, mid = left
+    rrole, rrel, _, last = right
     if lrole == NUCLEUS and rrole == SATELLITE:
-        return Node(ltree, rtree, NS, rrel)
-    if lrole == SATELLITE and rrole == NUCLEUS:
-        return Node(ltree, rtree, SN, lrel)
-    if lrole == SATELLITE and rrole == SATELLITE:
-        return Node(ltree, rtree, NS, rrel)
-    # nucleus-nucleus: prefer the left rel2par, skipping "span" placeholders
-    relation = lrel if lrel != SPAN_REL else rrel
-    if relation == SPAN_REL:
-        raise MalformedTree(
-            f"two span-marked nuclei under one constituent at {ltree.span}"
-        )
-    return Node(ltree, rtree, NN, relation)
+        nuclearity, relation = NS, rrel
+    elif lrole == SATELLITE and rrole == NUCLEUS:
+        nuclearity, relation = SN, lrel
+    elif lrole == SATELLITE and rrole == SATELLITE:
+        nuclearity, relation = NS, rrel
+    else:
+        # nucleus-nucleus: prefer the left rel2par, skipping "span" placeholders
+        nuclearity, relation = NN, lrel if lrel != SPAN_REL else rrel
+        if relation == SPAN_REL:
+            raise MalformedTree(
+                f"two span-marked nuclei under one constituent at {(first, mid)}"
+            )
+    nodes[(first, last)] = [mid, nuclearity, relation]
 
 
-def _chain(parts: list[_Side]) -> _Side:
-    """Fold a constituent's children into a right-heavy binary chain.
+def _chain(parts: list[_Side], nodes: NodeTable) -> _Side:
+    """Fold a constituent's children into a right-heavy binary chain of
+    entries of ``nodes``.
 
     A k-child constituent becomes k-1 binary nodes: the first child paired
     against the folded remainder, so a multi-nuclear constituent yields
@@ -254,8 +273,9 @@ def _chain(parts: list[_Side]) -> _Side:
     """
     side = parts[-1]
     for left in parts[-2::-1]:
+        _pair(left, side, nodes)
         role = NUCLEUS if NUCLEUS in (left[0], side[0]) else SATELLITE
-        side = role, left[1], _pair(left, side)
+        side = role, left[1], left[2], side[3]
     return side
 
 
@@ -268,8 +288,8 @@ class _Frame:
     text: str | None = None
     children: list[_Side] = field(default_factory=list)
 
-    def close(self, pos: int) -> _Side:
-        """Check the constituent and fold it into its binary subtree."""
+    def close(self, pos: int, nodes: NodeTable) -> _Side:
+        """Check the constituent and fold it into binary nodes of ``nodes``."""
         role, rel2par, span, children = (
             self.role, self.rel2par, self.span, self.children
         )
@@ -288,12 +308,11 @@ class _Frame:
                 raise MalformedTree(f"missing rel2par on span {span}")
             rel2par = SPAN_REL
         if self.leaf is not None:
-            return role, rel2par, Leaf(Edu(self.leaf, self.text))
+            return role, rel2par, self.leaf, self.leaf
         if len(children) > 1 and NUCLEUS not in [side[0] for side in children]:
             raise MalformedTree(f"constituent {span} has no nucleus child")
         start = span[0]
-        for side in children:
-            first, last = side[2].span
+        for _, _, first, last in children:
             if first != start:
                 raise MalformedTree(
                     f"children of {span} not contiguous at {(first, last)}"
@@ -301,13 +320,27 @@ class _Frame:
             start = last + 1
         if start != span[1] + 1:
             raise MalformedTree(f"children do not cover {span}")
-        return role, rel2par, _chain(children)[2]
+        _chain(children, nodes)
+        return role, rel2par, span[0], span[1]
 
 
 def parse_dis(
     text: str, relation_map: "RelationMap | None" = None
 ) -> tuple[RstTree, tuple[Edu, ...]]:
     """Parse .dis text into its binary tree plus its EDUs in order.
+
+    The tree is ``core.build_tree`` of the node table ``read_dis`` keeps
+    (see ``_fold_dis``), so both readers check and fold alike.
+    """
+    nodes, edus = _fold_dis(text, relation_map)
+    return build_tree(edus, nodes), edus
+
+
+def _fold_dis(
+    text: str, relation_map: "RelationMap | None"
+) -> tuple[NodeTable, tuple[Edu, ...]]:
+    """Read .dis text into the node table of its binary tree plus its EDUs
+    in order.
 
     Each constituent is checked and folded into binary nodes (see
     ``_chain``) as its closing parenthesis is read. With ``relation_map``,
@@ -316,22 +349,23 @@ def parse_dis(
     an unknown name raises UnknownRelation.
     """
     with _Tokens(_TT_ERR_RE.sub(")", text), len(text)) as cursor:
-        root, edus = _read_constituents(cursor, relation_map)
+        root, nodes, edus = _read_constituents(cursor, relation_map)
     # every constituent covers its span with contiguous children, so the
-    # leaves run root.span[0]..root.span[1] in document order
-    if root.span[0] != 1:
+    # leaves run root[2]..root[3] in document order
+    if root[2] != 1:
         raise MalformedTree("leaf indices are not contiguous from 1")
-    return root, edus
+    return nodes, edus
 
 
 def _read_constituents(
     cursor: _Tokens, relation_map: "RelationMap | None"
-) -> tuple[RstTree, tuple[Edu, ...]]:
-    """Read the Root constituent and everything in it. Treebank nesting is
-    as deep as the document, so the open constituents are kept on an
-    explicit frame stack. A whole leaf goes straight to its parent's
-    children; every other constituent gets a frame, which its head fills
-    as far as it is well formed and its fields fill after that."""
+) -> tuple[_Side, NodeTable, tuple[Edu, ...]]:
+    """Read the Root constituent and everything in it: the Root's side, the
+    node table and the EDUs. Treebank nesting is as deep as the document,
+    so the open constituents are kept on an explicit frame stack. A whole
+    leaf goes straight to its parent's children; every other constituent
+    gets a frame, which its head fills as far as it is well formed and its
+    fields fill after that."""
     mapped = {SPAN_REL: SPAN_REL}
 
     def relation(name: str) -> str:
@@ -352,23 +386,28 @@ def _read_constituents(
     # the first field is a head or a constituent whose role is Root: the
     # loop below opens its frame as it opens every other
     frames: list[_Frame] = []
+    nodes: NodeTable = {}
     edus: list[Edu] = []
     for field in chain((first,), cursor.fields):
         kind = field.lastgroup
         if kind == "whole_leaf":
             rel2par = relation(field["leaf_rel2par"])
-            edu = Edu(int(field["leaf_index"]), normalize_edu_text(field["leaf_text"]))
-            edus.append(edu)
-            frames[-1].children.append((field["leaf_role"], rel2par, Leaf(edu)))
+            index = int(field["leaf_index"])
+            if not rel2par:
+                # a relation map may map a name to "", which ``close``
+                # refuses as it refuses a missing rel2par
+                raise MalformedTree(f"missing rel2par on span {(index, index)}")
+            edus.append(Edu(index, normalize_edu_text(field["leaf_text"])))
+            frames[-1].children.append((field["leaf_role"], rel2par, index, index))
         elif kind == "close":
             frame = frames.pop()
-            side = frame.close(field.start())
+            side = frame.close(field.start(), nodes)
             # only a leaf frame records its EDU: a one-child constituent
-            # over a leaf also closes to that Leaf (``_chain`` unwraps it)
+            # over a leaf also closes to that leaf's span
             if frame.leaf is not None:
-                edus.append(side[2].edu)
+                edus.append(Edu(frame.leaf, frame.text))
             if not frames:
-                root = side[2]
+                root = side
                 break
             frames[-1].children.append(side)
         elif kind == "head":
@@ -415,7 +454,7 @@ def _read_constituents(
     trailing = next(cursor.fields, None)
     if trailing is not None:
         raise DisSyntaxError("trailing content after tree", _token(trailing)[2])
-    return root, tuple(edus)
+    return root, nodes, tuple(edus)
 
 
 def _doc_id_from_path(path: Path) -> str:
@@ -438,14 +477,19 @@ def read_utf8(path: str | Path, error: type[Exception] = ConfigError) -> str:
 def read_dis(
     path: str | Path, relation_map: "RelationMap | None" = None
 ) -> Document:
-    """Load one annotated document, mapping relations as it reads."""
+    """Load one annotated document, mapping relations as it reads.
+
+    The document holds the node table the reader folds its constituents
+    into, and no tree: ``Document.tree`` is built when first read. Its
+    checks, messages and offsets are those of ``parse_dis``.
+    """
     path = Path(path)
     text = read_utf8(path, DisSyntaxError)
     try:
-        tree, edus = parse_dis(text, relation_map)
+        nodes, edus = _fold_dis(text, relation_map)
     except UnknownRelation as exc:
         raise UnknownRelation(f"{path}: {exc}") from None
-    return Document(_doc_id_from_path(path), edus, tree)
+    return Document(_doc_id_from_path(path), edus, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Shared plumbing for the two engines: policy, trace, result, the loop that
-puts their decisions to an oracle and resolves the answers, and their tree."""
+"""Shared plumbing for the two engines: policy, trace, result, and the loop
+that puts their decisions to an oracle and resolves the answers."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from .core import (
     NUCLEARITY_PATTERNS,
     Edu,
     LabelInventory,
-    Leaf,
-    Node,
+    NodeTable,
     RstTree,
+    build_tree,
     json_string,
     resolve_label,
 )
@@ -63,16 +63,16 @@ class TraceEntry(NamedTuple):
 class ParseResult:
     """A parse's trace, and the tree its decisions built.
 
-    ``edus`` and ``nodes`` are what ``build_tree`` reads: the document's
-    EDUs and the internal nodes, span -> [last EDU of its left half,
-    nuclearity, relation]. ``tree`` is built from them the first time it is
-    read and kept, so a caller that reads only the trace, as a gold walk
+    ``edus`` and ``nodes`` are what ``core.build_tree`` reads: the
+    document's EDUs and its node table (``core.NodeTable``), the same shape
+    a gold ``Document`` holds. ``tree`` is built from them the first time it
+    is read and kept, so a caller that reads only the trace, as a gold walk
     does, builds no tree.
     """
 
     trace: tuple[TraceEntry, ...]
     edus: Sequence[Edu] = field(repr=False, hash=False)
-    nodes: dict[tuple[int, int], list] = field(repr=False, hash=False)
+    nodes: NodeTable = field(repr=False, hash=False)
 
     @cached_property
     def tree(self) -> RstTree:
@@ -267,35 +267,6 @@ def _resolve(decision: Decision, raw: str) -> tuple[str, str]:
     if decision.legal is not labels and label not in decision.legal:
         return decision.default, "illegal"
     return label, ""
-
-
-def build_tree(
-    edus: Sequence[Edu], nodes: dict[tuple[int, int], list]
-) -> RstTree:
-    """The tree over all of ``edus`` from a table of its internal nodes:
-    span -> [last EDU of its left half, nuclearity, relation].
-
-    Built with an explicit work stack: right-heavy trees over long
-    documents nest as deep as the document is long.
-    """
-    # work items: ("span", i, j) expands a span;
-    # ("make", i, j) joins the two finished subtrees below it.
-    work: list[tuple] = [("span", 1, len(edus))]
-    out: list[RstTree] = []
-    while work:
-        item, first, last = work.pop()
-        if item == "make":
-            right = out.pop()
-            _, nuclearity, relation = nodes[(first, last)]
-            out[-1] = Node(out[-1], right, nuclearity, relation)
-        elif first == last:
-            out.append(Leaf(edus[first - 1]))
-        else:
-            mid = nodes[(first, last)][0]
-            work.append(("make", first, last))
-            work.append(("span", mid + 1, last))
-            work.append(("span", first, mid))
-    return out[0]
 
 
 def label_decision(

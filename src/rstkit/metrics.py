@@ -1,6 +1,7 @@
 """Standard-Parseval scoring of binary constituency trees.
 
-One tuple per internal node (span, nuclearity, relation); micro-averaged F1
+One tuple per internal node (span, nuclearity, relation), read from a
+predicted tree and from the gold document's node table; micro-averaged F1
 over summed corpus counts at four levels: span only, span+nuclearity,
 span+relation, and all three. With gold segmentation the predicted and gold
 tuple counts per document are equal, so precision and recall coincide.
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import RstTree, internal_nodes
+from .core import NodeTable, RstTree, internal_nodes
 
 LEVELS = ("span", "nuclearity", "relation", "full")
 
@@ -89,26 +90,32 @@ class ParsevalCounts:
 
 
 def score_document(
-    predicted: RstTree, gold: RstTree, include_root: bool = True
+    predicted: RstTree, gold: NodeTable, include_root: bool = True
 ) -> ParsevalCounts:
-    """Count matches between one predicted and one gold tree.
+    """Count matches between one predicted tree and the node table of one
+    gold tree (``core.NodeTable``), as ``Document.nodes`` holds it; a
+    caller that holds a gold tree passes ``core.node_table(tree)``.
 
-    Single-EDU documents have no internal nodes and contribute zeros.
+    The gold tree covers EDUs 1..n, as a document's does, so its n-1 nodes
+    give its span; a prediction over another span raises
+    SegmentationMismatch. Single-EDU documents have no internal nodes and
+    contribute zeros.
     """
-    pred_n = predicted.span[1] - predicted.span[0] + 1
-    gold_n = gold.span[1] - gold.span[0] + 1
-    if predicted.span != gold.span:
+    gold_n = len(gold) + 1
+    gold_span = (1, gold_n)
+    if predicted.span != gold_span:
+        pred_n = predicted.span[1] - predicted.span[0] + 1
         raise SegmentationMismatch(
             f"predicted covers {pred_n} EDUs at {predicted.span}, "
-            f"gold {gold_n} at {gold.span}"
+            f"gold {gold_n} at {gold_span}"
         )
     pred = extract_tuples(predicted, include_root)
-    ref = extract_tuples(gold, include_root)
     matched_span = matched_nuc = matched_rel = matched_full = 0
     for span, (nuc, rel) in pred.items():
-        if span not in ref:
+        node = gold.get(span)
+        if node is None:
             continue
-        gold_nuc, gold_rel = ref[span]
+        _, gold_nuc, gold_rel = node
         matched_span += 1
         if nuc == gold_nuc:
             matched_nuc += 1
@@ -116,9 +123,11 @@ def score_document(
             matched_rel += 1
         if nuc == gold_nuc and rel == gold_rel:
             matched_full += 1
+    # without the root, the root's span (the prediction's too) counts on
+    # neither side
     return ParsevalCounts(
         predicted=len(pred),
-        gold=len(ref),
+        gold=len(gold) if include_root or not gold else len(gold) - 1,
         matched_span=matched_span,
         matched_nuclearity=matched_nuc,
         matched_relation=matched_rel,

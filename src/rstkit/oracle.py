@@ -1,7 +1,7 @@
 """Decision oracles: where completions come from.
 
 The engines only ever see the Oracle protocol, so a parse can be driven by
-a gold tree, a scripted list, or a live completion endpoint without the
+a gold tree's node table, a scripted list, or a live completion endpoint without the
 state machines knowing the difference.
 """
 
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .core import MAX_DIGITS, RstTree, internal_nodes, json_string, slot_setters
+from .core import MAX_DIGITS, NodeTable, json_string, slot_setters
 from .prompts import (
     ACTION,
     NUCLEARITY,
@@ -153,12 +153,19 @@ class Oracle(Protocol):
 
 
 class ReplayOracle:
-    """Answers each query from a gold tree, by the span it is about.
+    """Answers each query from a gold tree's node table, by the span it is
+    about.
+
+    ``nodes`` is the table (``core.NodeTable``): span -> [last EDU of its
+    left half, nuclearity, relation], as ``Document.nodes`` holds it; a
+    caller that holds only a tree passes ``core.node_table(tree)``. The
+    table is read, never copied or changed.
 
     An action is a reduce when the gold tree has a node over the span the
     reduce would build, else a shift; a split or label query gets the
-    answer of the gold node over its span. Gold constituents nest and never
-    cross, so these answers drive either engine along the derivation that
+    answer of the gold node over its span, a split's as the left half's
+    last EDU less the span's first. Gold constituents nest and never cross,
+    so these answers drive either engine along the derivation that
     rebuilds the tree, whatever order the questions come in. A split or
     label query over a span the tree lacks, as when the tree is not the
     parsed document's, raises KindMismatch.
@@ -166,8 +173,8 @@ class ReplayOracle:
 
     fingerprint = "replay"
 
-    def __init__(self, tree: RstTree):
-        self._nodes = {node.span: node for node in internal_nodes(tree)}
+    def __init__(self, nodes: NodeTable):
+        self._nodes = nodes
 
     def complete(self, query: OracleQuery) -> str:
         if query.kind == ACTION:
@@ -179,10 +186,10 @@ class ReplayOracle:
                 f"to answer a {query.kind} query"
             )
         if query.kind == SPLIT:
-            return str(node.left.span[1] - node.span[0])
+            return str(node[0] - query.span[0])
         if query.kind == NUCLEARITY:
-            return node.nuclearity
-        return node.relation
+            return node[1]
+        return node[2]
 
 
 class ScriptedOracle:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import DocumentText, Edu, LabelInventory
+from .core import DocumentText, Edu, LabelInventory, NodeTable
 from .engine import (
     Decision,
     EmptyDocument,
@@ -59,7 +59,7 @@ def parse_top_down(
         raise EmptyDocument("cannot parse a document with no EDUs")
     n = len(edus)
     # the internal nodes, as build_tree reads them
-    nodes: dict[tuple[int, int], list] = {}
+    nodes: NodeTable = {}
     if n == 1:
         return ParseResult((), edus, nodes)
 

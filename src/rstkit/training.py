@@ -1,7 +1,7 @@
 """Gold walks: training pairs from replay parses.
 
 A gold walk is a replay parse: the strategy's own engine runs on the
-document's EDUs with a ``ReplayOracle`` over its gold tree, which answers
+document's EDUs with a ``ReplayOracle`` over its gold node table, which answers
 each decision by the span it is about. Each query the engine puts is one
 fine-tuning pair, so the pairs hold exactly the prompts a parse shows the
 model, and which decisions are asked, and in what order, is decided by the
@@ -69,13 +69,14 @@ def gold_walk(
 ) -> Iterator[TrainingExample]:
     """Training pairs of a gold parse, in engine order.
 
-    The strategy's engine parses ``doc`` with ``ReplayOracle(doc.tree)``;
+    The strategy's engine parses ``doc`` with ``ReplayOracle(doc.nodes)``;
     each query it puts becomes a pair whose completion is the gold answer.
     Relation prompts carry the gold nuclearity (teacher forcing). A replay
     that corrects a gold answer, as when a relation is not in the
     inventory, raises KindMismatch naming the first one, so a walk cannot
-    yield wrong pairs. The walk reads the parse's trace alone, so it builds
-    no tree (``ParseResult.tree``).
+    yield wrong pairs. The walk reads the gold table and the parse's trace
+    alone, so it builds no tree, gold (``Document.tree``) or parsed
+    (``ParseResult.tree``).
 
     ``split_prompts``, top-down only, is handed to ``parse_top_down`` to
     render the split prompts: made from ``doc``'s EDU texts under
@@ -87,7 +88,7 @@ def gold_walk(
         raise ValueError(f"unknown strategy {strategy!r}")
     if split_prompts is not None and strategy != TOP_DOWN:
         raise ValueError(f"a {strategy} parse renders no split prompts")
-    oracle = ReplayOracle(doc.tree)
+    oracle = ReplayOracle(doc.nodes)
     if split_prompts is None:
         result = ENGINES[strategy](doc.edus, oracle, inventory, policy)
     else:

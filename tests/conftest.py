@@ -23,6 +23,7 @@ from rstkit import (
     leaves,
     load_documents,
     minicorpus_dir,
+    node_table,
 )
 
 # deterministic property tests: same examples on every run; pytest's
@@ -102,7 +103,7 @@ def check_tree(tree, n_edus: int) -> None:
 
 def random_document(rng: random.Random, n: int, doc_id: str = "rand") -> Document:
     edus = make_edus(n, rng)
-    return Document(doc_id, edus, random_tree(rng, edus))
+    return Document(doc_id, edus, node_table(random_tree(rng, edus)))
 
 
 def chain_tree(edus, right_heavy: bool = True):

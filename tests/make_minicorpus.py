@@ -175,7 +175,7 @@ def main() -> None:
         doc = read_dis(OUT_DIR / filename(name), relmap)
         check_tree(doc.tree, n_edus)
         for engine in (parse_bottom_up, parse_top_down):
-            result = engine(doc.edus, ReplayOracle(doc.tree), inventory)
+            result = engine(doc.edus, ReplayOracle(doc.nodes), inventory)
             assert result.tree == doc.tree, (name, engine.__name__)
         print(f"{filename(name)}: {n_edus} EDUs ok")
     print(f"wrote {len(DOCS)} documents + splits.tsv to {OUT_DIR}")

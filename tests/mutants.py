@@ -120,6 +120,43 @@ MUTANTS = (
         ("tests/test_training.py::test_only_a_read_of_the_tree_builds_it",),
     ),
     Mutant(
+        "the fold stores SN for a nucleus-satellite pair",
+        "src/rstkit/corpus.py",
+        "    if lrole == NUCLEUS and rrole == SATELLITE:\n        nuclearity, relation = NS, rrel\n",
+        "    if lrole == NUCLEUS and rrole == SATELLITE:\n        nuclearity, relation = SN, rrel\n",
+        (
+            "tests/test_core.py::test_readers_agree_on_whole_documents",
+            "tests/test_core.py::test_a_document_is_the_node_table_of_the_tree_its_text_gives",
+        ),
+    ),
+    Mutant(
+        "the replay answers a split one past its left half",
+        "src/rstkit/oracle.py",
+        "            return str(node[0] - query.span[0])\n",
+        "            return str(node[0] - query.span[0] + 1)\n",
+        (
+            "tests/test_oracle.py::test_replay_answers_each_kind_by_span",
+            "tests/test_training.py::"
+            "test_gold_replay_table_is_the_documents[top-down-skip-forced]",
+            "tests/test_training.py::"
+            "test_gold_replay_table_is_the_documents[top-down-query-forced]",
+        ),
+    ),
+    Mutant(
+        "each read of a document's tree builds it again",
+        "src/rstkit/corpus.py",
+        "    @cached_property\n",
+        "    @property\n",
+        ("tests/test_training.py::test_only_a_read_of_the_tree_builds_it",),
+    ),
+    Mutant(
+        "eval scores against the gold tree",
+        "src/rstkit/cli.py",
+        "score_document(tree, doc.nodes, not args.exclude_root)",
+        "score_document(tree, doc.tree, not args.exclude_root)",
+        ("tests/test_training.py::test_only_a_read_of_the_tree_builds_it",),
+    ),
+    Mutant(
         "main puts the caller's collector thresholds back only on success",
         "src/rstkit/cli.py",
         "        args = _parse_args(argv)\n        return args.func(args)\n",

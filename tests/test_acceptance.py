@@ -32,6 +32,7 @@ from rstkit import (
     micro_f1,
     micro_scores,
     minicorpus_dir,
+    node_table,
     parse_bottom_up,
     parse_top_down,
     score_document,
@@ -67,7 +68,7 @@ def test_criterion_1_replay_closure(tmp_path, capsys, minicorpus, inventory):
 
     for strategy, engine in ENGINES.items():
         for doc in minicorpus:
-            result = engine(doc.edus, ReplayOracle(doc.tree), inventory)
+            result = engine(doc.edus, ReplayOracle(doc.nodes), inventory)
             assert result.tree == doc.tree, (strategy, doc.doc_id)
             assert result.corrected_count == 0, (strategy, doc.doc_id)
 
@@ -144,11 +145,11 @@ def _right3():
 
 
 def test_criterion_3_metric_fixtures(capsys, minicorpus):
-    shape = micro_f1(score_document(_right3(), _left3()))
+    shape = micro_f1(score_document(_right3(), node_table(_left3())))
     for level in LEVELS:
         assert abs(shape[level] - 50.0) <= 0.05
 
-    flip = micro_f1(score_document(_left3(rel_inner="Background"), _left3()))
+    flip = micro_f1(score_document(_left3(rel_inner="Background"), node_table(_left3())))
     assert abs(flip["span"] - 100.0) <= 0.05
     assert abs(flip["nuclearity"] - 100.0) <= 0.05
     assert abs(flip["relation"] - 50.0) <= 0.05
@@ -168,14 +169,14 @@ def test_criterion_3_metric_fixtures(capsys, minicorpus):
                  NS, "Elaboration")
     pairs = [(perfect, perfect), (pred4, gold4)]
     micro = micro_f1(
-        sum((score_document(p, g) for p, g in pairs), ParsevalCounts())
+        sum((score_document(p, node_table(g)) for p, g in pairs), ParsevalCounts())
     )
     assert abs(micro["full"] - 50.0) <= 0.05
-    macro = sum(micro_f1(score_document(p, g))["full"] for p, g in pairs) / 2
+    macro = sum(micro_f1(score_document(p, node_table(g)))["full"] for p, g in pairs) / 2
     assert abs(macro - 66.65) <= 0.05
 
     self_scores = micro_scores(sum(
-        (score_document(doc.tree, doc.tree) for doc in minicorpus), ParsevalCounts()
+        (score_document(doc.tree, doc.nodes) for doc in minicorpus), ParsevalCounts()
     ))
     for level in LEVELS:
         assert self_scores[level].precision == 100.0
@@ -187,7 +188,7 @@ def test_criterion_3_metric_fixtures(capsys, minicorpus):
         n = rng.randint(2, 12)
         edus = make_edus(n)
         counts = score_document(random_tree(rng, edus),
-                                random_tree(rng, edus))
+                                node_table(random_tree(rng, edus)))
         scores = micro_scores(counts)
         for level in LEVELS:
             assert scores[level].precision == scores[level].recall

@@ -27,7 +27,7 @@ from conftest import check_tree, make_edus, random_document
 
 def test_replay_reproduces_gold_on_minicorpus(minicorpus, inventory):
     for doc in minicorpus:
-        result = parse_bottom_up(doc.edus, ReplayOracle(doc.tree), inventory)
+        result = parse_bottom_up(doc.edus, ReplayOracle(doc.nodes), inventory)
         assert result.tree == doc.tree, doc.doc_id
         assert result.corrected_count == 0, doc.doc_id
 
@@ -35,7 +35,7 @@ def test_replay_reproduces_gold_on_minicorpus(minicorpus, inventory):
 def test_replay_closure_without_skipping_forced(minicorpus, inventory):
     policy = ParsePolicy(skip_forced=False)
     doc = minicorpus[2]
-    result = parse_bottom_up(doc.edus, ReplayOracle(doc.tree), inventory, policy)
+    result = parse_bottom_up(doc.edus, ReplayOracle(doc.nodes), inventory, policy)
     n = len(doc.edus)
     assert result.tree == doc.tree
     assert len(result.trace) == 4 * n - 3
@@ -160,7 +160,7 @@ def test_trace_serialization_round_trip(inventory):
     import json
 
     doc = random_document(random.Random(5), 6)
-    result = parse_bottom_up(doc.edus, ReplayOracle(doc.tree), inventory)
+    result = parse_bottom_up(doc.edus, ReplayOracle(doc.nodes), inventory)
     text = trace_to_jsonl(result.trace)
     assert text.endswith("\n")
     rows = [json.loads(line) for line in text.splitlines()]

@@ -16,6 +16,7 @@ from rstkit import (
     CachedOracle,
     Document,
     ParsePolicy,
+    node_table,
     trace_to_jsonl,
     write_tree,
 )
@@ -29,7 +30,7 @@ def _documents() -> list[Document]:
     docs = [random_document(rng, n, f"rand{n}") for n in (1, 2, 3, 9, 24, 40)]
     for n, right_heavy in ((12, True), (30, False)):
         edus = make_edus(n, rng)
-        docs.append(Document(f"chain{n}", edus, chain_tree(edus, right_heavy)))
+        docs.append(Document(f"chain{n}", edus, node_table(chain_tree(edus, right_heavy))))
     return docs
 
 

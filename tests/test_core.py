@@ -13,12 +13,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+import importlib.util
 import itertools
 import pickle
 import random
 import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,13 +44,16 @@ from rstkit import (
     ReplayExhausted,
     ReplayOracle,
     ScriptedOracle,
+    build_tree,
     internal_nodes,
     leaves,
     load_inventory,
     minicorpus_dir,
+    node_table,
     parse_bottom_up,
     parse_dis,
     parse_top_down,
+    read_dis,
     read_tree,
     write_tree,
 )
@@ -705,6 +710,90 @@ def test_readers_agree_on_whole_documents(relmap):
     assert spent[parse_dis] < 4 * spent[token_reader.parse_dis]
 
 
+def _longdoc():
+    """The benchmark's generator of long documents, ``perfbench/longdoc.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "longdoc.py"
+    spec = importlib.util.spec_from_file_location("longdoc", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _shape_texts():
+    """The generated .dis texts the reader tests above read: every flat
+    shape of two to four children, random nested trees, and the two
+    3000-EDU documents."""
+    for n in (2, 3, 4):
+        for roles in _role_assignments(n):
+            for style in ("mono", "multi", "arbitrary"):
+                rels = _rel_for(roles, style)
+                yield to_dis(_root(
+                    _leaf(i + 1, role, rel)
+                    for i, (role, rel) in enumerate(zip(roles, rels))
+                ))
+    rng = random.Random(20118)
+    for _ in range(200):
+        yield to_dis(_random_nary(rng, 1, rng.randint(1, 14), "Root", None))
+    yield _long_dis(3000, _right_branching)
+    yield _long_dis(3000, lambda lo, hi: _random_children(rng, lo, hi))
+
+
+def test_a_document_is_the_node_table_of_the_tree_its_text_gives(tmp_path, relmap):
+    """Every shipped and benchmarked .dis file (the minicorpus, the press
+    release, and longdoc seeds 1-3), with and without the coarse map, and
+    the generated shapes: ``read_dis`` keeps the node table of the tree
+    ``parse_dis`` and the token reader give, and builds the same tree from
+    it when its tree is read."""
+    shipped = sorted(minicorpus_dir().glob("*.dis")) + [DATA_DIR / "press_release.dis"]
+    longdoc = _longdoc()
+    for seed in (1, 2, 3):
+        out = tmp_path / f"longdoc-{seed}"
+        longdoc.generate(seed, out)
+        shipped += sorted(out.glob("*.dis"))
+    cases = [(path, relation_map) for path in shipped for relation_map in (None, relmap)]
+    for number, text in enumerate(_shape_texts()):
+        path = tmp_path / f"shape-{number}.dis"
+        path.write_text(text, encoding="utf-8")
+        cases.append((path, None))
+    assert len(cases) == 2 * (22 + 1 + 12) + 75 + 200 + 2
+    for path, relation_map in cases:
+        text = path.read_text(encoding="utf-8")
+        doc = read_dis(path, relation_map)
+        tree, edus = parse_dis(text, relation_map)
+        reference, reference_edus = token_reader.parse_dis(text, relation_map)
+        assert doc.nodes == node_table(tree) == node_table(reference), path
+        assert doc.edus == edus == reference_edus, path
+        assert doc.tree == tree == reference, path
+        assert len(doc.nodes) == len(edus) - 1, path
+
+
+def test_a_relation_mapped_to_nothing_is_refused_as_the_token_reader_refuses_it():
+    # a whole leaf, and a leaf whose fields are out of order, which is read
+    # field by field
+    whole = to_dis(_root([_leaf(1, "Nucleus", "span"), _leaf(2, "Satellite", "cause")]))
+    swapped = whole.replace(
+        "(leaf 2) (rel2par cause)", "(rel2par cause) (leaf 2)"
+    )
+    assert swapped != whole
+    empty = RelationMap({"cause": ""})
+    for text in (whole, swapped):
+        expected = _outcome(token_reader.parse_dis, text, empty)
+        assert expected == (MalformedTree, "missing rel2par on span (2, 2)", None)
+        assert _outcome(parse_dis, text, empty) == expected
+
+
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**32))
+def test_build_tree_and_node_table_are_inverses(n, seed):
+    rng = random.Random(seed)
+    edus = make_edus(n, rng)
+    tree = random_tree(rng, edus)
+    nodes = node_table(tree)
+    assert len(nodes) == n - 1
+    assert all(span[0] <= mid < span[1] for span, (mid, _, _) in nodes.items())
+    assert build_tree(edus, nodes) == tree
+    assert node_table(build_tree(edus, nodes)) == nodes
+
+
 def test_readers_reject_numbers_too_long_for_int_alike(int_digit_limit):
     # a number longer than int() reads under the default digit limit is
     # malformed input under every limit, in both readers, at its offset
@@ -734,7 +823,7 @@ def test_shift_reduce_sequence_counts_and_closure(inventory):
         n = rng.randint(1, 24)
         edus = make_edus(n, rng)
         tree = random_tree(rng, edus)
-        result = parse_bottom_up(edus, ReplayOracle(tree), inventory, policy)
+        result = parse_bottom_up(edus, ReplayOracle(node_table(tree)), inventory, policy)
         actions = [e.resolved for e in result.trace if e.kind == "action"]
         assert len(actions) == 2 * n - 1
         assert actions.count("shift") == n
@@ -749,7 +838,7 @@ def test_split_sequence_counts_and_closure(inventory):
         n = rng.randint(1, 24)
         edus = make_edus(n, rng)
         tree = random_tree(rng, edus)
-        result = parse_top_down(edus, ReplayOracle(tree), inventory, policy)
+        result = parse_top_down(edus, ReplayOracle(node_table(tree)), inventory, policy)
         splits = [e for e in result.trace if e.kind == "split"]
         assert len(splits) == n - 1
         assert not any(e.forced for e in splits)
@@ -853,10 +942,10 @@ def test_parses_leave_no_garbage_cycles(inventory):
     # cyclic collector: with it off, nothing a parse made is left for it
     edus = make_edus(9)
     tree = random_tree(random.Random(5), edus)
-    doc = Document("doc", edus, tree)
+    doc = Document("doc", edus, node_table(tree))
     garbage = ["banana", "1", "shift", "reduce", "0", "nucleus-nucleus", "Joint"]
     oracles = {
-        "replay": (lambda: ReplayOracle(tree), ParsePolicy()),
+        "replay": (lambda: ReplayOracle(doc.nodes), ParsePolicy()),
         "scripted": (
             lambda: ScriptedOracle(garbage, cycle=True), ParsePolicy(skip_forced=False)
         ),

@@ -14,6 +14,7 @@ from rstkit import (
     SegmentationMismatch,
     micro_f1,
     micro_scores,
+    node_table,
     per_relation_rows,
     score_document,
 )
@@ -24,7 +25,7 @@ from conftest import make_edus, random_tree
 
 def _corpus_counts(pairs) -> ParsevalCounts:
     """Document counts summed; micro averaging happens on the sums."""
-    return sum((score_document(p, g) for p, g in pairs), ParsevalCounts())
+    return sum((score_document(p, node_table(g)) for p, g in pairs), ParsevalCounts())
 
 NS = "nucleus-satellite"
 NN = "nucleus-nucleus"
@@ -69,7 +70,7 @@ def test_round1_half_away_from_zero(value, expected):
 
 
 def test_shape_mismatch_scores_fifty_everywhere():
-    counts = score_document(_right3(), _left3())
+    counts = score_document(_right3(), node_table(_left3()))
     assert counts.predicted == 2 and counts.gold == 2
     assert counts.matched_span == 1
     scores = micro_f1(counts)
@@ -78,7 +79,7 @@ def test_shape_mismatch_scores_fifty_everywhere():
 
 
 def test_relation_flip_halves_relation_and_full():
-    counts = score_document(_left3(rel_inner="Background"), _left3())
+    counts = score_document(_left3(rel_inner="Background"), node_table(_left3()))
     scores = micro_f1(counts)
     assert scores["span"] == 100.0
     assert scores["nuclearity"] == 100.0
@@ -87,7 +88,7 @@ def test_relation_flip_halves_relation_and_full():
 
 
 def test_nuclearity_flip_halves_nuclearity_and_full():
-    counts = score_document(_left3(nuc_inner=NN), _left3())
+    counts = score_document(_left3(nuc_inner=NN), node_table(_left3()))
     scores = micro_f1(counts)
     assert scores["span"] == 100.0
     assert scores["nuclearity"] == 50.0
@@ -122,7 +123,7 @@ def test_micro_pools_counts_rather_than_averaging_documents():
     for level in LEVELS:
         assert abs(micro[level] - 50.0) <= 0.05
 
-    per_doc = [micro_f1(score_document(p, g)) for p, g in pairs]
+    per_doc = [micro_f1(score_document(p, node_table(g))) for p, g in pairs]
     assert per_doc[0]["full"] == 100.0
     assert per_doc[1]["full"] == 33.3
     macro_full = sum(d["full"] for d in per_doc) / len(per_doc)
@@ -151,7 +152,7 @@ def test_exclude_root_drops_the_document_span():
 
 
 def test_exclude_root_can_zero_a_document():
-    counts = score_document(_right3(), _left3(), include_root=False)
+    counts = score_document(_right3(), node_table(_left3()), include_root=False)
     assert counts.predicted == 1 and counts.gold == 1
     assert counts.matched_span == 0
     scores = micro_f1(counts)
@@ -161,7 +162,7 @@ def test_exclude_root_can_zero_a_document():
 def test_two_edu_corpus_without_root_is_empty():
     edus = make_edus(2)
     tree = Node(Leaf(edus[0]), Leaf(edus[1]), NS, "Elaboration")
-    counts = score_document(tree, tree, include_root=False)
+    counts = score_document(tree, node_table(tree), include_root=False)
     assert counts.predicted == 0 and counts.gold == 0
     with pytest.raises(EmptyCorpus):
         micro_f1(counts)
@@ -180,12 +181,12 @@ def test_segmentation_mismatch_rejected():
                      NS, "Joint"),
                 NS, "Joint")
     with pytest.raises(SegmentationMismatch, match="3 EDUs"):
-        score_document(three, four)
+        score_document(three, node_table(four))
 
 
 def test_single_edu_documents_contribute_nothing():
     leaf = Leaf(make_edus(1)[0])
-    counts = score_document(leaf, leaf)
+    counts = score_document(leaf, node_table(leaf))
     assert counts == ParsevalCounts()
     with pytest.raises(EmptyCorpus, match="no tuples"):
         micro_f1(counts)
@@ -220,7 +221,7 @@ def test_precision_equals_recall_and_levels_are_monotone():
         edus = make_edus(n)
         predicted = random_tree(rng, edus)
         gold = random_tree(rng, edus)
-        counts = score_document(predicted, gold)
+        counts = score_document(predicted, node_table(gold))
         assert counts.predicted == counts.gold == n - 1
         scores = micro_scores(counts)
         for level in LEVELS:
@@ -229,7 +230,7 @@ def test_precision_equals_recall_and_levels_are_monotone():
         assert counts.matched_span >= counts.matched_relation
         assert counts.matched_nuclearity >= counts.matched_full
         assert counts.matched_relation >= counts.matched_full
-        self_scores = micro_f1(score_document(gold, gold))
+        self_scores = micro_f1(score_document(gold, node_table(gold)))
         assert all(self_scores[level] == 100.0 for level in LEVELS)
 
 

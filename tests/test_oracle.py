@@ -40,6 +40,7 @@ from rstkit import (
     ScriptedOracle,
     StoreCorrupt,
     builtin_inventory,
+    node_table,
     resolve_label,
 )
 from rstkit.core import MAX_DIGITS, NS, NUCLEARITY_PATTERNS, SN
@@ -225,15 +226,15 @@ def test_gold_replay_resolves_every_answer_without_the_scan(
     inventory = builtin_inventory("rst-dt")
     parse = ENGINES[strategy]
     # a three-EDU parse compiles the tables of the sets the engine reuses
-    parse(make_edus(3), ReplayOracle(chain_tree(make_edus(3))), inventory)
+    parse(make_edus(3), ReplayOracle(node_table(chain_tree(make_edus(3)))), inventory)
     edus = make_edus(301)
     tree = chain_tree(edus, right_heavy)
     scans = []
     with monkeypatch.context() as patch:
         patch.setattr(rstkit.engine, "resolve_label", lambda raw, labels: scans.append(raw))
-        result = parse(edus, ReplayOracle(tree), inventory)
+        result = parse(edus, ReplayOracle(node_table(tree)), inventory)
     assert scans == []
-    gold = parse(edus, ReplayOracle(tree), inventory)
+    gold = parse(edus, ReplayOracle(node_table(tree)), inventory)
     assert result.tree == gold.tree == tree
     assert result.trace == gold.trace and gold.corrected_count == 0
 
@@ -262,7 +263,7 @@ def _three_edu_tree():
 
 
 def test_replay_answers_each_kind_by_span():
-    oracle = ReplayOracle(_three_edu_tree())
+    oracle = ReplayOracle(node_table(_three_edu_tree()))
     assert oracle.complete(_query(span=None)) == "shift"
     assert oracle.complete(_query(span=(1, 2))) == "shift"
     assert oracle.complete(_query(span=(2, 3))) == "reduce"
@@ -279,7 +280,7 @@ def test_replay_answers_each_kind_by_span():
 def test_replay_answers_do_not_depend_on_question_order(minicorpus, inventory,
                                                        strategy):
     doc = minicorpus[7]
-    replay = ReplayOracle(doc.tree)
+    replay = ReplayOracle(doc.nodes)
     queries = []
 
     def record(query):
@@ -291,14 +292,14 @@ def test_replay_answers_do_not_depend_on_question_order(minicorpus, inventory,
     result = engine(doc.edus, FunctionOracle(record), inventory, policy)
     asked = [entry.raw for entry in result.trace]
     assert len(queries) == len(asked) and result.corrected_count == 0
-    fresh = ReplayOracle(doc.tree)
+    fresh = ReplayOracle(doc.nodes)
     backwards = [fresh.complete(query) for query in reversed(queries)]
     assert backwards[::-1] == asked
 
 
 def test_replay_kind_mismatch():
     # a label query over a span the gold tree has no node for
-    oracle = ReplayOracle(_three_edu_tree())
+    oracle = ReplayOracle(node_table(_three_edu_tree()))
     with pytest.raises(KindMismatch, match=r"\(1, 2\)"):
         oracle.complete(_query("relation", span=(1, 2)))
     with pytest.raises(KindMismatch, match="split"):

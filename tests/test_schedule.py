@@ -30,6 +30,7 @@ from rstkit import (
     Node,
     ParsePolicy,
     ReplayOracle,
+    node_table,
 )
 from rstkit.training import ENGINES
 
@@ -84,7 +85,7 @@ def _documents(inventory) -> list[Document]:
                  relations[(number * 7 + i) % len(relations)])
                 for i in range(n - 1)
             ]
-            docs.append(Document(f"shape{number}", edus, _tree(edus, splits, labels)))
+            docs.append(Document(f"shape{number}", edus, node_table(_tree(edus, splits, labels))))
     return docs
 
 
@@ -118,7 +119,7 @@ def test_schedule_changes_nothing_on_every_small_shape(
     serial = []
     table: dict[str, str] = {}
     for doc in docs:
-        oracle = ReplayOracle(doc.tree) if answers == "gold" else FunctionOracle(_garbage)
+        oracle = ReplayOracle(doc.nodes) if answers == "gold" else FunctionOracle(_garbage)
         result = parse(doc.edus, oracle, inventory, policy)
         serial.append(result)
         if answers == "gold":
@@ -129,7 +130,7 @@ def test_schedule_changes_nothing_on_every_small_shape(
                     assert table.setdefault(entry.prompt, entry.raw) == entry.raw
         elif policy.skip_forced:
             # any tree replays to itself (the gold ones just did)
-            replayed = parse(doc.edus, ReplayOracle(result.tree), inventory, policy)
+            replayed = parse(doc.edus, ReplayOracle(node_table(result.tree)), inventory, policy)
             assert replayed.tree == result.tree
             assert replayed.corrected_count == 0
 
@@ -150,8 +151,8 @@ class _RoundCounter:
     """Answers each round of a parse in one call from a gold replay, and
     counts the rounds."""
 
-    def __init__(self, tree):
-        self.replay = ReplayOracle(tree)
+    def __init__(self, nodes):
+        self.replay = ReplayOracle(nodes)
         self.rounds = 0
 
     def answer_many(self, queries):
@@ -174,7 +175,7 @@ def test_gold_rounds_follow_the_closed_forms(shape_documents, inventory, policy)
     only where forced splits are asked: depth + 1, or depth + 2. A one-EDU
     document has no label to ask, so its rounds are its queried actions."""
     for doc in shape_documents:
-        bottom_up, top_down = _RoundCounter(doc.tree), _RoundCounter(doc.tree)
+        bottom_up, top_down = _RoundCounter(doc.nodes), _RoundCounter(doc.nodes)
         result = ENGINES["bottom-up"](doc.edus, bottom_up, inventory, policy)
         assert result.tree == doc.tree
         actions = sum(entry.kind == ACTION and not entry.forced for entry in result.trace)

@@ -15,6 +15,7 @@ from rstkit import (
     ScriptedOracle,
     SplitPrompts,
     internal_nodes,
+    node_table,
     parse_top_down,
     write_tree,
 )
@@ -55,7 +56,7 @@ def test_degenerate_span_has_no_split(span):
 
 def test_replay_reproduces_gold_on_minicorpus(minicorpus, inventory):
     for doc in minicorpus:
-        result = parse_top_down(doc.edus, ReplayOracle(doc.tree), inventory)
+        result = parse_top_down(doc.edus, ReplayOracle(doc.nodes), inventory)
         assert result.tree == doc.tree, doc.doc_id
         assert result.corrected_count == 0, doc.doc_id
 
@@ -63,7 +64,7 @@ def test_replay_reproduces_gold_on_minicorpus(minicorpus, inventory):
 def test_trace_has_one_split_per_internal_node(minicorpus, inventory):
     for doc in minicorpus[:6]:
         n = len(doc.edus)
-        result = parse_top_down(doc.edus, ReplayOracle(doc.tree), inventory)
+        result = parse_top_down(doc.edus, ReplayOracle(doc.nodes), inventory)
         kinds = [e.kind for e in result.trace]
         assert kinds.count("split") == n - 1
         assert kinds.count("nuclearity") == n - 1
@@ -72,7 +73,7 @@ def test_trace_has_one_split_per_internal_node(minicorpus, inventory):
 
 def test_decisions_follow_preorder_left_first(minicorpus, inventory):
     doc = minicorpus[7]
-    result = parse_top_down(doc.edus, ReplayOracle(doc.tree), inventory)
+    result = parse_top_down(doc.edus, ReplayOracle(doc.nodes), inventory)
     split_states = [e.state for e in result.trace if e.kind == "split"]
     expected = [
         f"span=({node.span[0]},{node.span[1]})"
@@ -190,7 +191,7 @@ def test_thousand_edu_chain_round_trip(right_heavy, inventory):
     n = 1000
     edus = make_edus(n)
     gold = chain_tree(edus, right_heavy=right_heavy)
-    result = parse_top_down(edus, ReplayOracle(gold), inventory)
+    result = parse_top_down(edus, ReplayOracle(node_table(gold)), inventory)
     assert write_tree(result.tree) == write_tree(gold)
     assert result.corrected_count == 0
     splits = [e for e in result.trace if e.kind == "split"]

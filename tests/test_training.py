@@ -13,6 +13,7 @@ from rstkit import (
     Document,
     Edu,
     KindMismatch,
+    Leaf,
     Node,
     ParsePolicy,
     ReplayOracle,
@@ -22,10 +23,11 @@ from rstkit import (
     export_metadata,
     gold_walk,
     minicorpus_dir,
+    node_table,
     read_dis,
     write_tree,
 )
-from rstkit import cli, engine
+from rstkit import cli, core, corpus, engine
 from rstkit.cli import main
 from rstkit.corpus import load_split_manifest
 from rstkit.training import ENGINES, KINDS
@@ -50,7 +52,7 @@ def test_walk_matches_engine_queries(minicorpus, inventory, strategy,
     policy = ParsePolicy(skip_forced=skip_forced)
     for doc in minicorpus[:8]:
         examples = list(gold_walk(doc, inventory, strategy, policy))
-        result = _parse(doc, ReplayOracle(doc.tree), inventory, strategy, policy)
+        result = _parse(doc, ReplayOracle(doc.nodes), inventory, strategy, policy)
         asked = [e for e in result.trace if not e.forced]
         assert len(asked) == len(examples), doc.doc_id
         for entry, example in zip(asked, examples):
@@ -66,7 +68,7 @@ def test_walk_lockstep_on_dis_fixture(press_release_path, relmap, inventory,
                                       strategy):
     doc = read_dis(press_release_path, relmap)
     examples = list(gold_walk(doc, inventory, strategy))
-    result = _parse(doc, ReplayOracle(doc.tree), inventory, strategy)
+    result = _parse(doc, ReplayOracle(doc.nodes), inventory, strategy)
     asked = [e for e in result.trace if not e.forced]
     assert [(e.kind, e.prompt, e.resolved) for e in asked] == [
         (x.kind, x.prompt, x.completion) for x in examples
@@ -81,9 +83,9 @@ def test_walk_that_drifts_from_its_engine_raises(minicorpus, inventory,
     # the replay no longer follows the gold tree
     doc = minicorpus[5]
     root = doc.tree
-    drifted = Document(doc.doc_id, doc.edus, Node(
+    drifted = Document(doc.doc_id, doc.edus, node_table(Node(
         root.left, root.right, root.nuclearity, "no such relation"
-    ))
+    )))
     message = f"{strategy} replay of {doc.doc_id} corrected 1 gold answers"
     with pytest.raises(KindMismatch, match=message):
         list(gold_walk(drifted, inventory, strategy))
@@ -94,7 +96,7 @@ def _scripted_documents(minicorpus):
     for n in (1, 2, 3, 40):
         edus = make_edus(n)
         for right_heavy in (True, False):
-            docs.append(Document(f"chain{n}", edus, chain_tree(edus, right_heavy)))
+            docs.append(Document(f"chain{n}", edus, node_table(chain_tree(edus, right_heavy))))
     for seed in range(12):
         rng = random.Random(seed)
         docs.append(random_document(rng, rng.randint(1, 60), f"rand{seed}"))
@@ -110,11 +112,23 @@ def test_replay_script_is_the_walk_without_prompts(minicorpus, inventory,
     policy = ParsePolicy(skip_forced=skip_forced)
     for doc in _scripted_documents(minicorpus):
         examples = list(gold_walk(doc, inventory, strategy, policy))
-        replayed = _parse(doc, ReplayOracle(doc.tree), inventory, strategy,
+        replayed = _parse(doc, ReplayOracle(doc.nodes), inventory, strategy,
                           policy)
         assert replayed.tree == doc.tree, doc.doc_id
         answers = [(e.kind, e.raw) for e in replayed.trace if not e.forced]
         assert answers == [(x.kind, x.completion) for x in examples], doc.doc_id
+
+
+@pytest.mark.parametrize("skip_forced", [True, False], ids=["skip-forced", "query-forced"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_gold_replay_table_is_the_documents(minicorpus, inventory, strategy, skip_forced):
+    # the engines fill the table shape the reader folds a document into, so
+    # a gold replay rebuilds the document's table entry for entry
+    policy = ParsePolicy(skip_forced=skip_forced)
+    for doc in minicorpus:
+        result = _parse(doc, ReplayOracle(doc.nodes), inventory, strategy, policy)
+        assert result.nodes == doc.nodes, doc.doc_id
+        assert result.corrected_count == 0, doc.doc_id
 
 
 def test_forced_steps_consume_numbering(inventory):
@@ -214,7 +228,7 @@ def test_deep_chains_under_the_default_recursion_limit(
     try:
         for strategy in STRATEGIES:
             walk = list(gold_walk(doc, inventory, strategy))
-            result = _parse(doc, ReplayOracle(doc.tree), inventory, strategy)
+            result = _parse(doc, ReplayOracle(doc.nodes), inventory, strategy)
             assert len(walk) == result.query_count
             assert write_tree(result.tree) == gold
 
@@ -300,7 +314,7 @@ def test_top_down_export_is_json_dumps_of_each_pair(
         _chain_dis(n, True, SPECIAL_EDU_TEXTS), encoding="utf-8"
     )
     edus = tuple(Edu(i, text) for i, text in enumerate(SPECIAL_EDU_TEXTS, 1))
-    unread = Document("unread", edus, random_tree(random.Random(7), edus))
+    unread = Document("unread", edus, node_table(random_tree(random.Random(7), edus)))
     read_documents = cli.load_documents
     monkeypatch.setattr(
         cli, "load_documents", lambda *args: [*read_documents(*args), unread]
@@ -396,22 +410,50 @@ def test_top_down_export_renders_each_split_prompt_once(
 
 
 def test_only_a_read_of_the_tree_builds_it(
-    tmp_path, monkeypatch, capsys, minicorpus, inventory
+    tmp_path, monkeypatch, capsys, minicorpus, inventory, relmap
 ):
     built = []
-    build_tree = engine.build_tree
+    build_tree = core.build_tree
 
     def counted(edus, nodes):
         built.append(len(edus))
         return build_tree(edus, nodes)
 
-    monkeypatch.setattr(engine, "build_tree", counted)
-    corpus = ["--corpus-dir", str(minicorpus_dir()), "--relation-map", "rst-dt-coarse"]
+    # every module's name for core.build_tree: parses build their trees
+    # through the engine's, documents through the corpus reader's
+    bound = [
+        module for name, module in sorted(sys.modules.items())
+        if name.startswith("rstkit") and getattr(module, "build_tree", None) is build_tree
+    ]
+    assert {corpus, engine} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "build_tree", counted)
+
+    # the reader makes no tree objects either: a document is its EDUs and
+    # its node table
+    made = []
+
+    def counting(init):
+        def wrapped(self, *args):
+            made.append(type(self).__name__)
+            init(self, *args)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        for cls in (Node, Leaf):
+            patch.setattr(cls, "__init__", counting(cls.__init__))
+        documents = [
+            read_dis(path, relmap) for path in sorted(minicorpus_dir().glob("*.dis"))
+        ]
+    assert made == []
+    assert len(documents) == len(minicorpus)
+
+    corpus_args = ["--corpus-dir", str(minicorpus_dir()), "--relation-map", "rst-dt-coarse"]
     for strategy in STRATEGIES:
-        for doc in minicorpus:
+        for doc in documents:
             assert list(gold_walk(doc, inventory, strategy))
         assert main([
-            "export-training", *corpus, "--strategy", strategy,
+            "export-training", *corpus_args, "--strategy", strategy,
             "--out", str(tmp_path / f"export-{strategy}"),
         ]) == 0
         for path in sorted(minicorpus_dir().glob("*.dis")):
@@ -422,24 +464,34 @@ def test_only_a_read_of_the_tree_builds_it(
     capsys.readouterr()
     assert built == []
 
+    # a replay parse builds the tree it writes, one per document, and no
+    # gold tree; eval scores against the gold tables and builds none
     sizes = sorted(len(doc.edus) for doc in minicorpus)
     assert sizes[0] >= 2
     for strategy in STRATEGIES:
-        assert main(["parse", *corpus, "--strategy", strategy,
+        assert main(["parse", *corpus_args, "--strategy", strategy, "--oracle", "replay",
                      "--out", str(tmp_path / strategy)]) == 0
         assert sorted(built) == sizes
         built.clear()
+        assert main(["eval", "--gold-dir", str(minicorpus_dir()), "--relation-map",
+                     "rst-dt-coarse", "--pred-dir", str(tmp_path / strategy)]) == 0
+        assert built == []
     capsys.readouterr()
 
-    doc = minicorpus[0]
+    doc = documents[0]
+    trees = []
     for strategy in STRATEGIES:
-        result = _parse(doc, ReplayOracle(doc.tree), inventory, strategy)
+        result = _parse(doc, ReplayOracle(doc.nodes), inventory, strategy)
         assert built == []
         tree = result.tree
-        assert tree == doc.tree
         assert result.tree is tree
         assert built == [len(doc.edus)]
         built.clear()
+        trees.append(tree)
+    gold = doc.tree
+    assert doc.tree is gold
+    assert built == [len(doc.edus)]
+    assert trees == [gold] * len(STRATEGIES)
 
 
 # ---------------------------------------------------------------------------
