@@ -1,5 +1,6 @@
-"""Score trees the standard way: one tuple per internal node, matched at
-four levels, micro-averaged over the corpus. Two tiny fixtures show what a
+"""Score trees the standard way: one tuple per internal node, read from
+the node tables of prediction and gold, matched at four levels,
+micro-averaged over the corpus. Two tiny fixtures show what a
 shape error and a label error each cost.
 
 Run: python3 demos/evaluation.py
@@ -38,27 +39,27 @@ def show(title, scores):
 
 
 def main():
-    # the gold side is a node table: a document holds one, and a tree
-    # gives its own through node_table
+    # both sides are node tables: a document and a parse hold one, and a
+    # tree gives its own through node_table
     gold = node_table(three("left"))
     show("bracketing error (left chain predicted as right chain)",
-         micro_f1(score_document(three("right"), gold)))
+         micro_f1(score_document(node_table(three("right")), gold)))
     print()
     show("relation flip on the inner node only",
-         micro_f1(score_document(three("left", "Background"), gold)))
+         micro_f1(score_document(node_table(three("left", "Background")), gold)))
     print()
 
     corpus = minicorpus_dir()
     relmap = builtin_relation_map("rst-dt-coarse")
     docs = load_documents(corpus, corpus / "splits.tsv", "test", relmap)
     # micro averaging pools the documents' counts before scoring
-    counts = sum((score_document(d.tree, d.nodes) for d in docs), ParsevalCounts())
+    counts = sum((score_document(d.nodes, d.nodes) for d in docs), ParsevalCounts())
     show(f"self-evaluation over the {len(docs)}-document test split",
          micro_f1(counts))
     print()
 
     print("per-relation rows (gold frequency order, ties by name):")
-    rows = per_relation_rows((d.tree, d.tree) for d in docs)
+    rows = per_relation_rows((d.nodes, d.nodes) for d in docs)
     for row in rows[:6]:
         print(f"  {row.relation:<14} predicted={row.predicted:<3} "
               f"gold={row.gold:<3} matched={row.matched:<3} f1={row.f1}")

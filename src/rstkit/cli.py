@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bottomup import parse_bottom_up
-from .core import LabelInventory, MalformedTree, internal_nodes
+from .core import LabelInventory, MalformedTree
 from .corpus import (
     ConfigError,
     DisSyntaxError,
@@ -263,7 +263,9 @@ def _policy(args: argparse.Namespace) -> ParsePolicy:
 
 
 def _predictions(pred_dir: str, documents: list[Document]):
-    """Yield (document, predicted tree) from ``pred_dir/<doc_id>.tree`` files."""
+    """Yield (document, predicted node table) from ``pred_dir/<doc_id>.tree``
+    files; a prediction that does not cover the document's EDUs raises
+    SegmentationMismatch as it is read."""
     for doc in documents:
         pred_path = Path(pred_dir) / f"{doc.doc_id}.tree"
         if not pred_path.is_file():
@@ -368,7 +370,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
             )
         # the trace first, so that a .tree on disk always has its trace
         write_text_atomic(out_dir / f"{doc.doc_id}.trace.jsonl", trace_to_jsonl(result.trace))
-        write_text_atomic(out_dir / f"{doc.doc_id}.tree", write_tree(result.tree) + "\n")
+        write_text_atomic(out_dir / f"{doc.doc_id}.tree", write_tree(result.nodes) + "\n")
         # the trace, with every prompt, is dropped here, not held to the end
         rows[index] = {
             "doc_id": doc.doc_id,
@@ -418,7 +420,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     documents = _documents(args, args.gold_dir)
     pairs = list(_predictions(args.pred_dir, documents))
     total = sum(
-        (score_document(tree, doc.nodes, not args.exclude_root) for doc, tree in pairs),
+        (score_document(nodes, doc.nodes, not args.exclude_root) for doc, nodes in pairs),
         ParsevalCounts(),
     )
     scores = micro_scores(total)
@@ -438,7 +440,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         write_text_atomic(out, json.dumps(payload, indent=2) + "\n")
     if total.matched_span and not total.matched_relation:
         gold = {relation for doc, _ in pairs for _, _, relation in doc.nodes.values()}
-        predicted = {node.relation for _, tree in pairs for node in internal_nodes(tree)}
+        predicted = {relation for _, nodes in pairs for _, _, relation in nodes.values()}
         if not gold & predicted:
             print(
                 f"warning: the gold and predicted trees share no relation"
@@ -528,11 +530,11 @@ def cmd_report_relations(args: argparse.Namespace) -> int:
     seed = inventory.relations if inventory else ()
 
     if args.pred_dir:
-        pairs = [(pred, doc.tree) for doc, pred in _predictions(args.pred_dir, documents)]
+        pairs = [(pred, doc.nodes) for doc, pred in _predictions(args.pred_dir, documents)]
         header = ("relation", "predicted", "gold", "matched", "f1")
     else:
-        # the gold trees scored against themselves: the gold column alone
-        pairs = [(doc.tree, doc.tree) for doc in documents]
+        # the gold tables scored against themselves: the gold column alone
+        pairs = [(doc.nodes, doc.nodes) for doc in documents]
         header = ("relation", "gold")
     rows = per_relation_rows(pairs, seed, not args.exclude_root)
     table = [tuple(getattr(row, name) for name in header) for row in rows]

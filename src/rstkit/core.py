@@ -179,8 +179,10 @@ def internal_nodes(tree: RstTree) -> Iterator[Node]:
 
 
 # A binary tree over EDUs 1..n as a table of its n-1 internal nodes:
-# span -> [last EDU of its left half, nuclearity, relation]. The reader
-# folds a gold document into one, and the engines fill one as they decide.
+# span -> [last EDU of its left half, nuclearity, relation]. The readers
+# fold a gold document and a .tree line into one, and the engines fill one
+# as they decide. Its spans, nuclearities and relations are the tuples
+# Standard Parseval scores, so the scorers read tables on both sides.
 NodeTable = dict[tuple[int, int], list]
 
 

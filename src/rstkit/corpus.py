@@ -8,7 +8,8 @@ constituent into the binary nodes of a node table as it goes (a document
 holds that table, and builds its tree only when the tree is read);
 relation-name maps and label
 inventories (editable text fixtures under rstkit/data); a canonical
-one-line bracket format for predicted trees; split manifests; and
+one-line bracket format for predicted trees, written from and read into
+node tables; split manifests; and
 ``load_documents``, which turns a corpus directory, manifest and split
 into the documents every command works on.
 """
@@ -30,13 +31,13 @@ from .core import (
     SN,
     Edu,
     LabelInventory,
-    Leaf,
     MalformedTree,
-    Node,
     NodeTable,
     RstTree,
     build_tree,
+    node_table,
 )
+from .metrics import check_segmentation
 
 PATTERN_SHORT = {NN: "NN", NS: "NS", SN: "SN"}
 SHORT_PATTERN = {v: k for k, v in PATTERN_SHORT.items()}
@@ -606,26 +607,33 @@ def minicorpus_dir() -> Path:
 # Canonical bracket format for predicted trees
 
 
-def write_tree(tree: RstTree) -> str:
-    """One-line bracket form: (NS Relation (leaf 1) (NN Rel ...))."""
+def write_tree(tree: RstTree | NodeTable) -> str:
+    """One-line bracket form: (NS Relation (leaf 1) (NN Rel ...)), of a node
+    table over EDUs 1..n (``core.NodeTable``) or of a tree."""
+    if isinstance(tree, dict):
+        nodes, root = tree, (1, len(tree) + 1)
+    else:
+        nodes, root = node_table(tree), tree.span
     pieces: list[str] = []
-    stack: list[object] = [tree]
+    stack: list[object] = [root]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             pieces.append(item)
-        elif isinstance(item, Leaf):
-            pieces.append(f"(leaf {item.edu.index})")
+        elif item[0] == item[1]:
+            pieces.append(f"(leaf {item[0]})")
         else:
-            assert isinstance(item, Node)
-            if _UNWRITABLE_RE.search(item.relation):
+            mid, nuclearity, relation = nodes[item]
+            if not item[0] <= mid < item[1]:
+                raise ValueError(f"split {mid} outside span {item}")
+            if _UNWRITABLE_RE.search(relation):
                 raise ValueError(
-                    f"relation {item.relation!r} not writable in bracket form"
+                    f"relation {relation!r} not writable in bracket form"
                 )
-            pieces.append(f"({PATTERN_SHORT[item.nuclearity]} {item.relation}")
+            pieces.append(f"({PATTERN_SHORT[nuclearity]} {relation}")
             stack.append(")")
-            stack.append(item.right)
-            stack.append(item.left)
+            stack.append((mid + 1, item[1]))
+            stack.append((item[0], mid))
     text = ""
     for piece in pieces:
         if text and piece != ")":
@@ -634,18 +642,22 @@ def write_tree(tree: RstTree) -> str:
     return text
 
 
-def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
-    """Parse the bracket form back; attaches texts when ``edus`` is given."""
-    # frames hold (pattern, relation, children)
-    frames: list[tuple[str, str, list[RstTree]]] = []
-    result: RstTree | None = None
+def read_tree(line: str, edus: Sequence[Edu] | None = None) -> NodeTable:
+    """Read the bracket form into the node table of its tree, which must
+    cover EDUs 1..n: n is the number of ``edus`` when they are given, else
+    the line's last EDU. A line over any other span raises
+    SegmentationMismatch."""
+    # frames hold (pattern, relation, the spans of the children so far)
+    frames: list[tuple[str, str, list[tuple[int, int]]]] = []
+    nodes: NodeTable = {}
+    result: tuple[int, int] | None = None
 
-    def attach(tree: RstTree, pos: int) -> None:
+    def attach(span: tuple[int, int], pos: int) -> None:
         nonlocal result
         if frames:
-            frames[-1][2].append(tree)
+            frames[-1][2].append(span)
         elif result is None:
-            result = tree
+            result = span
         else:
             raise DisSyntaxError("multiple top-level trees on one line", pos)
 
@@ -655,11 +667,11 @@ def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
             if kind == "leaf":
                 index, pos = int(field["index"]), field.start()
                 if edus is None:
-                    attach(Leaf(Edu(index, "")), pos)
-                elif 1 <= index <= len(edus):
-                    attach(Leaf(edus[index - 1]), pos)
-                else:
+                    if index < 1:
+                        raise MalformedTree(f"EDU index must be 1-based, got {index}")
+                elif not 1 <= index <= len(edus):
                     raise DisSyntaxError(f"leaf {index} outside document", pos)
+                attach((index, index), pos)
             elif kind == "node":
                 pattern = SHORT_PATTERN[field["pattern"]]
                 frames.append((pattern, field["relation"], []))
@@ -672,10 +684,14 @@ def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
                     raise DisSyntaxError(
                         f"node needs exactly two children, got {len(children)}", pos
                     )
-                try:
-                    attach(Node(children[0], children[1], pattern, relation), pos)
-                except MalformedTree as exc:
-                    raise DisSyntaxError(str(exc), pos) from None
+                (first, mid), (start, last) = children
+                if mid + 1 != start:
+                    raise DisSyntaxError(
+                        "children must cover adjacent spans, got "
+                        f"{children[0]} then {children[1]}", pos
+                    )
+                nodes[(first, last)] = [mid, pattern, relation]
+                attach((first, last), pos)
             elif kind == "open":
                 # a ( that starts no whole node: read token by token, for the
                 # error. A (leaf n) or (NS Relation whose tokens all read
@@ -700,7 +716,8 @@ def read_tree(line: str, edus: Sequence[Edu] | None = None) -> RstTree:
         raise DisSyntaxError("unclosed ( in bracket line", len(line))
     if result is None:
         raise DisSyntaxError("empty bracket line", 0)
-    return result
+    check_segmentation(result, result[1] if edus is None else len(edus))
+    return nodes
 
 
 # ---------------------------------------------------------------------------

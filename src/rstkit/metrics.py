@@ -1,19 +1,22 @@
 """Standard-Parseval scoring of binary constituency trees.
 
-One tuple per internal node (span, nuclearity, relation), read from a
-predicted tree and from the gold document's node table; micro-averaged F1
-over summed corpus counts at four levels: span only, span+nuclearity,
-span+relation, and all three. With gold segmentation the predicted and gold
-tuple counts per document are equal, so precision and recall coincide.
+One tuple per internal node (span, nuclearity, relation), read from the
+node tables (``core.NodeTable``) of a prediction and of its gold document;
+micro-averaged F1 over summed corpus counts at four levels: span only,
+span+nuclearity, span+relation, and all three. With gold segmentation the
+predicted and gold tuple counts per document are equal, so precision and
+recall coincide.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from collections import Counter
+from dataclasses import astuple, dataclass
 from typing import Iterable
 
-from .core import NodeTable, RstTree, internal_nodes
+from .core import NodeTable
 
 LEVELS = ("span", "nuclearity", "relation", "full")
 
@@ -34,22 +37,14 @@ def round1(value: float) -> float:
     return math.ceil(scaled - 0.5) / 10
 
 
-def extract_tuples(
-    tree: RstTree, include_root: bool = True
-) -> dict[tuple[int, int], tuple[str, str]]:
-    """Span -> (nuclearity, relation) for every internal node.
-
-    Spans are unique within a binary tree, so a dict loses nothing. The
-    root tuple (the whole-document span) can be excluded for comparison
-    with tools that do not count it; a leaf-only tree yields nothing.
-    """
-    tuples = {
-        node.span: (node.nuclearity, node.relation)
-        for node in internal_nodes(tree)
-    }
-    if not include_root and tuples:
-        tuples.pop(tree.span, None)
-    return tuples
+def check_segmentation(span: tuple[int, int], n: int) -> None:
+    """Raise SegmentationMismatch unless a prediction over ``span`` covers
+    EDUs 1..n, as the gold tree of an n-EDU document does."""
+    if span != (1, n):
+        raise SegmentationMismatch(
+            f"predicted covers {span[1] - span[0] + 1} EDUs at {span}, "
+            f"gold {n} at {(1, n)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -68,52 +63,34 @@ class ParsevalCounts:
     matched_full: int = 0
 
     def __add__(self, other: "ParsevalCounts") -> "ParsevalCounts":
-        return ParsevalCounts(
-            predicted=self.predicted + other.predicted,
-            gold=self.gold + other.gold,
-            matched_span=self.matched_span + other.matched_span,
-            matched_nuclearity=self.matched_nuclearity + other.matched_nuclearity,
-            matched_relation=self.matched_relation + other.matched_relation,
-            matched_full=self.matched_full + other.matched_full,
-        )
+        return ParsevalCounts(*map(operator.add, astuple(self), astuple(other)))
 
     def matched(self, level: str) -> int:
-        try:
-            return {
-                "span": self.matched_span,
-                "nuclearity": self.matched_nuclearity,
-                "relation": self.matched_relation,
-                "full": self.matched_full,
-            }[level]
-        except KeyError:
-            raise ValueError(f"unknown level {level!r}") from None
+        if level not in LEVELS:
+            raise ValueError(f"unknown level {level!r}")
+        return getattr(self, f"matched_{level}")
 
 
 def score_document(
-    predicted: RstTree, gold: NodeTable, include_root: bool = True
+    predicted: NodeTable, gold: NodeTable, include_root: bool = True
 ) -> ParsevalCounts:
-    """Count matches between one predicted tree and the node table of one
-    gold tree (``core.NodeTable``), as ``Document.nodes`` holds it; a
-    caller that holds a gold tree passes ``core.node_table(tree)``.
+    """Count matches between the node tables of one predicted and one gold
+    tree over EDUs 1..n: ``ParseResult.nodes`` or ``read_tree``'s table
+    against ``Document.nodes``. A caller that holds a tree passes
+    ``core.node_table(tree)``.
 
-    The gold tree covers EDUs 1..n, as a document's does, so its n-1 nodes
-    give its span; a prediction over another span raises
-    SegmentationMismatch. Single-EDU documents have no internal nodes and
+    Tables of different sizes cover different EDUs, and raise
+    SegmentationMismatch. Without the root, the span (1, n) counts on
+    neither side. Single-EDU documents have no internal nodes and
     contribute zeros.
     """
-    gold_n = len(gold) + 1
-    gold_span = (1, gold_n)
-    if predicted.span != gold_span:
-        pred_n = predicted.span[1] - predicted.span[0] + 1
-        raise SegmentationMismatch(
-            f"predicted covers {pred_n} EDUs at {predicted.span}, "
-            f"gold {gold_n} at {gold_span}"
-        )
-    pred = extract_tuples(predicted, include_root)
+    n = len(gold) + 1
+    check_segmentation((1, len(predicted) + 1), n)
+    root = None if include_root else (1, n)
     matched_span = matched_nuc = matched_rel = matched_full = 0
-    for span, (nuc, rel) in pred.items():
+    for span, (_, nuc, rel) in predicted.items():
         node = gold.get(span)
-        if node is None:
+        if node is None or span == root:
             continue
         _, gold_nuc, gold_rel = node
         matched_span += 1
@@ -123,11 +100,10 @@ def score_document(
             matched_rel += 1
         if nuc == gold_nuc and rel == gold_rel:
             matched_full += 1
-    # without the root, the root's span (the prediction's too) counts on
-    # neither side
+    tuples = len(gold) if include_root or not gold else len(gold) - 1
     return ParsevalCounts(
-        predicted=len(pred),
-        gold=len(gold) if include_root or not gold else len(gold) - 1,
+        predicted=tuples,
+        gold=tuples,
         matched_span=matched_span,
         matched_nuclearity=matched_nuc,
         matched_relation=matched_rel,
@@ -186,35 +162,34 @@ class RelationRow:
 
 
 def per_relation_rows(
-    pairs: Iterable[tuple[RstTree, RstTree]],
+    pairs: Iterable[tuple[NodeTable, NodeTable]],
     relations: Iterable[str] = (),
     include_root: bool = True,
 ) -> list[RelationRow]:
-    """Tallies per relation label, highest gold frequency first.
+    """Tallies per relation label over (predicted, gold) node tables, as
+    ``score_document`` reads them, highest gold frequency first.
 
     ``relations`` seeds the row set (an inventory, normally) so labels the
     corpus never realized still show up with zero counts.
     """
-    predicted: dict[str, int] = {rel: 0 for rel in relations}
-    gold: dict[str, int] = {rel: 0 for rel in relations}
-    matched: dict[str, int] = {rel: 0 for rel in relations}
-    for pred_tree, gold_tree in pairs:
-        pred = extract_tuples(pred_tree, include_root)
-        ref = extract_tuples(gold_tree, include_root)
-        for span, (_, rel) in pred.items():
-            predicted[rel] = predicted.get(rel, 0) + 1
-            if span in ref and ref[span][1] == rel:
-                matched[rel] = matched.get(rel, 0) + 1
-        for span, (_, rel) in ref.items():
-            gold[rel] = gold.get(rel, 0) + 1
+    seed = dict.fromkeys(relations, 0)
+    predicted, gold, matched = Counter(seed), Counter(seed), Counter()
+    for pred, ref in pairs:
+        n = len(ref) + 1
+        check_segmentation((1, len(pred) + 1), n)
+        root = None if include_root else (1, n)
+        for span, (_, _, rel) in pred.items():
+            if span == root:
+                continue
+            predicted[rel] += 1
+            node = ref.get(span)
+            if node is not None and node[2] == rel:
+                matched[rel] += 1
+        for span, (_, _, rel) in ref.items():
+            if span != root:
+                gold[rel] += 1
     rows = [
-        RelationRow(
-            relation=rel,
-            predicted=predicted.get(rel, 0),
-            gold=gold.get(rel, 0),
-            matched=matched.get(rel, 0),
-        )
-        for rel in sorted(set(predicted) | set(gold))
+        RelationRow(rel, predicted[rel], gold[rel], matched[rel])
+        for rel in predicted.keys() | gold.keys()
     ]
-    rows.sort(key=lambda row: (-row.gold, row.relation))
-    return rows
+    return sorted(rows, key=lambda row: (-row.gold, row.relation))

@@ -152,9 +152,57 @@ MUTANTS = (
     Mutant(
         "eval scores against the gold tree",
         "src/rstkit/cli.py",
-        "score_document(tree, doc.nodes, not args.exclude_root)",
-        "score_document(tree, doc.tree, not args.exclude_root)",
+        "score_document(nodes, doc.nodes, not args.exclude_root)",
+        'score_document(nodes, __import__("rstkit").node_table(doc.tree), not args.exclude_root)',
         ("tests/test_training.py::test_only_a_read_of_the_tree_builds_it",),
+    ),
+    Mutant(
+        "report-relations pairs predictions with the gold tree",
+        "src/rstkit/cli.py",
+        "pairs = [(pred, doc.nodes) for doc, pred in",
+        'pairs = [(pred, __import__("rstkit").node_table(doc.tree)) for doc, pred in',
+        ("tests/test_training.py::test_only_a_read_of_the_tree_builds_it",),
+    ),
+    Mutant(
+        "parse writes the tree it builds",
+        "src/rstkit/cli.py",
+        "write_tree(result.nodes)",
+        "write_tree(result.tree)",
+        ("tests/test_training.py::test_only_a_read_of_the_tree_builds_it",),
+    ),
+    Mutant(
+        "the bracket reader records the right half's first EDU as the split",
+        "src/rstkit/corpus.py",
+        "nodes[(first, last)] = [mid, pattern, relation]",
+        "nodes[(first, last)] = [mid + 1, pattern, relation]",
+        (
+            "tests/test_corpus.py::test_bracket_round_trip",
+            "tests/test_core.py::test_field_reader_matches_token_reader_on_bracket_edits",
+        ),
+    ),
+    Mutant(
+        "score_document counts the root when told not to",
+        "src/rstkit/metrics.py",
+        "    check_segmentation((1, len(predicted) + 1), n)\n"
+        "    root = None if include_root else (1, n)\n",
+        "    check_segmentation((1, len(predicted) + 1), n)\n    root = None\n",
+        (
+            "tests/test_metrics.py::test_exclude_root_can_zero_a_document",
+            "tests/test_metrics.py::test_exclude_root_drops_the_document_span",
+            "tests/test_metrics.py::test_per_relation_rows_sum_to_the_counts_of_score_document",
+        ),
+    ),
+    Mutant(
+        "per_relation_rows counts the root when told not to",
+        "src/rstkit/metrics.py",
+        "        check_segmentation((1, len(pred) + 1), n)\n"
+        "        root = None if include_root else (1, n)\n",
+        "        check_segmentation((1, len(pred) + 1), n)\n        root = None\n",
+        (
+            "tests/test_metrics.py::test_exclude_root_drops_the_document_span",
+            "tests/test_metrics.py::test_gold_relation_counts_order_by_count_then_name",
+            "tests/test_metrics.py::test_per_relation_rows_sum_to_the_counts_of_score_document",
+        ),
     ),
     Mutant(
         "main puts the caller's collector thresholds back only on success",

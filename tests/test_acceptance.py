@@ -145,11 +145,13 @@ def _right3():
 
 
 def test_criterion_3_metric_fixtures(capsys, minicorpus):
-    shape = micro_f1(score_document(_right3(), node_table(_left3())))
+    shape = micro_f1(score_document(node_table(_right3()), node_table(_left3())))
     for level in LEVELS:
         assert abs(shape[level] - 50.0) <= 0.05
 
-    flip = micro_f1(score_document(_left3(rel_inner="Background"), node_table(_left3())))
+    flip = micro_f1(score_document(
+        node_table(_left3(rel_inner="Background")), node_table(_left3())
+    ))
     assert abs(flip["span"] - 100.0) <= 0.05
     assert abs(flip["nuclearity"] - 100.0) <= 0.05
     assert abs(flip["relation"] - 50.0) <= 0.05
@@ -167,16 +169,16 @@ def test_criterion_3_metric_fixtures(capsys, minicorpus):
                       Node(Leaf(four[2]), Leaf(four[3]), NS, "Joint"),
                       NS, "Joint"),
                  NS, "Elaboration")
-    pairs = [(perfect, perfect), (pred4, gold4)]
+    pairs = [(node_table(p), node_table(g)) for p, g in ((perfect, perfect), (pred4, gold4))]
     micro = micro_f1(
-        sum((score_document(p, node_table(g)) for p, g in pairs), ParsevalCounts())
+        sum((score_document(p, g) for p, g in pairs), ParsevalCounts())
     )
     assert abs(micro["full"] - 50.0) <= 0.05
-    macro = sum(micro_f1(score_document(p, node_table(g)))["full"] for p, g in pairs) / 2
+    macro = sum(micro_f1(score_document(p, g))["full"] for p, g in pairs) / 2
     assert abs(macro - 66.65) <= 0.05
 
     self_scores = micro_scores(sum(
-        (score_document(doc.tree, doc.nodes) for doc in minicorpus), ParsevalCounts()
+        (score_document(doc.nodes, doc.nodes) for doc in minicorpus), ParsevalCounts()
     ))
     for level in LEVELS:
         assert self_scores[level].precision == 100.0
@@ -187,7 +189,7 @@ def test_criterion_3_metric_fixtures(capsys, minicorpus):
     for _ in range(500):
         n = rng.randint(2, 12)
         edus = make_edus(n)
-        counts = score_document(random_tree(rng, edus),
+        counts = score_document(node_table(random_tree(rng, edus)),
                                 node_table(random_tree(rng, edus)))
         scores = micro_scores(counts)
         for level in LEVELS:

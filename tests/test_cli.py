@@ -25,6 +25,7 @@ from rstkit import (
     minicorpus_dir,
     read_dis,
     read_tree,
+    write_tree,
 )
 from rstkit import cli
 from rstkit.cli import main
@@ -905,6 +906,32 @@ def test_report_relations_with_predictions_and_csv(tmp_path, capsys):
         assert predicted == gold == matched
         if int(gold) > 0:
             assert f1 == "100.0"
+
+
+@pytest.mark.parametrize("doc_id", ["doc01", "doc05"])
+def test_eval_and_report_relations_refuse_a_mis_segmented_prediction(
+    tmp_path, capsys, doc_id
+):
+    # doc01 (2 EDUs) is predicted as the lone (leaf 2); doc05 as a chain
+    # over all its EDUs but the last
+    out = tmp_path / "run"
+    assert run(capsys, "parse", "--corpus-dir", CORPUS, "--relation-map", MAP,
+               "--out", str(out))[0] == 0
+    n = len(read_dis(minicorpus_dir() / f"{doc_id}.dis").edus)
+    if doc_id == "doc01":
+        assert n == 2
+        line, covers = "(leaf 2)", "1 EDUs at (2, 2)"
+    else:
+        assert n >= 3
+        chain = {(first, n - 1): [first, "nucleus-satellite", "Elaboration"]
+                 for first in range(1, n - 1)}
+        line, covers = write_tree(chain), f"{n - 1} EDUs at (1, {n - 1})"
+    (out / f"{doc_id}.tree").write_text(line + "\n", encoding="utf-8")
+    expected = f"error: predicted covers {covers}, gold {n} at (1, {n})\n"
+    for command in ("eval", "report-relations"):
+        code = main([command, "--gold-dir", CORPUS, "--relation-map", MAP,
+                     "--pred-dir", str(out)])
+        assert (code, *capsys.readouterr()) == (4, "", expected)
 
 
 def test_report_relations_without_an_internal_node_prints_the_header(tmp_path, capsys):

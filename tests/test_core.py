@@ -44,6 +44,7 @@ from rstkit import (
     ReplayExhausted,
     ReplayOracle,
     ScriptedOracle,
+    SegmentationMismatch,
     build_tree,
     internal_nodes,
     leaves,
@@ -630,15 +631,32 @@ def test_field_reader_matches_token_reader_on_dis_edits(text, relation_map):
 @st.composite
 def _bracket_lines(draw) -> tuple[str, tuple[Edu, ...] | None]:
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    edus = make_edus(draw(st.integers(min_value=1, max_value=8)), rng)
-    line = draw(_edited(write_tree(random_tree(rng, edus))))
+    n = draw(st.integers(min_value=1, max_value=8))
+    edus = make_edus(n, rng)
+    # a tree over all the EDUs, or over a span of them
+    part = sorted((rng.randint(1, n), rng.randint(1, n)))
+    lo, hi = draw(st.sampled_from(((1, n), part)))
+    line = draw(_edited(write_tree(random_tree(rng, edus, None, lo, hi))))
     return line, draw(st.sampled_from((None, edus)))
 
 
 @given(_bracket_lines())
 def test_field_reader_matches_token_reader_on_bracket_edits(case):
+    # the field reader gives the table of the token reader's tree, or its
+    # error; and it refuses a tree that does not cover EDUs 1..n, n the
+    # number of EDUs given or else the tree's last, where the token reader
+    # returns it
     line, edus = case
     expected = _outcome(token_reader.read_tree, line, edus)
+    if not isinstance(expected, tuple):
+        span = expected.span
+        n = span[1] if edus is None else len(edus)
+        if span == (1, n):
+            expected = node_table(expected)
+        else:
+            count = span[1] - span[0] + 1
+            message = f"predicted covers {count} EDUs at {span}, gold {n} at {(1, n)}"
+            expected = (SegmentationMismatch, message, None)
     assert _outcome(read_tree, line, edus) == expected
 
 

@@ -27,6 +27,7 @@ from rstkit import (
     load_inventory,
     load_relation_map,
     minicorpus_dir,
+    node_table,
     normalize_edu_text,
     parse_dis,
     read_dis,
@@ -519,6 +520,15 @@ def test_write_tree_rejects_unwritable_relation():
     tree = Node(Leaf(e[0]), Leaf(e[1]), NS, "has space")
     with pytest.raises(ValueError, match="bracket"):
         write_tree(tree)
+    with pytest.raises(ValueError, match="bracket"):
+        write_tree(node_table(tree))
+
+
+def test_write_tree_refuses_a_split_outside_its_span():
+    # a walk of such a table would never reach a leaf
+    for mid in (0, 2):
+        with pytest.raises(ValueError, match=f"split {mid} outside span"):
+            write_tree({(1, 2): [mid, NS, "cause"]})
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers())
@@ -527,16 +537,18 @@ def test_bracket_round_trip(n, seed):
     edus = make_edus(n, rng)
     tree = random_tree(rng, edus)
     line = write_tree(tree)
-    assert read_tree(line, edus) == tree
-    # without texts, structure and labels still round-trip
-    bare = read_tree(line)
-    assert write_tree(bare) == line
+    nodes = read_tree(line, edus)
+    assert nodes == node_table(tree)
+    assert write_tree(nodes) == line
+    # without the EDUs, the line's last EDU gives the span it must cover
+    assert read_tree(line) == nodes
 
 
 def test_write_leaf_only():
     tree = Leaf(Edu(1, "alone."))
     assert write_tree(tree) == "(leaf 1)"
-    assert read_tree("(leaf 1)", [Edu(1, "alone.")]) == tree
+    assert read_tree("(leaf 1)", [Edu(1, "alone.")]) == node_table(tree) == {}
+    assert write_tree({}) == "(leaf 1)"
 
 
 # (line, message fragment, character offset the error reports)
@@ -590,6 +602,15 @@ def test_read_tree_checks_leaf_range():
     edus = make_edus(2)
     with pytest.raises(DisSyntaxError, match="outside"):
         read_tree("(NS Cause (leaf 1) (leaf 5))", edus)
+
+
+def test_read_tree_refuses_leaf_zero_as_the_token_reader_does():
+    line = "(NS Cause (leaf 0) (leaf 1))"
+    for read in (read_tree, token_reader.read_tree):
+        with pytest.raises(MalformedTree, match="EDU index must be 1-based, got 0"):
+            read(line)
+        with pytest.raises(DisSyntaxError, match="leaf 0 outside document"):
+            read(line, make_edus(2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rstkit import (
     EmptyCorpus,
@@ -18,14 +19,22 @@ from rstkit import (
     per_relation_rows,
     score_document,
 )
-from rstkit.metrics import LEVELS, RelationRow, extract_tuples, round1
+from rstkit.metrics import LEVELS, RelationRow, round1
 
 from conftest import make_edus, random_tree
 
 
-def _corpus_counts(pairs) -> ParsevalCounts:
-    """Document counts summed; micro averaging happens on the sums."""
-    return sum((score_document(p, node_table(g)) for p, g in pairs), ParsevalCounts())
+def _tables(pairs):
+    """(predicted, gold) tree pairs as the node tables the scorers read."""
+    return [(node_table(p), node_table(g)) for p, g in pairs]
+
+
+def _corpus_counts(pairs, include_root=True) -> ParsevalCounts:
+    """Document counts of (predicted, gold) tables summed; micro averaging
+    happens on the sums."""
+    return sum(
+        (score_document(p, g, include_root) for p, g in pairs), ParsevalCounts()
+    )
 
 NS = "nucleus-satellite"
 NN = "nucleus-nucleus"
@@ -70,7 +79,7 @@ def test_round1_half_away_from_zero(value, expected):
 
 
 def test_shape_mismatch_scores_fifty_everywhere():
-    counts = score_document(_right3(), node_table(_left3()))
+    counts = score_document(node_table(_right3()), node_table(_left3()))
     assert counts.predicted == 2 and counts.gold == 2
     assert counts.matched_span == 1
     scores = micro_f1(counts)
@@ -79,7 +88,9 @@ def test_shape_mismatch_scores_fifty_everywhere():
 
 
 def test_relation_flip_halves_relation_and_full():
-    counts = score_document(_left3(rel_inner="Background"), node_table(_left3()))
+    counts = score_document(
+        node_table(_left3(rel_inner="Background")), node_table(_left3())
+    )
     scores = micro_f1(counts)
     assert scores["span"] == 100.0
     assert scores["nuclearity"] == 100.0
@@ -88,7 +99,7 @@ def test_relation_flip_halves_relation_and_full():
 
 
 def test_nuclearity_flip_halves_nuclearity_and_full():
-    counts = score_document(_left3(nuc_inner=NN), node_table(_left3()))
+    counts = score_document(node_table(_left3(nuc_inner=NN)), node_table(_left3()))
     scores = micro_f1(counts)
     assert scores["span"] == 100.0
     assert scores["nuclearity"] == 50.0
@@ -119,11 +130,11 @@ def _micro_macro_corpus():
 
 def test_micro_pools_counts_rather_than_averaging_documents():
     pairs = _micro_macro_corpus()
-    micro = micro_f1(_corpus_counts(pairs))
+    micro = micro_f1(_corpus_counts(_tables(pairs)))
     for level in LEVELS:
         assert abs(micro[level] - 50.0) <= 0.05
 
-    per_doc = [micro_f1(score_document(p, node_table(g))) for p, g in pairs]
+    per_doc = [micro_f1(score_document(p, g)) for p, g in _tables(pairs)]
     assert per_doc[0]["full"] == 100.0
     assert per_doc[1]["full"] == 33.3
     macro_full = sum(d["full"] for d in per_doc) / len(per_doc)
@@ -132,7 +143,7 @@ def test_micro_pools_counts_rather_than_averaging_documents():
 
 
 def test_self_evaluation_is_exactly_perfect(minicorpus):
-    counts = _corpus_counts((doc.tree, doc.tree) for doc in minicorpus)
+    counts = _corpus_counts((doc.nodes, doc.nodes) for doc in minicorpus)
     scores = micro_scores(counts)
     for level in LEVELS:
         assert scores[level].precision == 100.0
@@ -145,14 +156,18 @@ def test_self_evaluation_is_exactly_perfect(minicorpus):
 
 
 def test_exclude_root_drops_the_document_span():
-    gold = _left3()
-    tuples = extract_tuples(gold, include_root=False)
-    assert set(tuples) == {(1, 2)}
-    assert extract_tuples(gold)[(1, 3)] == (NS, "Elaboration")
+    gold = node_table(_left3(rel_inner="Joint"))
+    assert gold[(1, 3)] == [2, NS, "Elaboration"]
+    counts = score_document(gold, gold, include_root=False)
+    assert counts.predicted == counts.gold == counts.matched_full == 1
+    assert score_document(gold, gold).matched_full == 2
+    # the tuple left is the inner one, (1, 2)
+    rows = per_relation_rows([(gold, gold)], include_root=False)
+    assert [(row.relation, row.gold, row.matched) for row in rows] == [("Joint", 1, 1)]
 
 
 def test_exclude_root_can_zero_a_document():
-    counts = score_document(_right3(), node_table(_left3()), include_root=False)
+    counts = score_document(node_table(_right3()), node_table(_left3()), include_root=False)
     assert counts.predicted == 1 and counts.gold == 1
     assert counts.matched_span == 0
     scores = micro_f1(counts)
@@ -162,7 +177,7 @@ def test_exclude_root_can_zero_a_document():
 def test_two_edu_corpus_without_root_is_empty():
     edus = make_edus(2)
     tree = Node(Leaf(edus[0]), Leaf(edus[1]), NS, "Elaboration")
-    counts = score_document(tree, node_table(tree), include_root=False)
+    counts = score_document(node_table(tree), node_table(tree), include_root=False)
     assert counts.predicted == 0 and counts.gold == 0
     with pytest.raises(EmptyCorpus):
         micro_f1(counts)
@@ -181,12 +196,14 @@ def test_segmentation_mismatch_rejected():
                      NS, "Joint"),
                 NS, "Joint")
     with pytest.raises(SegmentationMismatch, match="3 EDUs"):
-        score_document(three, node_table(four))
+        score_document(node_table(three), node_table(four))
+    with pytest.raises(SegmentationMismatch, match="3 EDUs"):
+        per_relation_rows([(node_table(three), node_table(four))])
 
 
 def test_single_edu_documents_contribute_nothing():
     leaf = Leaf(make_edus(1)[0])
-    counts = score_document(leaf, node_table(leaf))
+    counts = score_document(node_table(leaf), node_table(leaf))
     assert counts == ParsevalCounts()
     with pytest.raises(EmptyCorpus, match="no tuples"):
         micro_f1(counts)
@@ -207,7 +224,10 @@ def test_counts_add_componentwise():
 
 
 def test_leaf_has_no_tuples():
-    assert extract_tuples(Leaf(make_edus(1)[0])) == {}
+    leaf = node_table(Leaf(make_edus(1)[0]))
+    assert leaf == {}
+    assert score_document(leaf, leaf, include_root=False) == ParsevalCounts()
+    assert per_relation_rows([(leaf, leaf)]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +241,7 @@ def test_precision_equals_recall_and_levels_are_monotone():
         edus = make_edus(n)
         predicted = random_tree(rng, edus)
         gold = random_tree(rng, edus)
-        counts = score_document(predicted, node_table(gold))
+        counts = score_document(node_table(predicted), node_table(gold))
         assert counts.predicted == counts.gold == n - 1
         scores = micro_scores(counts)
         for level in LEVELS:
@@ -230,8 +250,33 @@ def test_precision_equals_recall_and_levels_are_monotone():
         assert counts.matched_span >= counts.matched_relation
         assert counts.matched_nuclearity >= counts.matched_full
         assert counts.matched_relation >= counts.matched_full
-        self_scores = micro_f1(score_document(gold, node_table(gold)))
+        self_scores = micro_f1(score_document(node_table(gold), node_table(gold)))
         assert all(self_scores[level] == 100.0 for level in LEVELS)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=12),
+                  st.integers(min_value=0, max_value=2**32)),
+        min_size=1, max_size=4,
+    ),
+    st.booleans(),
+)
+def test_per_relation_rows_sum_to_the_counts_of_score_document(docs, include_root):
+    # both read one tuple set: a relation's row counts a tuple of that
+    # relation, so the columns summed are the document counts summed
+    pairs = []
+    for n, seed in docs:
+        rng = random.Random(seed)
+        edus = make_edus(n)
+        relations = ("Elaboration", "Joint", "Contrast")
+        pairs.append((node_table(random_tree(rng, edus, relations)),
+                      node_table(random_tree(rng, edus, relations))))
+    counts = _corpus_counts(pairs, include_root)
+    rows = per_relation_rows(pairs, include_root=include_root)
+    assert sum(row.predicted for row in rows) == counts.predicted
+    assert sum(row.gold for row in rows) == counts.gold
+    assert sum(row.matched for row in rows) == counts.matched_relation
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +285,7 @@ def test_precision_equals_recall_and_levels_are_monotone():
 
 def test_per_relation_rows_counts_and_order():
     pairs = _micro_macro_corpus()
-    rows = per_relation_rows(pairs)
+    rows = per_relation_rows(_tables(pairs))
     # both labels appear twice in gold; the tie breaks alphabetically
     assert [row.relation for row in rows] == ["Elaboration", "Joint"]
     by_name = {row.relation: row for row in rows}
@@ -257,7 +302,7 @@ def test_per_relation_rows_counts_and_order():
 
 def test_per_relation_rows_seeded_with_inventory(inventory):
     pairs = _micro_macro_corpus()
-    rows = per_relation_rows(pairs, relations=inventory.relations)
+    rows = per_relation_rows(_tables(pairs), relations=inventory.relations)
     assert len(rows) == len(inventory.relations)
     zero = [row for row in rows if row.relation == "Topic-Change"]
     assert zero and zero[0].predicted == 0 and zero[0].gold == 0
@@ -277,7 +322,7 @@ def test_relation_row_f1_rounds_half_up():
 
 
 def test_gold_relation_counts_order_by_count_then_name():
-    golds = [(g, g) for _, g in _micro_macro_corpus()]
+    golds = [(g, g) for _, g in _tables(_micro_macro_corpus())]
     rows = per_relation_rows(golds)
     assert [(row.relation, row.gold) for row in rows] == [
         ("Elaboration", 2), ("Joint", 2)
